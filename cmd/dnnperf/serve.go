@@ -59,6 +59,10 @@ import (
 // enforces read-header/read/write/idle timeouts, and any request that
 // carries a body (on any route) is capped by http.MaxBytesReader.
 //
+// Batch sizes must lie in [1, core.MaxBatch]: a malformed or non-positive
+// batch is a 400, a batch above core.MaxBatch a 422 on both predict
+// endpoints.
+//
 // The single-prediction path is allocation-free in steady state: query
 // parameters are read straight from the raw query string, the network is
 // resolved through a sharded cache, the prediction comes off the compiled
@@ -537,6 +541,10 @@ func (s *server) handlePredict(w http.ResponseWriter, req *http.Request) {
 			writeJSONError(w, http.StatusBadRequest, "batch must be a positive integer")
 			return
 		}
+		if v > core.MaxBatch {
+			writeJSONError(w, http.StatusUnprocessableEntity, errBatchDomain.Error())
+			return
+		}
 		batch = v
 	}
 	sc = sc.mark(metricStageParse)
@@ -727,7 +735,7 @@ func (s *server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
 		var err error
 		batches, err = parseBatchesCSV(csv)
 		if err != nil {
-			writeJSONError(w, http.StatusBadRequest, err.Error())
+			writeJSONError(w, batchErrorStatus(err), err.Error())
 			return
 		}
 		net, err = s.network(name)
@@ -748,7 +756,7 @@ func (s *server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		if err := validateBatches(breq.Batches); err != nil {
-			writeJSONError(w, http.StatusBadRequest, err.Error())
+			writeJSONError(w, batchErrorStatus(err), err.Error())
 			return
 		}
 		batches = breq.Batches
@@ -845,6 +853,19 @@ func (s *server) sweep(m *core.KWModel, n *dnn.Network, batches []int) ([]units.
 	return f.out, f.err
 }
 
+// errBatchDomain marks a well-formed batch size above core.MaxBatch, where
+// plan arithmetic is undefined: the request parses but cannot be answered
+// (422), unlike a malformed batch list (400).
+var errBatchDomain = fmt.Errorf("batch must be at most %d", core.MaxBatch)
+
+// batchErrorStatus maps a batch validation error to its HTTP status.
+func batchErrorStatus(err error) int {
+	if errors.Is(err, errBatchDomain) {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusBadRequest
+}
+
 // validateBatches checks a sweep's batch list.
 func validateBatches(batches []int) error {
 	if len(batches) == 0 {
@@ -856,6 +877,9 @@ func validateBatches(batches []int) error {
 	for _, b := range batches {
 		if b <= 0 {
 			return fmt.Errorf("batches must be positive integers, got %d", b)
+		}
+		if b > core.MaxBatch {
+			return fmt.Errorf("%w, got %d", errBatchDomain, b)
 		}
 	}
 	return nil

@@ -183,6 +183,65 @@ func TestServePredictMatchesModel(t *testing.T) {
 	}
 }
 
+// TestServePredictMaxBatch pins the batch domain's edge on both endpoints:
+// core.MaxBatch is answered with the model's prediction, MaxBatch+1 with
+// 422 instead of a wrapped-around driver clamped to the floor.
+func TestServePredictMaxBatch(t *testing.T) {
+	s := fittedServer(t)
+	h := s.handler()
+	m := s.reg.Current().Model
+	net, err := s.network("resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.PredictNetwork(net, core.MaxBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	max, over := strconv.Itoa(core.MaxBatch), strconv.Itoa(core.MaxBatch+1)
+
+	w := get(t, h, "/predict?network=resnet50&batch="+max)
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch=MaxBatch: status %d: %s", w.Code, w.Body)
+	}
+	var resp struct {
+		Batch       int     `json:"batch"`
+		PredictedMs float64 `json:"predicted_ms"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("bad JSON %q: %v", w.Body, err)
+	}
+	if resp.Batch != core.MaxBatch || resp.PredictedMs != want.Float64()*1e3 {
+		t.Fatalf("batch=MaxBatch: got %+v, want predicted_ms %v", resp, want.Float64()*1e3)
+	}
+	var sweep struct {
+		PredictedMs []float64 `json:"predicted_ms"`
+	}
+	w = post(t, h, "/predict/batch", `{"network": "resnet50", "batches": [`+max+`]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("POST batches=[MaxBatch]: status %d: %s", w.Code, w.Body)
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &sweep); err != nil {
+		t.Fatalf("bad JSON %q: %v", w.Body, err)
+	}
+	if len(sweep.PredictedMs) != 1 || sweep.PredictedMs[0] != want.Float64()*1e3 {
+		t.Fatalf("POST batches=[MaxBatch]: predicted_ms %v, want [%v]", sweep.PredictedMs, want.Float64()*1e3)
+	}
+
+	for _, c := range []struct {
+		name string
+		w    *httptest.ResponseRecorder
+	}{
+		{"GET /predict", get(t, h, "/predict?network=resnet50&batch="+over)},
+		{"GET /predict/batch", get(t, h, "/predict/batch?network=resnet50&batches=1,"+over)},
+		{"POST /predict/batch", post(t, h, "/predict/batch", `{"network": "resnet50", "batches": [1, `+over+`]}`)},
+	} {
+		if c.w.Code != http.StatusUnprocessableEntity {
+			t.Errorf("%s at MaxBatch+1: status %d, want 422 (body %s)", c.name, c.w.Code, c.w.Body)
+		}
+	}
+}
+
 // TestServePredictBatchMatchesLoop pins the endpoint to the looped
 // single-prediction path bit for bit, for both GET and POST.
 func TestServePredictBatchMatchesLoop(t *testing.T) {

@@ -192,7 +192,18 @@ func TestLocksafeRegistryFixture(t *testing.T) {
 }
 
 func TestStaleplanPositive(t *testing.T) {
-	runFixture(t, NewStaleplan(), "staleplanpos", 3)
+	findings := runFixture(t, NewStaleplan(), "staleplanpos", 9)
+	// Three field assignments, six in-place writes (index write, delete,
+	// clear, ++, slice element, literal variable rebound to a live model).
+	inPlace := 0
+	for _, f := range findings {
+		if strings.Contains(f.Message, "mutated in place") {
+			inPlace++
+		}
+	}
+	if inPlace != 6 {
+		t.Fatalf("%d in-place findings, want 6", inPlace)
+	}
 }
 
 func TestStaleplanNegative(t *testing.T) {

@@ -5,6 +5,7 @@ package staleplanneg
 // KWModel mirrors the guarded model.
 type KWModel struct {
 	Classif  map[string]int
+	Mapping  map[string][]string
 	Training string
 }
 
@@ -15,9 +16,11 @@ func FitKW() *KWModel {
 	return m
 }
 
-// ObserveRecords is blessed by exact name.
+// ObserveRecords is blessed by exact name, in-place writes included.
 func (m *KWModel) ObserveRecords() {
 	m.Classif = nil
+	m.Mapping["sig"] = []string{"k"}
+	delete(m.Mapping, "old")
 }
 
 // rebuildFromAccumulators is blessed by exact name.
@@ -42,4 +45,40 @@ func set(o *OtherModel) {
 // the record-scan and streaming paths funnel into.
 func fitKWRecords(m *KWModel) {
 	m.Classif = map[string]int{}
+}
+
+// Resolve builds a fresh model from a literal and fills its maps, as
+// IGKWBase.Resolve does: a new model has no cache to go stale.
+func Resolve(sigs map[string][]string) *KWModel {
+	m := &KWModel{Mapping: map[string][]string{}}
+	for sig, ks := range sigs {
+		m.Mapping[sig] = ks
+	}
+	delete(m.Mapping, "")
+	return m
+}
+
+// resolveValue fills a value-typed literal model.
+func resolveValue() KWModel {
+	var m = KWModel{Classif: map[string]int{}}
+	m.Classif["k"] = 1
+	return m
+}
+
+// copyOut writes into a local map read from the model, not the model.
+func copyOut(m *KWModel) map[string]int {
+	out := map[string]int{}
+	for k, v := range m.Classif {
+		out[k] = v
+	}
+	return out
+}
+
+// OtherIndexed shares a field name but is not a guarded type.
+type OtherIndexed struct{ Mapping map[string]int }
+
+// setIndexed writes the unguarded type's map freely.
+func setIndexed(o *OtherIndexed) {
+	o.Mapping["k"] = 1
+	delete(o.Mapping, "k")
 }

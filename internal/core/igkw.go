@@ -55,6 +55,9 @@ type IGKWModel struct {
 	// making the bandwidth design-space sweeps allocation-free per query.
 	// Unexported, so persistence never sees it.
 	plans cache.Sharded[planKey, *Plan]
+	// mapBatches caches the batch sizes embedded in Mapping's signatures
+	// for plan compilation.
+	mapBatches mappingBatches
 }
 
 // IGKWBase is the target-independent part of the inter-GPU model: per-GPU
@@ -364,12 +367,12 @@ func (m *IGKWModel) PredictKernel(name string, layerFLOPs units.FLOPs, layerInEl
 func (m *IGKWModel) PredictNetwork(n *dnn.Network, batch int) (units.Seconds, error) {
 	tm := obs.StartTimer(metricIGKWPredict)
 	defer tm.Stop()
-	if batch <= 0 {
+	if batch <= 0 || batch > MaxBatch {
 		return m.PredictNetworkUncached(n, batch)
 	}
 	key := planKey{name: n.Name, fp: networkFingerprint(n, false)}
 	p, err := m.plans.GetOrCompute(key, func() (*Plan, error) {
-		return compilePlan(n, m.Target.Name, false, m.Mapping, m.resolveKernel)
+		return m.compilePlan(n)
 	})
 	if err != nil {
 		return m.PredictNetworkUncached(n, batch)
@@ -387,11 +390,14 @@ func (m *IGKWModel) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds
 		if b <= 0 {
 			return nil, fmt.Errorf("core: IGKW sweep of %q: batch size %d must be positive", n.Name, b)
 		}
+		if b > MaxBatch {
+			return nil, errBatchTooLarge("IGKW", n.Name, b)
+		}
 	}
 	observeSweep(len(batches))
 	key := planKey{name: n.Name, fp: networkFingerprint(n, false)}
 	p, err := m.plans.GetOrCompute(key, func() (*Plan, error) {
-		return compilePlan(n, m.Target.Name, false, m.Mapping, m.resolveKernel)
+		return m.compilePlan(n)
 	})
 	if err != nil {
 		return sweepUncached(n, batches, m.PredictNetworkUncached)
@@ -399,9 +405,17 @@ func (m *IGKWModel) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds
 	return p.PredictSweep(batches), nil
 }
 
+// compilePlan compiles the target GPU's plan for the network.
+func (m *IGKWModel) compilePlan(n *dnn.Network) (*Plan, error) {
+	return compilePlan(n, m.Target.Name, false, m.Mapping, m.mapBatches.get(m.Mapping), m.resolveKernel)
+}
+
 // PredictNetworkUncached is the reference prediction path (shape inference
 // plus per-kernel lookups on every call); plans are tested against it.
 func (m *IGKWModel) PredictNetworkUncached(n *dnn.Network, batch int) (units.Seconds, error) {
+	if batch > MaxBatch {
+		return 0, errBatchTooLarge("IGKW", n.Name, batch)
+	}
 	if err := n.Infer(batch); err != nil {
 		return 0, err
 	}

@@ -62,6 +62,9 @@ type KWModel struct {
 	// persistence never sees them.
 	plans      cache.Sharded[planKey, *Plan]
 	layerPlans cache.Sharded[layerKey, []layerTerm]
+	// mapBatches caches the batch sizes embedded in Mapping's signatures
+	// for plan compilation; ObserveRecords resets it with the caches.
+	mapBatches mappingBatches
 }
 
 // KWOptions expose the kernel-wise model's design choices for ablation
@@ -327,7 +330,7 @@ func (m *KWModel) kernelsForLayer(l *dnn.Layer) []kernels.Kernel {
 func (m *KWModel) PredictNetwork(n *dnn.Network, batch int) (units.Seconds, error) {
 	tm := obs.StartTimer(metricKWPredict)
 	defer tm.Stop()
-	if batch <= 0 {
+	if batch <= 0 || batch > MaxBatch {
 		// Route through the uncached path for its validation error.
 		//lint:ignore allocfree the invalid-batch path is off the steady state by definition
 		return m.PredictNetworkUncached(n, batch)
@@ -347,14 +350,17 @@ func (m *KWModel) PredictNetwork(n *dnn.Network, batch int) (units.Seconds, erro
 // bit-identical to calling PredictNetwork per batch size; the win is that
 // the per-call overhead (fingerprint, cache lookup, timer) is paid once for
 // the whole sweep and the plan's segments stay hot across batch sizes. All
-// batch sizes must be positive. If plan compilation fails the sweep falls
-// back to the uncached path, mirroring PredictNetwork.
+// batch sizes must be in [1, MaxBatch]. If plan compilation fails the sweep
+// falls back to the uncached path, mirroring PredictNetwork.
 func (m *KWModel) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds, error) {
 	tm := obs.StartTimer(metricSweepPredict)
 	defer tm.Stop()
 	for _, b := range batches {
 		if b <= 0 {
 			return nil, fmt.Errorf("core: KW sweep of %q: batch size %d must be positive", n.Name, b)
+		}
+		if b > MaxBatch {
+			return nil, errBatchTooLarge("KW", n.Name, b)
 		}
 	}
 	observeSweep(len(batches))
@@ -370,6 +376,9 @@ func (m *KWModel) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds, 
 // is the behavior PredictNetwork had before plan compilation and remains the
 // ground truth plans are tested against.
 func (m *KWModel) PredictNetworkUncached(n *dnn.Network, batch int) (units.Seconds, error) {
+	if batch > MaxBatch {
+		return 0, errBatchTooLarge("KW", n.Name, batch)
+	}
 	if err := n.Infer(batch); err != nil {
 		return 0, err
 	}
@@ -406,7 +415,7 @@ func (m *KWModel) CompiledPlan(n *dnn.Network) (*Plan, error) { return m.planFor
 // CompilePlan compiles a standalone prediction plan for the network without
 // touching the model's plan cache. The input network is never mutated.
 func (m *KWModel) CompilePlan(n *dnn.Network) (*Plan, error) {
-	return compilePlan(n, m.GPU, m.Training, m.Mapping, m.resolveKernel)
+	return compilePlan(n, m.GPU, m.Training, m.Mapping, m.mapBatches.get(m.Mapping), m.resolveKernel)
 }
 
 // resolveKernel maps a kernel name to the concrete regression line and driver

@@ -261,10 +261,12 @@ func (m *KWModel) ObserveRecords(recs []dataset.KernelRecord) (groups, newKernel
 	}
 	m.rebuildFromAccumulators()
 
-	// The regression structure changed: every compiled plan and cached layer
-	// term list may now be stale.
+	// The regression structure and the mapping table changed: every
+	// compiled plan, cached layer term list and the mapping-batch set may
+	// now be stale.
 	m.plans.Clear()
 	m.layerPlans.Clear()
+	m.mapBatches.reset()
 
 	for _, name := range sortedStringKeys(m.GroupOf) {
 		if !before[name] {

@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/dnn"
 	"repro/internal/kernels"
@@ -36,8 +37,8 @@ import (
 // ways — GEMM tile variants switch at known row-count thresholds
 // (kernels.BatchBreakpoints), and the learned mapping table can substitute
 // traced names only at the batch sizes embedded in its signatures. The
-// compiler enumerates that finite breakpoint set, resolves the plan at each,
-// and stores one segment per distinct resolution; adjacent identical
+// compiler enumerates each layer's finite breakpoint set, resolves the layer
+// at each, and stores one segment per distinct resolution; adjacent identical
 // resolutions merge, so most entries hold a single segment.
 
 // planSeg is one kernel's resolution over a half-open batch range
@@ -70,8 +71,22 @@ func (p *Plan) EntryCount() int { return len(p.entryEnd) }
 // EntryCount only when some kernel resolves differently across batch sizes.
 func (p *Plan) SegmentCount() int { return len(p.segs) }
 
+// MaxBatch is the largest batch size the KW and IGKW prediction paths
+// accept. A plan evaluates each kernel's driver as xPer·N + xConst in int64
+// with no check on the hot path, so the batch domain is bounded instead: at
+// 2^20 the largest driver of any zoo network stays orders of magnitude
+// inside int64 (TestPlanMaxBatchNoOverflow), where an unbounded batch could
+// wrap into a garbage prediction that clampTime silently floors. Larger
+// batches are rejected with an error; dnnperf serve answers them with 422.
+const MaxBatch = 1 << 20
+
+// errBatchTooLarge is the error for a batch size above MaxBatch.
+func errBatchTooLarge(model, network string, batch int) error {
+	return fmt.Errorf("core: %s prediction of %q: batch size %d exceeds the maximum %d", model, network, batch, MaxBatch)
+}
+
 // Predict returns the predicted end-to-end seconds of one batch. The batch
-// size must be positive (callers route non-positive batches through the
+// size must be in [1, MaxBatch] (callers route other batches through the
 // uncached path for its validation errors). It performs no allocation and is
 // safe to call concurrently.
 //
@@ -180,23 +195,33 @@ type distLayer struct {
 
 // compilePlan builds a Plan for the network. It works on a private clone, so
 // the caller's network is never mutated (and concurrent compilations of the
-// same network cannot race).
+// same network cannot race). mapBatches is the model's sorted set of batch
+// sizes embedded in mapping signatures (see mappingBatches).
 //
-// The compiler exploits two structural facts to stay cheap. First, networks
-// repeat layers: ResNet/DenseNet instantiate the same (kind, parameters,
-// shapes) block dozens of times, and two layers that agree on all of those
-// at batch 1 agree at every batch size (shapes differ across batches only in
-// dimension 0), so they resolve to identical segment lists. Each distinct
-// shape is compiled once and duplicates copy its segments. Second, a layer's
-// kernel resolution depends only on its own shapes, so instead of re-running
-// full-network shape inference at every batch breakpoint the compiler infers
-// once at batch 1 and then rewrites one layer's batch dimension at a time
-// (Layer.Rebatch, exact by construction). Segment scratch lives in a
-// preallocated arena reused across layers, and signature/memo keys are built
-// in reused byte buffers looked up with the map[string(buf)] idiom, so the
-// per-layer map+string churn of the naive compiler is gone.
+// The compiler exploits three structural facts to stay cheap. First,
+// networks repeat layers: ResNet/DenseNet instantiate the same (kind,
+// parameters, shapes) block dozens of times, and two layers that agree on all
+// of those at batch 1 agree at every batch size (shapes differ across batches
+// only in dimension 0), so they resolve to identical segment lists. Each
+// distinct shape is compiled once and duplicates copy its segments. Second, a
+// layer's kernel resolution depends only on its own shapes, so instead of
+// re-running full-network shape inference at every batch breakpoint the
+// compiler infers once at batch 1 and then rewrites one layer's batch
+// dimension at a time (Layer.Rebatch, exact by construction). Third, a
+// layer's resolution can change only at its own breakpoints: its GEMM tile
+// thresholds (kernels.BatchBreakpoints) and the mapping batches B at which
+// its signature is actually in the table — a signature embeds the batch as
+// its first shape dimension, so the substitution starts applying at B and
+// stops at B+1. Each distinct layer is resolved at exactly
+// {1} ∪ BatchBreakpoints ∪ {B, B+1}; a network-wide breakpoint set would only
+// add points where nothing changes, which the segment merge then discards, so
+// the segments (minBatch, line, driver map) are the same either way. Segment
+// scratch lives in a preallocated arena reused across layers, and
+// signature/memo keys are built in reused byte buffers looked up with the
+// map[string(buf)] idiom, so the per-layer map+string churn of the naive
+// compiler is gone.
 func compilePlan(n *dnn.Network, gpuName string, training bool,
-	mapping map[string][]string, resolve kernelResolve) (*Plan, error) {
+	mapping map[string][]string, mapBatches []int, resolve kernelResolve) (*Plan, error) {
 
 	tm := obs.StartTimer(metricPlanCompile)
 	defer tm.Stop()
@@ -236,38 +261,17 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 		repOf[i] = d
 	}
 
-	// The finite set of batch sizes where any kernel's resolution can
-	// change. BatchBreakpoints is batch-invariant and identical across
-	// duplicate layers, so the union over distinct layers equals the union
-	// over all layers.
-	bpSet := map[int]bool{1: true}
-	for _, ri := range reps {
-		for _, bp := range kernels.BatchBreakpoints(clone.Layers[ri]) {
-			bpSet[bp] = true
-		}
-	}
-	for sig := range mapping {
-		if b := signatureBatch(sig); b > 0 {
-			bpSet[b] = true   // the mapping substitution can start applying here
-			bpSet[b+1] = true // ... and stops applying here
-		}
-	}
-	breakpoints := make([]int, 0, len(bpSet))
-	for b := range bpSet {
-		breakpoints = append(breakpoints, b)
-	}
-	sort.Ints(breakpoints)
-	nbp := len(breakpoints)
-
-	// Compile each distinct layer: resolve its kernels at every breakpoint,
-	// merging adjacent identical resolutions. Scratch segment storage is one
-	// arena sliced into non-overlapping per-kernel append regions, reused
-	// across layers.
+	// Compile each distinct layer: resolve its kernels at each of its own
+	// breakpoints, merging adjacent identical resolutions. Scratch segment
+	// storage is one arena sliced into non-overlapping per-kernel append
+	// regions, reused across layers.
 	dists := make([]distLayer, len(reps))
 	var arena []planSeg
 	var kernSegs [][]planSeg
 	var affine []driverAffine
 	var sigBuf []byte
+	var breakpoints []int
+	var hits []mappingHit
 	for di, ri := range reps {
 		l := clone.Layers[ri]
 
@@ -295,6 +299,23 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 			a.outPer, a.outConst = affineFromTwo(ks1[i].LayerOutputElems, ks2[i].LayerOutputElems)
 		}
 
+		// The layer's breakpoints. BatchBreakpoints is batch-invariant; the
+		// mapping is probed once per model mapping batch, and only the
+		// batches whose signature resolves contribute.
+		breakpoints = append(append(breakpoints[:0], 1), kernels.BatchBreakpoints(l)...)
+		hits = hits[:0]
+		for _, b := range mapBatches {
+			l.Rebatch(b)
+			sigBuf = l.AppendSignature(sigBuf[:0])
+			if names, ok := mapping[string(sigBuf)]; ok && len(names) == nk {
+				hits = append(hits, mappingHit{batch: b, names: names})
+				breakpoints = append(breakpoints, b, b+1)
+			}
+		}
+		slices.Sort(breakpoints)
+		breakpoints = slices.Compact(breakpoints)
+		nbp := len(breakpoints)
+
 		if cap(arena) < nk*nbp {
 			arena = make([]planSeg, nk*nbp)
 		}
@@ -307,15 +328,18 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 		}
 
 		for _, b := range breakpoints {
-			l.Rebatch(b)
-			ks := dispatch(l)
-			if len(ks) != nk {
-				return nil, fmt.Errorf("core: plan compile %q: kernel count changed at batch %d", n.Name, b)
+			ks := ks1 // every layer's first breakpoint is batch 1, dispatched above
+			if b > 1 {
+				l.Rebatch(b)
+				if ks = dispatch(l); len(ks) != nk {
+					return nil, fmt.Errorf("core: plan compile %q: kernel count changed at batch %d", n.Name, b)
+				}
 			}
-			sigBuf = l.AppendSignature(sigBuf[:0])
-			if names, ok := mapping[string(sigBuf)]; ok && len(names) == len(ks) {
-				for i := range ks {
-					ks[i].Name = names[i]
+			for _, h := range hits {
+				if h.batch == b {
+					for i := range ks {
+						ks[i].Name = h.names[i]
+					}
 				}
 			}
 			for k := range ks {
@@ -363,6 +387,44 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 	}
 	return p, nil
 }
+
+// mappingHit is one mapping-table substitution of a distinct layer: at batch
+// size batch, its signature resolves to the traced kernel names.
+type mappingHit struct {
+	batch int
+	names []string
+}
+
+// mappingBatches is a model's sorted set of batch sizes embedded in its
+// mapping-table signatures — the only batch sizes at which the table can
+// substitute kernel names. It depends on the table alone, so it is computed
+// on the first compile and reused by every later one instead of walking
+// every signature per plan; mutators that change the table (ObserveRecords)
+// reset it together with the plan caches. Concurrent first compiles may
+// each compute it; they store identical values.
+type mappingBatches struct {
+	p atomic.Pointer[[]int]
+}
+
+// get returns the batch set of mapping, computing it on first use.
+func (c *mappingBatches) get(mapping map[string][]string) []int {
+	if p := c.p.Load(); p != nil {
+		return *p
+	}
+	var bs []int
+	for sig := range mapping {
+		if b := signatureBatch(sig); b > 0 {
+			bs = append(bs, b)
+		}
+	}
+	slices.Sort(bs)
+	bs = slices.Compact(bs)
+	c.p.Store(&bs)
+	return bs
+}
+
+// reset drops the cached set; the next compile recomputes it.
+func (c *mappingBatches) reset() { c.p.Store(nil) }
 
 // appendLayerShapeKey appends an exact rendering of everything a layer's
 // kernel resolution can depend on — kind, every dispatch parameter, and

@@ -95,6 +95,19 @@ func TestPredictSweepValidation(t *testing.T) {
 	if _, err := kw.PredictSweep(net, []int{-1}); err == nil {
 		t.Fatal("negative batch must be rejected")
 	}
+	if _, err := kw.PredictSweep(net, []int{8, MaxBatch + 1}); err == nil {
+		t.Fatal("batch MaxBatch+1 must be rejected")
+	}
+	if _, err := kw.PredictNetwork(net, MaxBatch+1); err == nil {
+		t.Fatal("PredictNetwork at MaxBatch+1 must be rejected")
+	}
+	got, err := kw.PredictSweep(net, []int{MaxBatch})
+	if err != nil {
+		t.Fatalf("sweep at MaxBatch: %v", err)
+	}
+	if want, err := kw.PredictNetworkUncached(net.Clone(), MaxBatch); err != nil || got[0] != want {
+		t.Fatalf("sweep at MaxBatch = %v, uncached %v (err %v)", got[0], want, err)
+	}
 	out, err := kw.PredictSweep(net, nil)
 	if err != nil {
 		t.Fatalf("empty sweep: %v", err)
