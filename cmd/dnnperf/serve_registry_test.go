@@ -139,6 +139,51 @@ func TestServeModelzIntrospectionAndSwap(t *testing.T) {
 	}
 }
 
+// TestServeModelzRejectsMalformedModel: an envelope that decodes but whose
+// group_of indices point past its groups would panic every prediction once
+// published fleet-wide. /modelz must refuse it with 400, keep the version,
+// and keep answering /predict from the previous model.
+func TestServeModelzRejectsMalformedModel(t *testing.T) {
+	s := fittedServer(t)
+	h := s.handler()
+	prev := s.reg.Current()
+	want := get(t, h, "/predict?network=resnet18&batch=1")
+	if want.Code != http.StatusOK {
+		t.Fatalf("/predict status %d: %s", want.Code, want.Body)
+	}
+
+	var env struct {
+		Kind    string         `json:"kind"`
+		Version int            `json:"version"`
+		Model   map[string]any `json:"model"`
+	}
+	if err := json.Unmarshal(savedModel(t, s), &env); err != nil {
+		t.Fatal(err)
+	}
+	groupOf := env.Model["group_of"].(map[string]any)
+	if len(groupOf) == 0 {
+		t.Fatal("fitted model has no group_of entries to corrupt")
+	}
+	for k := range groupOf {
+		groupOf[k] = 1 << 20
+	}
+	bad, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if w := post(t, h, "/modelz", string(bad)); w.Code != http.StatusBadRequest {
+		t.Fatalf("malformed model: status %d, want 400: %s", w.Code, w.Body)
+	}
+	if s.reg.Current() != prev || s.reg.Version() != prev.Version {
+		t.Fatalf("rejected model moved the registry: version %d, want %d", s.reg.Version(), prev.Version)
+	}
+	got := get(t, h, "/predict?network=resnet18&batch=1")
+	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+		t.Fatalf("/predict after the rejected swap: status %d body %s, want 200 %s", got.Code, got.Body, want.Body)
+	}
+}
+
 func TestServeUniformBodyCap(t *testing.T) {
 	h := fittedServer(t).handler()
 	// A body over the uniform cap is rejected on any route — here /modelz,

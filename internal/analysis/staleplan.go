@@ -8,10 +8,10 @@ import (
 )
 
 // Staleplan guards the coherence between fitted models and their compiled
-// prediction plans. KWModel and IGKWModel cache compiled Plans (and the
-// mapping-batch set plan compilation reads) keyed on the current coefficient
-// structure; the blessed mutators (Fit*, ObserveRecords and the rebuild
-// helpers they call) invalidate those caches after every coefficient change.
+// prediction plans. KWModel caches compiled Plans (and the mapping-batch set
+// plan compilation reads) keyed on the current coefficient structure; the
+// blessed mutators (Fit*, ObserveRecords and the rebuild helpers they call)
+// invalidate those caches after every coefficient change.
 // A write to a coefficient field from anywhere else silently leaves stale
 // plans serving predictions from the old coefficients.
 //
@@ -42,10 +42,6 @@ var coefficientFields = map[string]map[string]bool{
 	"KWModel": {
 		"Classif": true, "Groups": true, "GroupOf": true, "Mapping": true,
 		"Families": true, "ClassFallback": true,
-	},
-	"IGKWModel": {
-		"Lines": true, "DriverOf": true, "Mapping": true,
-		"FamilyLines": true, "FamilyDriver": true, "ClassFallback": true,
 	},
 }
 
@@ -136,7 +132,7 @@ func guardedField(p *Pass, e ast.Expr) (sel *ast.SelectorExpr, indexed bool) {
 }
 
 // freshModels returns the local variables of body that are only ever
-// assigned composite literals (m := &IGKWModel{…}): models built here, whose
+// assigned composite literals (m := &KWModel{…}): models built here, whose
 // caches are empty, so filling their coefficient maps cannot stale a plan.
 // A variable with any other assignment — a parameter-derived value, a call
 // result, a range variable — is excluded.
@@ -192,8 +188,8 @@ func freshModels(p *Pass, body *ast.BlockStmt) map[types.Object]bool {
 	return lit
 }
 
-// guardedModelName returns "KWModel"/"IGKWModel" when expr's type (after
-// pointer indirection) is a guarded model type, else "".
+// guardedModelName returns "KWModel" when expr's type (after pointer
+// indirection) is a guarded model type, else "".
 func guardedModelName(p *Pass, expr ast.Expr) string {
 	tv, ok := p.Info.Types[expr]
 	if !ok {

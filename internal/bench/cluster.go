@@ -106,30 +106,9 @@ func ClusterSchedule(l *Lab, nTasks int, seed int64) (*ClusterScheduleResult, er
 	if nTasks <= 0 {
 		return nil, fmt.Errorf("bench: cluster schedule needs a positive task count, got %d", nTasks)
 	}
-	ds, err := l.Dataset(dseTrainGPUs()...)
+	models, nets, err := FleetOracle(l)
 	if err != nil {
 		return nil, err
-	}
-	base, err := core.FitIGKWBase(ds, dseTrainGPUs(), TrainBatch)
-	if err != nil {
-		return nil, err
-	}
-	fleet := clusterFleet()
-	models := make([]core.SweepPredictor, len(fleet))
-	for i, spec := range fleet {
-		m, err := base.Resolve(spec)
-		if err != nil {
-			return nil, err
-		}
-		models[i] = m
-	}
-	names := clusterNets()
-	nets := make([]*dnn.Network, len(names))
-	for i, name := range names {
-		nets[i], err = l.Network(name)
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	// Seeded task sampling: a splitmix-style walk over (network, batch)
@@ -175,7 +154,7 @@ func ClusterSchedule(l *Lab, nTasks int, seed int64) (*ClusterScheduleResult, er
 	searchSecs := time.Since(searchStart).Seconds()
 
 	out := &ClusterScheduleResult{
-		Tasks: nTasks, Fleet: gpus, Networks: names, Seed: seed,
+		Tasks: nTasks, Fleet: gpus, Networks: clusterNets(), Seed: seed,
 		Makespan: res.Makespan, LowerBound: res.LowerBound, Gap: res.Gap,
 		TableSeconds: tableSecs, SearchSeconds: searchSecs,
 		TasksPerSec: float64(nTasks) / (tableSecs + searchSecs),

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/zoo"
 )
 
 // FuzzFamilyOf checks the kernel-family extraction on arbitrary names: it
@@ -22,6 +25,33 @@ func FuzzFamilyOf(f *testing.F) {
 		}
 		if again := FamilyOf(fam); again != fam {
 			t.Fatalf("FamilyOf not idempotent: %q → %q → %q", name, fam, again)
+		}
+	})
+}
+
+// FuzzLoad checks the model-envelope decoder on arbitrary bytes: Load either
+// returns an error, or the model it returns predicts a small fixed network
+// through PredictNetwork (and, for KW models, PredictSweep) without
+// panicking. Seeds are a measured KW envelope, an IGKW-resolved one, and
+// every malformed case Load must reject.
+func FuzzLoad(f *testing.F) {
+	kw, igkw := persistFixtures(f)
+	f.Add(kw)
+	f.Add(igkw)
+	for _, tc := range malformedKWCases {
+		f.Add(plantEnvelope(f, kw, tc.plant))
+	}
+	net := zoo.MustResNet(18)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, b := range []int{1, 64, 513} {
+			_, _ = m.PredictNetwork(net, b)
+		}
+		if sp, ok := m.(SweepPredictor); ok {
+			_, _ = sp.PredictSweep(net, []int{1, 3, 512, 513})
 		}
 	})
 }

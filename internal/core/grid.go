@@ -18,7 +18,7 @@ import (
 // per-call fingerprint/cache/timer overhead point by point.
 
 // SweepPredictor is a Predictor that can evaluate many batch sizes in one
-// pass. KWModel and IGKWModel implement it.
+// pass. KWModel implements it, for measured and IGKW-resolved models alike.
 type SweepPredictor interface {
 	Predictor
 	// PredictSweep predicts every batch size in batches, in input order,

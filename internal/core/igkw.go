@@ -2,21 +2,17 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
-	"repro/internal/cache"
 	"repro/internal/dataset"
-	"repro/internal/dnn"
 	"repro/internal/gpu"
-	"repro/internal/kernels"
-	"repro/internal/obs"
 	"repro/internal/regression"
-	"repro/internal/units"
 )
 
-// IGKWModel is the Inter-GPU Kernel-Wise model of §5.5: it predicts a GPU
-// that is absent from the training set by re-deriving each kernel's
-// regression slope from the target's *theoretical memory bandwidth*.
+// The Inter-GPU Kernel-Wise model of §5.5 predicts a GPU that is absent from
+// the training set by re-deriving each kernel's regression slope from the
+// target's *theoretical memory bandwidth*.
 //
 // For every kernel, the slope of its kernel-wise regression on a GPU
 // represents the achieved processing rate (the reciprocal of the slope is
@@ -28,37 +24,10 @@ import (
 //	rate(GPU) = a + b·bandwidth(GPU)
 //
 // over the training GPUs, and instantiates a kernel-wise predictor for the
-// target from rate(target bandwidth). Regression intercepts (launch
-// overheads) are carried over as the training-GPU average.
-type IGKWModel struct {
-	// TrainGPUs names the GPUs whose measurements trained the model.
-	TrainGPUs []string
-	// Target is the GPU being predicted (never measured).
-	Target gpu.Spec
-	// TrainBatch is the batch size of the training measurements.
-	TrainBatch int
-
-	// Lines holds the per-kernel time regressions resolved for the target.
-	Lines map[string]regression.Line
-	// DriverOf holds each kernel's (majority-vote) driver class.
-	DriverOf map[string]Driver
-	// Mapping is the union layer-signature→kernel-list table.
-	Mapping map[string][]string
-	// FamilyLines and FamilyDriver hold bandwidth-scaled family-level models
-	// for kernels too sparse (or unseen) to carry their own.
-	FamilyLines  map[string]regression.Line
-	FamilyDriver map[string]Driver
-	// ClassFallback holds per-driver pooled lines resolved for the target.
-	ClassFallback map[Driver]regression.Line
-
-	// plans caches compiled prediction plans per network (see plan.go),
-	// making the bandwidth design-space sweeps allocation-free per query.
-	// Unexported, so persistence never sees it.
-	plans cache.Sharded[planKey, *Plan]
-	// mapBatches caches the batch sizes embedded in Mapping's signatures
-	// for plan compilation.
-	mapBatches mappingBatches
-}
+// target from rate(target bandwidth): a KWModel whose lines are the resolved
+// rates, so it predicts through the same plan, sweep and fallback paths as a
+// measured model. Regression intercepts (launch overheads) are carried over
+// as the training-GPU average.
 
 // IGKWBase is the target-independent part of the inter-GPU model: per-GPU
 // kernel classifications and the union mapping table. Resolving a target GPU
@@ -97,12 +66,8 @@ func FitIGKWBase(ds *dataset.Dataset, trainGPUs []gpu.Spec, trainBatch int) (*IG
 	// Family-level classifications, for sparse/unseen kernels.
 	b.famFits = make([]gpuFit, len(b.fits))
 	for i, f := range b.fits {
-		famRecs := make([]dataset.KernelRecord, len(f.records))
-		copy(famRecs, f.records)
-		for j := range famRecs {
-			famRecs[j].Kernel = FamilyOf(famRecs[j].Kernel)
-		}
-		b.famFits[i] = gpuFit{spec: f.spec, classif: ClassifyFamilies(f.records), records: famRecs}
+		b.famFits[i] = gpuFit{spec: f.spec, classif: ClassifyFamilies(f.records),
+			records: familyRecords(f.records)}
 	}
 	return b, nil
 }
@@ -119,7 +84,7 @@ func (b *IGKWBase) TrainGPUNames() []string {
 // FitIGKW trains the inter-GPU model from the records of the training GPUs
 // and resolves it for the target GPU. The target's measurements are never
 // consulted; only its theoretical specification is.
-func FitIGKW(ds *dataset.Dataset, trainGPUs []gpu.Spec, target gpu.Spec, trainBatch int) (*IGKWModel, error) {
+func FitIGKW(ds *dataset.Dataset, trainGPUs []gpu.Spec, target gpu.Spec, trainBatch int) (*KWModel, error) {
 	base, err := FitIGKWBase(ds, trainGPUs, trainBatch)
 	if err != nil {
 		return nil, err
@@ -128,64 +93,33 @@ func FitIGKW(ds *dataset.Dataset, trainGPUs []gpu.Spec, target gpu.Spec, trainBa
 }
 
 // Resolve instantiates the kernel-wise predictor for a (possibly
-// hypothetical) target GPU from its theoretical bandwidth.
-func (b *IGKWBase) Resolve(target gpu.Spec) (*IGKWModel, error) {
-	fits := b.fits
-	trainBatch := b.trainBatch
-
-	m := &IGKWModel{
-		Target:        target,
-		TrainBatch:    trainBatch,
-		Lines:         map[string]regression.Line{},
-		DriverOf:      map[string]Driver{},
-		Mapping:       map[string][]string{},
-		FamilyLines:   map[string]regression.Line{},
-		FamilyDriver:  map[string]Driver{},
+// hypothetical) target GPU from its theoretical bandwidth. Every kernel with
+// a bandwidth-resolved line becomes a singleton group (indexed in sorted
+// kernel order), every family with one a Families entry, and the per-driver
+// pools the class fallbacks; kernels without a usable slope on any training
+// GPU fall through to the family and class tiers at prediction time.
+func (b *IGKWBase) Resolve(target gpu.Spec) (*KWModel, error) {
+	lines := bandwidthScaledClassifs(b.fits, target)
+	if len(lines) == 0 {
+		return nil, fmt.Errorf("core: IGKW model: no kernel observed with a usable slope on any training GPU")
+	}
+	groups, groupOf := singletonGroups(lines)
+	m := &KWModel{
+		GPU:           target.Name,
+		TrainGPUs:     b.TrainGPUNames(),
+		TrainBatch:    b.trainBatch,
+		Classif:       lines,
+		Groups:        groups,
+		GroupOf:       groupOf,
+		Mapping:       maps.Clone(b.mapping),
+		Families:      bandwidthScaledClassifs(b.famFits, target),
 		ClassFallback: map[Driver]regression.Line{},
-	}
-	m.TrainGPUs = b.TrainGPUNames()
-	for sig, ks := range b.mapping {
-		m.Mapping[sig] = ks
-	}
-
-	// Kernel union.
-	kernelSet := map[string]bool{}
-	for _, f := range fits {
-		for k := range f.classif {
-			kernelSet[k] = true
-		}
-	}
-
-	for k := range kernelSet {
-		driver := majorityDriver(fits, k)
-		line, ok := bandwidthScaledLine(fits, k, driver, target)
-		if !ok {
-			continue // fall through to family/class fallback at prediction time
-		}
-		m.DriverOf[k] = driver
-		m.Lines[k] = line
-	}
-
-	// Family-level bandwidth-scaled models, for sparse/unseen kernels.
-	famFits := b.famFits
-	famSet := map[string]bool{}
-	for _, f := range famFits {
-		for fam := range f.classif {
-			famSet[fam] = true
-		}
-	}
-	for fam := range famSet {
-		driver := majorityDriver(famFits, fam)
-		if line, ok := bandwidthScaledLine(famFits, fam, driver, target); ok {
-			m.FamilyDriver[fam] = driver
-			m.FamilyLines[fam] = line
-		}
 	}
 
 	// Per-driver pooled fallbacks, themselves bandwidth-scaled.
 	for _, d := range Drivers() {
 		var bws, rates, intercepts []float64
-		for _, f := range fits {
+		for _, f := range b.fits {
 			var xs, ys []float64
 			for _, r := range f.records {
 				c, ok := f.classif[r.Kernel]
@@ -207,12 +141,29 @@ func (b *IGKWBase) Resolve(target gpu.Spec) (*IGKWModel, error) {
 			m.ClassFallback[d] = resolved
 		}
 	}
-
-	if len(m.Lines) == 0 {
-		return nil, fmt.Errorf("core: IGKW model: no kernel observed with a usable slope on any training GPU")
-	}
 	m.plans.RegisterMetrics("core_igkw_plan_cache")
 	return m, nil
+}
+
+// bandwidthScaledClassifs resolves every kernel (or family) the per-GPU fits
+// classify for the target: the R²-voted driver and the bandwidth-scaled line,
+// with N the training observations behind it. Names without a usable slope
+// on any training GPU are left out.
+func bandwidthScaledClassifs(fits []gpuFit, target gpu.Spec) map[string]Classification {
+	names := map[string]bool{}
+	for _, f := range fits {
+		for name := range f.classif {
+			names[name] = true
+		}
+	}
+	out := map[string]Classification{}
+	for name := range names {
+		driver := majorityDriver(fits, name)
+		if line, n, ok := bandwidthScaledLine(fits, name, driver, target); ok {
+			out[name] = Classification{Kernel: name, Driver: driver, Line: line, N: n}
+		}
+	}
+	return out
 }
 
 // gpuFit bundles one training GPU's spec, kernel classification and raw
@@ -249,9 +200,13 @@ func majorityDriver(fits []gpuFit, kernel string) Driver {
 
 // bandwidthScaledLine derives the kernel's time regression on the target GPU
 // from its per-GPU slopes: rate = 1/slope is fitted against bandwidth and
-// evaluated at the target's bandwidth.
-func bandwidthScaledLine(fits []gpuFit, kernel string, driver Driver, target gpu.Spec) (regression.Line, bool) {
+// evaluated at the target's bandwidth. n counts the training observations
+// behind the line; only per-GPU fits with at least MinKernelObservations
+// contribute, so a resolved line has n ≥ MinKernelObservations and passes
+// the KW model's family guard.
+func bandwidthScaledLine(fits []gpuFit, kernel string, driver Driver, target gpu.Spec) (regression.Line, int, bool) {
 	var bws, rates, intercepts []float64
+	n := 0
 	for _, f := range fits {
 		c, ok := f.classif[kernel]
 		if !ok || c.Line.Slope <= 0 || c.N < MinKernelObservations {
@@ -276,8 +231,10 @@ func bandwidthScaledLine(fits []gpuFit, kernel string, driver Driver, target gpu
 		bws = append(bws, f.spec.MemBWGBps)
 		rates = append(rates, 1/line.Slope)
 		intercepts = append(intercepts, line.Intercept)
+		n += c.N
 	}
-	return resolveRate(bws, rates, intercepts, target.MemBWGBps)
+	line, ok := resolveRate(bws, rates, intercepts, target.MemBWGBps)
+	return line, n, ok
 }
 
 // resolveRate fits rate = a + b·bandwidth over the observations and returns
@@ -324,142 +281,4 @@ func resolveRate(bws, rates, intercepts []float64, targetBW float64) (regression
 		Intercept: regression.Mean(intercepts),
 		N:         len(bws),
 	}, true
-}
-
-// Name implements Predictor.
-func (m *IGKWModel) Name() string { return "IGKW" }
-
-// GPUName implements Predictor; it reports the *target* GPU.
-func (m *IGKWModel) GPUName() string { return m.Target.Name }
-
-// PredictKernel predicts one kernel invocation's duration on the target GPU.
-func (m *IGKWModel) PredictKernel(name string, layerFLOPs units.FLOPs, layerInElems, layerOutElems int64) units.Seconds {
-	x := func(d Driver) float64 {
-		switch d {
-		case DriverInput:
-			return float64(layerInElems)
-		case DriverOperation:
-			return float64(layerFLOPs)
-		default:
-			return float64(layerOutElems)
-		}
-	}
-	if line, ok := m.Lines[name]; ok {
-		return clampTime(units.Seconds(line.Predict(x(m.DriverOf[name]))))
-	}
-	if line, ok := m.FamilyLines[FamilyOf(name)]; ok {
-		return clampTime(units.Seconds(line.Predict(x(m.FamilyDriver[FamilyOf(name)]))))
-	}
-	d := DriverOperation
-	if layerFLOPs == 0 {
-		d = DriverOutput
-	}
-	if line, ok := m.ClassFallback[d]; ok {
-		return clampTime(units.Seconds(line.Predict(x(d))))
-	}
-	return minPrediction
-}
-
-// PredictNetwork implements Predictor for the target GPU. Like the KW model,
-// queries are served from a cached compiled plan (see plan.go): repeated
-// predictions run allocation-free, never mutate n, and are safe to issue
-// concurrently, with results bit-identical to PredictNetworkUncached.
-func (m *IGKWModel) PredictNetwork(n *dnn.Network, batch int) (units.Seconds, error) {
-	tm := obs.StartTimer(metricIGKWPredict)
-	defer tm.Stop()
-	if batch <= 0 || batch > MaxBatch {
-		return m.PredictNetworkUncached(n, batch)
-	}
-	key := planKey{name: n.Name, fp: networkFingerprint(n, false)}
-	p, err := m.plans.GetOrCompute(key, func() (*Plan, error) {
-		return m.compilePlan(n)
-	})
-	if err != nil {
-		return m.PredictNetworkUncached(n, batch)
-	}
-	return p.Predict(batch), nil
-}
-
-// PredictSweep predicts the network at every batch size in batches through
-// one pass over the compiled plan, bit-identical to per-batch
-// PredictNetwork calls. See KWModel.PredictSweep for the contract.
-func (m *IGKWModel) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds, error) {
-	tm := obs.StartTimer(metricSweepPredict)
-	defer tm.Stop()
-	for _, b := range batches {
-		if b <= 0 {
-			return nil, fmt.Errorf("core: IGKW sweep of %q: batch size %d must be positive", n.Name, b)
-		}
-		if b > MaxBatch {
-			return nil, errBatchTooLarge("IGKW", n.Name, b)
-		}
-	}
-	observeSweep(len(batches))
-	key := planKey{name: n.Name, fp: networkFingerprint(n, false)}
-	p, err := m.plans.GetOrCompute(key, func() (*Plan, error) {
-		return m.compilePlan(n)
-	})
-	if err != nil {
-		return sweepUncached(n, batches, m.PredictNetworkUncached)
-	}
-	return p.PredictSweep(batches), nil
-}
-
-// compilePlan compiles the target GPU's plan for the network.
-func (m *IGKWModel) compilePlan(n *dnn.Network) (*Plan, error) {
-	return compilePlan(n, m.Target.Name, false, m.Mapping, m.mapBatches.get(m.Mapping), m.resolveKernel)
-}
-
-// PredictNetworkUncached is the reference prediction path (shape inference
-// plus per-kernel lookups on every call); plans are tested against it.
-func (m *IGKWModel) PredictNetworkUncached(n *dnn.Network, batch int) (units.Seconds, error) {
-	if batch > MaxBatch {
-		return 0, errBatchTooLarge("IGKW", n.Name, batch)
-	}
-	if err := n.Infer(batch); err != nil {
-		return 0, err
-	}
-	var total units.Seconds
-	for _, l := range n.Layers {
-		ks := kernels.ForLayer(l)
-		if names, ok := m.Mapping[l.Signature()]; ok && len(names) == len(ks) {
-			for i := range ks {
-				ks[i].Name = names[i]
-			}
-		}
-		for _, k := range ks {
-			total += m.PredictKernel(k.Name, units.FLOPs(k.LayerFLOPs), k.LayerInputElems, k.LayerOutputElems)
-		}
-	}
-	return total, nil
-}
-
-// resolveKernel mirrors PredictKernel's fallback chain (kernel line → family
-// line → class fallback → minimum floor) as a compile-time resolution. The
-// zero line in the last case predicts 0 at every x, which clamps to exactly
-// the minPrediction literal PredictKernel returns.
-func (m *IGKWModel) resolveKernel(name string, flopsZero bool) (regression.Line, Driver) {
-	if line, ok := m.Lines[name]; ok {
-		return line, m.DriverOf[name]
-	}
-	if line, ok := m.FamilyLines[FamilyOf(name)]; ok {
-		return line, m.FamilyDriver[FamilyOf(name)]
-	}
-	d := DriverOperation
-	if flopsZero {
-		d = DriverOutput
-	}
-	if line, ok := m.ClassFallback[d]; ok {
-		return line, d
-	}
-	return regression.Line{}, d
-}
-
-// PredictRecords predicts from structural kernel records (durations ignored).
-func (m *IGKWModel) PredictRecords(recs []dataset.KernelRecord) units.Seconds {
-	var total units.Seconds
-	for _, r := range recs {
-		total += m.PredictKernel(r.Kernel, r.LayerFLOPs, r.LayerInputElems, r.LayerOutputElems)
-	}
-	return total
 }

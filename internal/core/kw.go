@@ -28,29 +28,41 @@ import (
 //
 // Prediction sums the per-kernel regression outputs over the network's
 // kernel list. Only network structure is consumed.
+//
+// The same form serves the Inter-GPU model of §5.5: IGKWBase.Resolve fills a
+// KWModel for a never-measured target GPU whose lines are re-derived from the
+// target's memory bandwidth (see igkw.go), so measured and bandwidth-resolved
+// models share every predict, plan and persistence path.
+//
+// The exported fields are the persisted state (see persist.go).
 type KWModel struct {
-	// GPU is the device the model was trained on.
-	GPU string
+	// GPU is the device the model predicts: the GPU it was trained on, or
+	// the target an IGKW model was resolved for.
+	GPU string `json:"gpu"`
+	// TrainGPUs names the measured GPUs an IGKW model was resolved from; it
+	// is nil for a model fitted on its own GPU's measurements.
+	TrainGPUs []string `json:"train_gpus,omitempty"`
 	// TrainBatch is the batch size of the training measurements.
-	TrainBatch int
+	TrainBatch int `json:"train_batch"`
 	// Classif is the learned per-kernel classification.
-	Classif map[string]Classification
+	Classif map[string]Classification `json:"classification"`
 	// Groups and GroupOf are the merged regression models and the
 	// kernel→group index.
-	Groups  []Group
-	GroupOf map[string]int
+	Groups  []Group        `json:"groups"`
+	GroupOf map[string]int `json:"group_of"`
 	// Mapping is the layer-signature→kernel-list look-up table.
-	Mapping map[string][]string
+	Mapping map[string][]string `json:"mapping"`
 	// Families holds one pooled classification per kernel family (tile
 	// variants merged), used for kernels with too few training observations
 	// to support their own regression, and for kernel names never seen in
 	// training (e.g. a tile variant only a test network triggers).
-	Families map[string]Classification
+	Families map[string]Classification `json:"families"`
 	// ClassFallback holds one pooled regression per driver class, the last
-	// resort for kernels whose family is also unknown.
-	ClassFallback map[Driver]regression.Line
+	// resort for kernels whose family is also unknown. A missing driver
+	// reads as the zero line, which predicts the minPrediction floor.
+	ClassFallback map[Driver]regression.Line `json:"class_fallback"`
 	// Training marks a training-step model (see KWOptions.Training).
-	Training bool
+	Training bool `json:"training"`
 
 	// online holds the incremental-learning state (see online.go).
 	online *onlineState
@@ -252,8 +264,14 @@ func buildMapping(recs []dataset.KernelRecord) map[string][]string {
 	return mapping
 }
 
-// Name implements Predictor.
-func (m *KWModel) Name() string { return "KW" }
+// Name implements Predictor: "IGKW" for a model resolved from other GPUs'
+// measurements, "KW" otherwise.
+func (m *KWModel) Name() string {
+	if len(m.TrainGPUs) > 0 {
+		return "IGKW"
+	}
+	return "KW"
+}
 
 // GPUName implements Predictor.
 func (m *KWModel) GPUName() string { return m.GPU }
@@ -357,10 +375,10 @@ func (m *KWModel) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds, 
 	defer tm.Stop()
 	for _, b := range batches {
 		if b <= 0 {
-			return nil, fmt.Errorf("core: KW sweep of %q: batch size %d must be positive", n.Name, b)
+			return nil, fmt.Errorf("core: %s sweep of %q: batch size %d must be positive", m.Name(), n.Name, b)
 		}
 		if b > MaxBatch {
-			return nil, errBatchTooLarge("KW", n.Name, b)
+			return nil, errBatchTooLarge(m.Name(), n.Name, b)
 		}
 	}
 	observeSweep(len(batches))
@@ -377,7 +395,7 @@ func (m *KWModel) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds, 
 // ground truth plans are tested against.
 func (m *KWModel) PredictNetworkUncached(n *dnn.Network, batch int) (units.Seconds, error) {
 	if batch > MaxBatch {
-		return 0, errBatchTooLarge("KW", n.Name, batch)
+		return 0, errBatchTooLarge(m.Name(), n.Name, batch)
 	}
 	if err := n.Infer(batch); err != nil {
 		return 0, err

@@ -13,8 +13,6 @@ var (
 		"Latency of compiling a prediction plan for one (network, model) pair.", nil)
 	metricKWPredict = obs.Default().Histogram("core_kw_predict_seconds",
 		"Latency of KWModel.PredictNetwork (cached or uncached path).", nil)
-	metricIGKWPredict = obs.Default().Histogram("core_igkw_predict_seconds",
-		"Latency of IGKWModel.PredictNetwork (cached or uncached path).", nil)
 	metricLWPredict = obs.Default().Histogram("core_lw_predict_seconds",
 		"Latency of LWModel.PredictNetwork.", nil)
 	metricE2EPredict = obs.Default().Histogram("core_e2e_predict_seconds",

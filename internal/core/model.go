@@ -8,9 +8,9 @@
 //   - KWModel — per-kernel-group regressions on an automatically classified
 //     driver variable (layer input size, layer FLOPs, or layer output size),
 //     routed through a layer→kernel mapping table.
-//   - IGKWModel — a kernel-wise model whose regression slopes are re-derived
-//     from a target GPU's theoretical memory bandwidth, predicting GPUs that
-//     are absent from the training set.
+//   - IGKW — a KWModel whose regression slopes are re-derived from a target
+//     GPU's theoretical memory bandwidth (IGKWBase.Resolve), predicting GPUs
+//     that are absent from the training set.
 //
 // All models are trained purely from dataset records (internal/dataset) and
 // predict from network structure alone — they never execute anything and
@@ -35,7 +35,7 @@ const minPrediction units.Seconds = 1e-7 // 0.1 µs
 // end-to-end execution time (seconds) of a network structure at a batch
 // size, on the GPU the model was trained for.
 type Predictor interface {
-	// Name returns the model's short name ("E2E", "LW", "KW").
+	// Name returns the model's short name ("E2E", "LW", "KW", "IGKW").
 	Name() string
 	// GPUName returns the GPU the model predicts for.
 	GPUName() string

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"repro/internal/gpu"
-	"repro/internal/regression"
+	"slices"
 )
 
 // Model persistence. The paper's workflow (Figure 10) explicitly separates
@@ -29,68 +27,30 @@ type envelope struct {
 	Model   json.RawMessage `json:"model"`
 }
 
-// Model kinds in envelopes.
+// Model kinds in envelopes. An IGKW model is a KWModel (see igkw.go) and
+// travels as a kw envelope whose train_gpus names its training GPUs.
 const (
-	kindE2E  = "e2e"
-	kindLW   = "lw"
-	kindKW   = "kw"
-	kindIGKW = "igkw"
+	kindE2E = "e2e"
+	kindLW  = "lw"
+	kindKW  = "kw"
 )
 
-// kwModelJSON mirrors KWModel's exported state (the unexported online state
-// is rebuilt lazily on first ObserveRecords).
-type kwModelJSON struct {
-	GPU           string                     `json:"gpu"`
-	TrainBatch    int                        `json:"train_batch"`
-	Classif       map[string]Classification  `json:"classification"`
-	Groups        []Group                    `json:"groups"`
-	GroupOf       map[string]int             `json:"group_of"`
-	Mapping       map[string][]string        `json:"mapping"`
-	Families      map[string]Classification  `json:"families"`
-	ClassFallback map[Driver]regression.Line `json:"class_fallback"`
-	Training      bool                       `json:"training"`
-}
-
-// igkwModelJSON mirrors IGKWModel's exported state.
-type igkwModelJSON struct {
-	TrainGPUs     []string                   `json:"train_gpus"`
-	Target        gpu.Spec                   `json:"target"`
-	TrainBatch    int                        `json:"train_batch"`
-	Lines         map[string]regression.Line `json:"lines"`
-	DriverOf      map[string]Driver          `json:"driver_of"`
-	Mapping       map[string][]string        `json:"mapping"`
-	FamilyLines   map[string]regression.Line `json:"family_lines"`
-	FamilyDriver  map[string]Driver          `json:"family_driver"`
-	ClassFallback map[Driver]regression.Line `json:"class_fallback"`
-}
-
-// Save serializes a trained model (E2E, LW, KW or IGKW) to w.
+// Save serializes a trained model (E2E, LW, KW or IGKW) to w. A KWModel's
+// payload is its exported state; the unexported plan caches and online state
+// are rebuilt lazily after Load.
 func Save(w io.Writer, model Predictor) error {
 	var kind string
-	var payload interface{}
-	switch m := model.(type) {
+	switch model.(type) {
 	case *E2EModel:
-		kind, payload = kindE2E, m
+		kind = kindE2E
 	case *LWModel:
-		kind, payload = kindLW, m
+		kind = kindLW
 	case *KWModel:
-		kind, payload = kindKW, kwModelJSON{
-			GPU: m.GPU, TrainBatch: m.TrainBatch, Classif: m.Classif,
-			Groups: m.Groups, GroupOf: m.GroupOf, Mapping: m.Mapping,
-			Families: m.Families, ClassFallback: m.ClassFallback,
-			Training: m.Training,
-		}
-	case *IGKWModel:
-		kind, payload = kindIGKW, igkwModelJSON{
-			TrainGPUs: m.TrainGPUs, Target: m.Target, TrainBatch: m.TrainBatch,
-			Lines: m.Lines, DriverOf: m.DriverOf, Mapping: m.Mapping,
-			FamilyLines: m.FamilyLines, FamilyDriver: m.FamilyDriver,
-			ClassFallback: m.ClassFallback,
-		}
+		kind = kindKW
 	default:
 		return fmt.Errorf("core: cannot serialize model type %T", model)
 	}
-	raw, err := json.Marshal(payload)
+	raw, err := json.Marshal(model)
 	if err != nil {
 		return fmt.Errorf("core: serialize %s model: %w", kind, err)
 	}
@@ -100,7 +60,9 @@ func Save(w io.Writer, model Predictor) error {
 }
 
 // Load deserializes a model previously written by Save. The concrete type is
-// recovered from the envelope's kind tag.
+// recovered from the envelope's kind tag. A KW payload is validated before it
+// is returned (see KWModel.validate), so a malformed envelope is an error
+// here rather than an index panic at prediction time.
 func Load(r io.Reader) (Predictor, error) {
 	var env envelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
@@ -110,43 +72,61 @@ func Load(r io.Reader) (Predictor, error) {
 		return nil, fmt.Errorf("core: model format version %d is newer than supported %d",
 			env.Version, persistVersion)
 	}
+	var m Predictor
 	switch env.Kind {
 	case kindE2E:
-		m := &E2EModel{}
-		if err := json.Unmarshal(env.Model, m); err != nil {
-			return nil, fmt.Errorf("core: load E2E model: %w", err)
-		}
-		return m, nil
+		m = &E2EModel{}
 	case kindLW:
-		m := &LWModel{}
-		if err := json.Unmarshal(env.Model, m); err != nil {
-			return nil, fmt.Errorf("core: load LW model: %w", err)
-		}
-		return m, nil
+		m = &LWModel{}
 	case kindKW:
-		var j kwModelJSON
-		if err := json.Unmarshal(env.Model, &j); err != nil {
-			return nil, fmt.Errorf("core: load KW model: %w", err)
-		}
-		return &KWModel{
-			GPU: j.GPU, TrainBatch: j.TrainBatch, Classif: j.Classif,
-			Groups: j.Groups, GroupOf: j.GroupOf, Mapping: j.Mapping,
-			Families: j.Families, ClassFallback: j.ClassFallback,
-			Training: j.Training,
-		}, nil
-	case kindIGKW:
-		var j igkwModelJSON
-		if err := json.Unmarshal(env.Model, &j); err != nil {
-			return nil, fmt.Errorf("core: load IGKW model: %w", err)
-		}
-		return &IGKWModel{
-			TrainGPUs: j.TrainGPUs, Target: j.Target, TrainBatch: j.TrainBatch,
-			Lines: j.Lines, DriverOf: j.DriverOf, Mapping: j.Mapping,
-			FamilyLines: j.FamilyLines, FamilyDriver: j.FamilyDriver,
-			ClassFallback: j.ClassFallback,
-		}, nil
+		m = &KWModel{}
+	default:
+		return nil, fmt.Errorf("core: unknown model kind %q", env.Kind)
 	}
-	return nil, fmt.Errorf("core: unknown model kind %q", env.Kind)
+	if err := json.Unmarshal(env.Model, m); err != nil {
+		return nil, fmt.Errorf("core: load %s model: %w", m.Name(), err)
+	}
+	if kw, ok := m.(*KWModel); ok {
+		if err := kw.validate(); err != nil {
+			return nil, fmt.Errorf("core: load %s model: %w", kw.Name(), err)
+		}
+	}
+	return m, nil
+}
+
+// validate rejects KW state that prediction would trip over: a group_of
+// index outside Groups (an index panic in every predict path), a group
+// without kernels, and a group, family or class-fallback driver outside
+// Drivers() (silently read as some other driver variable).
+func (m *KWModel) validate() error {
+	for _, name := range sortedStringKeys(m.GroupOf) {
+		if gi := m.GroupOf[name]; gi < 0 || gi >= len(m.Groups) {
+			return fmt.Errorf("group_of[%q] = %d is outside the %d groups", name, gi, len(m.Groups))
+		}
+	}
+	for i, g := range m.Groups {
+		if len(g.Kernels) == 0 {
+			return fmt.Errorf("group %d has no kernels", i)
+		}
+		if !slices.Contains(Drivers(), g.Driver) {
+			return fmt.Errorf("group %d has unknown driver %q", i, g.Driver)
+		}
+	}
+	for _, fam := range sortedStringKeys(m.Families) {
+		if d := m.Families[fam].Driver; !slices.Contains(Drivers(), d) {
+			return fmt.Errorf("family %q has unknown driver %q", fam, d)
+		}
+	}
+	known := 0
+	for _, d := range Drivers() {
+		if _, ok := m.ClassFallback[d]; ok {
+			known++
+		}
+	}
+	if known != len(m.ClassFallback) {
+		return fmt.Errorf("class_fallback has a driver outside %v", Drivers())
+	}
+	return nil
 }
 
 // SaveFile writes a model to path.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"path/filepath"
 	"strings"
@@ -69,6 +70,15 @@ func TestSaveLoadKW(t *testing.T) {
 	if back.KernelCount() != m.KernelCount() || back.ModelCount() != m.ModelCount() {
 		t.Fatal("model structure lost")
 	}
+	// A measured model's envelope carries no train_gpus and reloads as KW.
+	var buf bytes.Buffer
+	if err := Save(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte("train_gpus")) || back.Name() != "KW" {
+		t.Fatalf("measured model persisted as %s with train_gpus=%v", back.Name(),
+			bytes.Contains(buf.Bytes(), []byte("train_gpus")))
+	}
 	// The reloaded model must still accept streaming updates (online state
 	// rebuilds lazily).
 	recs := plantRecords("streamed_kernel", DriverInput, 1e-9, 1e-6, MinKernelObservations, 77)
@@ -86,8 +96,8 @@ func TestSaveLoadIGKW(t *testing.T) {
 		t.Fatal(err)
 	}
 	back := roundTrip(t, m)
-	if back.GPUName() != "TITAN RTX" {
-		t.Fatalf("target lost: %q", back.GPUName())
+	if back.GPUName() != "TITAN RTX" || back.Name() != "IGKW" {
+		t.Fatalf("identity lost: %s on %q", back.Name(), back.GPUName())
 	}
 	samePrediction(t, m, back)
 }
@@ -131,6 +141,115 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader(`{"kind":"kw","version":99,"model":{}}`)); err == nil {
 		t.Fatal("future version should error")
+	}
+}
+
+// persistFixtures returns Save'd envelopes of a KW model fitted on
+// ResNet-18's A100 measurements and of an IGKW model resolved for TITAN RTX
+// from its A100, A40 and V100 measurements. Their kernel names are real, so
+// every group_of key is a kernel ResNet-18 dispatches.
+func persistFixtures(t testing.TB) (kw, igkw []byte) {
+	t.Helper()
+	train := []gpu.Spec{gpu.A100, gpu.A40, gpu.V100}
+	opt := dataset.DefaultBuildOptions()
+	opt.Batches = 4
+	opt.Warmup = 1
+	ds, _, err := dataset.Build([]*dnn.Network{zoo.MustResNet(18)}, train, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := FitKW(ds, "A100", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Groups) == 0 || len(m.Families) == 0 {
+		t.Fatalf("fixture KW model has %d groups and %d families; the malformed cases need both",
+			len(m.Groups), len(m.Families))
+	}
+	ig, err := FitIGKW(ds, train, gpu.TitanRTX, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	save := func(p Predictor) []byte {
+		var buf bytes.Buffer
+		if err := Save(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	return save(m), save(ig)
+}
+
+// malformedKWCases plant one defect each into a KW envelope's model payload;
+// want is a fragment of the error Load must return for it.
+var malformedKWCases = []struct {
+	name, want string
+	plant      func(model map[string]any)
+}{
+	{"group_of beyond groups", "outside", func(model map[string]any) {
+		for k := range model["group_of"].(map[string]any) {
+			model["group_of"].(map[string]any)[k] = 1 << 20
+		}
+	}},
+	{"negative group_of", "outside", func(model map[string]any) {
+		for k := range model["group_of"].(map[string]any) {
+			model["group_of"].(map[string]any)[k] = -1
+		}
+	}},
+	{"group without kernels", "no kernels", func(model map[string]any) {
+		model["groups"].([]any)[0].(map[string]any)["Kernels"] = []any{}
+	}},
+	{"unknown group driver", "unknown driver", func(model map[string]any) {
+		model["groups"].([]any)[0].(map[string]any)["Driver"] = "bogus"
+	}},
+	{"unknown family driver", "unknown driver", func(model map[string]any) {
+		for _, c := range model["families"].(map[string]any) {
+			c.(map[string]any)["Driver"] = "bogus"
+		}
+	}},
+	{"unknown class-fallback driver", "class_fallback", func(model map[string]any) {
+		model["class_fallback"].(map[string]any)["bogus"] = map[string]any{}
+	}},
+}
+
+// plantEnvelope returns env with one malformed case planted in its payload.
+func plantEnvelope(t testing.TB, env []byte, plant func(map[string]any)) []byte {
+	t.Helper()
+	var e struct {
+		Kind    string         `json:"kind"`
+		Version int            `json:"version"`
+		Model   map[string]any `json:"model"`
+	}
+	if err := json.Unmarshal(env, &e); err != nil {
+		t.Fatal(err)
+	}
+	plant(e.Model)
+	out, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestLoadRejectsMalformedKW: a KW envelope whose structure would make
+// prediction index out of range or misread a driver must fail Load, for the
+// measured and the IGKW-resolved payload alike (one KW payload serves both).
+func TestLoadRejectsMalformedKW(t *testing.T) {
+	kw, igkw := persistFixtures(t)
+	for _, env := range [][]byte{kw, igkw} {
+		if _, err := Load(bytes.NewReader(env)); err != nil {
+			t.Fatalf("well-formed fixture rejected: %v", err)
+		}
+	}
+	for _, tc := range malformedKWCases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, env := range [][]byte{kw, igkw} {
+				_, err := Load(bytes.NewReader(plantEnvelope(t, env, tc.plant)))
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("fixture %d: Load error %v, want one mentioning %q", i, err, tc.want)
+				}
+			}
+		})
 	}
 }
 

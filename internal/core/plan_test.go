@@ -294,7 +294,7 @@ func TestPlanBreakpointBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plantMappingEntry(t, m.Mapping, m.resolveKernel, sortedStringKeys(m.Lines), novel[0], 512)
+		plantMappingEntry(t, m.Mapping, m.resolveKernel, sortedStringKeys(m.GroupOf), novel[0], 512)
 		assertBoundaryIdentity(t, m, nets, novel[0])
 	})
 }

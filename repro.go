@@ -118,8 +118,8 @@ func LoadDataset(dir string) (*Dataset, error) { return dataset.ReadDir(dir) }
 type Predictor = core.Predictor
 
 // SweepPredictor is a Predictor that evaluates many batch sizes in one pass
-// over its compiled plan (KWModel and IGKWModel implement it); see
-// (*KWModel).PredictSweep.
+// over its compiled plan (KWModel implements it, for measured and IGKW
+// models alike); see (*KWModel).PredictSweep.
 type SweepPredictor = core.SweepPredictor
 
 // PredictionGrid holds a (model × network × batch) grid of predicted
@@ -133,12 +133,12 @@ func PredictGrid(models []SweepPredictor, nets []*Network, batches []int) (*Pred
 	return core.PredictGrid(models, nets, batches)
 }
 
-// The four models of the paper (§5).
+// The models of the paper (§5). The Inter-GPU model (§5.5) is a KWModel
+// resolved for a never-measured GPU; see TrainIGKW.
 type (
-	E2EModel  = core.E2EModel
-	LWModel   = core.LWModel
-	KWModel   = core.KWModel
-	IGKWModel = core.IGKWModel
+	E2EModel = core.E2EModel
+	LWModel  = core.LWModel
+	KWModel  = core.KWModel
 )
 
 // TrainBatchSize is the fully-utilizing batch size the paper trains at.
@@ -161,8 +161,8 @@ func TrainKW(ds *Dataset, gpuName string) (*KWModel, error) {
 
 // TrainIGKW fits the Inter-GPU Kernel-Wise model (§5.5) from the training
 // GPUs' measurements and resolves it for a target GPU whose measurements are
-// never consulted.
-func TrainIGKW(ds *Dataset, trainGPUs []GPU, target GPU) (*IGKWModel, error) {
+// never consulted. The result is a KWModel whose Name is "IGKW".
+func TrainIGKW(ds *Dataset, trainGPUs []GPU, target GPU) (*KWModel, error) {
 	return core.FitIGKW(ds, trainGPUs, target, TrainBatchSize)
 }
 

@@ -7,15 +7,18 @@
 #                         detrange, unitsafe, floateq, locksafe, staleplan,
 #                         allocfree, goroleak, httpcontract
 #   3. go test -race    — the full suite under the race detector
-#   4. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
+#   4. fuzz             — each fuzz target (FuzzLoad, FuzzFamilyOf,
+#                         FuzzReadNetworksCSV, FuzzParseTraceparent) runs
+#                         5s of generated inputs past its seed corpus
+#   5. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
 #                         then a 2-replica fleet: routing, 429 backpressure,
 #                         whole-fleet graceful drain
-#   5. loadtest smoke   — `dnnperf loadtest` drives a 2-replica fleet for
+#   6. loadtest smoke   — `dnnperf loadtest` drives a 2-replica fleet for
 #                         ~2s; non-zero throughput, zero 5xx required
-#   6. fleetsim smoke   — `dnnperf fleetsim` replays a 10k-request trace
+#   7. fleetsim smoke   — `dnnperf fleetsim` replays a 10k-request trace
 #                         against the simulated fleet; every request served
 #                         with monotone percentiles, plus a capacity sweep
-#   7. bench compare    — cached-predict benchmarks vs BENCH_baseline.json
+#   8. bench compare    — cached-predict benchmarks vs BENCH_baseline.json
 #                         (>25% ns/op regression fails) plus the fleet
 #                         throughput/p99 gate (BENCH_FLEET_THRESHOLD) and
 #                         the fleetsim replay gate (0 allocs/op, ≥1M
@@ -38,6 +41,13 @@ go run ./cmd/dnnlint ./...
 
 echo "== go test -race"
 go test -race ./...
+
+echo "== fuzz"
+fuzz() { go test -run '^$' -fuzz "^$1\$" -fuzztime 5s "$2"; }
+fuzz FuzzLoad ./internal/core
+fuzz FuzzFamilyOf ./internal/core
+fuzz FuzzReadNetworksCSV ./internal/dataset
+fuzz FuzzParseTraceparent ./internal/obs
 
 echo "== serve smoke test"
 ./scripts/serve_smoke.sh
