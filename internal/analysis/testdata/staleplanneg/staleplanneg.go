@@ -41,8 +41,8 @@ func set(o *OtherModel) {
 	o.Classif = 1
 }
 
-// fitKWRecords is blessed by the fit prefix: the shared fitting core both
-// the record-scan and streaming paths funnel into.
+// fitKWRecords is blessed by the fit prefix: an unexported fitting helper
+// fills a model's coefficients before any plan has been compiled from it.
 func fitKWRecords(m *KWModel) {
 	m.Classif = map[string]int{}
 }

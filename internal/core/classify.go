@@ -56,21 +56,39 @@ type Classification struct {
 // (e.g. observed only at a single problem size) are classified with a
 // zero-slope line through their mean duration.
 func ClassifyKernels(recs []dataset.KernelRecord) map[string]Classification {
-	byKernel := map[string][]dataset.KernelRecord{}
-	for _, r := range recs {
-		byKernel[r.Kernel] = append(byKernel[r.Kernel], r)
-	}
+	return classifyIndexed(recs, recordIndex(recs, kernelName))
+}
 
-	out := make(map[string]Classification, len(byKernel))
-	for name, rs := range byKernel {
-		c := Classification{Kernel: name, R2: map[Driver]float64{}, N: len(rs)}
+// kernelName is the identity key: records grouped by their own kernel name.
+func kernelName(name string) string { return name }
+
+// recordIndex groups record indices by key(kernel name), each list in record
+// order. The per-kernel fits read records through these indices instead of
+// copying every record (five string headers each) into per-key slices.
+func recordIndex(recs []dataset.KernelRecord, key func(string) string) map[string][]int {
+	out := map[string][]int{}
+	for i := range recs {
+		k := key(recs[i].Kernel)
+		out[k] = append(out[k], i)
+	}
+	return out
+}
+
+// classifyIndexed classifies each key's records, read through byKey's
+// index lists (see ClassifyKernels).
+func classifyIndexed(recs []dataset.KernelRecord, byKey map[string][]int) map[string]Classification {
+	out := make(map[string]Classification, len(byKey))
+	for name, idx := range byKey {
+		c := Classification{Kernel: name, R2: map[Driver]float64{}, N: len(idx)}
+		ys := make([]float64, len(idx))
+		for i, ri := range idx {
+			ys[i] = float64(recs[ri].Seconds)
+		}
 		best := -1.0
 		for _, d := range Drivers() {
-			xs := make([]float64, len(rs))
-			ys := make([]float64, len(rs))
-			for i, r := range rs {
-				xs[i] = driverX(r, d)
-				ys[i] = float64(r.Seconds)
+			xs := make([]float64, len(idx))
+			for i, ri := range idx {
+				xs[i] = driverX(recs[ri], d)
 			}
 			line, err := regression.Fit(xs, ys)
 			if err != nil {
@@ -92,12 +110,12 @@ func ClassifyKernels(recs []dataset.KernelRecord) map[string]Classification {
 		if c.Driver == "" {
 			// Degenerate everywhere: constant-time kernel at its mean.
 			var mean float64
-			for _, r := range rs {
-				mean += float64(r.Seconds)
+			for _, y := range ys {
+				mean += y
 			}
-			mean /= float64(len(rs))
+			mean /= float64(len(ys))
 			c.Driver = DriverOutput
-			c.Line = regression.Line{Intercept: mean, N: len(rs)}
+			c.Line = regression.Line{Intercept: mean, N: len(ys)}
 		}
 		out[name] = c
 	}
@@ -155,12 +173,7 @@ func FamilyOf(name string) string {
 // ClassifyFamilies runs the same R²-based classification at kernel-family
 // granularity, pooling all size variants of each family.
 func ClassifyFamilies(recs []dataset.KernelRecord) map[string]Classification {
-	grouped := make([]dataset.KernelRecord, len(recs))
-	copy(grouped, recs)
-	for i := range grouped {
-		grouped[i].Kernel = FamilyOf(grouped[i].Kernel)
-	}
-	return ClassifyKernels(grouped)
+	return classifyIndexed(recs, recordIndex(recs, FamilyOf))
 }
 
 // Group is a cluster of kernels sharing one regression model (§5.4:
@@ -187,10 +200,7 @@ const slopeMergeRatio = 1.35
 // refits one pooled regression per group. Records are needed to refit the
 // pooled lines. The group order and membership are deterministic.
 func GroupKernels(classif map[string]Classification, recs []dataset.KernelRecord) ([]Group, map[string]int) {
-	byKernel := map[string][]dataset.KernelRecord{}
-	for _, r := range recs {
-		byKernel[r.Kernel] = append(byKernel[r.Kernel], r)
-	}
+	byKernel := recordIndex(recs, kernelName)
 
 	var groups []Group
 	groupOf := make(map[string]int, len(classif))
@@ -238,9 +248,9 @@ func GroupKernels(classif map[string]Classification, recs []dataset.KernelRecord
 			for _, m := range members[i:j] {
 				g.Kernels = append(g.Kernels, m.name)
 				groupOf[m.name] = len(groups)
-				for _, r := range byKernel[m.name] {
-					xs = append(xs, driverX(r, d))
-					ys = append(ys, float64(r.Seconds))
+				for _, ri := range byKernel[m.name] {
+					xs = append(xs, driverX(recs[ri], d))
+					ys = append(ys, float64(recs[ri].Seconds))
 				}
 			}
 			if line, stats, err := regression.FitDetail(xs, ys); err == nil {

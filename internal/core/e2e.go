@@ -27,28 +27,16 @@ type E2EModel struct {
 // FitE2E trains an End-to-End model from the dataset's network records on
 // the given GPU at the given batch size (the paper uses BS=512).
 func FitE2E(ds *dataset.Dataset, gpuName string, trainBatch int) (*E2EModel, error) {
-	var obs []dataset.NetworkObs
+	var xs, ys []float64
 	for _, r := range ds.Networks {
 		if r.GPU != gpuName || r.BatchSize != trainBatch {
 			continue
 		}
-		obs = append(obs, dataset.NetworkObs{TotalFLOPs: r.TotalFLOPs, E2ESeconds: r.E2ESeconds})
+		xs = append(xs, float64(r.TotalFLOPs))
+		ys = append(ys, float64(r.E2ESeconds))
 	}
-	return fitE2EObs(obs, gpuName, trainBatch)
-}
-
-// fitE2EObs assembles the model from one cell's end-to-end observations.
-// Both FitE2E and FitE2EFromStats end here, so the two paths share every bit
-// of the fitting arithmetic.
-func fitE2EObs(obs []dataset.NetworkObs, gpuName string, trainBatch int) (*E2EModel, error) {
-	if len(obs) == 0 {
+	if len(xs) == 0 {
 		return nil, errNoRecords("E2E", gpuName)
-	}
-	xs := make([]float64, len(obs))
-	ys := make([]float64, len(obs))
-	for i, o := range obs {
-		xs[i] = float64(o.TotalFLOPs)
-		ys[i] = float64(o.E2ESeconds)
 	}
 	line, err := regression.Fit(xs, ys)
 	if err != nil {

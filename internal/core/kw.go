@@ -105,26 +105,27 @@ func FitKW(ds *dataset.Dataset, gpuName string, trainBatch int) (*KWModel, error
 	return FitKWOptions(ds, gpuName, trainBatch, KWOptions{})
 }
 
-// FitKWOptions is FitKW with explicit design-choice options.
+// FitKWOptions is FitKW with explicit design-choice options. It reads the
+// dataset's kernel records in one filtering pass (counted first, so the
+// training slice is allocated once) and fits the classification, groups,
+// fallbacks and mapping table from them.
 func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOptions) (*KWModel, error) {
-	var recs []dataset.KernelRecord
-	for _, r := range ds.Kernels {
-		if r.GPU == gpuName && r.BatchSize == trainBatch {
-			recs = append(recs, r)
+	n := 0
+	for i := range ds.Kernels {
+		if r := &ds.Kernels[i]; r.GPU == gpuName && r.BatchSize == trainBatch {
+			n++
 		}
 	}
-	if len(recs) == 0 {
+	if n == 0 {
 		return nil, errNoRecords("KW", gpuName)
 	}
-	return fitKWRecords(recs, buildMapping(recs), gpuName, trainBatch, opt)
-}
+	recs := make([]dataset.KernelRecord, 0, n)
+	for i := range ds.Kernels {
+		if r := &ds.Kernels[i]; r.GPU == gpuName && r.BatchSize == trainBatch {
+			recs = append(recs, *r)
+		}
+	}
 
-// fitKWRecords assembles the model from one cell's kernel records (already
-// filtered to gpuName/trainBatch, in dataset record order) and its
-// layer-signature mapping table. Both FitKWOptions and FitKWFromStatsOptions
-// (which replays a streamed cell's observation log) end here, so the two
-// paths share every bit of the fitting arithmetic.
-func fitKWRecords(recs []dataset.KernelRecord, mapping map[string][]string, gpuName string, trainBatch int, opt KWOptions) (*KWModel, error) {
 	classif := ClassifyKernels(recs)
 	if opt.ForceDriver != "" {
 		classif = forceDriver(classif, recs, opt.ForceDriver)
@@ -143,7 +144,7 @@ func fitKWRecords(recs []dataset.KernelRecord, mapping map[string][]string, gpuN
 		Classif:       classif,
 		Groups:        groups,
 		GroupOf:       groupOf,
-		Mapping:       mapping,
+		Mapping:       buildMapping(recs),
 		Families:      ClassifyFamilies(recs),
 		ClassFallback: classFallbacks(classif, recs),
 	}
@@ -162,19 +163,16 @@ func fitKWRecords(recs []dataset.KernelRecord, mapping map[string][]string, gpuN
 
 // forceDriver refits every kernel's line on a single imposed driver.
 func forceDriver(classif map[string]Classification, recs []dataset.KernelRecord, d Driver) map[string]Classification {
-	byKernel := map[string][]dataset.KernelRecord{}
-	for _, r := range recs {
-		byKernel[r.Kernel] = append(byKernel[r.Kernel], r)
-	}
+	byKernel := recordIndex(recs, kernelName)
 	out := make(map[string]Classification, len(classif))
 	for name, c := range classif {
-		rs := byKernel[name]
+		idx := byKernel[name]
 		var xs, ys []float64
-		for _, r := range rs {
-			xs = append(xs, driverX(r, d))
-			ys = append(ys, float64(r.Seconds))
+		for _, ri := range idx {
+			xs = append(xs, driverX(recs[ri], d))
+			ys = append(ys, float64(recs[ri].Seconds))
 		}
-		forced := Classification{Kernel: name, Driver: d, R2: c.R2, N: len(rs)}
+		forced := Classification{Kernel: name, Driver: d, R2: c.R2, N: len(idx)}
 		if line, err := regression.Fit(xs, ys); err == nil {
 			forced.Line = line
 		} else {
@@ -234,32 +232,32 @@ func singletonGroups(classif map[string]Classification) ([]Group, map[string]int
 }
 
 // buildMapping constructs the layer-signature→kernel-list table from
-// training records. Kernel order within a layer follows record order (launch
-// order); duplicate (signature) entries across networks are identical by
-// construction, so the first wins.
+// training records in one pass. AddTrace emits each layer instance's kernels
+// contiguously in launch order, so a change of network, GPU, batch size or
+// layer index between neighbouring records closes an instance; its kernel
+// names are committed under the instance's signature, first seen wins
+// (duplicate signatures across networks dispatch identical kernels by
+// construction). An instance never reaches past its own run of records, so
+// a dataset holding the same collection twice maps like a single copy.
 func buildMapping(recs []dataset.KernelRecord) map[string][]string {
-	type layerKey struct {
-		net string
-		bs  int
-		idx int
-	}
-	perLayer := map[layerKey][]string{}
-	sigOf := map[layerKey]string{}
-	var order []layerKey
-	for _, r := range recs {
-		k := layerKey{r.Network, r.BatchSize, r.LayerIndex}
-		if _, ok := perLayer[k]; !ok {
-			order = append(order, k)
-		}
-		perLayer[k] = append(perLayer[k], r.Kernel)
-		sigOf[k] = r.LayerSignature
-	}
 	mapping := map[string][]string{}
-	for _, k := range order {
-		sig := sigOf[k]
-		if _, ok := mapping[sig]; !ok {
-			mapping[sig] = perLayer[k]
+	start := 0
+	for i := range recs {
+		r := &recs[i]
+		if i+1 < len(recs) {
+			if next := &recs[i+1]; next.Network == r.Network && next.GPU == r.GPU &&
+				next.BatchSize == r.BatchSize && next.LayerIndex == r.LayerIndex {
+				continue
+			}
 		}
+		if _, ok := mapping[r.LayerSignature]; !ok {
+			names := make([]string, i+1-start)
+			for j := range names {
+				names[j] = recs[start+j].Kernel
+			}
+			mapping[r.LayerSignature] = names
+		}
+		start = i + 1
 	}
 	return mapping
 }

@@ -28,30 +28,19 @@ type LWModel struct {
 }
 
 // FitLW trains a Layer-Wise model from the dataset's layer records on the
-// given GPU at the given batch size.
+// given GPU at the given batch size: one FLOPs→seconds line per layer kind,
+// plus the pooled line over every kind.
 func FitLW(ds *dataset.Dataset, gpuName string, trainBatch int) (*LWModel, error) {
-	var obs []dataset.LayerObs
+	byKind := map[dnn.Kind][][2]float64{}
+	var allX, allY []float64
 	for _, r := range ds.Layers {
 		if r.GPU != gpuName || r.BatchSize != trainBatch {
 			continue
 		}
-		obs = append(obs, dataset.LayerObs{Kind: r.Kind, FLOPs: r.FLOPs, Seconds: r.Seconds})
-	}
-	return fitLWObs(obs, gpuName, trainBatch)
-}
-
-// fitLWObs assembles the model from one cell's layer observations (already
-// filtered to gpuName/trainBatch, in dataset record order). Both FitLW and
-// FitLWFromStats (which replays a streamed cell's observation log) end here,
-// so the two paths share every bit of the fitting arithmetic.
-func fitLWObs(obs []dataset.LayerObs, gpuName string, trainBatch int) (*LWModel, error) {
-	byKind := map[dnn.Kind][][2]float64{}
-	var allX, allY []float64
-	for _, o := range obs {
-		k := dnn.Kind(o.Kind)
-		byKind[k] = append(byKind[k], [2]float64{float64(o.FLOPs), float64(o.Seconds)})
-		allX = append(allX, float64(o.FLOPs))
-		allY = append(allY, float64(o.Seconds))
+		k := dnn.Kind(r.Kind)
+		byKind[k] = append(byKind[k], [2]float64{float64(r.FLOPs), float64(r.Seconds)})
+		allX = append(allX, float64(r.FLOPs))
+		allY = append(allY, float64(r.Seconds))
 	}
 	if len(allX) == 0 {
 		return nil, errNoRecords("LW", gpuName)

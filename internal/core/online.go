@@ -216,6 +216,58 @@ func groupFromAccumulators(classif map[string]Classification,
 	return groups, groupOf
 }
 
+// driverIndex maps a driver to its accumulator axis; unknown drivers take
+// the output axis, mirroring driverX's default.
+func driverIndex(d Driver) int {
+	switch d {
+	case DriverInput:
+		return 0
+	case DriverOperation:
+		return 1
+	default:
+		return 2
+	}
+}
+
+// familyAccumulators pools all size variants of each kernel family into one
+// accumulator triple, merging in sorted kernel order (accumulator merges
+// fold floating-point sums; sorted order keeps them bit-identical per run).
+// Part of the online-rebuild chain (see rebuildFromAccumulators).
+func familyAccumulators(accs map[string]*[3]regression.Accumulator) map[string]*[3]regression.Accumulator {
+	famAcc := map[string]*[3]regression.Accumulator{}
+	for _, name := range sortedStringKeys(accs) {
+		acc := accs[name]
+		fam := FamilyOf(name)
+		fa, ok := famAcc[fam]
+		if !ok {
+			fa = &[3]regression.Accumulator{}
+			famAcc[fam] = fa
+		}
+		for i := range fa {
+			fa[i].Merge(acc[i])
+		}
+	}
+	return famAcc
+}
+
+// classPools merges each driver class's member accumulators (on the class's
+// own axis) into one pooled accumulator per driver, in sorted kernel order.
+// Part of the online-rebuild chain (see rebuildFromAccumulators).
+func classPools(classif map[string]Classification,
+	accs map[string]*[3]regression.Accumulator) [3]regression.Accumulator {
+
+	var pools [3]regression.Accumulator
+	kernelNames := sortedStringKeys(accs)
+	for i, d := range Drivers() {
+		for _, name := range kernelNames {
+			if classif[name].Driver == d {
+				pools[i].Merge(accs[name][i])
+			}
+		}
+	}
+	return pools
+}
+
 // kernelSlope pairs a kernel with its classified slope for grouping.
 type kernelSlope struct {
 	name  string

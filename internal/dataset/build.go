@@ -78,7 +78,7 @@ type BuildReport struct {
 // result is deterministic (per-run RNG seeds depend only on network, GPU and
 // batch size) and ordered by (network index, GPU index).
 func Build(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) (*Dataset, *BuildReport, error) {
-	results, report, err := collect(nets, gpus, opt, false)
+	results, report, err := collect(nets, gpus, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -93,7 +93,7 @@ func Build(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) (*Dataset, *B
 // dataset. The experiment lab caches datasets per GPU, so this is its
 // collection entry point.
 func BuildPerGPU(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) ([]*Dataset, *BuildReport, error) {
-	results, report, err := collect(nets, gpus, opt, false)
+	results, report, err := collect(nets, gpus, opt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -107,28 +107,9 @@ func BuildPerGPU(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) ([]*Dat
 	return parts, report, nil
 }
 
-// BuildWithStats collects the dataset and, in the same pass, folds every
-// trace into streaming sufficient statistics (the collection half of the
-// paper's "trains in seconds" loop). The returned Stats are bit-identical to
-// StatsFromDataset applied to the returned dataset; the core Fit*FromStats
-// functions consume them without rescanning records.
-func BuildWithStats(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) (*Dataset, *Stats, *BuildReport, error) {
-	results, report, err := collect(nets, gpus, opt, true)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ds := mergeResults(results, -1)
-	stats := NewStats()
-	for i := range results {
-		stats.Merge(results[i].stats)
-	}
-	metricBuildRecords.Add(int64(len(ds.Networks) + len(ds.Layers) + len(ds.Kernels)))
-	return ds, stats, report, nil
-}
-
 // collect runs the parallel collection pass and returns the per-network
 // results (each holding one Dataset per device) plus the aggregate report.
-func collect(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions, wantStats bool) ([]collectResult, *BuildReport, error) {
+func collect(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) ([]collectResult, *BuildReport, error) {
 	if len(nets) == 0 || len(gpus) == 0 {
 		return nil, nil, errors.New("dataset: Build needs at least one network and one GPU")
 	}
@@ -173,7 +154,7 @@ func collect(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions, wantStats b
 			p := &profiler.Profiler{Warmup: opt.Warmup, Batches: opt.Batches, Training: opt.Training}
 			var cl cleaner
 			for i := range jobs {
-				results[i] = collectNetwork(p, &cl, nets[i], devices, opt, wantStats)
+				results[i] = collectNetwork(p, &cl, nets[i], devices, opt)
 			}
 		}()
 	}
@@ -224,8 +205,7 @@ func mergeResults(results []collectResult, device int) *Dataset {
 // collectResult is one network's collection output: one Dataset per device,
 // so per-GPU assembly never rescans a combined dataset.
 type collectResult struct {
-	ds    []Dataset
-	stats *Stats
+	ds []Dataset
 	// profiled counts the successful (network, GPU, batch) executions — the
 	// quantity BuildReport.Profiled aggregates.
 	profiled int
@@ -241,7 +221,7 @@ type collectResult struct {
 // emitted per device in batch order, which is exactly the legacy
 // (device-outer, batch-inner) order once the per-device slices are
 // concatenated.
-func collectNetwork(p *profiler.Profiler, cl *cleaner, src *dnn.Network, devices []*sim.Device, opt BuildOptions, wantStats bool) (res collectResult) {
+func collectNetwork(p *profiler.Profiler, cl *cleaner, src *dnn.Network, devices []*sim.Device, opt BuildOptions) (res collectResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.err = fmt.Errorf("dataset: collecting %s: panic: %v", src.Name, r)
@@ -299,9 +279,6 @@ func collectNetwork(p *profiler.Profiler, cl *cleaner, src *dnn.Network, devices
 	// Pre-size each device's slices from exact counts, then emit per device
 	// in batch order.
 	res.ds = make([]Dataset, len(devices))
-	if wantStats {
-		res.stats = NewStats()
-	}
 	for di := range grid {
 		nNet, nLay, nKer := 0, 0, 0
 		for bi, bs := range batches {
@@ -329,21 +306,14 @@ func collectNetwork(p *profiler.Profiler, cl *cleaner, src *dnn.Network, devices
 			}
 			if bs == opt.DetailBatchSize {
 				d.AddTrace(tr) // full detail
-				if wantStats {
-					res.stats.FoldTrace(tr)
-				}
 				continue
 			}
 			// End-to-end record only.
-			rec := NetworkRecord{
+			d.Networks = append(d.Networks, NetworkRecord{
 				Network: tr.Network, Family: tr.Family, Task: string(tr.Task),
 				GPU: tr.GPU, BatchSize: tr.BatchSize,
 				TotalFLOPs: units.FLOPs(tr.TotalFLOPs), E2ESeconds: units.Seconds(tr.E2ETime),
-			}
-			d.Networks = append(d.Networks, rec)
-			if wantStats {
-				res.stats.FoldNetworkRecord(rec)
-			}
+			})
 		}
 	}
 	if opt.Dedup {
@@ -364,24 +334,11 @@ func collectNetwork(p *profiler.Profiler, cl *cleaner, src *dnn.Network, devices
 				}
 			}
 		}
-		dropped := 0
 		for di := range res.ds {
 			if uniqueBatches {
-				n := len(res.ds[di].Kernels)
 				res.ds[di].Kernels = dedupKernelGroups(res.ds[di].Kernels)
-				dropped += n - len(res.ds[di].Kernels)
 			} else {
-				dropped += cl.clean(&res.ds[di])
-			}
-		}
-		if dropped > 0 && wantStats {
-			// Refold so the stats keep describing exactly the returned
-			// records. Dropping only happens when two kernels of one layer
-			// coincide in name and duration (certain only for noise-free
-			// devices), so the refold is almost never taken.
-			res.stats = NewStats()
-			for di := range res.ds {
-				res.stats.Merge(StatsFromDataset(&res.ds[di]))
+				cl.clean(&res.ds[di])
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -94,38 +93,6 @@ func TestBuildErrorDrainsJobs(t *testing.T) {
 	}
 }
 
-// TestBuildWithStatsMatchesScan proves the streaming contract: the Stats
-// folded during collection equal StatsFromDataset over the returned records,
-// and both the dataset and the stats are identical across worker counts.
-func TestBuildWithStatsMatchesScan(t *testing.T) {
-	opt := smallOpt()
-	gpus := []gpu.Spec{gpu.A100, gpu.V100}
-
-	opt.Workers = 1
-	ds1, st1, _, err := BuildWithStats(smallNets(), gpus, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st1, StatsFromDataset(ds1)) {
-		t.Fatal("streamed stats differ from a full-record rescan (Workers=1)")
-	}
-
-	opt.Workers = runtime.GOMAXPROCS(0)
-	ds2, st2, _, err := BuildWithStats(smallNets(), gpus, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ds1, ds2) {
-		t.Fatal("dataset differs across worker counts")
-	}
-	if !reflect.DeepEqual(st1, st2) {
-		t.Fatal("stats differ across worker counts")
-	}
-	if !reflect.DeepEqual(st2, StatsFromDataset(ds2)) {
-		t.Fatal("streamed stats differ from a full-record rescan (parallel)")
-	}
-}
-
 // TestBuildPerGPUMatchesFilterGPU proves the per-device assembly contract:
 // BuildPerGPU's parts are byte-identical to filtering the combined Build.
 func TestBuildPerGPUMatchesFilterGPU(t *testing.T) {
@@ -174,18 +141,6 @@ func TestBuildDedupMatchesClean(t *testing.T) {
 		}
 		if !reflect.DeepEqual(plain, deduped) {
 			t.Fatal("Dedup build differs from Build+Clean")
-		}
-
-		// Streaming stats must describe exactly the deduplicated records.
-		ds, st, _, err := BuildWithStats(nets, gpus, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ds, deduped) {
-			t.Fatal("BuildWithStats with Dedup differs from Build with Dedup")
-		}
-		if !reflect.DeepEqual(st, StatsFromDataset(ds)) {
-			t.Fatal("stats diverge from deduplicated records")
 		}
 	}
 

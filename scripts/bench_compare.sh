@@ -11,12 +11,13 @@
 # /predict handler untraced and traced (ServePredict, ServePredictTraced —
 # the traced variant is additionally gated at 0 allocs/op and within a few
 # percent of the untraced one; see the tracing gates below), and the
-# collection fast path: one
-# dataset.Build pass (DatasetBuild), one detail profile (Profile) and one
-# KW fit from sufficient statistics (FitKW), and one full dnnlint pass over
-# the module (DnnlintModule — the wall-clock cost `make lint` adds to the
-# gate). Only the root package's LabDatasetBuild stays an ungated
-# order-of-magnitude reference.
+# collection path: one dataset.Build pass (DatasetBuild), one detail profile
+# (Profile) and one FitKW over a built dataset (FitKW), and one full dnnlint
+# pass over the module (DnnlintModule — the wall-clock cost `make lint` adds
+# to the gate). Only the root package's LabDatasetBuild stays an ungated
+# order-of-magnitude reference. Every benchmark the script asks `go test`
+# for must report an ns/op result: a gated benchmark that is renamed or
+# deleted fails the gate instead of silently dropping out of it.
 #
 # The cluster-scale scheduler adds three gates: the full search pipeline
 # over a 10⁵-task × 8-GPU instance (ScheduleLocalSearch — ns/op against
@@ -61,32 +62,35 @@ raw="$(mktemp)"
 fresh="$(mktemp)"
 trap 'rm -f "$raw" "$fresh"' EXIT
 
+# bench runs one `go test -bench` invocation and records the benchmarks its
+# pattern names (an alternation of anchored `BenchmarkName$` terms), so every
+# requested benchmark can be required to produce a result below.
+requested=""
+bench() {
+    pattern="$1"
+    shift
+    requested="$requested|$pattern"
+    go test -run '^$' -bench "$pattern" "$@" >>"$raw"
+}
+
 echo "bench_compare: running gated benchmarks (best of 3)..."
-go test -run '^$' -bench 'BenchmarkKWPredictPlan$|BenchmarkKWPredictParallel$|BenchmarkPlanCompile$|BenchmarkPredictSweep$' \
-    -benchtime 1000x -count 3 ./internal/core/ >"$raw"
-go test -run '^$' -bench 'BenchmarkKWPredict$|BenchmarkKWPredictConcurrent$' \
-    -benchtime 1000x -count 3 . >>"$raw"
-go test -run '^$' -bench 'BenchmarkServePredict$|BenchmarkServePredictTraced$' \
-    -benchtime 1000x -count 3 ./cmd/dnnperf/ >>"$raw"
-go test -run '^$' -bench 'BenchmarkDatasetBuild$' \
-    -benchtime 10x -count 3 ./internal/dataset/ >>"$raw"
-go test -run '^$' -bench 'BenchmarkProfile$' \
-    -benchtime 200x -count 3 ./internal/profiler/ >>"$raw"
-go test -run '^$' -bench 'BenchmarkFitKW$' \
-    -benchtime 50x -count 3 ./internal/core/ >>"$raw"
+bench 'BenchmarkKWPredictPlan$|BenchmarkKWPredictParallel$|BenchmarkPlanCompile$|BenchmarkPredictSweep$' \
+    -benchtime 1000x -count 3 ./internal/core/
+bench 'BenchmarkKWPredict$|BenchmarkKWPredictConcurrent$' \
+    -benchtime 1000x -count 3 .
+bench 'BenchmarkServePredict$|BenchmarkServePredictTraced$' \
+    -benchtime 1000x -count 3 ./cmd/dnnperf/
+bench 'BenchmarkDatasetBuild$' -benchtime 10x -count 3 ./internal/dataset/
+bench 'BenchmarkProfile$' -benchtime 200x -count 3 ./internal/profiler/
+bench 'BenchmarkFitKW$' -benchtime 50x -count 3 ./internal/core/
 # One invocation with b.N=3 (not -count 3): the first pass pays the cold
 # importer, later passes reuse the memoized import graph, and the averaged
 # ns/op matches how bench_baseline.sh measures the same benchmark.
-go test -run '^$' -bench 'BenchmarkDnnlintModule$' \
-    -benchtime 3x ./internal/analysis/ >>"$raw"
-go test -run '^$' -bench 'BenchmarkScheduleLocalSearch$' \
-    -benchtime 2x -count 3 ./internal/sched/ >>"$raw"
-go test -run '^$' -bench 'BenchmarkDenseTimesBuild$' \
-    -benchtime 20x -count 3 ./internal/sched/ >>"$raw"
-go test -run '^$' -bench 'BenchmarkScheduleMoveEval$' \
-    -benchtime 20000x -count 3 ./internal/sched/ >>"$raw"
-go test -run '^$' -bench 'BenchmarkFleetSimReplay$' \
-    -benchtime 10x -count 3 ./internal/fleetsim/ >>"$raw"
+bench 'BenchmarkDnnlintModule$' -benchtime 3x ./internal/analysis/
+bench 'BenchmarkScheduleLocalSearch$' -benchtime 2x -count 3 ./internal/sched/
+bench 'BenchmarkDenseTimesBuild$' -benchtime 20x -count 3 ./internal/sched/
+bench 'BenchmarkScheduleMoveEval$' -benchtime 20000x -count 3 ./internal/sched/
+bench 'BenchmarkFleetSimReplay$' -benchtime 10x -count 3 ./internal/fleetsim/
 
 # `BenchmarkName-P  N  T ns/op ...` -> `BenchmarkName T`, keeping the
 # fastest of the repeated runs: the minimum is the standard noise filter
@@ -101,6 +105,21 @@ END { for (name in best) print name, best[name] }' "$raw" | sort >"$fresh"
 
 if [ ! -s "$fresh" ]; then
     echo "bench_compare: no benchmark results parsed" >&2
+    exit 1
+fi
+
+# A requested benchmark with no ns/op line was renamed, deleted or no longer
+# matched by its pattern; looping only over the parsed results below would
+# drop it from the gate without a word.
+missing=0
+for name in $(printf '%s\n' "$requested" | tr '|' '\n' | sed 's/\$$//'); do
+    if ! grep -q "^$name " "$fresh"; then
+        echo "  $name: requested but reported no ns/op result — MISSING" >&2
+        missing=1
+    fi
+done
+if [ "$missing" -ne 0 ]; then
+    echo "bench_compare: gated benchmark missing from the run" >&2
     exit 1
 fi
 
