@@ -151,20 +151,20 @@ func fleetsimScenario(ff fleetsimFlags, st *fleetsim.StepTable, name string) fle
 }
 
 func runFleetsimSweep(ff fleetsimFlags, st *fleetsim.StepTable) error {
-	sizes, err := parseIntList(ff.sweepFleet, []int{ff.fleetSize})
+	sizes, err := parseList(ff.sweepFleet, []int{ff.fleetSize}, strconv.Atoi)
 	if err != nil {
 		return fmt.Errorf("-sweep-fleet: %w", err)
 	}
-	rates, err := parseFloatList(ff.sweepRate, []float64{ff.rate})
+	rates, err := parseList(ff.sweepRate, []float64{ff.rate}, func(s string) (float64, error) {
+		return strconv.ParseFloat(s, 64)
+	})
 	if err != nil {
 		return fmt.Errorf("-sweep-rate: %w", err)
 	}
-	policies := []string{ff.policy}
-	if ff.sweepPolicy != "" {
-		policies = strings.Split(ff.sweepPolicy, ",")
-	}
+	// The identity parse cannot fail; each cell's Build checks the names.
+	policies, _ := parseList(ff.sweepPolicy, []string{ff.policy}, func(s string) (string, error) { return s, nil })
 	base := fleetsimScenario(ff, st, "base")
-	base.Fleet = nil // Grid sets FleetSize per cell; all replicas GPU type 0
+	base.Fleet = nil // Grid sets FleetSize per cell; GPU types are spread round-robin
 	grid := fleetsim.Grid(base, sizes, rates, policies)
 
 	sp := obs.StartPhase("capacity sweep")
@@ -219,30 +219,16 @@ func fleetNames(st *fleetsim.StepTable, fleet []int32) []string {
 	return names
 }
 
-func parseIntList(s string, def []int) ([]int, error) {
+// parseList splits a comma-separated flag value and parses each trimmed
+// item; an empty value yields def.
+func parseList[T any](s string, def []T, parse func(string) (T, error)) ([]T, error) {
 	if s == "" {
 		return def, nil
 	}
 	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
+	out := make([]T, 0, len(parts))
 	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloatList(s string, def []float64) ([]float64, error) {
-	if s == "" {
-		return def, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		v, err := parse(strings.TrimSpace(p))
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package fleetsim
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/loadgen"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/units"
 )
@@ -328,10 +330,92 @@ func TestGridAndCapacity(t *testing.T) {
 			prev = r.Result.P99S
 		}
 	}
-	minFleet := MinFleetForP99(results, results[len(results)-1].Result.P99S*1.01)
-	for key, n := range minFleet {
-		if n < 1 || n > 8 {
-			t.Errorf("capacity answer %s → %d outside the swept sizes", key, n)
+
+	// The answer is the smallest feasible size whatever the grid order,
+	// and -1 only when no size meets the target.
+	desc, err := Sweep(st, Grid(base, []int{8, 4, 2, 1}, []float64{100, 200}, []string{"jsq"}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		targetS float64
+		want    map[string]int
+	}{
+		{1, map[string]int{"r100-jsq": 2, "r200-jsq": 4}},
+		{0.05, map[string]int{"r100-jsq": 4, "r200-jsq": 8}},
+		{0.03, map[string]int{"r100-jsq": -1, "r200-jsq": -1}},
+	} {
+		if got := MinFleetForP99(results, c.targetS); !maps.Equal(got, c.want) {
+			t.Errorf("ascending grid, target %vs: capacity answer %v, want %v", c.targetS, got, c.want)
+		}
+		if got := MinFleetForP99(desc, c.targetS); !maps.Equal(got, c.want) {
+			t.Errorf("descending grid, target %vs: capacity answer %v, want %v", c.targetS, got, c.want)
+		}
+	}
+}
+
+// plannedGrid is the capacity grid the plan-memo test and benchmark share:
+// three fleet sizes × three rates × an online and two planned policies.
+func plannedGrid(requests int) []Scenario {
+	base := Scenario{
+		Arrival:   loadgen.Poisson,
+		Requests:  requests,
+		MaxBatch:  8,
+		PostProcS: 200e-6,
+		Seed:      5,
+	}
+	return Grid(base, []int{2, 4, 8}, []float64{20, 40, 80}, []string{"jsq", "lpt", "search"})
+}
+
+// TestSweepSharesPlannedRoutes pins Sweep's per-call plan memo. Every cell
+// equals its own Scenario.Run at one and four workers; the search policy
+// runs once per fleet size, not once per (fleet size, rate) cell; and cells
+// that must not share a plan get their own: the grid's lpt and search
+// cells pose one problem under two policies, and the near misses differ
+// from a grid cell only in the fleet's GPU types, the seed's network draw
+// or the request count.
+func TestSweepSharesPlannedRoutes(t *testing.T) {
+	st := SyntheticStepTable(4, 8, 8, 13)
+	grid := plannedGrid(1000)
+	f4 := grid[14] // f4-r40-search
+	if f4.Name != "f4-r40-search" {
+		t.Fatalf("grid cell 14 is %s", f4.Name)
+	}
+	otherFleet, otherSeed, fewer := f4, f4, f4
+	otherFleet.Name, otherFleet.Fleet = "f4-r40-search-fleet3322", []int32{3, 3, 2, 2}
+	otherSeed.Name, otherSeed.Seed = "f4-r40-search-seed6", 6
+	fewer.Name, fewer.Requests = "f4-r40-search-500req", 500
+	mixed := append(append([]Scenario(nil), grid...), otherFleet, otherSeed, fewer)
+
+	want := make([]ScenarioResult, len(mixed))
+	for i, sc := range mixed {
+		want[i] = ScenarioResult{Scenario: sc, Result: mustRun(t, sc, st)}
+	}
+	searches := obs.Default().Counter("sched_searches_total", "")
+	prev := runtime.GOMAXPROCS(0)
+	runtime.GOMAXPROCS(max(2, prev))
+	defer runtime.GOMAXPROCS(prev)
+	for _, workers := range []int{1, 4} {
+		before := searches.Value()
+		got, err := Sweep(st, grid, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := searches.Value() - before; n != 3 {
+			t.Errorf("workers %d: %d searches for the 27-cell grid, want 3", workers, n)
+		}
+		if !reflect.DeepEqual(got, want[:len(grid)]) {
+			t.Errorf("workers %d: grid sweep differs from per-scenario Run", workers)
+		}
+
+		got, err = Sweep(st, mixed, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range mixed {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("workers %d: %s differs from its own Run", workers, mixed[i].Name)
+			}
 		}
 	}
 }
@@ -392,6 +476,25 @@ func TestTimeline(t *testing.T) {
 		t.Fatalf("spans cover %d requests of %d", total, res.Requests)
 	}
 }
+
+// BenchmarkSweepPlanned times one capacity question over the 27-cell
+// planned grid at 2000 requests per cell on one worker — the shape of a
+// capacity-plan op, on the synthetic oracle. A diagnostic, not a gate.
+func BenchmarkSweepPlanned(b *testing.B) {
+	st := SyntheticStepTable(4, 8, 8, 13)
+	grid := plannedGrid(2000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Sweep(st, grid, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sweepSink = res
+	}
+}
+
+var sweepSink []ScenarioResult
 
 // BenchmarkFleetSimReplay is the gated throughput benchmark: one
 // single-goroutine replay of a 100k-request Poisson trace against a

@@ -1,6 +1,7 @@
 package fleetsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -97,6 +98,14 @@ func (sc *Scenario) fleetOf(nTypes int) ([]int32, error) {
 // step table. The trace (open loop) and any planned assignment are derived
 // deterministically from the scenario's seed.
 func (sc *Scenario) Build(st *StepTable) (*Sim, error) {
+	return sc.build(st, PlanRoute)
+}
+
+// planFunc computes a planned route; PlanRoute itself, or a Sweep's
+// planMemo in front of it.
+type planFunc func(st *StepTable, fleet []int32, tr *Trace, pol sched.Policy) ([]int32, error)
+
+func (sc *Scenario) build(st *StepTable, plan planFunc) (*Sim, error) {
 	fleet, err := sc.fleetOf(len(st.gpus))
 	if err != nil {
 		return nil, err
@@ -148,7 +157,7 @@ func (sc *Scenario) Build(st *StepTable) (*Sim, error) {
 		return nil, err
 	}
 	if pol != nil {
-		planned, err := PlanRoute(st, fleet, tr, pol)
+		planned, err := plan(st, fleet, tr, pol)
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +168,11 @@ func (sc *Scenario) Build(st *StepTable) (*Sim, error) {
 
 // Run builds and replays a scenario once.
 func (sc *Scenario) Run(st *StepTable) (Result, error) {
-	sim, err := sc.Build(st)
+	return sc.run(st, PlanRoute)
+}
+
+func (sc *Scenario) run(st *StepTable, plan planFunc) (Result, error) {
+	sim, err := sc.build(st, plan)
 	if err != nil {
 		return Result{}, err
 	}
@@ -175,6 +188,12 @@ func (sc *Scenario) Run(st *StepTable) (Result, error) {
 // first failing scenario in input order wins error reporting — the same
 // deterministic fan-out discipline as core.TaskTimes. workers ≤ 0 defaults
 // to GOMAXPROCS.
+//
+// Planned routes are solved once per distinct (policy, fleet, request
+// network sequence) within the call: PlanRoute never reads arrival times,
+// so grid cells that differ only in rate pose the same scheduling problem
+// and share one read-only assignment. Results equal each scenario's own
+// Run bit for bit.
 func Sweep(st *StepTable, scenarios []Scenario, workers int) ([]ScenarioResult, error) {
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("fleetsim: empty sweep")
@@ -185,6 +204,7 @@ func Sweep(st *StepTable, scenarios []Scenario, workers int) ([]ScenarioResult, 
 	if workers > len(scenarios) {
 		workers = len(scenarios)
 	}
+	memo := planMemo{plans: make(map[planKey]*memoPlan)}
 	out := make([]ScenarioResult, len(scenarios))
 	errs := make([]error, len(scenarios))
 	next := make(chan int)
@@ -194,7 +214,7 @@ func Sweep(st *StepTable, scenarios []Scenario, workers int) ([]ScenarioResult, 
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				res, err := scenarios[i].Run(st)
+				res, err := scenarios[i].run(st, memo.plan)
 				if err != nil {
 					errs[i] = err
 					continue
@@ -214,6 +234,54 @@ func Sweep(st *StepTable, scenarios []Scenario, workers int) ([]ScenarioResult, 
 		}
 	}
 	return out, nil
+}
+
+// planKey identifies one scheduling problem by value: the policy name and
+// the little-endian bytes of the fleet's GPU types and of the trace's
+// network sequence, so a map hit compares both sequences in full.
+type planKey struct {
+	policy, fleet, nets string
+}
+
+// memoPlan is one key's route, computed by the first worker to ask.
+type memoPlan struct {
+	once    sync.Once
+	planned []int32
+	err     error
+}
+
+// planMemo is a planFunc that solves each planKey once; it lives for one
+// Sweep call.
+type planMemo struct {
+	mu    sync.Mutex
+	plans map[planKey]*memoPlan
+}
+
+func (m *planMemo) plan(st *StepTable, fleet []int32, tr *Trace, pol sched.Policy) ([]int32, error) {
+	// Arrival times are outside the key, so validate them per cell before
+	// the lookup: a stored error must then follow from the key alone.
+	if err := tr.Validate(len(st.nets)); err != nil {
+		return nil, err
+	}
+	key := planKey{policy: pol.Name(), fleet: int32Bytes(fleet), nets: int32Bytes(tr.Net)}
+	m.mu.Lock()
+	p, ok := m.plans[key]
+	if !ok {
+		p = &memoPlan{}
+		m.plans[key] = p
+	}
+	m.mu.Unlock()
+	p.once.Do(func() { p.planned, p.err = PlanRoute(st, fleet, tr, pol) })
+	return p.planned, p.err
+}
+
+// int32Bytes encodes xs as a string of little-endian words.
+func int32Bytes(xs []int32) string {
+	b := make([]byte, 0, 4*len(xs))
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(x))
+	}
+	return string(b)
 }
 
 // Grid expands a capacity-planning sweep: the cross product of fleet
@@ -238,19 +306,20 @@ func Grid(base Scenario, fleetSizes []int, rates []float64, policies []string) [
 	return out
 }
 
-// MinFleetForP99 walks the sweep results (already in Grid order) and
-// returns, per (rate, policy) cell, the smallest fleet size whose p99
-// meets the target, or -1 if none did — the capacity-planning answer.
+// MinFleetForP99 returns, per (rate, policy) cell of the sweep results, the
+// smallest fleet size whose p99 meets the target with every request
+// served, or -1 if none did — the capacity-planning answer. The results
+// may come in any order.
 func MinFleetForP99(results []ScenarioResult, targetS float64) map[string]int {
 	out := make(map[string]int)
 	for _, r := range results {
 		key := fmt.Sprintf("r%g-%s", r.Scenario.RateRPS, r.Scenario.Policy)
-		if _, done := out[key]; done && out[key] >= 0 {
-			continue
-		}
+		best, seen := out[key]
 		if r.Result.P99S <= targetS && r.Result.Unfinished == 0 {
-			out[key] = r.Scenario.FleetSize
-		} else if _, seen := out[key]; !seen {
+			if !seen || best < 0 || r.Scenario.FleetSize < best {
+				out[key] = r.Scenario.FleetSize
+			}
+		} else if !seen {
 			out[key] = -1
 		}
 	}

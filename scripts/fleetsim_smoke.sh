@@ -3,9 +3,11 @@
 # Poisson trace against a simulated heterogeneous 4-GPU fleet through
 # `dnnperf fleetsim` and requires every request served with non-empty,
 # monotone latency percentiles, then fans a 2-cell capacity sweep to prove
-# the grid path composes. Runs off the synthetic step-time oracle, so the
-# whole smoke is milliseconds of simulated-time replay — no HTTP, no model
-# fitting.
+# the grid path composes, and a planned-policy sweep listed largest fleet
+# first (with a space in the policy list) that must give the same capacity
+# answer as the ascending grid. Runs off the synthetic step-time oracle, so
+# the whole smoke is milliseconds of simulated-time replay — no HTTP, no
+# model fitting.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -57,6 +59,26 @@ answer="$(sed -n 's/.*"r300-jsq": \([0-9-][0-9]*\).*/\1/p' "$out" | head -1)"
 if [ -z "$answer" ] || [ "$answer" = "-1" ]; then
     echo "fleetsim_smoke: capacity sweep gave no fleet answer:" >&2
     cat "$out" >&2
+    exit 1
+fi
+
+echo "fleetsim_smoke: planned sweep, fleets listed 4,2 and 2,4..."
+capacity() {
+    "$bin" -sweep-fleet "$1" -sweep-rate 150,300 -sweep-policy "jsq, search" \
+        -requests 2000 -seed 7 -p99-target 10s fleetsim >"$out"
+    sed -n '/"min_fleet_for_p99"/,/}/p' "$out"
+}
+descending="$(capacity 4,2)"
+ascending="$(capacity 2,4)"
+if [ -z "$ascending" ] || ! printf '%s\n' "$ascending" | grep -q '"r300-search"'; then
+    echo "fleetsim_smoke: planned sweep gave no search-policy answer:" >&2
+    cat "$out" >&2
+    exit 1
+fi
+if [ "$descending" != "$ascending" ]; then
+    echo "fleetsim_smoke: capacity answer depends on grid order:" >&2
+    echo "fleets 4,2: $descending" >&2
+    echo "fleets 2,4: $ascending" >&2
     exit 1
 fi
 
