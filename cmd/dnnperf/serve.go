@@ -61,7 +61,9 @@ import (
 //
 // Batch sizes must lie in [1, core.MaxBatch]: a malformed or non-positive
 // batch is a 400, a batch above core.MaxBatch a 422 on both predict
-// endpoints.
+// endpoints. An inline network spec is bounded further: a spec whose
+// element or FLOP counts overflow int64 is a 422, and so is a batch beyond
+// its compiled plan's own domain (core.Plan.MaxBatch).
 //
 // The single-prediction path is allocation-free in steady state: query
 // parameters are read straight from the raw query string, the network is
@@ -560,9 +562,9 @@ func (s *server) handlePredict(w http.ResponseWriter, req *http.Request) {
 	if rt != nil {
 		// Traced: split compilation from prediction so the timeline
 		// attributes plan-cache misses. Predictions are bit-identical to
-		// the untraced PredictNetwork path; a plan error falls back to it
-		// for the identical error shape.
-		if p, perr := m.CompiledPlan(net); perr == nil {
+		// the untraced PredictNetwork path; a plan error or a batch beyond
+		// the plan's domain falls back to it for the identical error shape.
+		if p, perr := m.CompiledPlan(net); perr == nil && batch <= p.MaxBatch() {
 			rt.stage("compile")
 			pred = p.Predict(batch)
 			rt.stage("predict")

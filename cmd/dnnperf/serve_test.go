@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -108,6 +109,61 @@ func TestServePredictErrors(t *testing.T) {
 	}
 }
 
+// wideConvSpec's convolution fits int64 at batch 1, but its drivers leave
+// int64 long before batch 2^20, the sweep's second point.
+const wideConvSpec = `{"network_spec":{"input_shape":[3,65536,65536],"layers":[{"kind":"Conv2D","cin":3,"cout":1048576,"kh":3,"kw":3,"stride":1,"pad":1}]},"batches":[1,1048576]}`
+
+// hugeInputSpec's per-sample element count already overflows int64.
+const hugeInputSpec = `{"network_spec":{"input_shape":[2147483647,2147483647,2147483647],"layers":[{"kind":"ReLU"}]},"batches":[1048576]}`
+
+// TestServePredictBatchPlanDomain: a spec is answered within its own plan's
+// domain and refused with 422 beyond it, instead of answering a wrapped
+// prediction.
+func TestServePredictBatchPlanDomain(t *testing.T) {
+	s := fittedServer(t)
+	h := s.handler()
+	if w := post(t, h, "/predict/batch", wideConvSpec); w.Code != http.StatusUnprocessableEntity ||
+		!strings.Contains(w.Body.String(), "exceeds the maximum") {
+		t.Fatalf("sweep reaching past the plan's domain: status %d (%s), want 422", w.Code, w.Body)
+	}
+
+	var spec batchRequest
+	if err := json.Unmarshal([]byte(wideConvSpec), &spec); err != nil {
+		t.Fatal(err)
+	}
+	net, err := networkFromSpec(spec.NetworkSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.reg.Current().Model.CompilePlan(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := p.MaxBatch()
+	if limit <= 1 || limit >= core.MaxBatch {
+		t.Fatalf("plan domain %d, want inside (1, %d)", limit, core.MaxBatch)
+	}
+	in := fmt.Sprintf(`{"network_spec":{"input_shape":[3,65536,65536],"layers":[{"kind":"Conv2D","cin":3,"cout":1048576,"kh":3,"kw":3,"stride":1,"pad":1}]},"batches":[1,%d]}`, limit)
+	w := post(t, h, "/predict/batch", in)
+	if w.Code != http.StatusOK {
+		t.Fatalf("sweep up to the plan's domain %d: status %d (%s)", limit, w.Code, w.Body)
+	}
+	var resp struct {
+		PredictedMs []float64 `json:"predicted_ms"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	// Time grows with the batch: a wrapped driver would break the order.
+	if len(resp.PredictedMs) != 2 || !(resp.PredictedMs[1] > resp.PredictedMs[0]) {
+		t.Fatalf("predicted_ms %v, want growing with the batch", resp.PredictedMs)
+	}
+	past := strings.Replace(in, fmt.Sprintf("[1,%d]", limit), fmt.Sprintf("[1,%d]", limit+1), 1)
+	if w := post(t, h, "/predict/batch", past); w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("batch %d past the plan's domain: status %d (%s), want 422", limit+1, w.Code, w.Body)
+	}
+}
+
 func TestServePredictBatchPostErrors(t *testing.T) {
 	h := fittedServer(t).handler()
 	cases := []struct {
@@ -126,6 +182,8 @@ func TestServePredictBatchPostErrors(t *testing.T) {
 			http.StatusUnprocessableEntity},
 		{"forward input reference", `{"batches": [1], "network_spec": {"name": "x", "input_shape": [3, 8, 8],
 			"layers": [{"kind": "ReLU", "inputs": [5]}]}}`, http.StatusUnprocessableEntity},
+		{"batch beyond the plan's domain", wideConvSpec, http.StatusUnprocessableEntity},
+		{"per-sample element count overflow", hugeInputSpec, http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		if w := post(t, h, "/predict/batch", c.body); w.Code != c.want {

@@ -10,6 +10,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,7 +124,9 @@ func (l *Lab) Network(name string) (*dnn.Network, error) {
 // goroutines each spawning GOMAXPROCS collection workers (formerly up to P²
 // goroutines). Each GPU's collection still runs at most once across all
 // concurrent callers. The merged result is ordered by the gpus argument, so
-// concurrent use is fully deterministic.
+// concurrent use is fully deterministic. A single-GPU result shares its
+// records with the cache rather than copying them: callers may append to or
+// Merge into it, but must not write its records in place.
 func (l *Lab) Dataset(gpus ...gpu.Spec) (*dataset.Dataset, error) {
 	// Claim flights for uncached GPUs under the lock; build the claimed ones
 	// together, then wait for every flight (ours or another caller's).
@@ -156,6 +159,13 @@ func (l *Lab) Dataset(gpus ...gpu.Spec) (*dataset.Dataset, error) {
 		nNet += len(flights[i].ds.Networks)
 		nLay += len(flights[i].ds.Layers)
 		nKer += len(flights[i].ds.Kernels)
+	}
+	if len(flights) == 1 {
+		// The cached build itself, in a fresh header: its slices are
+		// capacity-clipped, so a caller's append or Merge reallocates
+		// instead of writing into the cache.
+		cached := *flights[0].ds
+		return &cached, nil
 	}
 	out := &dataset.Dataset{}
 	out.Grow(nNet, nLay, nKer)
@@ -193,7 +203,12 @@ func (l *Lab) buildGPUs(gpus []gpu.Spec, flights []*labBuild) {
 		if err != nil {
 			b.err = fmt.Errorf("bench: collecting %s dataset: %w", g.Name, err)
 		} else {
-			b.ds = parts[i]
+			p := parts[i]
+			b.ds = &dataset.Dataset{
+				Networks: slices.Clip(p.Networks),
+				Layers:   slices.Clip(p.Layers),
+				Kernels:  slices.Clip(p.Kernels),
+			}
 			l.builds.Add(1)
 			metricDatasetBuilds.Inc()
 		}

@@ -1,10 +1,18 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"strconv"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/gpu"
+	"repro/internal/units"
 )
 
 // TestDatasetConcurrentSingleBuild hammers Dataset and Sweep from eight
@@ -91,6 +99,50 @@ func TestDatasetDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestDatasetSharesCachedBuild: a repeated single-GPU Dataset call returns
+// the cached build without rebuilding it, and an append or Merge made to one
+// call's result never shows in a later call's.
+func TestDatasetSharesCachedBuild(t *testing.T) {
+	l := NewQuickLab()
+	first, err := l.Dataset(gpu.A100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nNet, nLay, nKer := len(first.Networks), len(first.Layers), len(first.Kernels)
+	cachedNet := &first.Networks[0]
+	extra := &dataset.Dataset{
+		Networks: first.Networks[:1],
+		Layers:   first.Layers[:1],
+		Kernels:  first.Kernels[:1],
+	}
+	first.Merge(extra)
+	first.Networks = append(first.Networks, dataset.NetworkRecord{Network: "appended"})
+
+	second, err := l.Dataset(gpu.A100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.BuildCount(); got != 1 {
+		t.Fatalf("BuildCount = %d after two A100 calls, want 1", got)
+	}
+	if len(second.Networks) != nNet || len(second.Layers) != nLay || len(second.Kernels) != nKer {
+		t.Fatalf("second call sees %d/%d/%d records, want %d/%d/%d", len(second.Networks),
+			len(second.Layers), len(second.Kernels), nNet, nLay, nKer)
+	}
+	if &second.Networks[0] != cachedNet {
+		t.Fatal("second call copied the cached records instead of sharing them")
+	}
+	if first.Networks[nNet].Network != first.Networks[0].Network || first.Networks[nNet+1].Network != "appended" {
+		t.Fatal("the first result lost its own Merge or append")
+	}
+	// Growing the second result must not write past the cached records
+	// either: its capacity ends where the cache does.
+	if cap(second.Networks) != nNet || cap(second.Layers) != nLay || cap(second.Kernels) != nKer {
+		t.Fatalf("cached slices not capacity-clipped: caps %d/%d/%d, lens %d/%d/%d",
+			cap(second.Networks), cap(second.Layers), cap(second.Kernels), nNet, nLay, nKer)
+	}
+}
+
 // TestFigure18RenderInvariance: rendering the scheduling case study twice —
 // the second pass served entirely from cached datasets, fitted models with
 // warm plan caches and the concurrent query path — must produce byte-equal
@@ -134,5 +186,81 @@ func TestFigure18RenderInvariance(t *testing.T) {
 					name, g.Name, preds[i][j], want)
 			}
 		}
+	}
+}
+
+// quickLabCollectionDigest pins the bytes collection produces, recorded by
+// running TestQuickLabCollectionDigest's body before collection was reworked
+// to touch each record once. Unlike the run-against-run golden tests, it
+// fails when a change alters every record the same way.
+const quickLabCollectionDigest = "0e2f537b709c662043ff7627989e9aaa5a447dcc24a19434626e593a458f0135"
+
+// TestQuickLabCollectionDigest hashes, in order: every field of every
+// record of the quick lab's A100 dataset, the train/test network lists of
+// its canonical split, the saved KW model fitted on the train side, the
+// two-GPU (A100 + V100) dataset, and a training-mode Build of the first 20
+// lab networks on A100 and V100 with its report. Floats are hashed in hex
+// ('x') so every bit counts.
+func TestQuickLabCollectionDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full quick-lab collection")
+	}
+	l := NewQuickLab()
+	h := sha256.New()
+
+	ds, err := l.Dataset(gpu.A100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashRecords(h, "A100", ds)
+	train, test := l.Split(ds)
+	fmt.Fprintf(h, "train %q\ntest %q\n", train.NetworkNames(), test.NetworkNames())
+	m, err := core.FitKW(train, gpu.A100.Name, TrainBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Save(h, m); err != nil {
+		t.Fatal(err)
+	}
+
+	two, err := l.Dataset(gpu.A100, gpu.V100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashRecords(h, "A100+V100", two)
+
+	opt := dataset.DefaultBuildOptions()
+	opt.Batches = l.batches
+	opt.Warmup = l.warmup
+	opt.Training = true
+	tds, rep, err := dataset.Build(l.Networks()[:20], []gpu.Spec{gpu.A100, gpu.V100}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashRecords(h, "training", tds)
+	fmt.Fprintf(h, "profiled %d oom %q\n", rep.Profiled, rep.OutOfMemory)
+
+	if got := hex.EncodeToString(h.Sum(nil)); got != quickLabCollectionDigest {
+		t.Fatalf("quick-lab collection digest = %s, want %s", got, quickLabCollectionDigest)
+	}
+}
+
+// hashRecords writes every field of every record of ds to w, one line per
+// record, floats in hex.
+func hashRecords(w io.Writer, label string, ds *dataset.Dataset) {
+	hx := func(s units.Seconds) string { return strconv.FormatFloat(float64(s), 'x', -1, 64) }
+	fmt.Fprintf(w, "%s %d %d %d\n", label, len(ds.Networks), len(ds.Layers), len(ds.Kernels))
+	for _, r := range ds.Networks {
+		fmt.Fprintf(w, "N|%s|%s|%s|%s|%d|%d|%s\n", r.Network, r.Family, r.Task, r.GPU,
+			r.BatchSize, r.TotalFLOPs, hx(r.E2ESeconds))
+	}
+	for _, r := range ds.Layers {
+		fmt.Fprintf(w, "L|%s|%s|%d|%d|%s|%s|%d|%d|%d|%s\n", r.Network, r.GPU, r.BatchSize,
+			r.LayerIndex, r.Kind, r.Signature, r.FLOPs, r.InputElems, r.OutputElems, hx(r.Seconds))
+	}
+	for _, r := range ds.Kernels {
+		fmt.Fprintf(w, "K|%s|%s|%d|%d|%s|%s|%s|%d|%d|%d|%s\n", r.Network, r.GPU, r.BatchSize,
+			r.LayerIndex, r.LayerKind, r.LayerSignature, r.Kernel, r.LayerFLOPs,
+			r.LayerInputElems, r.LayerOutputElems, hx(r.Seconds))
 	}
 }

@@ -86,22 +86,6 @@ func PredictGrid(models []SweepPredictor, nets []*dnn.Network, batches []int) (*
 	return g, nil
 }
 
-// TimesForBatch projects one batch column of the grid as a GPU-name→
-// per-network seconds map — the shape sched.Times consumes. The batch is
-// addressed by its index in Batches. Models sharing a GPU name overwrite
-// each other; callers with such grids should index Seconds directly.
-func (g *Grid) TimesForBatch(batchIdx int) map[string][]float64 {
-	out := make(map[string][]float64, len(g.GPUs))
-	for i, name := range g.GPUs {
-		row := make([]float64, len(g.Networks))
-		for j := range g.Networks {
-			row[j] = g.Seconds[i][j][batchIdx].Float64()
-		}
-		out[name] = row
-	}
-	return out
-}
-
 // sweepUncached is the fallback sweep: one uncached prediction per batch
 // size. Models take it when plan compilation fails, so sweep callers see the
 // same shape-inference errors PredictNetwork reports.

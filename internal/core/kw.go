@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/dataset"
@@ -352,9 +350,10 @@ func (m *KWModel) PredictNetwork(n *dnn.Network, batch int) (units.Seconds, erro
 		return m.PredictNetworkUncached(n, batch)
 	}
 	p, err := m.planFor(n)
-	if err != nil {
-		// Compilation fails only for networks the uncached path also rejects;
-		// take it so callers see the familiar shape-inference errors.
+	if err != nil || batch > p.maxBatch {
+		// Compilation fails only for networks the uncached path also rejects,
+		// and shape inference rejects the counts a batch beyond the plan's
+		// domain overflows; take it so callers see the familiar errors.
 		//lint:ignore allocfree the compile-failure path is off the steady state by definition
 		return m.PredictNetworkUncached(n, batch)
 	}
@@ -366,8 +365,9 @@ func (m *KWModel) PredictNetwork(n *dnn.Network, batch int) (units.Seconds, erro
 // bit-identical to calling PredictNetwork per batch size; the win is that
 // the per-call overhead (fingerprint, cache lookup, timer) is paid once for
 // the whole sweep and the plan's segments stay hot across batch sizes. All
-// batch sizes must be in [1, MaxBatch]. If plan compilation fails the sweep
-// falls back to the uncached path, mirroring PredictNetwork.
+// batch sizes must be in [1, MaxBatch] and within the plan's own domain
+// (Plan.MaxBatch). If plan compilation fails the sweep falls back to the
+// uncached path, mirroring PredictNetwork.
 func (m *KWModel) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds, error) {
 	tm := obs.StartTimer(metricSweepPredict)
 	defer tm.Stop()
@@ -376,13 +376,18 @@ func (m *KWModel) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds, 
 			return nil, fmt.Errorf("core: %s sweep of %q: batch size %d must be positive", m.Name(), n.Name, b)
 		}
 		if b > MaxBatch {
-			return nil, errBatchTooLarge(m.Name(), n.Name, b)
+			return nil, errBatchTooLarge(m.Name(), n.Name, b, MaxBatch)
 		}
 	}
 	observeSweep(len(batches))
 	p, err := m.planFor(n)
 	if err != nil {
 		return sweepUncached(n, batches, m.PredictNetworkUncached)
+	}
+	for _, b := range batches {
+		if b > p.maxBatch {
+			return nil, errBatchTooLarge(m.Name(), n.Name, b, p.maxBatch)
+		}
 	}
 	return p.PredictSweep(batches), nil
 }
@@ -393,7 +398,7 @@ func (m *KWModel) PredictSweep(n *dnn.Network, batches []int) ([]units.Seconds, 
 // ground truth plans are tested against.
 func (m *KWModel) PredictNetworkUncached(n *dnn.Network, batch int) (units.Seconds, error) {
 	if batch > MaxBatch {
-		return 0, errBatchTooLarge(m.Name(), n.Name, batch)
+		return 0, errBatchTooLarge(m.Name(), n.Name, batch, MaxBatch)
 	}
 	if err := n.Infer(batch); err != nil {
 		return 0, err
@@ -505,16 +510,4 @@ func (m *KWModel) PredictRecords(recs []dataset.KernelRecord) units.Seconds {
 		total += m.PredictKernel(r.Kernel, r.LayerFLOPs, r.LayerInputElems, r.LayerOutputElems)
 	}
 	return total
-}
-
-// GroupSummaries renders a sorted per-group description for reports.
-func (m *KWModel) GroupSummaries() []string {
-	out := make([]string, 0, len(m.Groups))
-	for _, g := range m.Groups {
-		names := append([]string(nil), g.Kernels...)
-		sort.Strings(names)
-		out = append(out, string(g.Driver)+": "+names[0]+" (+"+strconv.Itoa(len(names)-1)+" more) "+g.Line.String())
-	}
-	sort.Strings(out)
-	return out
 }

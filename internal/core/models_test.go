@@ -384,14 +384,3 @@ func TestKWPredictLayerTime(t *testing.T) {
 		t.Fatalf("Σ layer predictions %v != network prediction %v", sum, whole)
 	}
 }
-
-func TestGroupSummaries(t *testing.T) {
-	ds := plantKernelDataset(gpu.A100, 3)
-	m, err := FitKW(ds, "A100", 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.GroupSummaries(); len(got) != m.ModelCount() {
-		t.Fatalf("summaries = %d, models = %d", len(got), m.ModelCount())
-	}
-}

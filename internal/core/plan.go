@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -62,7 +63,15 @@ type Plan struct {
 	// the end offset of entry i's segments within segs.
 	segs     []planSeg
 	entryEnd []int32
+	// maxBatch is the plan's batch domain: the largest batch size, at most
+	// MaxBatch, at which every driver of every kernel stays inside int64.
+	maxBatch int
 }
+
+// MaxBatch returns the largest batch size the plan can predict: MaxBatch,
+// or less for a network so large that a kernel driver would leave int64
+// below it.
+func (p *Plan) MaxBatch() int { return p.maxBatch }
 
 // EntryCount returns the number of kernel invocations the plan sums over.
 func (p *Plan) EntryCount() int { return len(p.entryEnd) }
@@ -73,20 +82,24 @@ func (p *Plan) SegmentCount() int { return len(p.segs) }
 
 // MaxBatch is the largest batch size the KW and IGKW prediction paths
 // accept. A plan evaluates each kernel's driver as xPer·N + xConst in int64
-// with no check on the hot path, so the batch domain is bounded instead: at
+// with no check on the hot path, so the batch domain is bounded instead. At
 // 2^20 the largest driver of any zoo network stays orders of magnitude
-// inside int64 (TestPlanMaxBatchNoOverflow), where an unbounded batch could
-// wrap into a garbage prediction that clampTime silently floors. Larger
-// batches are rejected with an error; dnnperf serve answers them with 422.
+// inside int64 (TestPlanMaxBatchNoOverflow), but an inline spec can be large
+// enough to wrap well below it, so each plan also carries its own domain
+// (Plan.MaxBatch): the largest batch up to MaxBatch at which all its drivers
+// fit. Batches beyond either bound are rejected with an error rather than
+// wrapped into a garbage prediction that clampTime would silently floor;
+// dnnperf serve answers them with 422.
 const MaxBatch = 1 << 20
 
-// errBatchTooLarge is the error for a batch size above MaxBatch.
-func errBatchTooLarge(model, network string, batch int) error {
-	return fmt.Errorf("core: %s prediction of %q: batch size %d exceeds the maximum %d", model, network, batch, MaxBatch)
+// errBatchTooLarge is the error for a batch size above limit, MaxBatch or
+// a plan's own domain.
+func errBatchTooLarge(model, network string, batch, limit int) error {
+	return fmt.Errorf("core: %s prediction of %q: batch size %d exceeds the maximum %d", model, network, batch, limit)
 }
 
 // Predict returns the predicted end-to-end seconds of one batch. The batch
-// size must be in [1, MaxBatch] (callers route other batches through the
+// size must be in [1, p.MaxBatch()] (callers route other batches through the
 // uncached path for its validation errors). It performs no allocation and is
 // safe to call concurrently.
 //
@@ -266,6 +279,7 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 	// storage is one arena sliced into non-overlapping per-kernel append
 	// regions, reused across layers.
 	dists := make([]distLayer, len(reps))
+	maxBatch := MaxBatch
 	var arena []planSeg
 	var kernSegs [][]planSeg
 	var affine []driverAffine
@@ -297,6 +311,12 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 			a.inPer, a.inConst = affineFromTwo(ks1[i].LayerInputElems, ks2[i].LayerInputElems)
 			a.opPer, a.opConst = affineFromTwo(ks1[i].LayerFLOPs, ks2[i].LayerFLOPs)
 			a.outPer, a.outConst = affineFromTwo(ks1[i].LayerOutputElems, ks2[i].LayerOutputElems)
+			// The domain covers all three candidates, not only the one the
+			// model picks, so it matches the counts shape inference checks.
+			maxBatch = min(maxBatch,
+				driverLimit(ks1[i].LayerInputElems, ks2[i].LayerInputElems),
+				driverLimit(ks1[i].LayerFLOPs, ks2[i].LayerFLOPs),
+				driverLimit(ks1[i].LayerOutputElems, ks2[i].LayerOutputElems))
 		}
 
 		// The layer's breakpoints. BatchBreakpoints is batch-invariant; the
@@ -374,7 +394,7 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 		totalSegs += len(dists[d].segs)
 		totalEntries += len(dists[d].end)
 	}
-	p := &Plan{Network: n.Name, GPU: gpuName}
+	p := &Plan{Network: n.Name, GPU: gpuName, maxBatch: maxBatch}
 	p.segs = make([]planSeg, 0, totalSegs)
 	p.entryEnd = make([]int32, 0, totalEntries)
 	for _, d := range repOf {
@@ -461,6 +481,23 @@ func appendLayerShapeKey(dst []byte, l *dnn.Layer) []byte {
 func affineFromTwo(v1, v2 int64) (per, cnst int64) {
 	per = v2 - v1
 	return per, v1 - per
+}
+
+// driverLimit is the largest batch size, at most MaxBatch, at which a
+// driver with values v1 at batch 1 and v2 at batch 2 stays inside int64.
+// Shape inference guarantees v1 fits; drivers are non-negative and
+// non-decreasing in the batch, so a v2 below v1 means the batch-2 value
+// wrapped and only batch 1 is representable (where the affine map still
+// yields v1 exactly, whatever the wrap did to its coefficients).
+func driverLimit(v1, v2 int64) int {
+	if v2 < v1 {
+		return 1
+	}
+	per, cnst := affineFromTwo(v1, v2)
+	if per == 0 {
+		return MaxBatch
+	}
+	return int(min((math.MaxInt64-max(cnst, 0))/per, MaxBatch))
 }
 
 // sameResolution reports whether two segments predict identically (ignoring

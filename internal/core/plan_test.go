@@ -5,6 +5,8 @@ import (
 	"math/big"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -312,6 +314,9 @@ func TestPlanMaxBatchNoOverflow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if p.MaxBatch() != MaxBatch {
+			t.Fatalf("%s: plan domain %d, want the global %d", n.Name, p.MaxBatch(), MaxBatch)
+		}
 		for _, seg := range p.segs {
 			x := new(big.Int).Mul(big.NewInt(seg.xPer), big.NewInt(MaxBatch))
 			x.Add(x, big.NewInt(seg.xConst))
@@ -324,6 +329,49 @@ func TestPlanMaxBatchNoOverflow(t *testing.T) {
 		}
 	}
 	t.Logf("largest driver at MaxBatch: %s", largest)
+}
+
+// TestPlanDomainMatchesShapeInference: a network too large for the global
+// MaxBatch gets a plan whose domain ends exactly where shape inference
+// starts refusing its counts. Inside the domain the plan equals the uncached
+// path; one past it both paths return an error instead of a wrapped
+// prediction.
+func TestPlanDomainMatchesShapeInference(t *testing.T) {
+	kw, err := FitKW(buildSampleDataset(t, false), "A100", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := dnn.New("wide", "custom", dnn.TaskImageClassification, dnn.Shape{3, 1 << 16, 1 << 16})
+	wide.Conv(dnn.NetworkInput, 3, 1<<20, 3, 1, 1)
+	p, err := kw.CompilePlan(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := p.MaxBatch()
+	if limit <= 1 || limit >= MaxBatch {
+		t.Fatalf("plan domain %d, want inside (1, %d)", limit, MaxBatch)
+	}
+	if err := wide.Clone().Infer(limit); err != nil {
+		t.Fatalf("Infer at the domain's end %d: %v", limit, err)
+	}
+	if err := wide.Clone().Infer(limit + 1); err == nil {
+		t.Fatalf("Infer one past the domain (%d) succeeded", limit+1)
+	}
+	got, err := kw.PredictNetwork(wide, limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := kw.PredictNetworkUncached(wide.Clone(), limit)
+	if err != nil || got != want {
+		t.Fatalf("at batch %d: plan %v, uncached %v (%v)", limit, got, want, err)
+	}
+	if _, err := kw.PredictNetwork(wide, limit+1); err == nil {
+		t.Fatalf("PredictNetwork at %d, past the domain, returned no error", limit+1)
+	}
+	if _, err := kw.PredictSweep(wide, []int{1, limit + 1}); err == nil ||
+		!strings.Contains(err.Error(), "exceeds the maximum "+strconv.Itoa(limit)) {
+		t.Fatalf("PredictSweep past the domain: err = %v", err)
+	}
 }
 
 // TestKWPlanConcurrent hammers one shared model from many goroutines (run

@@ -166,17 +166,6 @@ func TestPredictGridMatchesLoop(t *testing.T) {
 			}
 		}
 	}
-
-	tm := g.TimesForBatch(1)
-	row, ok := tm["A100"]
-	if !ok || len(row) != 2 {
-		t.Fatalf("TimesForBatch = %v", tm)
-	}
-	for j := range nets {
-		if row[j] != g.Seconds[0][j][1].Float64() {
-			t.Fatalf("TimesForBatch[%d] = %v, want %v", j, row[j], g.Seconds[0][j][1].Float64())
-		}
-	}
 }
 
 // TestPredictGridFirstErrorWins: errors must be deterministic — the first

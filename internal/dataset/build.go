@@ -247,7 +247,10 @@ func collectNetwork(p *profiler.Profiler, cl *cleaner, src *dnn.Network, devices
 		grid[di] = make([]*profiler.Trace, len(batches))
 	}
 	for bi, bs := range batches {
-		prep, err := p.Prepare(net, bs)
+		// Only the end-to-end record survives for the other batch sizes, so
+		// they skip the layer templates and the per-kernel trace.
+		detail := bs == opt.DetailBatchSize
+		prep, err := p.Prepare(net, bs, detail)
 		if err != nil {
 			res.err = err
 			return res
@@ -256,11 +259,9 @@ func collectNetwork(p *profiler.Profiler, cl *cleaner, src *dnn.Network, devices
 			p.Device = dev
 			var tr *profiler.Trace
 			var err error
-			if bs == opt.DetailBatchSize {
+			if detail {
 				tr, err = p.ProfilePrepared(prep)
 			} else {
-				// Only the end-to-end record survives for this batch size;
-				// skip assembling the per-kernel trace.
 				tr, err = p.ProfileE2EPrepared(prep)
 			}
 			if errors.Is(err, profiler.ErrOutOfMemory) {

@@ -224,35 +224,59 @@ func (d *Dataset) FilterGPU(gpuName string) *Dataset {
 
 // FilterNetworks returns the subset of records whose network name is in keep.
 func (d *Dataset) FilterNetworks(keep map[string]bool) *Dataset {
-	out := &Dataset{}
-	for _, r := range d.Networks {
-		if keep[r.Network] {
-			out.Networks = append(out.Networks, r)
+	return &d.partition(1, func(network string) int {
+		if keep[network] {
+			return 0
 		}
-	}
-	for _, r := range d.Layers {
-		if keep[r.Network] {
-			out.Layers = append(out.Layers, r)
-		}
-	}
-	for _, r := range d.Kernels {
-		if keep[r.Network] {
-			out.Kernels = append(out.Kernels, r)
-		}
-	}
-	return out
+		return -1
+	})[0]
 }
 
-// FilterTask returns the subset of network records (and their layer/kernel
-// records) whose task matches.
-func (d *Dataset) FilterTask(task string) *Dataset {
-	keep := map[string]bool{}
-	for _, r := range d.Networks {
-		if r.Task == task {
-			keep[r.Network] = true
+// partition distributes d's records among n parts by network name: side
+// maps a name to the index of the part its records join, or to a negative
+// value to drop them. Order is preserved within each part, and each part's
+// slices are allocated at their exact final size (a counting pass, then a
+// filling pass). Records arrive grouped by network, so side runs once per
+// change of network name rather than once per record.
+func (d *Dataset) partition(n int, side func(network string) int) []Dataset {
+	nets := partitionRecords(d.Networks, n, side, func(r *NetworkRecord) string { return r.Network })
+	lays := partitionRecords(d.Layers, n, side, func(r *LayerRecord) string { return r.Network })
+	kers := partitionRecords(d.Kernels, n, side, func(r *KernelRecord) string { return r.Network })
+	parts := make([]Dataset, n)
+	for i := range parts {
+		parts[i] = Dataset{Networks: nets[i], Layers: lays[i], Kernels: kers[i]}
+	}
+	return parts
+}
+
+// partitionRecords is partition for one record type: the records of each
+// run of equal network names are copied to their side's slice in one block.
+func partitionRecords[R any](recs []R, n int, side func(string) int, network func(*R) string) [][]R {
+	// forRuns calls f with each maximal run [lo, hi) of records sharing a
+	// network name and that name's side.
+	forRuns := func(f func(lo, hi, s int)) {
+		for lo := 0; lo < len(recs); {
+			name := network(&recs[lo])
+			hi := lo + 1
+			for hi < len(recs) && network(&recs[hi]) == name {
+				hi++
+			}
+			if s := side(name); s >= 0 {
+				f(lo, hi, s)
+			}
+			lo = hi
 		}
 	}
-	return d.FilterNetworks(keep)
+	counts := make([]int, n)
+	forRuns(func(lo, hi, s int) { counts[s] += hi - lo })
+	out := make([][]R, n)
+	for i, c := range counts {
+		if c > 0 { // an empty part keeps nil slices, like an empty Dataset
+			out[i] = make([]R, 0, c)
+		}
+	}
+	forRuns(func(lo, hi, s int) { out[s] = append(out[s], recs[lo:hi]...) })
+	return out
 }
 
 // Clean removes exact duplicate records, mirroring the paper's dataset
@@ -357,8 +381,8 @@ func (d *Dataset) SplitByNetwork(testFrac float64, seed int64) (train, test *Dat
 	sort.Strings(tasks)
 
 	rnd := rand.New(rand.NewSource(seed))
-	testSet := map[string]bool{}
-	trainSet := map[string]bool{}
+	const trainSide, testSide = 0, 1
+	sideOf := make(map[string]int, len(taskOf))
 	for _, t := range tasks {
 		names := byTask[t]
 		rnd.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
@@ -367,13 +391,21 @@ func (d *Dataset) SplitByNetwork(testFrac float64, seed int64) (train, test *Dat
 			nTest = 1
 		}
 		for _, n := range names[:nTest] {
-			testSet[n] = true
+			sideOf[n] = testSide
 		}
 		for _, n := range names[nTest:] {
-			trainSet[n] = true
+			sideOf[n] = trainSide
 		}
 	}
-	return d.FilterNetworks(trainSet), d.FilterNetworks(testSet)
+	// Layer and kernel records of a network with no network record have no
+	// side and are dropped.
+	parts := d.partition(2, func(network string) int {
+		if s, ok := sideOf[network]; ok {
+			return s
+		}
+		return -1
+	})
+	return &parts[trainSide], &parts[testSide]
 }
 
 // Summary describes the dataset sizes.

@@ -47,7 +47,7 @@ func mustTransformer(t *testing.T, name string) *dnn.Network {
 
 func TestAddTraceCounts(t *testing.T) {
 	net := zoo.MustResNet(18)
-	tr, err := profiler.NewFast(sim.NewDefault(gpu.A100), 2).Profile(net, 8)
+	tr, err := (&profiler.Profiler{Device: sim.NewDefault(gpu.A100), Warmup: 2, Batches: 2}).Profile(net, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,6 +241,97 @@ func TestSplitByNetwork(t *testing.T) {
 	}
 }
 
+// referenceFilter is the per-record filter the split must reproduce: every
+// record whose network is in keep, in order.
+func referenceFilter(ds *Dataset, keep map[string]bool) *Dataset {
+	out := &Dataset{}
+	for _, r := range ds.Networks {
+		if keep[r.Network] {
+			out.Networks = append(out.Networks, r)
+		}
+	}
+	for _, r := range ds.Layers {
+		if keep[r.Network] {
+			out.Layers = append(out.Layers, r)
+		}
+	}
+	for _, r := range ds.Kernels {
+		if keep[r.Network] {
+			out.Kernels = append(out.Kernels, r)
+		}
+	}
+	return out
+}
+
+// checkSplitMatchesReference splits ds and compares each side with the
+// reference filter over that side's network names.
+func checkSplitMatchesReference(t *testing.T, ds *Dataset) (train, test *Dataset) {
+	t.Helper()
+	train, test = ds.SplitByNetwork(0.34, 7)
+	for _, side := range []*Dataset{train, test} {
+		keep := map[string]bool{}
+		for _, n := range side.NetworkNames() {
+			keep[n] = true
+		}
+		want := referenceFilter(ds, keep)
+		if !reflect.DeepEqual(side, want) {
+			t.Fatalf("split side %v differs from the reference filter: %d/%d/%d records, want %d/%d/%d",
+				side.NetworkNames(), len(side.Networks), len(side.Layers), len(side.Kernels),
+				len(want.Networks), len(want.Layers), len(want.Kernels))
+		}
+		if cap(side.Networks) != len(side.Networks) || cap(side.Layers) != len(side.Layers) ||
+			cap(side.Kernels) != len(side.Kernels) {
+			t.Fatal("split slices are not sized exactly")
+		}
+	}
+	if len(train.NetworkNames())+len(test.NetworkNames()) != len(ds.NetworkNames()) {
+		t.Fatal("split loses networks")
+	}
+	return train, test
+}
+
+// TestSplitMatchesReferenceFilter checks the one-pass split against the
+// per-record reference on a two-GPU dataset merged per GPU, where each
+// network's records form two runs that are not adjacent.
+func TestSplitMatchesReferenceFilter(t *testing.T) {
+	opt := smallOpt()
+	parts, _, err := BuildPerGPU(smallNets(), []gpu.Spec{gpu.A100, gpu.V100}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := &Dataset{}
+	ds.Merge(parts[0])
+	ds.Merge(parts[1])
+	checkSplitMatchesReference(t, ds)
+}
+
+// TestSplitDropsOrphanRecords: layer and kernel records naming a network
+// with no network record belong to neither side of the split.
+func TestSplitDropsOrphanRecords(t *testing.T) {
+	ds := &Dataset{}
+	for i, name := range []string{"a", "b", "c", "d", "e", "f"} {
+		task := string(dnn.TaskImageClassification)
+		if i%2 == 1 {
+			task = string(dnn.TaskTextClassification)
+		}
+		ds.Networks = append(ds.Networks, NetworkRecord{Network: name, Task: task, GPU: "A100", BatchSize: 512})
+	}
+	// Orphan runs sit first, between named networks, and last.
+	for _, name := range []string{"orphan", "a", "b", "orphan", "c", "d", "e", "f", "ghost"} {
+		for li := 0; li < 3; li++ {
+			ds.Layers = append(ds.Layers, LayerRecord{Network: name, GPU: "A100", LayerIndex: li})
+			ds.Kernels = append(ds.Kernels,
+				KernelRecord{Network: name, GPU: "A100", LayerIndex: li, Kernel: "k0"},
+				KernelRecord{Network: name, GPU: "A100", LayerIndex: li, Kernel: "k1"})
+		}
+	}
+	train, test := checkSplitMatchesReference(t, ds)
+	if len(train.Layers)+len(test.Layers) != 6*3 || len(train.Kernels)+len(test.Kernels) != 6*6 {
+		t.Fatalf("split kept %d layer and %d kernel records, want 18 and 36",
+			len(train.Layers)+len(test.Layers), len(train.Kernels)+len(test.Kernels))
+	}
+}
+
 func TestFilters(t *testing.T) {
 	ds := smallBuild(t, []gpu.Spec{gpu.A100, gpu.V100})
 	a100 := ds.FilterGPU("A100")
@@ -251,16 +342,6 @@ func TestFilters(t *testing.T) {
 	}
 	if len(a100.Networks) == 0 || len(a100.Kernels) == 0 {
 		t.Fatal("FilterGPU dropped everything")
-	}
-
-	text := ds.FilterTask(string(dnn.TaskTextClassification))
-	for _, r := range text.Networks {
-		if !strings.HasPrefix(r.Network, "bert") {
-			t.Fatalf("text filter kept %q", r.Network)
-		}
-	}
-	if len(text.NetworkNames()) != 2 {
-		t.Fatalf("text networks = %v", text.NetworkNames())
 	}
 
 	keep := map[string]bool{"resnet18": true}

@@ -24,9 +24,12 @@ const (
 // LayerFLOPs returns the theoretical FLOPs of a layer at its inferred shapes.
 // The network must have been inferred (Network.Infer) first; layers with
 // un-inferred shapes return 0.
-func LayerFLOPs(l *Layer) int64 {
+func LayerFLOPs(l *Layer) int64 { return layerFLOPs(l).v }
+
+// layerFLOPs is LayerFLOPs with overflow tracking.
+func layerFLOPs(l *Layer) count {
 	if len(l.OutShape) == 0 {
-		return 0
+		return count{}
 	}
 	switch l.Kind {
 	case KindConv2D:
@@ -36,38 +39,38 @@ func LayerFLOPs(l *Layer) int64 {
 		}
 		// N · Cout · H' · W' · (Cin/g) · Kh · Kw
 		out := l.OutShape
-		return int64(out[0]) * int64(out[1]) * int64(out[2]) * int64(out[3]) *
-			int64(l.Cin/g) * int64(l.KH) * int64(l.KW)
+		return count{v: int64(out[0])}.times(int64(out[1])).times(int64(out[2])).times(int64(out[3])).
+			times(int64(l.Cin / g)).times(int64(l.KH)).times(int64(l.KW))
 
 	case KindLinear:
 		// Every position in the output multiplies an InFeatures-long vector.
-		return l.OutShape.Numel() * int64(l.InFeatures)
+		return l.OutShape.numel().times(int64(l.InFeatures))
 
 	case KindBatchNorm:
-		return l.OutShape.Numel() * flopsPerElemBN
+		return l.OutShape.numel().times(flopsPerElemBN)
 
 	case KindLayerNorm:
-		return l.OutShape.Numel() * flopsPerElemLN
+		return l.OutShape.numel().times(flopsPerElemLN)
 
 	case KindReLU, KindReLU6, KindSigmoid:
-		return l.OutShape.Numel() * flopsPerElemAct
+		return l.OutShape.numel().times(flopsPerElemAct)
 
 	case KindGELU:
-		return l.OutShape.Numel() * flopsPerElemGELU
+		return l.OutShape.numel().times(flopsPerElemGELU)
 
 	case KindSoftmax:
-		return l.OutShape.Numel() * flopsPerElemSoftmax
+		return l.OutShape.numel().times(flopsPerElemSoftmax)
 
 	case KindMaxPool2D, KindAvgPool2D:
 		// One comparison/accumulate per window element per output element.
-		return l.OutShape.Numel() * int64(l.KH) * int64(l.KW)
+		return l.OutShape.numel().times(int64(l.KH)).times(int64(l.KW))
 
 	case KindGlobalAvgPool:
 		// One accumulate per input element.
-		return l.InShape.Numel()
+		return l.InShape.numel()
 
 	case KindAdd:
-		return l.OutShape.Numel() * flopsPerElemAdd
+		return l.OutShape.numel().times(flopsPerElemAdd)
 
 	case KindMatMul:
 		// Per head: (T × d) · (d × T) or (T × T) · (T × d); both cost T·T·d
@@ -80,27 +83,29 @@ func LayerFLOPs(l *Layer) int64 {
 		} else {
 			d = int64(l.InShapes[1][2]) / int64(l.Heads)
 		}
-		return n * int64(l.Heads) * t * t * d
-
-	case KindConcat, KindFlatten, KindDropout, KindChannelShuffle,
-		KindEmbedding, KindReshapeTokens, KindIdentity:
-		// Data-movement-only layers: zero arithmetic by the thop convention.
-		return 0
+		return count{v: n}.times(int64(l.Heads)).times(t).times(t).times(d)
 	}
-	return 0
+	// Data-movement-only layers (Concat, Flatten, Dropout, ChannelShuffle,
+	// Embedding, ReshapeTokens, Identity): zero arithmetic by the thop
+	// convention.
+	return count{}
 }
 
 // TotalFLOPs returns the sum of LayerFLOPs over the whole network at its
-// inferred batch size. It returns an error if shapes are not inferred.
+// inferred batch size. It returns an error if shapes are not inferred or the
+// sum overflows int64.
 func (n *Network) TotalFLOPs() (int64, error) {
 	if n.batch == 0 {
 		return 0, fmt.Errorf("dnn: network %q: TotalFLOPs requires Infer", n.Name)
 	}
-	var total int64
+	var total count
 	for _, l := range n.Layers {
-		total += LayerFLOPs(l)
+		total = total.plus(layerFLOPs(l))
 	}
-	return total, nil
+	if total.overflow() {
+		return 0, fmt.Errorf("dnn: network %q: total FLOPs at batch %d overflow int64", n.Name, n.batch)
+	}
+	return total.v, nil
 }
 
 // FLOPsAt is a convenience that infers the network at the given batch size

@@ -107,27 +107,52 @@ func (l *Layer) HasWeights() bool {
 }
 
 // WeightCount returns the number of learned scalar parameters of the layer.
-func (l *Layer) WeightCount() int64 {
+func (l *Layer) WeightCount() int64 { return l.weightCount().v }
+
+// weightCount is WeightCount with overflow tracking.
+func (l *Layer) weightCount() count {
 	switch l.Kind {
 	case KindConv2D:
 		g := l.Groups
 		if g == 0 {
 			g = 1
 		}
-		return int64(l.Cout) * int64(l.Cin/g) * int64(l.KH) * int64(l.KW)
+		return count{v: int64(l.Cout)}.times(int64(l.Cin / g)).times(int64(l.KH)).times(int64(l.KW))
 	case KindLinear:
-		return int64(l.InFeatures)*int64(l.OutFeatures) + int64(l.OutFeatures)
+		return count{v: int64(l.InFeatures)}.times(int64(l.OutFeatures)).plus(count{v: int64(l.OutFeatures)})
 	case KindBatchNorm, KindLayerNorm:
 		// scale + shift per channel/feature.
 		c := l.InShape.Channels()
 		if l.Kind == KindLayerNorm && l.InShape.Rank() >= 1 {
 			c = l.InShape[len(l.InShape)-1]
 		}
-		return 2 * int64(c)
+		return count{v: 2}.times(int64(c))
 	case KindEmbedding:
-		return int64(l.VocabSize) * int64(l.EmbedDim)
+		return count{v: int64(l.VocabSize)}.times(int64(l.EmbedDim))
 	}
-	return 0
+	return count{}
+}
+
+// checkCounts rejects an inferred layer whose element, parameter or FLOP
+// counts leave int64. Everything downstream — FLOPs, kernel drivers,
+// compiled plans — is exact int64 arithmetic on these counts, so a wrapped
+// one would silently turn into a garbage prediction.
+func (l *Layer) checkCounts() error {
+	var in count
+	for _, s := range l.InShapes {
+		in = in.plus(s.numel())
+	}
+	switch {
+	case in.overflow():
+		return fmt.Errorf("input element count overflows int64")
+	case l.OutShape.numel().overflow():
+		return fmt.Errorf("output shape %s: element count overflows int64", l.OutShape)
+	case l.weightCount().overflow():
+		return fmt.Errorf("parameter count overflows int64")
+	case layerFLOPs(l).overflow():
+		return fmt.Errorf("FLOP count overflows int64")
+	}
+	return nil
 }
 
 // Signature is a structural key identifying the layer's problem instance:

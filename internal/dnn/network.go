@@ -212,6 +212,9 @@ func (n *Network) Infer(batch int) error {
 		l.InShape = ins[0]
 		l.InShapes = ins
 		l.OutShape = out
+		if err := l.checkCounts(); err != nil {
+			return fmt.Errorf("dnn: network %q: layer %d (%q) at batch %d: %w", n.Name, i, l.Name, batch, err)
+		}
 	}
 	n.batch = batch
 	return nil
@@ -222,7 +225,8 @@ func (n *Network) Infer(batch int) error {
 // and shape allocation Infer repeats on every call. It is exact: every layer
 // kind's output shape is (batch, batch-invariant dims...), so the rewrite
 // produces bit-identical shapes to a fresh Infer at the same batch size
-// (TestRebatchMatchesInfer proves this over the full zoo). A network that
+// (TestRebatchMatchesInfer proves this over the full zoo), and it rejects
+// the same overflowing element, parameter and FLOP counts. A network that
 // has never been inferred falls through to Infer for its validation.
 func (n *Network) Rebatch(batch int) error {
 	if batch <= 0 {
@@ -234,8 +238,11 @@ func (n *Network) Rebatch(batch int) error {
 	if n.batch == batch {
 		return nil
 	}
-	for _, l := range n.Layers {
+	for i, l := range n.Layers {
 		l.Rebatch(batch)
+		if err := l.checkCounts(); err != nil {
+			return fmt.Errorf("dnn: network %q: layer %d (%q) at batch %d: %w", n.Name, i, l.Name, batch, err)
+		}
 	}
 	n.batch = batch
 	return nil
@@ -432,13 +439,25 @@ func (n *Network) Validate() error { return n.Infer(1) }
 // original. Callers that need shapes run Infer on the clone.
 func (n *Network) Clone() *Network {
 	c := New(n.Name, n.Family, n.Task, n.InputShape)
+	// One allocation holds every layer and one every input list: dataset
+	// collection clones every network it profiles.
+	layers := make([]Layer, len(n.Layers))
+	nIn := 0
 	for _, l := range n.Layers {
-		lc := *l
-		lc.Inputs = append([]int(nil), l.Inputs...)
+		nIn += len(l.Inputs)
+	}
+	inputs := make([]int, 0, nIn)
+	c.Layers = make([]*Layer, 0, len(n.Layers))
+	for i, l := range n.Layers {
+		lc := &layers[i]
+		*lc = *l
+		start := len(inputs)
+		inputs = append(inputs, l.Inputs...)
+		lc.Inputs = inputs[start:len(inputs):len(inputs)]
 		lc.InShape = nil
 		lc.InShapes = nil
 		lc.OutShape = nil
-		c.Add(&lc)
+		c.Add(lc)
 	}
 	return c
 }

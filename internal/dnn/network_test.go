@@ -129,6 +129,56 @@ func TestInferErrors(t *testing.T) {
 	})
 }
 
+// TestInferRejectsCountOverflow: shape inference refuses a layer whose
+// element, parameter or FLOP count leaves int64 at the inferred batch, and
+// Rebatch applies the same check.
+func TestInferRejectsCountOverflow(t *testing.T) {
+	const maxInt32 = 1<<31 - 1
+	huge := New("huge", "Test", TaskImageClassification, Shape{maxInt32, maxInt32, maxInt32})
+	huge.ReLU(NetworkInput)
+	wide := New("wide", "Test", TaskImageClassification, Shape{3, 1 << 16, 1 << 16})
+	wide.Conv(NetworkInput, 3, 1<<20, 3, 1, 1)
+	fat := New("fat", "Test", TaskImageClassification, Shape{1 << 32})
+	fat.Linear(NetworkInput, 1<<32, 1<<32)
+	cases := []struct {
+		n     *Network
+		batch int
+		want  string
+	}{
+		{huge, 1, "element count overflows"},
+		{wide, 100, "FLOP count overflows"},
+		{fat, 1, "parameter count overflows"},
+	}
+	for _, c := range cases {
+		err := c.n.Infer(c.batch)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s at batch %d: err = %v, want %q", c.n.Name, c.batch, err, c.want)
+		}
+	}
+
+	// The wide convolution fits at batch 1 (its FLOPs are 27·2^52), so it
+	// infers there; Rebatch to 100 must refuse what Infer refuses.
+	if err := wide.Infer(1); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := wide.TotalFLOPs(); err != nil || f != 27<<52 {
+		t.Fatalf("TotalFLOPs = %d, %v; want %d", f, err, int64(27)<<52)
+	}
+	if err := wide.Rebatch(100); err == nil || !strings.Contains(err.Error(), "FLOP count overflows") {
+		t.Fatalf("Rebatch(100): err = %v, want a FLOP overflow", err)
+	}
+
+	// Two layers of 2^62 FLOPs each infer, but their total does not fit.
+	twin := New("twin", "Test", TaskImageClassification, Shape{1 << 31, 1 << 31})
+	twin.ReLU(twin.ReLU(NetworkInput))
+	if err := twin.Infer(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.TotalFLOPs(); err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("TotalFLOPs: err = %v, want an overflow", err)
+	}
+}
+
 func TestLayerValidate(t *testing.T) {
 	bad := []*Layer{
 		{Kind: KindConv2D, Inputs: []int{NetworkInput}, Cin: 3, Cout: 4, KH: 3, KW: 3, Stride: 1, Groups: 0},

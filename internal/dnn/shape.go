@@ -14,6 +14,7 @@ package dnn
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -26,15 +27,47 @@ type Shape []int
 
 // Numel returns the total number of elements described by the shape.
 // An empty shape has zero elements.
-func (s Shape) Numel() int64 {
+func (s Shape) Numel() int64 { return s.numel().v }
+
+// numel is Numel with overflow tracking.
+func (s Shape) numel() count {
 	if len(s) == 0 {
-		return 0
+		return count{}
 	}
-	n := int64(1)
+	n := count{v: 1}
 	for _, d := range s {
-		n *= int64(d)
+		n = n.times(int64(d))
 	}
 	return n
+}
+
+// count is a non-negative int64 count that remembers whether its exact value
+// ever left int64. Its v is the wrapped two's-complement result either way,
+// so the unchecked accessors (Numel, LayerFLOPs, WeightCount) keep their
+// values; shape inference rejects layers whose counts overflowed. The flag
+// is accumulated without branches: these products run for every layer of
+// every inference.
+type count struct {
+	v   int64
+	ovf uint64 // non-zero once the exact value left int64
+}
+
+func (c count) overflow() bool { return c.ovf != 0 }
+
+// times multiplies by a non-negative factor. The exact product fits in int64
+// iff the high word of the 128-bit product is zero and the low word's top
+// bit is clear; a negative factor reads as a huge unsigned one and fails the
+// same test.
+func (c count) times(x int64) count {
+	hi, lo := bits.Mul64(uint64(c.v), uint64(x))
+	return count{v: int64(lo), ovf: c.ovf | hi | lo>>63}
+}
+
+// plus adds a non-negative count; for non-negative operands the sum left
+// int64 iff it wrapped negative.
+func (c count) plus(o count) count {
+	sum := c.v + o.v
+	return count{v: sum, ovf: c.ovf | o.ovf | uint64(sum)>>63}
 }
 
 // Rank returns the number of dimensions.

@@ -104,32 +104,137 @@ func SelectConvAlgorithm(l *dnn.Layer) ConvAlgorithm {
 	}
 }
 
-// gemmTile buckets a GEMM-shaped problem into a tile-size variant, the way
-// cuDNN dispatches different SASS kernels by problem size.
-func gemmTile(m, nCols int64) string {
+// tile is a GEMM tile-size variant: cuDNN dispatches a different SASS
+// kernel per problem-size bucket.
+type tile uint8
+
+// Tile variants, largest first.
+const (
+	tile256x128 tile = iota
+	tile128x128
+	tile128x64
+	tile64x64
+	tile64x32
+	tile32x32
+	numTiles
+)
+
+// tileSuffix is each variant's kernel-name suffix.
+var tileSuffix = [numTiles]string{"256x128", "128x128", "128x64", "64x64", "64x32", "32x32"}
+
+// gemmTile buckets a GEMM-shaped problem into a tile-size variant.
+func gemmTile(m, nCols int64) tile {
 	switch {
 	case m >= 256 && nCols >= 128:
-		return "256x128"
+		return tile256x128
 	case m >= 128 && nCols >= 128:
-		return "128x128"
+		return tile128x128
 	case m >= 128 && nCols >= 64:
-		return "128x64"
+		return tile128x64
 	case m >= 64 && nCols >= 64:
-		return "64x64"
+		return tile64x64
 	case m >= 64 && nCols >= 32:
-		return "64x32"
+		return tile64x32
 	default:
-		return "32x32"
+		return tile32x32
 	}
+}
+
+// tileNames is one tiled kernel family's name per tile variant.
+type tileNames [numTiles]string
+
+// tiled builds a family's names once, at package init, so enumeration picks
+// a name by index instead of concatenating one per launch.
+func tiled(prefix string) *tileNames {
+	var t tileNames
+	for i, s := range tileSuffix {
+		t[i] = prefix + s
+	}
+	return &t
+}
+
+// Tiled kernel families, forward and backward.
+var (
+	sgemmNames           = tiled("sgemm_")
+	sgemmBwdDataNames    = tiled("sgemm_bwd_data_")
+	sgemmBwdFilterNames  = tiled("sgemm_bwd_filter_")
+	groupedGEMMNames     = tiled("grouped_gemm_")
+	implicitGEMMNames    = tiled("implicit_gemm_")
+	winogradGEMMNames    = tiled("winograd_gemm_")
+	fftCGEMMNames        = tiled("fft_cgemm_")
+	batchedGEMMNTNames   = tiled("batched_gemm_nt_")
+	batchedGEMMNNNames   = tiled("batched_gemm_nn_")
+	batchedGEMMBwdANames = tiled("batched_gemm_bwd_a_")
+	batchedGEMMBwdBNames = tiled("batched_gemm_bwd_b_")
+	convGradNames        = func() map[ConvAlgorithm][2]*tileNames {
+		m := make(map[ConvAlgorithm][2]*tileNames)
+		for _, a := range []ConvAlgorithm{AlgoDirect, AlgoImplicitGEMM, AlgoWinograd, AlgoFFT, AlgoDepthwise, AlgoGroupedGEMM} {
+			m[a] = [2]*tileNames{tiled("conv_dgrad_" + string(a) + "_"), tiled("conv_wgrad_" + string(a) + "_")}
+		}
+		return m
+	}()
+)
+
+// Direct and depthwise convolution names carry the filter size (and, for
+// depthwise, the stride). The zoo uses only 3×3 filters at strides 1 and 2;
+// the table covers filters up to maxNamedFilter and strides up to
+// maxNamedStride, and only an inline spec beyond them formats its name.
+const maxNamedFilter, maxNamedStride = 11, 4
+
+var (
+	directConvNames    [maxNamedFilter + 1]string
+	depthwiseConvNames [maxNamedFilter + 1][maxNamedStride + 1]string
+)
+
+func init() {
+	for k := range directConvNames {
+		directConvNames[k] = fmt.Sprintf("direct_conv_k%d", k)
+		for s := range depthwiseConvNames[k] {
+			depthwiseConvNames[k][s] = fmt.Sprintf("depthwise_conv_k%d_s%d", k, s)
+		}
+	}
+}
+
+func directConvName(k int) string {
+	if k >= 0 && k <= maxNamedFilter {
+		return directConvNames[k]
+	}
+	return fmt.Sprintf("direct_conv_k%d", k)
+}
+
+func depthwiseConvName(k, s int) string {
+	if k >= 0 && k <= maxNamedFilter && s >= 0 && s <= maxNamedStride {
+		return depthwiseConvNames[k][s]
+	}
+	return fmt.Sprintf("depthwise_conv_k%d_s%d", k, s)
+}
+
+// activationNames returns an activation kind's forward and backward
+// elementwise kernel names.
+func activationNames(k dnn.Kind) (fwd, bwd string) {
+	switch k {
+	case dnn.KindReLU:
+		return "elementwise_relu", "elementwise_relu_bwd"
+	case dnn.KindReLU6:
+		return "elementwise_relu6", "elementwise_relu6_bwd"
+	case dnn.KindSigmoid:
+		return "elementwise_sigmoid", "elementwise_sigmoid_bwd"
+	case dnn.KindGELU:
+		return "elementwise_gelu", "elementwise_gelu_bwd"
+	}
+	return "elementwise_op", "elementwise_op_bwd"
 }
 
 // elemBytes is the FP32 element size.
 const elemBytes = 4
 
-// ForLayer returns the kernel sequence a cuDNN-like library dispatches for
-// the layer. The layer must have inferred shapes. Layers that lower to pure
-// views (Flatten, Dropout at inference, Identity) return no kernels.
-func ForLayer(l *dnn.Layer) []Kernel {
+// layerInfo holds the layer-level quantities every kernel of a layer
+// carries, computed once per layer.
+type layerInfo struct {
+	inElems, outElems, flops, weightBytes int64
+}
+
+func infoOf(l *dnn.Layer) layerInfo {
 	inElems := int64(0)
 	for _, s := range l.InShapes {
 		inElems += s.Numel()
@@ -137,181 +242,178 @@ func ForLayer(l *dnn.Layer) []Kernel {
 	if inElems == 0 {
 		inElems = l.InShape.Numel()
 	}
-	outElems := l.OutShape.Numel()
-	layerFLOPs := dnn.LayerFLOPs(l)
-	weightBytes := dnn.LayerWeightBytes(l)
+	return layerInfo{
+		inElems:     inElems,
+		outElems:    l.OutShape.Numel(),
+		flops:       dnn.LayerFLOPs(l),
+		weightBytes: dnn.LayerWeightBytes(l),
+	}
+}
 
-	base := Kernel{
-		LayerFLOPs:       layerFLOPs,
-		LayerInputElems:  inElems,
-		LayerOutputElems: outElems,
+// kernel builds one launch of the layer.
+func (li *layerInfo) kernel(name string, class Class, flops, read, written int64) Kernel {
+	return Kernel{
+		Name: name, Class: class,
+		FLOPs: flops, BytesRead: read, BytesWritten: written,
+		LayerFLOPs: li.flops, LayerInputElems: li.inElems, LayerOutputElems: li.outElems,
 	}
-	mk := func(name string, class Class, flops, read, written int64) Kernel {
-		k := base
-		k.Name = name
-		k.Class = class
-		k.FLOPs = flops
-		k.BytesRead = read
-		k.BytesWritten = written
-		return k
+}
+
+// ForLayer returns the kernel sequence a cuDNN-like library dispatches for
+// the layer. The layer must have inferred shapes. Layers that lower to pure
+// views (Flatten, Dropout at inference, Identity) return no kernels.
+func ForLayer(l *dnn.Layer) []Kernel {
+	li := infoOf(l)
+	return appendForward(nil, l, &li)
+}
+
+// ForNetwork returns the concatenated kernel sequence of every layer, paired
+// with the producing layer index. The network must have inferred shapes.
+func ForNetwork(n *dnn.Network) ([]Kernel, []int) { return AppendNetwork(nil, nil, n, false) }
+
+// AppendNetwork appends a network's launch sequence to ks and each launch's
+// producing layer index to layerIdx, and returns both extended slices. With
+// training false the sequence is one forward pass; with training true it is
+// one training step: the forward pass, then every layer's backward and
+// optimizer kernels in reverse layer order, as autograd executes them. The
+// network must have inferred shapes. Kernel names come from package tables,
+// so enumerating into buffers with enough capacity allocates nothing.
+func AppendNetwork(ks []Kernel, layerIdx []int, n *dnn.Network, training bool) ([]Kernel, []int) {
+	for i, l := range n.Layers {
+		li := infoOf(l)
+		before := len(ks)
+		ks = appendForward(ks, l, &li)
+		for range ks[before:] {
+			layerIdx = append(layerIdx, i)
+		}
 	}
+	if training {
+		for i := len(n.Layers) - 1; i >= 0; i-- {
+			l := n.Layers[i]
+			li := infoOf(l)
+			before := len(ks)
+			ks = appendBackward(ks, l, &li)
+			for range ks[before:] {
+				layerIdx = append(layerIdx, i)
+			}
+		}
+	}
+	return ks, layerIdx
+}
+
+// appendForward appends the layer's forward kernels to dst.
+func appendForward(dst []Kernel, l *dnn.Layer, li *layerInfo) []Kernel {
+	inBytes := li.inElems * elemBytes
+	outBytes := li.outElems * elemBytes
 
 	switch l.Kind {
 	case dnn.KindConv2D:
-		return convKernels(l, base, mk, inElems, outElems, layerFLOPs, weightBytes)
+		return appendConv(dst, l, li)
 
 	case dnn.KindLinear:
 		// GEMM: (rows = batch·positions) × (cols = OutFeatures).
-		rows := outElems / int64(l.OutFeatures)
-		tile := gemmTile(rows, int64(l.OutFeatures))
-		ks := []Kernel{
-			mk("sgemm_"+tile, ClassOperation, layerFLOPs,
-				inElems*elemBytes+weightBytes, outElems*elemBytes),
-			mk("add_bias", ClassOutput, outElems,
-				outElems*elemBytes, outElems*elemBytes),
-		}
-		return ks
+		rows := li.outElems / int64(l.OutFeatures)
+		t := gemmTile(rows, int64(l.OutFeatures))
+		return append(dst,
+			li.kernel(sgemmNames[t], ClassOperation, li.flops, inBytes+li.weightBytes, outBytes),
+			li.kernel("add_bias", ClassOutput, li.outElems, outBytes, outBytes))
 
 	case dnn.KindBatchNorm:
-		return []Kernel{mk("bn_fwd_inference", ClassInput, layerFLOPs,
-			inElems*elemBytes, outElems*elemBytes)}
+		return append(dst, li.kernel("bn_fwd_inference", ClassInput, li.flops, inBytes, outBytes))
 
 	case dnn.KindLayerNorm:
-		return []Kernel{mk("layernorm_fwd", ClassInput, layerFLOPs,
-			inElems*elemBytes, outElems*elemBytes)}
+		return append(dst, li.kernel("layernorm_fwd", ClassInput, li.flops, inBytes, outBytes))
 
 	case dnn.KindReLU, dnn.KindReLU6, dnn.KindSigmoid, dnn.KindGELU:
-		name := fmt.Sprintf("elementwise_%s", kindSlug(l.Kind))
-		return []Kernel{mk(name, ClassOutput, layerFLOPs,
-			inElems*elemBytes, outElems*elemBytes)}
+		name, _ := activationNames(l.Kind)
+		return append(dst, li.kernel(name, ClassOutput, li.flops, inBytes, outBytes))
 
 	case dnn.KindSoftmax:
-		return []Kernel{mk("softmax_fwd", ClassOutput, layerFLOPs,
-			inElems*elemBytes, outElems*elemBytes)}
+		return append(dst, li.kernel("softmax_fwd", ClassOutput, li.flops, inBytes, outBytes))
 
-	case dnn.KindMaxPool2D, dnn.KindAvgPool2D:
-		name := "pooling_fwd_max"
-		if l.Kind == dnn.KindAvgPool2D {
-			name = "pooling_fwd_avg"
-		}
-		return []Kernel{mk(name, ClassInput, layerFLOPs,
-			inElems*elemBytes, outElems*elemBytes)}
+	case dnn.KindMaxPool2D:
+		return append(dst, li.kernel("pooling_fwd_max", ClassInput, li.flops, inBytes, outBytes))
+
+	case dnn.KindAvgPool2D:
+		return append(dst, li.kernel("pooling_fwd_avg", ClassInput, li.flops, inBytes, outBytes))
 
 	case dnn.KindGlobalAvgPool:
-		return []Kernel{mk("reduce_spatial_avg", ClassInput, layerFLOPs,
-			inElems*elemBytes, outElems*elemBytes)}
+		return append(dst, li.kernel("reduce_spatial_avg", ClassInput, li.flops, inBytes, outBytes))
 
 	case dnn.KindAdd:
-		return []Kernel{mk("elementwise_add", ClassOutput, layerFLOPs,
-			inElems*elemBytes, outElems*elemBytes)}
+		return append(dst, li.kernel("elementwise_add", ClassOutput, li.flops, inBytes, outBytes))
 
 	case dnn.KindConcat:
-		return []Kernel{mk("cat_copy", ClassOutput, 0,
-			inElems*elemBytes, outElems*elemBytes)}
+		return append(dst, li.kernel("cat_copy", ClassOutput, 0, inBytes, outBytes))
 
 	case dnn.KindChannelShuffle:
-		return []Kernel{mk("channel_shuffle_copy", ClassOutput, 0,
-			inElems*elemBytes, outElems*elemBytes)}
+		return append(dst, li.kernel("channel_shuffle_copy", ClassOutput, 0, inBytes, outBytes))
 
 	case dnn.KindEmbedding:
-		return []Kernel{mk("embedding_lookup", ClassOutput, 0,
-			outElems*elemBytes, // gathers one row per token
-			outElems*elemBytes)}
+		// Gathers one row per token.
+		return append(dst, li.kernel("embedding_lookup", ClassOutput, 0, outBytes, outBytes))
 
 	case dnn.KindMatMul:
 		// Batched attention GEMM; bucket by per-head matrix sizes.
-		t := int64(l.InShapes[0][1])
-		tile := gemmTile(t, t)
-		name := "batched_gemm_nt_" + tile
+		tl := int64(l.InShapes[0][1])
+		names := batchedGEMMNTNames
 		if !l.TransposeB {
-			name = "batched_gemm_nn_" + tile
+			names = batchedGEMMNNNames
 		}
-		return []Kernel{mk(name, ClassOperation, layerFLOPs,
-			inElems*elemBytes, outElems*elemBytes)}
-
-	case dnn.KindFlatten, dnn.KindDropout, dnn.KindReshapeTokens, dnn.KindIdentity:
-		return nil
+		return append(dst, li.kernel(names[gemmTile(tl, tl)], ClassOperation, li.flops, inBytes, outBytes))
 	}
-	return nil
+	// Flatten, Dropout, ReshapeTokens and Identity are views: no kernels.
+	return dst
 }
 
-// convKernels lowers a convolution through its selected algorithm.
-func convKernels(l *dnn.Layer, base Kernel,
-	mk func(string, Class, int64, int64, int64) Kernel,
-	inElems, outElems, layerFLOPs, weightBytes int64) []Kernel {
-
-	algo := SelectConvAlgorithm(l)
-	inBytes := inElems * elemBytes
-	outBytes := outElems * elemBytes
+// appendConv appends a convolution's kernels, lowered through its selected
+// algorithm.
+func appendConv(dst []Kernel, l *dnn.Layer, li *layerInfo) []Kernel {
+	inBytes := li.inElems * elemBytes
+	outBytes := li.outElems * elemBytes
 	// GEMM view of the convolution: rows = N·H'·W', cols = Cout.
-	rows := outElems / int64(l.Cout)
-	tile := gemmTile(rows, int64(l.Cout))
+	t := gemmTile(li.outElems/int64(l.Cout), int64(l.Cout))
 
-	switch algo {
+	switch SelectConvAlgorithm(l) {
 	case AlgoDepthwise:
-		name := fmt.Sprintf("depthwise_conv_k%d_s%d", l.KH, l.Stride)
-		return []Kernel{mk(name, ClassOperation, layerFLOPs,
-			inBytes+weightBytes, outBytes)}
+		return append(dst, li.kernel(depthwiseConvName(l.KH, l.Stride), ClassOperation, li.flops,
+			inBytes+li.weightBytes, outBytes))
 
 	case AlgoGroupedGEMM:
-		return []Kernel{mk("grouped_gemm_"+tile, ClassOperation, layerFLOPs,
-			inBytes+weightBytes, outBytes)}
+		return append(dst, li.kernel(groupedGEMMNames[t], ClassOperation, li.flops,
+			inBytes+li.weightBytes, outBytes))
 
 	case AlgoImplicitGEMM:
 		// 1×1 and generic implicit GEMM: a single fused main kernel, plus an
 		// im2col-style pre-pass only for spatial kernels.
-		var ks []Kernel
 		if l.KH > 1 || l.KW > 1 {
 			patch := int64(l.KH * l.KW)
-			ks = append(ks, mk("im2col", ClassInput, 0,
-				inBytes, inBytes*patch))
+			dst = append(dst, li.kernel("im2col", ClassInput, 0, inBytes, inBytes*patch))
 		}
-		ks = append(ks, mk("implicit_gemm_"+tile, ClassOperation, layerFLOPs,
-			inBytes+weightBytes, outBytes))
-		return ks
+		return append(dst, li.kernel(implicitGEMMNames[t], ClassOperation, li.flops,
+			inBytes+li.weightBytes, outBytes))
 
 	case AlgoWinograd:
 		// F(2×2, 3×3): 2.25× multiplication reduction on the main GEMM.
-		mainFLOPs := layerFLOPs * 4 / 9
-		return []Kernel{
-			mk("winograd_input_transform", ClassInput, inElems*2,
+		return append(dst,
+			li.kernel("winograd_input_transform", ClassInput, li.inElems*2,
 				inBytes, inBytes*4), // 16/4 tile expansion
-			mk("winograd_gemm_"+tile, ClassOperation, mainFLOPs,
-				inBytes*4+weightBytes*16/9, outBytes*4),
-			mk("winograd_output_transform", ClassOutput, outElems*2,
-				outBytes*4, outBytes),
-		}
+			li.kernel(winogradGEMMNames[t], ClassOperation, li.flops*4/9,
+				inBytes*4+li.weightBytes*16/9, outBytes*4),
+			li.kernel("winograd_output_transform", ClassOutput, li.outElems*2,
+				outBytes*4, outBytes))
 
 	case AlgoFFT:
-		return []Kernel{
-			mk("fft_r2c_plan", ClassInput, inElems*4,
-				inBytes, inBytes*2),
-			mk("fft_cgemm_"+tile, ClassOperation, layerFLOPs/2,
-				inBytes*2+weightBytes*2, outBytes*2),
-			mk("fft_c2r_inverse", ClassOutput, outElems*4,
-				outBytes*2, outBytes),
-		}
+		return append(dst,
+			li.kernel("fft_r2c_plan", ClassInput, li.inElems*4, inBytes, inBytes*2),
+			li.kernel(fftCGEMMNames[t], ClassOperation, li.flops/2,
+				inBytes*2+li.weightBytes*2, outBytes*2),
+			li.kernel("fft_c2r_inverse", ClassOutput, li.outElems*4, outBytes*2, outBytes))
 
 	default: // AlgoDirect
-		name := fmt.Sprintf("direct_conv_k%d", l.KH)
-		return []Kernel{mk(name, ClassOperation, layerFLOPs,
-			inBytes+weightBytes, outBytes)}
+		return append(dst, li.kernel(directConvName(l.KH), ClassOperation, li.flops,
+			inBytes+li.weightBytes, outBytes))
 	}
-}
-
-// kindSlug lowers a layer kind to a kernel-name fragment.
-func kindSlug(k dnn.Kind) string {
-	switch k {
-	case dnn.KindReLU:
-		return "relu"
-	case dnn.KindReLU6:
-		return "relu6"
-	case dnn.KindSigmoid:
-		return "sigmoid"
-	case dnn.KindGELU:
-		return "gelu"
-	}
-	return "op"
 }
 
 // BatchBreakpoints returns the batch sizes at which the layer's kernel
@@ -343,20 +445,4 @@ func BatchBreakpoints(l *dnn.Layer) []int {
 		}
 	}
 	return bps
-}
-
-// ForNetwork returns the concatenated kernel sequence of every layer, paired
-// with the producing layer index. The network must have inferred shapes.
-func ForNetwork(n *dnn.Network) ([]Kernel, []int) {
-	// Most layers dispatch one to three kernels; presizing for two avoids
-	// nearly all append-growth copying over a full-network enumeration.
-	ks := make([]Kernel, 0, 2*len(n.Layers))
-	layerIdx := make([]int, 0, 2*len(n.Layers))
-	for i, l := range n.Layers {
-		for _, k := range ForLayer(l) {
-			ks = append(ks, k)
-			layerIdx = append(layerIdx, i)
-		}
-	}
-	return ks, layerIdx
 }

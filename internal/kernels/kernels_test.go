@@ -142,7 +142,7 @@ func TestGemmTileBuckets(t *testing.T) {
 		{300, 128, "256x128"},
 	}
 	for _, tt := range tests {
-		if got := gemmTile(tt.m, tt.n); got != tt.want {
+		if got := tileSuffix[gemmTile(tt.m, tt.n)]; got != tt.want {
 			t.Errorf("gemmTile(%d, %d) = %q, want %q", tt.m, tt.n, got, tt.want)
 		}
 	}
@@ -214,6 +214,27 @@ func TestDeterministicSelection(t *testing.T) {
 	for i := range ka {
 		if ka[i] != kb[i] {
 			t.Fatalf("kernel %d differs: %+v vs %+v", i, ka[i], kb[i])
+		}
+	}
+}
+
+// TestAppendNetworkAllocFree: every kernel name comes from a package table
+// or constant, so enumerating a zoo-sample network — a forward pass or a
+// training step — into buffers with enough capacity allocates nothing.
+func TestAppendNetworkAllocFree(t *testing.T) {
+	builders := zoo.FullBuilders()
+	for i := 0; i < len(builders); i += 6 {
+		n := builders[i]()
+		if err := n.Infer(512); err != nil {
+			t.Fatal(err)
+		}
+		for _, training := range []bool{false, true} {
+			ks, idx := AppendNetwork(nil, nil, n, training)
+			if allocs := testing.AllocsPerRun(5, func() {
+				ks, idx = AppendNetwork(ks[:0], idx[:0], n, training)
+			}); allocs != 0 {
+				t.Fatalf("%s (training %t): %v allocs per enumeration, want 0", n.Name, training, allocs)
+			}
 		}
 	}
 }

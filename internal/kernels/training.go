@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"fmt"
-
-	"repro/internal/dnn"
-)
+import "repro/internal/dnn"
 
 // Training-mode kernel generation — the paper's stated future work ("our
 // future work will focus on extending our models for more diverse workloads
@@ -25,172 +21,103 @@ import (
 // ForLayerTraining returns the kernels of one training step for a layer:
 // the forward sequence followed by the backward and optimizer kernels.
 func ForLayerTraining(l *dnn.Layer) []Kernel {
-	ks := ForLayer(l)
-	ks = append(ks, backwardKernels(l)...)
-	if l.HasWeights() {
-		ks = append(ks, optimizerKernel(l))
-	}
-	return ks
-}
-
-// backwardKernels lowers a layer's gradient computation.
-func backwardKernels(l *dnn.Layer) []Kernel {
-	inElems := int64(0)
-	for _, s := range l.InShapes {
-		inElems += s.Numel()
-	}
-	if inElems == 0 {
-		inElems = l.InShape.Numel()
-	}
-	outElems := l.OutShape.Numel()
-	layerFLOPs := dnn.LayerFLOPs(l)
-	weightBytes := dnn.LayerWeightBytes(l)
-	inBytes := inElems * elemBytes
-	outBytes := outElems * elemBytes
-
-	base := Kernel{
-		LayerFLOPs:       layerFLOPs,
-		LayerInputElems:  inElems,
-		LayerOutputElems: outElems,
-	}
-	mk := func(name string, class Class, flops, read, written int64) Kernel {
-		k := base
-		k.Name = name
-		k.Class = class
-		k.FLOPs = flops
-		k.BytesRead = read
-		k.BytesWritten = written
-		return k
-	}
-
-	switch l.Kind {
-	case dnn.KindConv2D:
-		algo := SelectConvAlgorithm(l)
-		rows := outElems / int64(l.Cout)
-		tile := gemmTile(rows, int64(l.Cout))
-		slug := string(algo)
-		// dgrad reads the output gradient and weights, writes the input
-		// gradient; wgrad reads input and output gradient, writes the
-		// filter gradient. Both cost about one forward pass.
-		return []Kernel{
-			mk(fmt.Sprintf("conv_dgrad_%s_%s", slug, tile), ClassOperation, layerFLOPs,
-				outBytes+weightBytes, inBytes),
-			mk(fmt.Sprintf("conv_wgrad_%s_%s", slug, tile), ClassOperation, layerFLOPs,
-				inBytes+outBytes, weightBytes),
-		}
-
-	case dnn.KindLinear:
-		rows := outElems / int64(l.OutFeatures)
-		tile := gemmTile(rows, int64(l.InFeatures))
-		return []Kernel{
-			mk("sgemm_bwd_data_"+tile, ClassOperation, layerFLOPs,
-				outBytes+weightBytes, inBytes),
-			mk("sgemm_bwd_filter_"+tile, ClassOperation, layerFLOPs,
-				inBytes+outBytes, weightBytes),
-		}
-
-	case dnn.KindBatchNorm:
-		return []Kernel{mk("bn_bwd", ClassInput, 4*inElems,
-			2*inBytes, inBytes)}
-
-	case dnn.KindLayerNorm:
-		return []Kernel{mk("layernorm_bwd", ClassInput, 6*inElems,
-			2*inBytes, inBytes)}
-
-	case dnn.KindReLU, dnn.KindReLU6, dnn.KindSigmoid, dnn.KindGELU:
-		return []Kernel{mk("elementwise_"+kindSlug(l.Kind)+"_bwd", ClassOutput, outElems,
-			2*outBytes, outBytes)}
-
-	case dnn.KindSoftmax:
-		return []Kernel{mk("softmax_bwd", ClassOutput, 3*outElems,
-			2*outBytes, outBytes)}
-
-	case dnn.KindMaxPool2D, dnn.KindAvgPool2D:
-		name := "pooling_bwd_max"
-		if l.Kind == dnn.KindAvgPool2D {
-			name = "pooling_bwd_avg"
-		}
-		return []Kernel{mk(name, ClassInput, inElems,
-			outBytes+inBytes, inBytes)}
-
-	case dnn.KindGlobalAvgPool:
-		return []Kernel{mk("reduce_spatial_bwd", ClassInput, inElems,
-			outBytes, inBytes)}
-
-	case dnn.KindAdd:
-		// Gradient passes through; a copy per branch.
-		return []Kernel{mk("elementwise_add_bwd", ClassOutput, 0,
-			outBytes, inBytes)}
-
-	case dnn.KindConcat:
-		return []Kernel{mk("cat_split_bwd", ClassOutput, 0,
-			outBytes, inBytes)}
-
-	case dnn.KindChannelShuffle:
-		return []Kernel{mk("channel_shuffle_bwd", ClassOutput, 0,
-			outBytes, outBytes)}
-
-	case dnn.KindEmbedding:
-		// Scatter-add of token gradients into the embedding table.
-		return []Kernel{mk("embedding_scatter_bwd", ClassOutput, outElems,
-			outBytes, outBytes)}
-
-	case dnn.KindMatMul:
-		t := int64(l.InShapes[0][1])
-		tile := gemmTile(t, t)
-		return []Kernel{
-			mk("batched_gemm_bwd_a_"+tile, ClassOperation, layerFLOPs,
-				outBytes+inBytes/2, inBytes/2),
-			mk("batched_gemm_bwd_b_"+tile, ClassOperation, layerFLOPs,
-				outBytes+inBytes/2, inBytes/2),
-		}
-
-	case dnn.KindFlatten, dnn.KindDropout, dnn.KindReshapeTokens, dnn.KindIdentity:
-		return nil
-	}
-	return nil
-}
-
-// optimizerKernel is the per-layer SGD parameter update.
-func optimizerKernel(l *dnn.Layer) Kernel {
-	w := l.WeightCount()
-	return Kernel{
-		Name:             "sgd_update",
-		Class:            ClassOutput,
-		FLOPs:            2 * w, // momentum + update
-		BytesRead:        2 * w * elemBytes,
-		BytesWritten:     w * elemBytes,
-		LayerFLOPs:       dnn.LayerFLOPs(l),
-		LayerInputElems:  w, // the driver of an optimizer kernel is the parameter count
-		LayerOutputElems: w,
-	}
+	li := infoOf(l)
+	return appendBackward(appendForward(nil, l, &li), l, &li)
 }
 
 // ForNetworkTraining returns the full training-step kernel sequence of a
 // network (forward, backward, optimizer), paired with producing layer
 // indices. Backward kernels are emitted in reverse layer order, as autograd
 // executes them.
-func ForNetworkTraining(n *dnn.Network) ([]Kernel, []int) {
-	var ks []Kernel
-	var layerIdx []int
-	// Forward.
-	for i, l := range n.Layers {
-		for _, k := range ForLayer(l) {
-			ks = append(ks, k)
-			layerIdx = append(layerIdx, i)
-		}
+func ForNetworkTraining(n *dnn.Network) ([]Kernel, []int) { return AppendNetwork(nil, nil, n, true) }
+
+// appendBackward appends the layer's gradient kernels, then its optimizer
+// update if it has weights, to dst.
+func appendBackward(dst []Kernel, l *dnn.Layer, li *layerInfo) []Kernel {
+	dst = appendGradients(dst, l, li)
+	if l.HasWeights() {
+		// The per-layer SGD update; the driver of an optimizer kernel is the
+		// parameter count.
+		w := l.WeightCount()
+		dst = append(dst, Kernel{
+			Name:             "sgd_update",
+			Class:            ClassOutput,
+			FLOPs:            2 * w, // momentum + update
+			BytesRead:        2 * w * elemBytes,
+			BytesWritten:     w * elemBytes,
+			LayerFLOPs:       li.flops,
+			LayerInputElems:  w,
+			LayerOutputElems: w,
+		})
 	}
-	// Backward, reversed.
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		l := n.Layers[i]
-		for _, k := range backwardKernels(l) {
-			ks = append(ks, k)
-			layerIdx = append(layerIdx, i)
-		}
-		if l.HasWeights() {
-			ks = append(ks, optimizerKernel(l))
-			layerIdx = append(layerIdx, i)
-		}
+	return dst
+}
+
+// appendGradients appends the kernels of the layer's gradient computation.
+func appendGradients(dst []Kernel, l *dnn.Layer, li *layerInfo) []Kernel {
+	inBytes := li.inElems * elemBytes
+	outBytes := li.outElems * elemBytes
+
+	switch l.Kind {
+	case dnn.KindConv2D:
+		t := gemmTile(li.outElems/int64(l.Cout), int64(l.Cout))
+		names := convGradNames[SelectConvAlgorithm(l)]
+		// dgrad reads the output gradient and weights, writes the input
+		// gradient; wgrad reads input and output gradient, writes the
+		// filter gradient. Both cost about one forward pass.
+		return append(dst,
+			li.kernel(names[0][t], ClassOperation, li.flops, outBytes+li.weightBytes, inBytes),
+			li.kernel(names[1][t], ClassOperation, li.flops, inBytes+outBytes, li.weightBytes))
+
+	case dnn.KindLinear:
+		t := gemmTile(li.outElems/int64(l.OutFeatures), int64(l.InFeatures))
+		return append(dst,
+			li.kernel(sgemmBwdDataNames[t], ClassOperation, li.flops, outBytes+li.weightBytes, inBytes),
+			li.kernel(sgemmBwdFilterNames[t], ClassOperation, li.flops, inBytes+outBytes, li.weightBytes))
+
+	case dnn.KindBatchNorm:
+		return append(dst, li.kernel("bn_bwd", ClassInput, 4*li.inElems, 2*inBytes, inBytes))
+
+	case dnn.KindLayerNorm:
+		return append(dst, li.kernel("layernorm_bwd", ClassInput, 6*li.inElems, 2*inBytes, inBytes))
+
+	case dnn.KindReLU, dnn.KindReLU6, dnn.KindSigmoid, dnn.KindGELU:
+		_, name := activationNames(l.Kind)
+		return append(dst, li.kernel(name, ClassOutput, li.outElems, 2*outBytes, outBytes))
+
+	case dnn.KindSoftmax:
+		return append(dst, li.kernel("softmax_bwd", ClassOutput, 3*li.outElems, 2*outBytes, outBytes))
+
+	case dnn.KindMaxPool2D:
+		return append(dst, li.kernel("pooling_bwd_max", ClassInput, li.inElems, outBytes+inBytes, inBytes))
+
+	case dnn.KindAvgPool2D:
+		return append(dst, li.kernel("pooling_bwd_avg", ClassInput, li.inElems, outBytes+inBytes, inBytes))
+
+	case dnn.KindGlobalAvgPool:
+		return append(dst, li.kernel("reduce_spatial_bwd", ClassInput, li.inElems, outBytes, inBytes))
+
+	case dnn.KindAdd:
+		// Gradient passes through; a copy per branch.
+		return append(dst, li.kernel("elementwise_add_bwd", ClassOutput, 0, outBytes, inBytes))
+
+	case dnn.KindConcat:
+		return append(dst, li.kernel("cat_split_bwd", ClassOutput, 0, outBytes, inBytes))
+
+	case dnn.KindChannelShuffle:
+		return append(dst, li.kernel("channel_shuffle_bwd", ClassOutput, 0, outBytes, outBytes))
+
+	case dnn.KindEmbedding:
+		// Scatter-add of token gradients into the embedding table.
+		return append(dst, li.kernel("embedding_scatter_bwd", ClassOutput, li.outElems, outBytes, outBytes))
+
+	case dnn.KindMatMul:
+		tl := int64(l.InShapes[0][1])
+		t := gemmTile(tl, tl)
+		return append(dst,
+			li.kernel(batchedGEMMBwdANames[t], ClassOperation, li.flops, outBytes+inBytes/2, inBytes/2),
+			li.kernel(batchedGEMMBwdBNames[t], ClassOperation, li.flops, outBytes+inBytes/2, inBytes/2))
 	}
-	return ks, layerIdx
+	// Views have no gradient kernels.
+	return dst
 }

@@ -21,7 +21,7 @@ func TestPreparedReplayMatchesProfile(t *testing.T) {
 	devB := sim.NewDefault(gpu.V100)
 
 	p := &Profiler{Warmup: 2, Batches: 4}
-	prep, err := p.Prepare(net, 8)
+	prep, err := p.Prepare(net, 8, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPreparedReplayMatchesProfile(t *testing.T) {
 func TestProfileE2EPreparedMatchesDetail(t *testing.T) {
 	net := zoo.MustResNet(18)
 	p := &Profiler{Device: sim.NewDefault(gpu.A100), Warmup: 2, Batches: 4}
-	prep, err := p.Prepare(net, 8)
+	prep, err := p.Prepare(net, 8, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +80,40 @@ func TestProfileE2EPreparedMatchesDetail(t *testing.T) {
 	}
 }
 
+// TestE2EOnlyPreparedRefusesDetail: a Prepared built without layer
+// templates replays the identical end-to-end simulation, and the detail
+// path refuses it with an error instead of returning a trace with no
+// layers.
+func TestE2EOnlyPreparedRefusesDetail(t *testing.T) {
+	net := zoo.MustResNet(18)
+	p := &Profiler{Device: sim.NewDefault(gpu.A100), Warmup: 2, Batches: 4}
+	full, err := p.Prepare(net, 8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.ProfileE2EPrepared(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2eOnly, err := p.Prepare(net, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e2eOnly.Kernels() != full.Kernels() {
+		t.Fatalf("launch count %d, want %d", e2eOnly.Kernels(), full.Kernels())
+	}
+	got, err := p.ProfileE2EPrepared(e2eOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("end-to-end trace differs without layer templates:\n%+v\n%+v", got, want)
+	}
+	if tr, err := p.ProfilePrepared(e2eOnly); err == nil {
+		t.Fatalf("detail trace from a Prepared without layer templates: %d layers, want an error", len(tr.Layers))
+	}
+}
+
 // TestProfileMetricsSuccessOnly: profiler_profiles_total counts completed
 // profiles only; failed preparation and OOM runs land in their own counters.
 func TestProfileMetricsSuccessOnly(t *testing.T) {
@@ -87,7 +121,7 @@ func TestProfileMetricsSuccessOnly(t *testing.T) {
 	failures := metricProfileFailures.Value()
 	ooms := metricProfileOOMs.Value()
 
-	p := NewFast(sim.NewDefault(gpu.A100), 2)
+	p := &Profiler{Device: sim.NewDefault(gpu.A100), Warmup: 2, Batches: 2}
 	if _, err := p.Profile(zoo.MustResNet(18), 8); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +141,7 @@ func TestProfileMetricsSuccessOnly(t *testing.T) {
 		t.Fatalf("failures_total moved by %d, want 1", got)
 	}
 
-	oom := NewFast(sim.NewDefault(gpu.QuadroP620), 2)
+	oom := &Profiler{Device: sim.NewDefault(gpu.QuadroP620), Warmup: 2, Batches: 2}
 	if _, err := oom.Profile(zoo.MustVGG(16, false), 512); err == nil {
 		t.Fatal("expected OOM")
 	}
@@ -124,7 +158,7 @@ func TestProfileMetricsSuccessOnly(t *testing.T) {
 // size with the reduced measurement protocol.
 func BenchmarkProfile(b *testing.B) {
 	net := zoo.MustResNet(50)
-	p := NewFast(sim.NewDefault(gpu.A100), 8)
+	p := &Profiler{Device: sim.NewDefault(gpu.A100), Warmup: 2, Batches: 8}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"repro/internal/dnn"
@@ -146,8 +147,14 @@ type Profiler struct {
 	// generator's whole state, so reuse is exact, not approximate).
 	rnd *rand.Rand
 
-	// dedup is Prepare's reusable kernel→unique-index scratch map.
-	dedup map[kernels.Kernel]int32
+	// ks and layerIdx hold the launch list Prepare enumerates, dedup maps
+	// each launch to its distinct-kernel index, and first holds each
+	// distinct kernel's first launch. All four are scratch reused across
+	// Prepare calls: a Prepared keeps only the distinct kernels.
+	ks       []kernels.Kernel
+	layerIdx []int
+	dedup    map[kernels.Kernel]int32
+	first    []int32
 }
 
 // baseTimeKey memoizes BaseKernelTime per (device, kernel invocation).
@@ -160,12 +167,6 @@ type baseTimeKey struct {
 // (20 warm-up batches, 30 measured batches).
 func New(dev *sim.Device) *Profiler {
 	return &Profiler{Device: dev, Warmup: 20, Batches: 30}
-}
-
-// NewFast returns a profiler with a reduced measurement count for tests and
-// large dataset sweeps; averages are noisier but unbiased.
-func NewFast(dev *sim.Device, batches int) *Profiler {
-	return &Profiler{Device: dev, Warmup: 2, Batches: batches}
 }
 
 // seedFor derives a deterministic RNG seed per (network, GPU, batch, mode)
@@ -197,10 +198,11 @@ func seedFor(net, gpuName string, batch int, training bool) int64 {
 
 // Prepared is the device-independent half of profiling one (network, batch
 // size) pair: shape inference, FLOP counting, kernel enumeration, memory
-// footprint and layer templates. One Prepared can be executed on any number
-// of devices via ProfilePrepared — the dataset builder prepares each batch
-// size once and replays it across GPUs. It snapshots everything it needs, so
-// it stays valid after the network is re-inferred at another batch size.
+// footprint and, for detail traces, layer templates. One Prepared can be
+// executed on any number of devices via ProfilePrepared — the dataset
+// builder prepares each batch size once and replays it across GPUs. It
+// snapshots everything it needs, so it stays valid after the network is
+// re-inferred at another batch size.
 type Prepared struct {
 	name       string
 	family     string
@@ -210,28 +212,31 @@ type Prepared struct {
 	totalFLOPs int64
 	footprint  int64
 
-	ks       []kernels.Kernel
-	layerIdx []int
-	// uniq holds the distinct kernel invocations of ks, and uniqIdx maps each
-	// launch to its entry (ks[i] == uniq[uniqIdx[i]]). Networks relaunch the
-	// same invocation heavily (residual blocks repeat shapes), so per-device
-	// base-time resolution hashes each distinct kernel once instead of once
-	// per launch.
+	// uniq holds the distinct kernel invocations of one execution, and
+	// uniqIdx maps each launch, in launch order, to its entry. Networks
+	// relaunch the same invocation heavily (residual blocks repeat shapes),
+	// so per-device base-time resolution hashes each distinct kernel once
+	// instead of once per launch, and the launch list itself is never kept.
 	uniq    []kernels.Kernel
 	uniqIdx []int32
-	// layers holds per-layer templates with nil Kernels; layerKernels counts
-	// each layer's dispatches so trace assembly can presize exactly.
+	// layerIdx maps each launch to its producing layer, layers holds
+	// per-layer templates with nil Kernels, and layerKernels counts each
+	// layer's dispatches so trace assembly can presize exactly. Only detail
+	// traces read them, so an end-to-end-only Prepared leaves all three nil.
+	layerIdx     []int
 	layers       []LayerRecord
 	layerKernels []int
 }
 
 // Kernels reports how many kernel launches one execution dispatches.
-func (pr *Prepared) Kernels() int { return len(pr.ks) }
+func (pr *Prepared) Kernels() int { return len(pr.uniqIdx) }
 
 // Prepare computes the device-independent work of profiling the network at
 // the given batch size. The network is (re-)shape-inferred at that batch
-// size; the returned Prepared snapshots the result.
-func (p *Profiler) Prepare(n *dnn.Network, batch int) (*Prepared, error) {
+// size; the returned Prepared snapshots the result. detail selects whether
+// it carries the layer templates ProfilePrepared needs; an end-to-end-only
+// Prepared skips building them and serves only ProfileE2EPrepared.
+func (p *Profiler) Prepare(n *dnn.Network, batch int, detail bool) (*Prepared, error) {
 	if err := n.Infer(batch); err != nil {
 		metricProfileFailures.Inc()
 		return nil, err
@@ -250,11 +255,40 @@ func (p *Profiler) Prepare(n *dnn.Network, batch int) (*Prepared, error) {
 		totalFLOPs: totalFLOPs,
 	}
 	if p.Training {
-		prep.ks, prep.layerIdx = kernels.ForNetworkTraining(n)
 		prep.footprint = sim.TrainingFootprint(n)
 	} else {
-		prep.ks, prep.layerIdx = kernels.ForNetwork(n)
 		prep.footprint = sim.InferenceFootprint(n)
+	}
+	p.ks, p.layerIdx = kernels.AppendNetwork(p.ks[:0], p.layerIdx[:0], n, p.Training)
+
+	prep.uniqIdx = make([]int32, len(p.ks))
+	if p.dedup == nil {
+		p.dedup = make(map[kernels.Kernel]int32, len(p.ks))
+	} else {
+		clear(p.dedup)
+	}
+	p.first = p.first[:0]
+	for i := range p.ks {
+		u, ok := p.dedup[p.ks[i]]
+		if !ok {
+			u = int32(len(p.first))
+			p.dedup[p.ks[i]] = u
+			p.first = append(p.first, int32(i))
+		}
+		prep.uniqIdx[i] = u
+	}
+	prep.uniq = make([]kernels.Kernel, len(p.first))
+	for u, i := range p.first {
+		prep.uniq[u] = p.ks[i]
+	}
+	if !detail {
+		return prep, nil
+	}
+
+	prep.layerIdx = slices.Clone(p.layerIdx)
+	prep.layerKernels = make([]int, len(n.Layers))
+	for _, li := range prep.layerIdx {
+		prep.layerKernels[li]++
 	}
 	prep.layers = make([]LayerRecord, len(n.Layers))
 	for i, l := range n.Layers {
@@ -272,26 +306,6 @@ func (p *Profiler) Prepare(n *dnn.Network, batch int) (*Prepared, error) {
 			OutputElems: l.OutShape.Numel(),
 		}
 	}
-	prep.layerKernels = make([]int, len(n.Layers))
-	for _, li := range prep.layerIdx {
-		prep.layerKernels[li]++
-	}
-	prep.uniqIdx = make([]int32, len(prep.ks))
-	if p.dedup == nil {
-		p.dedup = make(map[kernels.Kernel]int32, len(prep.ks))
-	} else {
-		clear(p.dedup)
-	}
-	at := p.dedup
-	for i, k := range prep.ks {
-		u, ok := at[k]
-		if !ok {
-			u = int32(len(prep.uniq))
-			at[k] = u
-			prep.uniq = append(prep.uniq, k)
-		}
-		prep.uniqIdx[i] = u
-	}
 	return prep, nil
 }
 
@@ -299,7 +313,7 @@ func (p *Profiler) Prepare(n *dnn.Network, batch int) (*Prepared, error) {
 // trace. The network is (re-)shape-inferred at that batch size. Runs whose
 // memory footprint exceeds the device return ErrOutOfMemory.
 func (p *Profiler) Profile(n *dnn.Network, batch int) (*Trace, error) {
-	prep, err := p.Prepare(n, batch)
+	prep, err := p.Prepare(n, batch, true)
 	if err != nil {
 		return nil, err
 	}
@@ -308,8 +322,13 @@ func (p *Profiler) Profile(n *dnn.Network, batch int) (*Trace, error) {
 
 // ProfilePrepared executes a prepared (network, batch size) on the
 // profiler's current device and returns its trace. Runs whose memory
-// footprint exceeds the device return ErrOutOfMemory.
+// footprint exceeds the device return ErrOutOfMemory. The Prepared must
+// carry layer templates (Prepare with detail set).
 func (p *Profiler) ProfilePrepared(prep *Prepared) (*Trace, error) {
+	if prep.layers == nil {
+		return nil, fmt.Errorf("profiler: %s at batch %d was prepared without layer templates; a detail trace needs them",
+			prep.name, prep.batch)
+	}
 	return p.run(prep, true)
 }
 
@@ -332,8 +351,8 @@ func (p *Profiler) run(prep *Prepared, detail bool) (*Trace, error) {
 			ErrOutOfMemory, prep.name, prep.batch, p.Device.GPU.Name)
 	}
 
-	ks := prep.ks
-	base := growScratch(&p.base, len(ks))
+	launches := len(prep.uniqIdx)
+	base := growScratch(&p.base, launches)
 	if p.baseTimes == nil {
 		p.baseTimes = make(map[baseTimeKey]float64, 4*len(prep.uniq))
 	}
@@ -374,7 +393,7 @@ func (p *Profiler) run(prep *Prepared, detail bool) (*Trace, error) {
 		// math.Exp on each discarded draw is skipped — measured output is
 		// bit-identical.
 		for b := 0; b < p.Warmup; b++ {
-			for range ks {
+			for range launches {
 				rnd.NormFloat64()
 			}
 		}
@@ -384,10 +403,10 @@ func (p *Profiler) run(prep *Prepared, detail bool) (*Trace, error) {
 	if batches <= 0 {
 		batches = 1
 	}
-	noisy := growScratch(&p.noisy, len(ks))
+	noisy := growScratch(&p.noisy, launches)
 	var sumDur []float64
 	if detail {
-		sumDur = growScratch(&p.sumDur, len(ks))
+		sumDur = growScratch(&p.sumDur, launches)
 		for i := range sumDur {
 			sumDur[i] = 0
 		}
@@ -396,18 +415,18 @@ func (p *Profiler) run(prep *Prepared, detail bool) (*Trace, error) {
 	for b := 0; b < batches; b++ {
 		switch {
 		case sigma > 0 && detail:
-			for i := range ks {
+			for i := range noisy {
 				noisy[i] = base[i] * math.Exp(rnd.NormFloat64()*sigma)
 				sumDur[i] += noisy[i]
 			}
 		case sigma > 0:
-			for i := range ks {
+			for i := range noisy {
 				noisy[i] = base[i] * math.Exp(rnd.NormFloat64()*sigma)
 			}
 		case detail:
 			// Noise-free devices still run the per-batch summation so the
 			// averages below divide the same accumulated sums either way.
-			for i := range ks {
+			for i := range noisy {
 				noisy[i] = base[i]
 				sumDur[i] += base[i]
 			}
@@ -438,7 +457,7 @@ func (p *Profiler) run(prep *Prepared, detail bool) (*Trace, error) {
 	// gets a zero-length slice over its disjoint region, so the launch-order
 	// append loop below never reallocates even though training-pass layer
 	// indices are not monotone.
-	backing := make([]KernelEvent, len(ks))
+	backing := make([]KernelEvent, launches)
 	off := 0
 	for i, c := range prep.layerKernels {
 		tr.Layers[i].Kernels = backing[off : off : off+c]
@@ -446,17 +465,19 @@ func (p *Profiler) run(prep *Prepared, detail bool) (*Trace, error) {
 	}
 
 	var cursor float64
-	for i, k := range ks {
+	for i, u := range prep.uniqIdx {
 		avg := sumDur[i] / float64(batches)
+		k := &prep.uniq[u]
+		li := prep.layerIdx[i]
 		ev := KernelEvent{
 			Name:       k.Name,
-			LayerIndex: prep.layerIdx[i],
+			LayerIndex: li,
 			Start:      cursor,
 			Duration:   avg,
-			Kernel:     k,
+			Kernel:     *k,
 		}
 		cursor += avg
-		lr := &tr.Layers[prep.layerIdx[i]]
+		lr := &tr.Layers[li]
 		lr.Kernels = append(lr.Kernels, ev)
 		lr.Duration += avg
 		tr.KernelSum += avg

@@ -15,7 +15,7 @@ import (
 func profileResNet18(t *testing.T, g gpu.Spec, batch int) *Trace {
 	t.Helper()
 	net := zoo.MustResNet(18)
-	tr, err := NewFast(sim.NewDefault(g), 5).Profile(net, batch)
+	tr, err := (&Profiler{Device: sim.NewDefault(g), Warmup: 2, Batches: 5}).Profile(net, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestDifferentBatchDifferentSeed(t *testing.T) {
 
 func TestOutOfMemory(t *testing.T) {
 	net := zoo.MustVGG(16, false)
-	_, err := NewFast(sim.NewDefault(gpu.QuadroP620), 2).Profile(net, 512)
+	_, err := (&Profiler{Device: sim.NewDefault(gpu.QuadroP620), Warmup: 2, Batches: 2}).Profile(net, 512)
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
@@ -120,16 +120,16 @@ func TestAveragingReducesNoise(t *testing.T) {
 
 	// Noise-free reference: σ = 0 device.
 	quiet := sim.New(gpu.A100, sim.Config{NoiseSigma: -1})
-	ref, err := NewFast(quiet, 1).Profile(net, 8)
+	ref, err := (&Profiler{Device: quiet, Warmup: 2, Batches: 1}).Profile(net, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	few, err := NewFast(dev, 2).Profile(net, 8)
+	few, err := (&Profiler{Device: dev, Warmup: 2, Batches: 2}).Profile(net, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := NewFast(dev, 60).Profile(net, 8)
+	many, err := (&Profiler{Device: dev, Warmup: 2, Batches: 60}).Profile(net, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,32 +125,6 @@ func r2(x, y []float64, slope, intercept float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// Pearson returns the Pearson correlation coefficient of (x, y), or 0 when
-// either variable has zero variance.
-func Pearson(x, y []float64) float64 {
-	if len(x) != len(y) || len(x) < 2 {
-		return 0
-	}
-	n := float64(len(x))
-	var sx, sy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, syy, sxy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
 // RelativeErrors returns |pred-actual|/actual for each pair, skipping pairs
 // with non-positive actuals.
 func RelativeErrors(pred, actual []float64) []float64 {

@@ -107,22 +107,6 @@ func TestFitLogLog(t *testing.T) {
 	}
 }
 
-func TestPearson(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	if got := Pearson(x, []float64{2, 4, 6, 8}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("perfect positive: %v", got)
-	}
-	if got := Pearson(x, []float64{8, 6, 4, 2}); math.Abs(got+1) > 1e-12 {
-		t.Errorf("perfect negative: %v", got)
-	}
-	if got := Pearson(x, []float64{5, 5, 5, 5}); got != 0 {
-		t.Errorf("zero variance: %v", got)
-	}
-	if got := Pearson(x[:1], []float64{1}); got != 0 {
-		t.Errorf("too few points: %v", got)
-	}
-}
-
 func TestRelativeErrors(t *testing.T) {
 	got := RelativeErrors([]float64{11, 9, 5}, []float64{10, 10, 0})
 	if len(got) != 2 {

@@ -8,8 +8,9 @@
 #                         allocfree, goroleak, httpcontract
 #   3. go test -race    — the full suite under the race detector
 #   4. fuzz             — each fuzz target (FuzzLoad, FuzzFamilyOf,
-#                         FuzzReadNetworksCSV, FuzzParseTraceparent) runs
-#                         5s of generated inputs past its seed corpus
+#                         FuzzReadNetworksCSV, FuzzParseTraceparent,
+#                         FuzzPredictBatchBody) runs 5s of generated inputs
+#                         past its seed corpus
 #   5. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
 #                         then a 2-replica fleet: routing, 429 backpressure,
 #                         whole-fleet graceful drain
@@ -48,6 +49,7 @@ fuzz FuzzLoad ./internal/core
 fuzz FuzzFamilyOf ./internal/core
 fuzz FuzzReadNetworksCSV ./internal/dataset
 fuzz FuzzParseTraceparent ./internal/obs
+fuzz FuzzPredictBatchBody ./cmd/dnnperf
 
 echo "== serve smoke test"
 ./scripts/serve_smoke.sh
