@@ -14,8 +14,9 @@ import (
 // handler tests' fitted server. The handler must never panic and must answer
 // 200, 400, 404, 413 or 422; a 200 must carry one finite, positive
 // predicted_ms per requested batch. Seeds are a serve-novel-shaped spec, a
-// zoo network, each error status and the two inline specs whose counts
-// overflow int64 (within and past shape inference).
+// zoo network, each error status, the two inline specs whose counts
+// overflow int64 (within and past shape inference) and the bodies at the
+// edge of the one-pass decoder's canonical subset.
 func FuzzPredictBatchBody(f *testing.F) {
 	f.Add(`{"network_spec":{"name":"nas-1-0","input_shape":[3,64,64],"layers":[` +
 		`{"kind":"Conv2D","cin":3,"cout":32,"kh":3,"kw":3,"stride":2,"pad":1},{"kind":"BatchNorm"},{"kind":"ReLU"},` +
@@ -32,6 +33,9 @@ func FuzzPredictBatchBody(f *testing.F) {
 	f.Add(`{"network":"resnet50","batches":[1],"pad":"` + strings.Repeat("x", maxBatchBody) + `"}`)     // 413
 	f.Add(wideConvSpec)
 	f.Add(hugeInputSpec)
+	for _, body := range edgeBodies {
+		f.Add(body)
+	}
 
 	h := fittedServer(f).handler()
 	f.Fuzz(func(t *testing.T, body string) {

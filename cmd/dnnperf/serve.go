@@ -69,9 +69,8 @@ import (
 // parameters are read straight from the raw query string, the network is
 // resolved through a sharded cache, the prediction comes off the compiled
 // plan, and the response is rendered by hand into a pooled buffer.
-// /predict/batch additionally coalesces identical concurrent sweeps: requests
-// for the same (network fingerprint, batches) join the in-flight computation
-// instead of repeating it.
+// /predict/batch reads its POST body once and decodes it in one pass (see
+// decodeBatchBody).
 
 // Serve-layer metrics.
 var (
@@ -85,8 +84,6 @@ var (
 		"Successful predictions served (one per batch size on /predict/batch).")
 	metricServeBatchRequests = obs.Default().Counter("serve_batch_requests_total",
 		"Requests to /predict/batch.")
-	metricServeCoalesced = obs.Default().Counter("serve_coalesced_requests_total",
-		"Sweep requests that joined an identical in-flight computation instead of starting their own.")
 	metricServe5xx = obs.Default().Counter("serve_request_5xx_total",
 		"HTTP requests answered with a 5xx status (the SLO availability bad-event count).")
 )
@@ -128,14 +125,6 @@ func (k netKey) Hash() uint64 {
 	return h
 }
 
-// sweepFlight is one in-flight batch sweep; joiners wait on done and share
-// the (read-only) result.
-type sweepFlight struct {
-	done chan struct{}
-	out  []units.Seconds
-	err  error
-}
-
 // server holds the serving state: the lab (for networks), the device, and
 // the versioned model registry the warm-up fit publishes into.
 type server struct {
@@ -160,16 +149,12 @@ type server struct {
 	// slo tracks availability and latency burn rates over the serve-layer
 	// request counters and latency histogram.
 	slo *obs.SLOTracker
-
-	mu       sync.Mutex
-	inflight map[string]*sweepFlight
 }
 
 func newServer(l *bench.Lab, g gpu.Spec) *server {
 	s := &server{
 		lab: l, gpu: g, start: time.Now(),
 		reg:      registry.New(),
-		inflight: map[string]*sweepFlight{},
 		tracer:   obs.NewTracer(),
 		procName: "replica",
 	}
@@ -649,11 +634,12 @@ type batchRequest struct {
 	Batches     []int      `json:"batches"`
 }
 
-// validKinds is the layer-kind vocabulary accepted in inline specs.
-var validKinds = func() map[dnn.Kind]bool {
-	m := make(map[dnn.Kind]bool)
+// validKinds is the layer-kind vocabulary accepted in inline specs, keyed
+// by name. The body decoder also interns kind strings through it.
+var validKinds = func() map[string]dnn.Kind {
+	m := make(map[string]dnn.Kind)
 	for _, k := range dnn.Kinds() {
-		m[k] = true
+		m[string(k)] = k
 	}
 	return m
 }()
@@ -672,8 +658,8 @@ func networkFromSpec(spec *batchSpec) (*dnn.Network, error) {
 	}
 	n := dnn.New(name, "custom", dnn.TaskImageClassification, dnn.Shape(spec.InputShape))
 	for i, ls := range spec.Layers {
-		kind := dnn.Kind(ls.Kind)
-		if !validKinds[kind] {
+		kind, ok := validKinds[ls.Kind]
+		if !ok {
 			return nil, fmt.Errorf("layer %d: unknown layer kind %q", i, ls.Kind)
 		}
 		inputs := ls.Inputs
@@ -710,22 +696,23 @@ func networkFromSpec(spec *batchSpec) (*dnn.Network, error) {
 
 // handlePredictBatch serves one batch-size sweep. GET names a zoo network
 // (?network=resnet50&batches=1,2,4); POST carries JSON naming a network or
-// an inline spec. Identical concurrent sweeps are coalesced.
+// an inline spec. The stage histograms split the request into decode (query
+// or body → batchRequest), build (spec → network, or zoo lookup), predict
+// (plan lookup or compile, then the sweep) and render. Concurrent identical
+// requests share one plan compile through the plan cache's singleflight;
+// the sweep itself is cheaper than coordinating them.
 func (s *server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
 	metricServeBatchRequests.Inc()
+	sc := startStages()
 	m := s.loadModel(w)
 	if m == nil {
 		return
 	}
-	var (
-		name    string
-		net     *dnn.Network
-		batches []int
-	)
+	var breq batchRequest
 	switch req.Method {
 	case http.MethodGet:
-		name, _ = queryValue(req.URL.RawQuery, "network")
-		if name == "" {
+		breq.Network, _ = queryValue(req.URL.RawQuery, "network")
+		if breq.Network == "" {
 			writeJSONError(w, http.StatusBadRequest, "missing ?network=")
 			return
 		}
@@ -735,19 +722,21 @@ func (s *server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		var err error
-		batches, err = parseBatchesCSV(csv)
-		if err != nil {
+		if breq.Batches, err = parseBatchesCSV(csv); err != nil {
 			writeJSONError(w, batchErrorStatus(err), err.Error())
 			return
 		}
-		net, err = s.network(name)
-		if err != nil {
-			writeJSONError(w, http.StatusNotFound, err.Error())
-			return
-		}
 	case http.MethodPost:
-		var breq batchRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBatchBody)).Decode(&breq); err != nil {
+		// The body is read whole, so anything over maxBatchBody is a 413
+		// even when its JSON value ends early, and decoded in one pass.
+		body := bufPool.Get().(*bytes.Buffer)
+		body.Reset()
+		_, err := body.ReadFrom(http.MaxBytesReader(w, req.Body, maxBatchBody))
+		if err == nil {
+			err = decodeBatchBody(body.Bytes(), &breq)
+		}
+		bufPool.Put(body)
+		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
 				writeJSONError(w, http.StatusRequestEntityTooLarge,
@@ -761,39 +750,46 @@ func (s *server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
 			writeJSONError(w, batchErrorStatus(err), err.Error())
 			return
 		}
-		batches = breq.Batches
-		switch {
-		case breq.NetworkSpec != nil:
-			n, err := networkFromSpec(breq.NetworkSpec)
-			if err != nil {
-				writeJSONError(w, http.StatusUnprocessableEntity, err.Error())
-				return
-			}
-			net, name = n, n.Name
-		case breq.Network != "":
-			name = breq.Network
-			n, err := s.network(name)
-			if err != nil {
-				writeJSONError(w, http.StatusNotFound, err.Error())
-				return
-			}
-			net = n
-		default:
-			writeJSONError(w, http.StatusBadRequest, "request must set network or network_spec")
-			return
-		}
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		writeJSONError(w, http.StatusMethodNotAllowed, "use GET or POST")
 		return
 	}
+	sc = sc.mark(metricBatchStageDecode)
 
-	out, err := s.sweep(m, net, batches)
+	var (
+		name string
+		net  *dnn.Network
+	)
+	switch {
+	case breq.NetworkSpec != nil:
+		n, err := networkFromSpec(breq.NetworkSpec)
+		if err != nil {
+			writeJSONError(w, http.StatusUnprocessableEntity, err.Error())
+			return
+		}
+		net, name = n, n.Name
+	case breq.Network != "":
+		n, err := s.network(breq.Network)
+		if err != nil {
+			writeJSONError(w, http.StatusNotFound, err.Error())
+			return
+		}
+		net, name = n, breq.Network
+	default:
+		writeJSONError(w, http.StatusBadRequest, "request must set network or network_spec")
+		return
+	}
+	sc = sc.mark(metricBatchStageBuild)
+
+	batches := breq.Batches
+	out, err := m.PredictSweep(net, batches)
 	if err != nil {
 		writeJSONError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	metricServePredictions.Add(int64(len(batches)))
+	sc = sc.mark(metricBatchStagePredict)
 
 	var scratch [32]byte
 	buf := bufPool.Get().(*bytes.Buffer)
@@ -822,37 +818,7 @@ func (s *server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
 	setHeader(w.Header(), "Content-Type", "application/json")
 	_, _ = w.Write(buf.Bytes())
 	bufPool.Put(buf)
-}
-
-// sweep runs one coalesced batch sweep: concurrent requests for the same
-// (network fingerprint, batches) share a single PredictSweep call. Results
-// are never cached across completions — a model observing new records would
-// otherwise serve stale sweeps — only genuinely concurrent work is shared.
-func (s *server) sweep(m *core.KWModel, n *dnn.Network, batches []int) ([]units.Seconds, error) {
-	kb := strconv.AppendUint(make([]byte, 0, 24+6*len(batches)), core.NetworkFingerprint(n, false), 16)
-	for _, b := range batches {
-		kb = append(kb, ',')
-		kb = strconv.AppendInt(kb, int64(b), 10)
-	}
-	key := string(kb)
-
-	s.mu.Lock()
-	if f, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		metricServeCoalesced.Inc()
-		<-f.done
-		return f.out, f.err
-	}
-	f := &sweepFlight{done: make(chan struct{})}
-	s.inflight[key] = f
-	s.mu.Unlock()
-
-	f.out, f.err = m.PredictSweep(n, batches)
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(f.done)
-	return f.out, f.err
+	sc.mark(metricBatchStageRender)
 }
 
 // errBatchDomain marks a well-formed batch size above core.MaxBatch, where

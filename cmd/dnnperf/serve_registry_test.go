@@ -184,6 +184,47 @@ func TestServeModelzRejectsMalformedModel(t *testing.T) {
 	}
 }
 
+// TestServeModelzRejectsHugeCoefficients: slopes large enough to overflow
+// every prediction to +Inf once made /predict and /predict/batch answer 200
+// with bodies that are not JSON. core.Load now bounds coefficients, so
+// /modelz refuses the envelope with 400, the serving version stays, and
+// both predict routes keep answering valid JSON.
+func TestServeModelzRejectsHugeCoefficients(t *testing.T) {
+	s := fittedServer(t)
+	h := s.handler()
+	prev := s.reg.Current()
+
+	var env struct {
+		Kind    string         `json:"kind"`
+		Version int            `json:"version"`
+		Model   map[string]any `json:"model"`
+	}
+	if err := json.Unmarshal(savedModel(t, s), &env); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range env.Model["groups"].([]any) {
+		g.(map[string]any)["Line"].(map[string]any)["Slope"] = 1e300
+	}
+	bad, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := post(t, h, "/modelz", string(bad)); w.Code != http.StatusBadRequest {
+		t.Fatalf("huge coefficients: status %d, want 400: %s", w.Code, w.Body)
+	}
+	if s.reg.Current() != prev || s.reg.Version() != prev.Version {
+		t.Fatalf("rejected model moved the registry: version %d, want %d", s.reg.Version(), prev.Version)
+	}
+	for _, w := range []*httptest.ResponseRecorder{
+		get(t, h, "/predict?network=resnet50&batch=512"),
+		post(t, h, "/predict/batch", `{"network":"resnet50","batches":[1,512]}`),
+	} {
+		if w.Code != http.StatusOK || !json.Valid(w.Body.Bytes()) {
+			t.Fatalf("status %d, valid JSON %v: %s", w.Code, json.Valid(w.Body.Bytes()), w.Body)
+		}
+	}
+}
+
 func TestServeUniformBodyCap(t *testing.T) {
 	h := fittedServer(t).handler()
 	// A body over the uniform cap is rejected on any route — here /modelz,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +20,6 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/gpu"
 	"repro/internal/obs"
-	"repro/internal/units"
 	"repro/internal/zoo"
 )
 
@@ -392,53 +393,33 @@ func TestServePredictBatchInlineSpec(t *testing.T) {
 	}
 }
 
-// TestServeSweepCoalesces proves a sweep joins an identical in-flight
-// computation: a pre-installed flight's canned result is returned verbatim
-// and the coalesced counter moves.
-func TestServeSweepCoalesces(t *testing.T) {
-	s := fittedServer(t)
-	m := s.reg.Current().Model
-	net, err := s.network("resnet50")
-	if err != nil {
-		t.Fatal(err)
+// TestServePredictBatchStageHistograms: one inline-spec POST and one zoo GET
+// each move every /predict/batch stage histogram by exactly one
+// observation.
+func TestServePredictBatchStageHistograms(t *testing.T) {
+	h := fittedServer(t).handler()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	stages := map[string]*obs.Histogram{
+		"decode": metricBatchStageDecode, "build": metricBatchStageBuild,
+		"predict": metricBatchStagePredict, "render": metricBatchStageRender,
 	}
-	batches := []int{2, 4}
-	key := strconv.FormatUint(core.NetworkFingerprint(net, false), 16) + ",2,4"
-	canned := []units.Seconds{1, 2}
-	f := &sweepFlight{done: make(chan struct{}), out: canned}
-	close(f.done)
-	s.mu.Lock()
-	s.inflight[key] = f
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.inflight, key)
-		s.mu.Unlock()
-	}()
-
-	before := metricServeCoalesced.Value()
-	out, err := s.sweep(m, net, batches)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0] != canned[0] || out[1] != canned[1] {
-		t.Fatalf("joined sweep returned %v, want the in-flight result %v", out, canned)
-	}
-	if got := metricServeCoalesced.Value(); got != before+1 {
-		t.Fatalf("coalesced counter moved %d, want 1", got-before)
-	}
-
-	// A non-matching key must compute rather than join.
-	out, err = s.sweep(m, net, []int{2, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSec, err := m.PredictNetwork(net, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[1] != wantSec {
-		t.Fatalf("fresh sweep[1] = %v, want %v", out[1], wantSec)
+	for _, send := range []func() *httptest.ResponseRecorder{
+		func() *httptest.ResponseRecorder { return post(t, h, "/predict/batch", string(novelBody(2, 0))) },
+		func() *httptest.ResponseRecorder { return get(t, h, "/predict/batch?network=resnet50&batches=1,8") },
+	} {
+		before := map[string]uint64{}
+		for name, hist := range stages {
+			before[name] = hist.Count()
+		}
+		if w := send(); w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		for name, hist := range stages {
+			if got := hist.Count() - before[name]; got != 1 {
+				t.Errorf("serve_batch_stage_%s_seconds moved by %d, want 1", name, got)
+			}
+		}
 	}
 }
 
@@ -525,6 +506,54 @@ func BenchmarkServePredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.ServeHTTP(w, req)
+	}
+}
+
+// quickLabA100 fits, once, the model a replica serves: the quick lab's
+// A100 training split.
+var quickLabA100 = sync.OnceValues(func() (*core.KWModel, error) {
+	l := bench.NewQuickLab()
+	ds, err := l.Dataset(gpu.A100)
+	if err != nil {
+		return nil, err
+	}
+	train, _ := l.Split(ds)
+	return core.FitKW(train, gpu.A100.Name, bench.TrainBatch)
+})
+
+// novelBenchSeed keeps BenchmarkServePredictBatchNovel's specs unique across
+// the benchmark's repeated runs.
+var novelBenchSeed atomic.Int64
+
+// BenchmarkServePredictBatchNovel measures serve-novel's request through
+// s.handler(): never-repeated inline-spec POSTs, each missing the plan
+// cache, on the quick-lab A100 model a replica serves. The model, and with
+// it the layer memo, is shared across the benchmark's runs as a replica's
+// is across requests. The bodies are drawn before the timer starts.
+func BenchmarkServePredictBatchNovel(b *testing.B) {
+	kw, err := quickLabA100()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := newServer(bench.NewQuickLab(), gpu.A100)
+	if _, err := s.reg.Publish(kw, "bench"); err != nil {
+		b.Fatal(err)
+	}
+	h := s.handler()
+	seed := 1000 + novelBenchSeed.Add(1)
+	reqs := make([]*http.Request, b.N)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest(http.MethodPost, "/predict/batch", bytes.NewReader(novelBody(seed, i)))
+	}
+	w := &nullResponseWriter{h: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, req := range reqs {
+		w.status = 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
 	}
 }
 

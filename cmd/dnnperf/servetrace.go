@@ -41,6 +41,18 @@ var (
 		"Time spent rendering and writing the response body.", nil)
 )
 
+// Stage-latency histograms for /predict/batch, the route that compiles.
+var (
+	metricBatchStageDecode = obs.Default().Histogram("serve_batch_stage_decode_seconds",
+		"/predict/batch: time spent decoding the query or body into a request.", nil)
+	metricBatchStageBuild = obs.Default().Histogram("serve_batch_stage_build_seconds",
+		"/predict/batch: time spent building an inline spec's network or looking up a zoo network.", nil)
+	metricBatchStagePredict = obs.Default().Histogram("serve_batch_stage_predict_seconds",
+		"/predict/batch: time spent in plan lookup or compilation and the sweep.", nil)
+	metricBatchStageRender = obs.Default().Histogram("serve_batch_stage_render_seconds",
+		"/predict/batch: time spent rendering and writing the response body.", nil)
+)
+
 // traceparentOf reads the propagation header by its canonical map key — the
 // header fast path: no MIME canonicalization, no allocation.
 //

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/units"
 	"repro/internal/zoo"
 )
 
@@ -32,8 +34,10 @@ func FuzzFamilyOf(f *testing.F) {
 // FuzzLoad checks the model-envelope decoder on arbitrary bytes: Load either
 // returns an error, or the model it returns predicts a small fixed network
 // through PredictNetwork (and, for KW models, PredictSweep) without
-// panicking. Seeds are a measured KW envelope, an IGKW-resolved one, and
-// every malformed case Load must reject.
+// panicking, and every prediction it returns is finite. Seeds are a
+// measured KW envelope, an IGKW-resolved one, and every malformed case Load
+// must reject — among them the coefficients that overflowed a prediction to
+// +Inf.
 func FuzzLoad(f *testing.F) {
 	kw, igkw := persistFixtures(f)
 	f.Add(kw)
@@ -42,16 +46,28 @@ func FuzzLoad(f *testing.F) {
 		f.Add(plantEnvelope(f, kw, tc.plant))
 	}
 	net := zoo.MustResNet(18)
+	finite := func(t *testing.T, v units.Seconds, batch int) {
+		if math.IsInf(v.Float64(), 0) || v.IsNaN() {
+			t.Fatalf("loaded model predicts %v at batch %d", v, batch)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		for _, b := range []int{1, 64, 513} {
-			_, _ = m.PredictNetwork(net, b)
+			if v, err := m.PredictNetwork(net, b); err == nil {
+				finite(t, v, b)
+			}
 		}
 		if sp, ok := m.(SweepPredictor); ok {
-			_, _ = sp.PredictSweep(net, []int{1, 3, 512, 513})
+			batches := []int{1, 3, 512, 513}
+			if vs, err := sp.PredictSweep(net, batches); err == nil {
+				for i, v := range vs {
+					finite(t, v, batches[i])
+				}
+			}
 		}
 	})
 }

@@ -141,6 +141,7 @@ func (b *IGKWBase) Resolve(target gpu.Spec) (*KWModel, error) {
 			m.ClassFallback[d] = resolved
 		}
 	}
+	m.initCaches()
 	m.plans.RegisterMetrics("core_igkw_plan_cache")
 	return m, nil
 }

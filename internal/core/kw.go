@@ -72,6 +72,11 @@ type KWModel struct {
 	// persistence never sees them.
 	plans      cache.Sharded[planKey, *Plan]
 	layerPlans cache.Sharded[layerKey, []layerTerm]
+	// layerMemo holds every distinct layer shape the model's plans have
+	// compiled, so a later plan copies it instead of compiling it again (see
+	// compilePlan). Every constructor bounds it with initCaches;
+	// ObserveRecords clears it with the caches above.
+	layerMemo cache.Sharded[layerShapeKey, distLayer]
 	// mapBatches caches the batch sizes embedded in Mapping's signatures
 	// for plan compilation; ObserveRecords resets it with the caches.
 	mapBatches mappingBatches
@@ -154,10 +159,17 @@ func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOpt
 	}
 	m.Training = opt.Training
 	m.initOnline(recs)
+	m.initCaches()
 	m.plans.RegisterMetrics("core_kw_plan_cache")
 	m.layerPlans.RegisterMetrics("core_kw_layer_cache")
+	m.layerMemo.RegisterMetrics("core_kw_layer_memo")
 	return m, nil
 }
+
+// initCaches sizes the model's derived caches. FitKWOptions,
+// IGKWBase.Resolve and Load — every path that creates a KWModel — call it
+// before the model is shared.
+func (m *KWModel) initCaches() { m.layerMemo.Capacity = layerMemoCapacity }
 
 // forceDriver refits every kernel's line on a single imposed driver.
 func forceDriver(classif map[string]Classification, recs []dataset.KernelRecord, d Driver) map[string]Classification {
@@ -434,9 +446,10 @@ func (m *KWModel) planFor(n *dnn.Network) (*Plan, error) {
 func (m *KWModel) CompiledPlan(n *dnn.Network) (*Plan, error) { return m.planFor(n) }
 
 // CompilePlan compiles a standalone prediction plan for the network without
-// touching the model's plan cache. The input network is never mutated.
+// touching the model's plan cache; layer shapes the model has compiled
+// before come from its layer memo. The input network is never mutated.
 func (m *KWModel) CompilePlan(n *dnn.Network) (*Plan, error) {
-	return compilePlan(n, m.GPU, m.Training, m.Mapping, m.mapBatches.get(m.Mapping), m.resolveKernel)
+	return compilePlan(n, m.GPU, m.Training, m.Mapping, m.mapBatches.get(m.Mapping), m.resolveKernel, &m.layerMemo)
 }
 
 // resolveKernel maps a kernel name to the concrete regression line and driver

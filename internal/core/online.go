@@ -314,10 +314,11 @@ func (m *KWModel) ObserveRecords(recs []dataset.KernelRecord) (groups, newKernel
 	m.rebuildFromAccumulators()
 
 	// The regression structure and the mapping table changed: every
-	// compiled plan, cached layer term list and the mapping-batch set may
-	// now be stale.
+	// compiled plan, cached layer term list, memoized layer compilation and
+	// the mapping-batch set may now be stale.
 	m.plans.Clear()
 	m.layerPlans.Clear()
+	m.layerMemo.Clear()
 	m.mapBatches.reset()
 
 	for _, name := range sortedStringKeys(m.GroupOf) {

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
+
+	"repro/internal/regression"
 )
 
 // Model persistence. The paper's workflow (Figure 10) explicitly separates
@@ -60,9 +63,10 @@ func Save(w io.Writer, model Predictor) error {
 }
 
 // Load deserializes a model previously written by Save. The concrete type is
-// recovered from the envelope's kind tag. A KW payload is validated before it
-// is returned (see KWModel.validate), so a malformed envelope is an error
-// here rather than an index panic at prediction time.
+// recovered from the envelope's kind tag. Every payload is validated before
+// it is returned (see the models' validate methods), so a malformed envelope
+// is an error here rather than an index panic or an infinite prediction
+// later.
 func Load(r io.Reader) (Predictor, error) {
 	var env envelope
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
@@ -72,7 +76,10 @@ func Load(r io.Reader) (Predictor, error) {
 		return nil, fmt.Errorf("core: model format version %d is newer than supported %d",
 			env.Version, persistVersion)
 	}
-	var m Predictor
+	var m interface {
+		Predictor
+		validate() error
+	}
 	switch env.Kind {
 	case kindE2E:
 		m = &E2EModel{}
@@ -86,18 +93,56 @@ func Load(r io.Reader) (Predictor, error) {
 	if err := json.Unmarshal(env.Model, m); err != nil {
 		return nil, fmt.Errorf("core: load %s model: %w", m.Name(), err)
 	}
+	if err := m.validate(); err != nil {
+		return nil, fmt.Errorf("core: load %s model: %w", m.Name(), err)
+	}
 	if kw, ok := m.(*KWModel); ok {
-		if err := kw.validate(); err != nil {
-			return nil, fmt.Errorf("core: load %s model: %w", kw.Name(), err)
-		}
+		kw.initCaches()
 	}
 	return m, nil
 }
 
+// maxCoefficient bounds the magnitude of every slope and intercept Load
+// accepts, so that no prediction of a loaded model can overflow to +Inf
+// (which the serve handlers would render as invalid JSON). Inside a plan's
+// batch domain every driver value — element count or FLOPs — fits in int64,
+// so it is below 2^63, and one term is at most 2^900·(2^63+1) < 2^964. A
+// plan sums fewer than 2^31 terms (its offsets are int32), so a prediction
+// stays below 2^995, far inside float64's largest finite value (~2^1024).
+// Fitted coefficients are hundreds of orders of magnitude smaller: seconds
+// per element or per FLOP, and intercepts of microseconds.
+const maxCoefficient = 0x1p900
+
+// errUnbounded returns the error for a line beyond maxCoefficient, or nil.
+func errUnbounded(what string, l regression.Line) error {
+	if math.Abs(l.Slope) <= maxCoefficient && math.Abs(l.Intercept) <= maxCoefficient {
+		return nil
+	}
+	return fmt.Errorf("%s has a coefficient beyond ±2^900 (%v)", what, l)
+}
+
+// validate rejects an E2E line beyond maxCoefficient.
+func (m *E2EModel) validate() error { return errUnbounded("line", m.Line) }
+
+// validate rejects an LW line beyond maxCoefficient.
+func (m *LWModel) validate() error {
+	if err := errUnbounded("pooled line", m.Pooled); err != nil {
+		return err
+	}
+	for _, k := range m.KindsCovered() {
+		if err := errUnbounded(string(k)+" line", m.Lines[k]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // validate rejects KW state that prediction would trip over: a group_of
 // index outside Groups (an index panic in every predict path), a group
-// without kernels, and a group, family or class-fallback driver outside
-// Drivers() (silently read as some other driver variable).
+// without kernels, a group, family or class-fallback driver outside
+// Drivers() (silently read as some other driver variable), and a group,
+// family or class-fallback line beyond maxCoefficient (a prediction that
+// overflows to +Inf).
 func (m *KWModel) validate() error {
 	for _, name := range sortedStringKeys(m.GroupOf) {
 		if gi := m.GroupOf[name]; gi < 0 || gi >= len(m.Groups) {
@@ -111,16 +156,26 @@ func (m *KWModel) validate() error {
 		if !slices.Contains(Drivers(), g.Driver) {
 			return fmt.Errorf("group %d has unknown driver %q", i, g.Driver)
 		}
+		if err := errUnbounded("group line", g.Line); err != nil {
+			return fmt.Errorf("group %d: %w", i, err)
+		}
 	}
 	for _, fam := range sortedStringKeys(m.Families) {
-		if d := m.Families[fam].Driver; !slices.Contains(Drivers(), d) {
-			return fmt.Errorf("family %q has unknown driver %q", fam, d)
+		c := m.Families[fam]
+		if !slices.Contains(Drivers(), c.Driver) {
+			return fmt.Errorf("family %q has unknown driver %q", fam, c.Driver)
+		}
+		if err := errUnbounded("line", c.Line); err != nil {
+			return fmt.Errorf("family %q: %w", fam, err)
 		}
 	}
 	known := 0
 	for _, d := range Drivers() {
-		if _, ok := m.ClassFallback[d]; ok {
+		if line, ok := m.ClassFallback[d]; ok {
 			known++
+			if err := errUnbounded("line", line); err != nil {
+				return fmt.Errorf("class_fallback %q: %w", d, err)
+			}
 		}
 	}
 	if known != len(m.ClassFallback) {

@@ -210,6 +210,23 @@ var malformedKWCases = []struct {
 	{"unknown class-fallback driver", "class_fallback", func(model map[string]any) {
 		model["class_fallback"].(map[string]any)["bogus"] = map[string]any{}
 	}},
+	// The /modelz reproducer: slopes this large overflow every prediction
+	// to +Inf, which the serve handlers cannot render as JSON.
+	{"huge group slopes", "coefficient", func(model map[string]any) {
+		for _, g := range model["groups"].([]any) {
+			g.(map[string]any)["Line"].(map[string]any)["Slope"] = 1e300
+		}
+	}},
+	{"huge family intercept", "coefficient", func(model map[string]any) {
+		for _, c := range model["families"].(map[string]any) {
+			c.(map[string]any)["Line"].(map[string]any)["Intercept"] = -1e300
+		}
+	}},
+	{"huge class-fallback slope", "coefficient", func(model map[string]any) {
+		for _, l := range model["class_fallback"].(map[string]any) {
+			l.(map[string]any)["Slope"] = 1e280
+		}
+	}},
 }
 
 // plantEnvelope returns env with one malformed case planted in its payload.
@@ -250,6 +267,24 @@ func TestLoadRejectsMalformedKW(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLoadRejectsHugeE2ELWCoefficients: the coefficient bound KW payloads
+// get holds for the end-to-end and layer-wise envelopes too, whose
+// predictions sum the same kind of terms.
+func TestLoadRejectsHugeE2ELWCoefficients(t *testing.T) {
+	for _, tc := range []struct {
+		kind, model string
+	}{
+		{"e2e", `{"GPU":"A100","TrainBatch":512,"Line":{"Slope":1e300,"Intercept":0}}`},
+		{"lw", `{"GPU":"A100","TrainBatch":512,"Lines":{},"Pooled":{"Slope":0,"Intercept":-1e300}}`},
+		{"lw", `{"GPU":"A100","TrainBatch":512,"Lines":{"Conv2D":{"Slope":1e300}},"Pooled":{}}`},
+	} {
+		env := `{"kind":"` + tc.kind + `","version":1,"model":` + tc.model + `}`
+		if _, err := Load(strings.NewReader(env)); err == nil || !strings.Contains(err.Error(), "coefficient") {
+			t.Errorf("%s: Load error %v, want one naming the coefficient bound", env, err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/dnn"
 	"repro/internal/kernels"
 	"repro/internal/obs"
@@ -199,42 +200,75 @@ func (a driverAffine) pick(d Driver) (per, cnst int64) {
 }
 
 // distLayer is the compiled form of one distinct layer shape: its kernels'
-// segments back to back (each kernel's ascending by minBatch) and the
-// per-kernel end offsets within segs — the same layout Plan uses globally.
+// segments back to back (each kernel's ascending by minBatch), the
+// per-kernel end offsets within segs — the same layout Plan uses globally —
+// and the layer's own batch domain, the largest batch up to MaxBatch at
+// which every driver candidate of its kernels fits in int64. A distLayer is
+// never written after layerCompiler.compile returns it, so plans and the
+// layer memo share it freely.
 type distLayer struct {
-	segs []planSeg
-	end  []int32
+	segs     []planSeg
+	end      []int32
+	maxBatch int
+}
+
+// layerMemoCapacity bounds each model's layer memo: 16 times the plan
+// cache's default capacity. serve-novel traffic (seed 21) has 2,943 distinct
+// conv/BatchNorm/ReLU layer shapes across 30,000 never-repeated specs.
+const layerMemoCapacity = 16 * cache.DefaultCapacity
+
+// layerShapeKey keys a model's layer memo: the exact batch-1 rendering of
+// appendLayerShapeKey (exact, so two different layers can never share a
+// compilation) and its hash for shard selection.
+type layerShapeKey struct {
+	key string
+	h   uint64
+}
+
+// Hash implements cache.Hasher.
+func (k layerShapeKey) Hash() uint64 { return k.h }
+
+// newLayerShapeKey builds the memo key of one batch-1 shape key.
+func newLayerShapeKey(key string) layerShapeKey {
+	h := fnv64(fnvOffset64)
+	h.str(key)
+	return layerShapeKey{key: key, h: uint64(h)}
 }
 
 // compilePlan builds a Plan for the network. It works on a private clone, so
 // the caller's network is never mutated (and concurrent compilations of the
 // same network cannot race). mapBatches is the model's sorted set of batch
-// sizes embedded in mapping signatures (see mappingBatches).
+// sizes embedded in mapping signatures (see mappingBatches); memo is the
+// model's layer memo.
 //
-// The compiler exploits three structural facts to stay cheap. First,
+// The compiler exploits four structural facts to stay cheap. First,
 // networks repeat layers: ResNet/DenseNet instantiate the same (kind,
 // parameters, shapes) block dozens of times, and two layers that agree on all
 // of those at batch 1 agree at every batch size (shapes differ across batches
 // only in dimension 0), so they resolve to identical segment lists. Each
-// distinct shape is compiled once and duplicates copy its segments. Second, a
-// layer's kernel resolution depends only on its own shapes, so instead of
-// re-running full-network shape inference at every batch breakpoint the
-// compiler infers once at batch 1 and then rewrites one layer's batch
-// dimension at a time (Layer.Rebatch, exact by construction). Third, a
-// layer's resolution can change only at its own breakpoints: its GEMM tile
-// thresholds (kernels.BatchBreakpoints) and the mapping batches B at which
-// its signature is actually in the table — a signature embeds the batch as
-// its first shape dimension, so the substitution starts applying at B and
-// stops at B+1. Each distinct layer is resolved at exactly
-// {1} ∪ BatchBreakpoints ∪ {B, B+1}; a network-wide breakpoint set would only
-// add points where nothing changes, which the segment merge then discards, so
-// the segments (minBatch, line, driver map) are the same either way. Segment
-// scratch lives in a preallocated arena reused across layers, and
-// signature/memo keys are built in reused byte buffers looked up with the
-// map[string(buf)] idiom, so the per-layer map+string churn of the naive
-// compiler is gone.
-func compilePlan(n *dnn.Network, gpuName string, training bool,
-	mapping map[string][]string, mapBatches []int, resolve kernelResolve) (*Plan, error) {
+// distinct shape is compiled once and duplicates copy its segments. Second,
+// the same holds across networks under one model: the mapping table,
+// mapping batches and resolution are model-constant, so a layer shape any
+// earlier plan of the model compiled is copied from the memo rather than
+// compiled again — never-seen networks mostly reuse layer shapes the model
+// has already seen. Third, a layer's kernel resolution depends only on its
+// own shapes, so instead of re-running full-network shape inference at
+// every batch breakpoint the compiler infers once at batch 1 and then
+// rewrites one layer's batch dimension at a time (Layer.Rebatch, exact by
+// construction). Fourth, a layer's resolution can change only at its own
+// breakpoints: its GEMM tile thresholds (kernels.BatchBreakpoints) and the
+// mapping batches B at which its signature is actually in the table — a
+// signature embeds the batch as its first shape dimension, so the
+// substitution starts applying at B and stops at B+1. Each distinct layer
+// is resolved at exactly {1} ∪ BatchBreakpoints ∪ {B, B+1}; a network-wide
+// breakpoint set would only add points where nothing changes, which the
+// segment merge then discards, so the segments (minBatch, line, driver map)
+// are the same either way. Segment scratch lives in a preallocated arena
+// reused across layers, and signature/memo keys are built in reused byte
+// buffers looked up with the map[string(buf)] idiom, so the per-layer
+// map+string churn of the naive compiler is gone.
+func compilePlan(n *dnn.Network, gpuName string, training bool, mapping map[string][]string,
+	mapBatches []int, resolve kernelResolve, memo *cache.Sharded[layerShapeKey, distLayer]) (*Plan, error) {
 
 	tm := obs.StartTimer(metricPlanCompile)
 	defer tm.Stop()
@@ -244,11 +278,6 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 	metricPlanCompiles.Inc()
 
 	clone := n.Clone()
-	dispatch := kernels.ForLayer
-	if training {
-		dispatch = kernels.ForLayerTraining
-	}
-
 	// The only full shape inference; every other batch size is reached by
 	// rewriting one layer's batch dimension in place.
 	if err := clone.Infer(1); err != nil {
@@ -258,9 +287,13 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 	// Deduplicate layers by their exact batch-1 shape key. The key must be
 	// exact — a hash could collide two genuinely different layers and
 	// silently corrupt the plan — so it is the full parameter and shape
-	// rendering, and only the first occurrence pays the map-insert copy.
+	// rendering, and only the first occurrence pays the string copy, which
+	// then keys both this map and the model's memo. Every key is taken
+	// before any layer is rebatched: a layer's input shapes can alias its
+	// producer's output shape.
 	distinct := make(map[string]int, len(clone.Layers))
 	reps := make([]int, 0, len(clone.Layers))
+	repKeys := make([]string, 0, len(clone.Layers))
 	repOf := make([]int, len(clone.Layers))
 	var keyBuf []byte
 	for i, l := range clone.Layers {
@@ -268,122 +301,33 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 		d, ok := distinct[string(keyBuf)]
 		if !ok {
 			d = len(reps)
-			distinct[string(keyBuf)] = d
+			key := string(keyBuf)
+			distinct[key] = d
 			reps = append(reps, i)
+			repKeys = append(repKeys, key)
 		}
 		repOf[i] = d
 	}
 
-	// Compile each distinct layer: resolve its kernels at each of its own
-	// breakpoints, merging adjacent identical resolutions. Scratch segment
-	// storage is one arena sliced into non-overlapping per-kernel append
-	// regions, reused across layers.
+	// Take each distinct layer from the memo, compiling (and storing) the
+	// shapes the model has not compiled before. Concurrent compiles of one
+	// shape share a single compilation.
+	lc := layerCompiler{dispatch: kernels.ForLayer, mapping: mapping, mapBatches: mapBatches, resolve: resolve}
+	if training {
+		lc.dispatch = kernels.ForLayerTraining
+	}
 	dists := make([]distLayer, len(reps))
 	maxBatch := MaxBatch
-	var arena []planSeg
-	var kernSegs [][]planSeg
-	var affine []driverAffine
-	var sigBuf []byte
-	var breakpoints []int
-	var hits []mappingHit
 	for di, ri := range reps {
 		l := clone.Layers[ri]
-
-		// Kernel lists at N=1 and N=2 determine each driver's affine map.
-		l.Rebatch(1)
-		ks1 := dispatch(l)
-		nk := len(ks1)
-		if nk == 0 {
-			continue // shape-only layer (Flatten, Dropout, ...): no entries
+		dl, err := memo.GetOrCompute(newLayerShapeKey(repKeys[di]), func() (distLayer, error) {
+			return lc.compile(l)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: plan compile %q: %w", n.Name, err)
 		}
-		l.Rebatch(2)
-		ks2 := dispatch(l)
-		if len(ks2) != nk {
-			return nil, fmt.Errorf("core: plan compile %q: kernel count changed with batch size (%d vs %d)",
-				n.Name, nk, len(ks2))
-		}
-		if cap(affine) < nk {
-			affine = make([]driverAffine, nk)
-		}
-		affine = affine[:nk]
-		for i := range ks1 {
-			a := &affine[i]
-			a.inPer, a.inConst = affineFromTwo(ks1[i].LayerInputElems, ks2[i].LayerInputElems)
-			a.opPer, a.opConst = affineFromTwo(ks1[i].LayerFLOPs, ks2[i].LayerFLOPs)
-			a.outPer, a.outConst = affineFromTwo(ks1[i].LayerOutputElems, ks2[i].LayerOutputElems)
-			// The domain covers all three candidates, not only the one the
-			// model picks, so it matches the counts shape inference checks.
-			maxBatch = min(maxBatch,
-				driverLimit(ks1[i].LayerInputElems, ks2[i].LayerInputElems),
-				driverLimit(ks1[i].LayerFLOPs, ks2[i].LayerFLOPs),
-				driverLimit(ks1[i].LayerOutputElems, ks2[i].LayerOutputElems))
-		}
-
-		// The layer's breakpoints. BatchBreakpoints is batch-invariant; the
-		// mapping is probed once per model mapping batch, and only the
-		// batches whose signature resolves contribute.
-		breakpoints = append(append(breakpoints[:0], 1), kernels.BatchBreakpoints(l)...)
-		hits = hits[:0]
-		for _, b := range mapBatches {
-			l.Rebatch(b)
-			sigBuf = l.AppendSignature(sigBuf[:0])
-			if names, ok := mapping[string(sigBuf)]; ok && len(names) == nk {
-				hits = append(hits, mappingHit{batch: b, names: names})
-				breakpoints = append(breakpoints, b, b+1)
-			}
-		}
-		slices.Sort(breakpoints)
-		breakpoints = slices.Compact(breakpoints)
-		nbp := len(breakpoints)
-
-		if cap(arena) < nk*nbp {
-			arena = make([]planSeg, nk*nbp)
-		}
-		if cap(kernSegs) < nk {
-			kernSegs = make([][]planSeg, nk)
-		}
-		kernSegs = kernSegs[:nk]
-		for k := 0; k < nk; k++ {
-			kernSegs[k] = arena[k*nbp : k*nbp : (k+1)*nbp]
-		}
-
-		for _, b := range breakpoints {
-			ks := ks1 // every layer's first breakpoint is batch 1, dispatched above
-			if b > 1 {
-				l.Rebatch(b)
-				if ks = dispatch(l); len(ks) != nk {
-					return nil, fmt.Errorf("core: plan compile %q: kernel count changed at batch %d", n.Name, b)
-				}
-			}
-			for _, h := range hits {
-				if h.batch == b {
-					for i := range ks {
-						ks[i].Name = h.names[i]
-					}
-				}
-			}
-			for k := range ks {
-				line, driver := resolve(ks[k].Name, ks[k].LayerFLOPs == 0)
-				per, cnst := affine[k].pick(driver)
-				seg := planSeg{minBatch: b, xPer: per, xConst: cnst, line: line}
-				if prev := kernSegs[k]; len(prev) > 0 && sameResolution(prev[len(prev)-1], seg) {
-					continue
-				}
-				kernSegs[k] = append(kernSegs[k], seg)
-			}
-		}
-
-		total := 0
-		for k := range kernSegs {
-			total += len(kernSegs[k])
-		}
-		d := &dists[di]
-		d.segs = make([]planSeg, 0, total)
-		d.end = make([]int32, nk)
-		for k := range kernSegs {
-			d.segs = append(d.segs, kernSegs[k]...)
-			d.end[k] = int32(len(d.segs))
-		}
+		dists[di] = dl
+		maxBatch = min(maxBatch, dl.maxBatch)
 	}
 
 	// Assemble the plan by walking the layers in network order, copying each
@@ -406,6 +350,127 @@ func compilePlan(n *dnn.Network, gpuName string, training bool,
 		}
 	}
 	return p, nil
+}
+
+// layerCompiler resolves distinct layers for one plan compile: the model's
+// dispatch, mapping table, mapping batches and kernel resolution, plus
+// scratch reused across the layers it compiles. Scratch segment storage is
+// one arena sliced into non-overlapping per-kernel append regions.
+type layerCompiler struct {
+	dispatch   func(*dnn.Layer) []kernels.Kernel
+	mapping    map[string][]string
+	mapBatches []int
+	resolve    kernelResolve
+
+	arena       []planSeg
+	kernSegs    [][]planSeg
+	affine      []driverAffine
+	sigBuf      []byte
+	breakpoints []int
+	hits        []mappingHit
+}
+
+// compile resolves one layer's kernels at each of its own breakpoints,
+// merging adjacent identical resolutions. The layer must hold its batch-1
+// shapes; compile leaves it rebatched.
+func (c *layerCompiler) compile(l *dnn.Layer) (distLayer, error) {
+	d := distLayer{maxBatch: MaxBatch}
+
+	// Kernel lists at N=1 and N=2 determine each driver's affine map.
+	l.Rebatch(1)
+	ks1 := c.dispatch(l)
+	nk := len(ks1)
+	if nk == 0 {
+		return d, nil // shape-only layer (Flatten, Dropout, ...): no entries
+	}
+	l.Rebatch(2)
+	ks2 := c.dispatch(l)
+	if len(ks2) != nk {
+		return distLayer{}, fmt.Errorf("kernel count changed with batch size (%d vs %d)", nk, len(ks2))
+	}
+	if cap(c.affine) < nk {
+		c.affine = make([]driverAffine, nk)
+	}
+	affine := c.affine[:nk]
+	for i := range ks1 {
+		a := &affine[i]
+		a.inPer, a.inConst = affineFromTwo(ks1[i].LayerInputElems, ks2[i].LayerInputElems)
+		a.opPer, a.opConst = affineFromTwo(ks1[i].LayerFLOPs, ks2[i].LayerFLOPs)
+		a.outPer, a.outConst = affineFromTwo(ks1[i].LayerOutputElems, ks2[i].LayerOutputElems)
+		// The domain covers all three candidates, not only the one the
+		// model picks, so it matches the counts shape inference checks.
+		d.maxBatch = min(d.maxBatch,
+			driverLimit(ks1[i].LayerInputElems, ks2[i].LayerInputElems),
+			driverLimit(ks1[i].LayerFLOPs, ks2[i].LayerFLOPs),
+			driverLimit(ks1[i].LayerOutputElems, ks2[i].LayerOutputElems))
+	}
+
+	// The layer's breakpoints. BatchBreakpoints is batch-invariant; the
+	// mapping is probed once per model mapping batch, and only the batches
+	// whose signature resolves contribute.
+	breakpoints := append(append(c.breakpoints[:0], 1), kernels.BatchBreakpoints(l)...)
+	hits := c.hits[:0]
+	for _, b := range c.mapBatches {
+		l.Rebatch(b)
+		c.sigBuf = l.AppendSignature(c.sigBuf[:0])
+		if names, ok := c.mapping[string(c.sigBuf)]; ok && len(names) == nk {
+			hits = append(hits, mappingHit{batch: b, names: names})
+			breakpoints = append(breakpoints, b, b+1)
+		}
+	}
+	slices.Sort(breakpoints)
+	breakpoints = slices.Compact(breakpoints)
+	c.breakpoints, c.hits = breakpoints, hits
+	nbp := len(breakpoints)
+
+	if cap(c.arena) < nk*nbp {
+		c.arena = make([]planSeg, nk*nbp)
+	}
+	if cap(c.kernSegs) < nk {
+		c.kernSegs = make([][]planSeg, nk)
+	}
+	kernSegs := c.kernSegs[:nk]
+	for k := 0; k < nk; k++ {
+		kernSegs[k] = c.arena[k*nbp : k*nbp : (k+1)*nbp]
+	}
+
+	for _, b := range breakpoints {
+		ks := ks1 // every layer's first breakpoint is batch 1, dispatched above
+		if b > 1 {
+			l.Rebatch(b)
+			if ks = c.dispatch(l); len(ks) != nk {
+				return distLayer{}, fmt.Errorf("kernel count changed at batch %d", b)
+			}
+		}
+		for _, h := range hits {
+			if h.batch == b {
+				for i := range ks {
+					ks[i].Name = h.names[i]
+				}
+			}
+		}
+		for k := range ks {
+			line, driver := c.resolve(ks[k].Name, ks[k].LayerFLOPs == 0)
+			per, cnst := affine[k].pick(driver)
+			seg := planSeg{minBatch: b, xPer: per, xConst: cnst, line: line}
+			if prev := kernSegs[k]; len(prev) > 0 && sameResolution(prev[len(prev)-1], seg) {
+				continue
+			}
+			kernSegs[k] = append(kernSegs[k], seg)
+		}
+	}
+
+	total := 0
+	for k := range kernSegs {
+		total += len(kernSegs[k])
+	}
+	d.segs = make([]planSeg, 0, total)
+	d.end = make([]int32, nk)
+	for k := range kernSegs {
+		d.segs = append(d.segs, kernSegs[k]...)
+		d.end[k] = int32(len(d.segs))
+	}
+	return d, nil
 }
 
 // mappingHit is one mapping-table substitution of a distinct layer: at batch
@@ -648,15 +713,6 @@ func networkFingerprint(n *dnn.Network, training bool) uint64 {
 		h.flag(l.TransposeB)
 	}
 	return uint64(h)
-}
-
-// NetworkFingerprint exposes the structural fingerprint the plan caches key
-// on. Callers that coalesce or deduplicate work per network — e.g. the serve
-// layer's in-flight request merging — should key on this rather than the
-// name alone, for the same reason the plan cache does: independently built
-// networks can share a name.
-func NetworkFingerprint(n *dnn.Network, training bool) uint64 {
-	return networkFingerprint(n, training)
 }
 
 // layerKeyFor builds the cache key of one inferred layer.

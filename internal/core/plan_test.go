@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -466,8 +467,9 @@ func TestObserveRecordsInvalidatesPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kw.plans.Len() == 0 {
-		t.Fatal("prediction did not populate the plan cache")
+	if kw.plans.Len() == 0 || kw.layerMemo.Len() == 0 {
+		t.Fatalf("prediction left %d cached plans and %d memoized layers, want both populated",
+			kw.plans.Len(), kw.layerMemo.Len())
 	}
 
 	// Shift one kernel's behaviour drastically and observe it.
@@ -476,8 +478,8 @@ func TestObserveRecordsInvalidatesPlans(t *testing.T) {
 		extra[i].Seconds *= 100
 	}
 	kw.ObserveRecords(extra)
-	if kw.plans.Len() != 0 {
-		t.Fatalf("ObserveRecords left %d cached plans", kw.plans.Len())
+	if kw.plans.Len() != 0 || kw.layerMemo.Len() != 0 {
+		t.Fatalf("ObserveRecords left %d cached plans and %d memoized layers", kw.plans.Len(), kw.layerMemo.Len())
 	}
 
 	after, err := kw.PredictNetwork(net, 512)
@@ -517,6 +519,146 @@ func TestObserveRecordsInvalidatesPlans(t *testing.T) {
 			t.Fatalf("@%d: substitution applied = %v, want %v", b, substituted, b == observed)
 		}
 	}
+}
+
+// assertSamePlan fails unless two plans are equal segment for segment: the
+// same identity, batch domain, entry offsets and segment values.
+func assertSamePlan(t *testing.T, got, want *Plan) {
+	t.Helper()
+	if got.Network != want.Network || got.GPU != want.GPU || got.maxBatch != want.maxBatch ||
+		!slices.Equal(got.entryEnd, want.entryEnd) || !slices.Equal(got.segs, want.segs) {
+		t.Fatalf("%s: plan through the warm layer memo differs from a cold compile "+
+			"(domain %d vs %d, %d vs %d entries, %d vs %d segments)", want.Network,
+			got.maxBatch, want.maxBatch, len(got.entryEnd), len(want.entryEnd), len(got.segs), len(want.segs))
+	}
+}
+
+// TestPlanLayerMemoIdentity: a plan whose layers come from a warm layer
+// memo equals, segment for segment, the plan a fresh model with an empty
+// memo compiles. Networks compile in sequence on one model, so later ones
+// copy the shapes earlier ones stored: the zoo sample in inference and in
+// training, and 500 serve-novel-shaped specs whose conv/BatchNorm/ReLU
+// shapes recur across specs.
+func TestPlanLayerMemoIdentity(t *testing.T) {
+	var novel []*dnn.Network
+	for i := 0; i < 500; i++ {
+		novel = append(novel, novelNetwork(7, i))
+	}
+	for _, tc := range []struct {
+		name     string
+		training bool
+		nets     []*dnn.Network
+	}{
+		{"inference", false, append(zooSample(), novel...)},
+		{"training", true, zooSample()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := buildSampleDataset(t, tc.training)
+			fit := func() *KWModel {
+				m, err := FitKWOptions(ds, "A100", 512, KWOptions{Training: tc.training})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			warm, cold := fit(), fit()
+			for _, n := range tc.nets {
+				got, err := warm.CompilePlan(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold.layerMemo.Clear()
+				want, err := cold.CompilePlan(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSamePlan(t, got, want)
+			}
+			st := warm.layerMemo.Stats()
+			if st.Hits == 0 {
+				t.Fatalf("warm memo: no hits in %d lookups; later networks should reuse earlier shapes", st.Lookups)
+			}
+			t.Logf("warm memo: %d hits, %d misses", st.Hits, st.Misses)
+		})
+	}
+}
+
+// TestLayerMemoBound: every path that creates a KWModel gives its layer
+// memo the same bound.
+func TestLayerMemoBound(t *testing.T) {
+	kwEnv, igkwEnv := persistFixtures(t)
+	fitted, err := FitKW(plantKernelDataset(gpu.A100, 3), "A100", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := &dataset.Dataset{}
+	for _, g := range []gpu.Spec{gpu.A100, gpu.A40, gpu.V100} {
+		ds.Merge(plantKernelDataset(g, 3))
+	}
+	resolved, err := FitIGKW(ds, []gpu.Spec{gpu.A100, gpu.A40, gpu.V100}, gpu.TitanRTX, 512) // IGKWBase.Resolve
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := map[string]*KWModel{"FitKW": fitted, "IGKWBase.Resolve": resolved}
+	for name, env := range map[string][]byte{"Load(kw)": kwEnv, "Load(igkw)": igkwEnv} {
+		m, err := Load(bytes.NewReader(env))
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[name] = m.(*KWModel)
+	}
+	for name, m := range models {
+		if m.layerMemo.Capacity != layerMemoCapacity {
+			t.Errorf("%s: layer memo capacity %d, want %d", name, m.layerMemo.Capacity, layerMemoCapacity)
+		}
+	}
+}
+
+// TestPlanLayerMemoConcurrent compiles specs that share layer shapes from
+// many goroutines on one fresh model (run under -race in CI): concurrent
+// misses and hits on the same memo entries must all yield the plans a cold
+// compile gives.
+func TestPlanLayerMemoConcurrent(t *testing.T) {
+	ds := buildSampleDataset(t, false)
+	ref, err := FitKW(ds, "A100", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := make([]*dnn.Network, 48)
+	want := make([]*Plan, len(nets))
+	for i := range nets {
+		nets[i] = novelNetwork(3, i)
+		ref.layerMemo.Clear()
+		if want[i], err = ref.CompilePlan(nets[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kw, err := FitKW(ds, "A100", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range nets {
+				i := (j + g*len(nets)/goroutines) % len(nets)
+				got, err := kw.CompilePlan(nets[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got.segs, want[i].segs) || !slices.Equal(got.entryEnd, want[i].entryEnd) ||
+					got.maxBatch != want[i].maxBatch {
+					t.Errorf("goroutine %d: %s differs from its cold compile", g, nets[i].Name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // renamedLayerRecords measures-by-construction every kernel of the network
@@ -570,24 +712,28 @@ func benchKW(b *testing.B) (*KWModel, *dnn.Network) {
 }
 
 // BenchmarkPlanCompile measures one full plan compilation (the cache-miss
-// cost): shape inference at every breakpoint plus kernel resolution.
+// cost): shape inference at every breakpoint plus kernel resolution. The
+// layer memo is cleared before each compile, outside the timer, so every
+// layer shape is compiled rather than copied.
 func BenchmarkPlanCompile(b *testing.B) {
 	kw, net := benchKW(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		kw.layerMemo.Clear()
+		b.StartTimer()
 		if _, err := kw.CompilePlan(net); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkPlanCompileNovel measures the serve-novel cache miss: compiling
-// seeded never-seen conv/BN/ReLU networks against a model fitted on the zoo
-// sample, whose mapping table has thousands of signatures.
-// BenchmarkPlanCompile's two-network model hides any cost that scales with
-// the table.
-func BenchmarkPlanCompileNovel(b *testing.B) {
+// novelBenchModel fits the zoo-sample A100 model, whose mapping table has
+// thousands of signatures, and draws 64 seeded never-seen conv/BN/ReLU
+// networks. BenchmarkPlanCompile's two-network model hides any cost that
+// scales with the table.
+func novelBenchModel(b *testing.B) (*KWModel, []*dnn.Network) {
 	kw, err := FitKW(buildSampleDataset(b, false), "A100", 512)
 	if err != nil {
 		b.Fatal(err)
@@ -595,6 +741,36 @@ func BenchmarkPlanCompileNovel(b *testing.B) {
 	nets := make([]*dnn.Network, 64)
 	for i := range nets {
 		nets[i] = novelNetwork(1, i)
+	}
+	return kw, nets
+}
+
+// BenchmarkPlanCompileNovel measures the serve-novel plan-cache miss on a
+// model that has compiled nothing before: the layer memo is cleared before
+// each compile, outside the timer.
+func BenchmarkPlanCompileNovel(b *testing.B) {
+	kw, nets := novelBenchModel(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		kw.layerMemo.Clear()
+		b.StartTimer()
+		if _, err := kw.CompilePlan(nets[i%len(nets)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlanCompileNovelWarm measures the same compiles once the model
+// has compiled every network's layer shapes: each layer is copied from the
+// layer memo — the steady state of a replica serving never-repeated specs.
+func BenchmarkPlanCompileNovelWarm(b *testing.B) {
+	kw, nets := novelBenchModel(b)
+	for _, n := range nets {
+		if _, err := kw.CompilePlan(n); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -9,8 +9,8 @@
 #   3. go test -race    — the full suite under the race detector
 #   4. fuzz             — each fuzz target (FuzzLoad, FuzzFamilyOf,
 #                         FuzzReadNetworksCSV, FuzzParseTraceparent,
-#                         FuzzPredictBatchBody) runs 5s of generated inputs
-#                         past its seed corpus
+#                         FuzzPredictBatchBody, FuzzBatchRequestDecode) runs
+#                         5s of generated inputs past its seed corpus
 #   5. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
 #                         then a 2-replica fleet: routing, 429 backpressure,
 #                         whole-fleet graceful drain
@@ -50,6 +50,7 @@ fuzz FuzzFamilyOf ./internal/core
 fuzz FuzzReadNetworksCSV ./internal/dataset
 fuzz FuzzParseTraceparent ./internal/obs
 fuzz FuzzPredictBatchBody ./cmd/dnnperf
+fuzz FuzzBatchRequestDecode ./cmd/dnnperf
 
 echo "== serve smoke test"
 ./scripts/serve_smoke.sh
