@@ -28,11 +28,12 @@ lint-sarif:
 # race detector (the concurrency tests in internal/bench, internal/cache and
 # internal/core only bite with -race on), a 5s run of every fuzz target (the
 # model envelope, kernel-family names, network CSV, traceparent, the
-# /predict/batch body, and its one-pass decoder against encoding/json) past
-# its seed corpus, the `dnnperf serve` + fleet smoke test, the fleet loadtest
-# smoke, the cached-predict benchmark regression gate with the fleet
-# throughput/p99 gate, and the lint self-test proving the gate fails on a
-# seeded violation. scripts/ci.sh runs all of them.
+# /predict/batch body, its one-pass decoder against encoding/json, and the
+# GET query scanner against url.ParseQuery) past its seed corpus, the
+# `dnnperf serve` + fleet smoke test, the fleet loadtest smoke, the
+# cached-predict benchmark regression gate with the fleet throughput/p99
+# gate, and the lint self-test proving the gate fails on a seeded violation.
+# scripts/ci.sh runs all of them.
 verify:
 	./scripts/ci.sh
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strings"
 	"testing"
@@ -67,6 +68,54 @@ func FuzzPredictBatchBody(f *testing.F) {
 		for i, ms := range resp.PredictedMs {
 			if !(ms > 0) || math.IsInf(ms, 0) {
 				t.Fatalf("predicted_ms[%d] = %v at batch %d, want finite and positive", i, ms, req.Batches[i])
+			}
+		}
+	})
+}
+
+// FuzzQueryValue holds the allocation-free query scanner the GET handlers
+// read parameters with to url.ParseQuery. It must never panic, and whenever
+// ParseQuery accepts the query and no raw key is escaped (so raw and decoded
+// keys agree), queryValue must return the first value ParseQuery decoded for
+// every key it found, and report absent every handler key it did not find.
+func FuzzQueryValue(f *testing.F) {
+	for _, raw := range []string{
+		"network=resnet50&batch=8",
+		"batches=1%2C2",
+		"a+b",
+		"network=",
+		"network",
+		"batch=1&batch=2",
+		"%zz",
+		"x;y=1",
+		"&=0", // the empty pair is no key; only "=0" names the empty key
+	} {
+		f.Add(raw)
+	}
+	handlerKeys := []string{"network", "batch", "batches"}
+	f.Fuzz(func(t *testing.T, raw string) {
+		for _, k := range handlerKeys {
+			queryValue(raw, k)
+		}
+		vals, err := url.ParseQuery(raw)
+		if err != nil {
+			return
+		}
+		for _, pair := range strings.Split(raw, "&") {
+			if k, _, _ := strings.Cut(pair, "="); strings.ContainsAny(k, "%+") {
+				return
+			}
+		}
+		for k, vs := range vals {
+			if got, ok := queryValue(raw, k); !ok || got != vs[0] {
+				t.Fatalf("queryValue(%q, %q) = %q, %v; ParseQuery decoded %q", raw, k, got, ok, vs[0])
+			}
+		}
+		for _, k := range handlerKeys {
+			if _, found := vals[k]; !found {
+				if got, ok := queryValue(raw, k); ok || got != "" {
+					t.Fatalf("queryValue(%q, %q) = %q, %v; ParseQuery found no such key", raw, k, got, ok)
+				}
 			}
 		}
 	})

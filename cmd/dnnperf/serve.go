@@ -888,6 +888,9 @@ func queryValue(rawQuery, key string) (string, bool) {
 		} else {
 			pair, rawQuery = rawQuery, ""
 		}
+		if pair == "" {
+			continue // like url.ParseQuery: "&&" is no key, not the empty key
+		}
 		eq := strings.IndexByte(pair, '=')
 		if eq < 0 {
 			if pair == key {

@@ -290,8 +290,9 @@ var hotPathAnnotations = map[string][]string{
 	"internal/fleetsim/event.go": {
 		"reset", "less", "push", "pop", "siftUp", "siftDown", "full", "at",
 	},
-	"internal/fleetsim/steptable.go": {"At", "next", "float64"},
+	"internal/fleetsim/steptable.go": {"At"},
 	"internal/fleetsim/sim.go":       {"route", "startBatch"},
+	"internal/rng/rng.go":            {"New", "Uint64", "Float64", "Intn", "Mix"},
 }
 
 // TestHotPathAnnotationCoverage parses the production hot-path files and

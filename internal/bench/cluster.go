@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dnn"
 	"repro/internal/gpu"
+	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
@@ -111,17 +112,13 @@ func ClusterSchedule(l *Lab, nTasks int, seed int64) (*ClusterScheduleResult, er
 		return nil, err
 	}
 
-	// Seeded task sampling: a splitmix-style walk over (network, batch)
-	// pairs, deterministic in the seed alone.
+	// Seeded task sampling: one draw per task picks its network from the
+	// low bits and its batch from the high bits, deterministic in the seed.
 	taskNet := make([]int, nTasks)
 	taskBatch := make([]int, nTasks)
-	state := uint64(seed)
+	r := rng.New(uint64(seed))
 	for i := range taskNet {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
+		z := r.Uint64()
 		taskNet[i] = int(z % uint64(len(nets)))
 		taskBatch[i] = clusterBatches[(z>>32)%uint64(len(clusterBatches))]
 	}

@@ -220,34 +220,6 @@ func (n *Network) Infer(batch int) error {
 	return nil
 }
 
-// Rebatch re-targets the network's inferred shapes at a new batch size by
-// rewriting the batch dimension in place, skipping the per-layer validation
-// and shape allocation Infer repeats on every call. It is exact: every layer
-// kind's output shape is (batch, batch-invariant dims...), so the rewrite
-// produces bit-identical shapes to a fresh Infer at the same batch size
-// (TestRebatchMatchesInfer proves this over the full zoo), and it rejects
-// the same overflowing element, parameter and FLOP counts. A network that
-// has never been inferred falls through to Infer for its validation.
-func (n *Network) Rebatch(batch int) error {
-	if batch <= 0 {
-		return fmt.Errorf("dnn: network %q: batch size %d must be positive", n.Name, batch)
-	}
-	if n.batch == 0 {
-		return n.Infer(batch)
-	}
-	if n.batch == batch {
-		return nil
-	}
-	for i, l := range n.Layers {
-		l.Rebatch(batch)
-		if err := l.checkCounts(); err != nil {
-			return fmt.Errorf("dnn: network %q: layer %d (%q) at batch %d: %w", n.Name, i, l.Name, batch, err)
-		}
-	}
-	n.batch = batch
-	return nil
-}
-
 // inferLayer computes the output shape of a layer from its input shapes.
 func inferLayer(l *Layer, ins []Shape) (Shape, error) {
 	in := ins[0]

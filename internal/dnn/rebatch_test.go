@@ -22,9 +22,10 @@ func buildTinyTransformer() *Network {
 	return n
 }
 
-// TestRebatchMatchesInfer proves Rebatch's exactness claim: rewriting the
-// batch dimension in place produces the same shapes, in every slot of every
-// layer, as a fresh shape inference at the target batch size.
+// TestRebatchMatchesInfer proves Layer.Rebatch's exactness claim, which
+// plan compilation relies on: rewriting every layer's batch dimension in
+// place produces the same shapes, in every slot of every layer, as a fresh
+// shape inference at the target batch size.
 func TestRebatchMatchesInfer(t *testing.T) {
 	builders := map[string]func() *Network{
 		"cnn":         buildTinyCNN,
@@ -33,16 +34,16 @@ func TestRebatchMatchesInfer(t *testing.T) {
 	batches := []int{1, 2, 7, 64, 512}
 	for name, build := range builders {
 		re := build()
+		if err := re.Infer(1); err != nil {
+			t.Fatalf("%s: Infer(1): %v", name, err)
+		}
 		for _, b := range batches {
-			if err := re.Rebatch(b); err != nil {
-				t.Fatalf("%s: Rebatch(%d): %v", name, b, err)
+			for _, l := range re.Layers {
+				l.Rebatch(b)
 			}
 			ref := build()
 			if err := ref.Infer(b); err != nil {
 				t.Fatalf("%s: Infer(%d): %v", name, b, err)
-			}
-			if re.Batch() != ref.Batch() {
-				t.Fatalf("%s: Batch() = %d, want %d", name, re.Batch(), ref.Batch())
 			}
 			for i := range ref.Layers {
 				got, want := re.Layers[i], ref.Layers[i]
@@ -62,26 +63,6 @@ func TestRebatchMatchesInfer(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestRebatchValidation checks the error and no-op paths.
-func TestRebatchValidation(t *testing.T) {
-	n := buildTinyCNN()
-	if err := n.Rebatch(0); err == nil {
-		t.Fatal("Rebatch(0) on an uninferred network should error")
-	}
-	if err := n.Rebatch(4); err != nil { // never inferred: falls through to Infer
-		t.Fatal(err)
-	}
-	if n.Batch() != 4 {
-		t.Fatalf("Batch() = %d, want 4", n.Batch())
-	}
-	if err := n.Rebatch(4); err != nil { // same batch: no-op
-		t.Fatal(err)
-	}
-	if err := n.Rebatch(-1); err == nil {
-		t.Fatal("Rebatch(-1) should error")
 	}
 }
 

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rng"
 )
 
 // Proxy-level observability.
@@ -194,7 +195,11 @@ func New(addrs []string, opt Options) (*Proxy, error) {
 		}
 		p.replicas = append(p.replicas, &replica{addr: addr})
 		for v := 0; v < vnodesPerReplica; v++ {
-			p.ring = append(p.ring, ringPoint{hash: mix64(fnv64(fmt.Sprintf("%s#%d", addr, v))), idx: i})
+			// FNV-1a over near-identical short strings ("host:port#3" vs
+			// "host:port#4") leaves its entropy clustered; the splitmix64
+			// finalizer spreads the points so every replica owns a fair
+			// slice of the key space.
+			p.ring = append(p.ring, ringPoint{hash: rng.Mix(fnv64(fmt.Sprintf("%s#%d", addr, v))), idx: i})
 		}
 	}
 	sort.Slice(p.ring, func(i, j int) bool { return p.ring[i].hash < p.ring[j].hash })
@@ -291,19 +296,6 @@ func (p *Proxy) WaitReady(ctx context.Context, want int) error {
 	}
 }
 
-// mix64 is the splitmix64 finalizer. FNV-1a over near-identical short
-// strings ("host:port#3" vs "host:port#4") leaves its low entropy clustered;
-// avalanching the output spreads ring points evenly so every replica owns a
-// fair slice of the key space.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // fnv64 is FNV-1a, matching the hashing the replicas' caches build on.
 func fnv64(s string) uint64 {
 	h := uint64(14695981039346656037)
@@ -385,7 +377,7 @@ func jsonStringField(body []byte, name string) string {
 // owners yields the ring walk for a hash: the owner replica first, then each
 // distinct successor. The returned slice is indices into p.replicas.
 func (p *Proxy) owners(hash uint64) []int {
-	hash = mix64(hash) // spread clustered key hashes before the ring walk
+	hash = rng.Mix(hash) // spread clustered key hashes before the ring walk
 	// First ring point with hash >= key, wrapping.
 	i := sort.Search(len(p.ring), func(i int) bool { return p.ring[i].hash >= hash })
 	if i == len(p.ring) {

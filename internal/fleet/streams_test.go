@@ -1,0 +1,151 @@
+package fleet
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"strconv"
+	"testing"
+
+	"repro/internal/fleetsim"
+	"repro/internal/loadgen"
+	"repro/internal/sched"
+)
+
+// TestSeededStreamDigests pins every seeded splitmix64 stream the
+// repository draws from — sched's synthetic tables and annealing, fleetsim's
+// synthetic step table, trace network mix and closed-loop replay, the four
+// loadgen processes, and the proxy's ring positions and key walks — to
+// digests taken before the streams were routed through one shared
+// generator. A change that moves any draw, however slightly, moves its
+// digest. It lives in package fleet because the ring is unexported.
+func TestSeededStreamDigests(t *testing.T) {
+	cases := []struct {
+		name  string
+		write func(t *testing.T, h hash.Hash)
+		want  string
+	}{
+		{"sched", writeSchedStream, "ac8269815d0fa9f6c70ccd8ebf9a60a220d1191aa9286bbca942af5367e3a6b4"},
+		{"fleetsim", writeFleetsimStream, "92e7156d7bcbdd8a71d77bba6e9e70eda708f1502d5c0b04bcf2974f6eb31af0"},
+		{"loadgen", writeLoadgenStream, "def48e3bea40e791a320ec1d774c1043dc5966a9beb01936cb4f06b13089c88b"},
+		{"ring", writeRingStream, "5837921149c395d4b492d86cf31229cfd2a84a7b72000ac88662195d398a91d5"},
+	}
+	for _, c := range cases {
+		h := sha256.New()
+		c.write(t, h)
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s stream digest = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+func putFloat(h hash.Hash, v float64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+	h.Write(b[:])
+}
+
+func putInt(h hash.Hash, v int64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(v))
+	h.Write(b[:])
+}
+
+// writeSchedStream hashes a synthetic table and its full search, small
+// enough that odd restarts start from seeded random assignments.
+func writeSchedStream(t *testing.T, h hash.Hash) {
+	dt := sched.Synthetic(200, 5, 3)
+	for g := 0; g < dt.NumGPUs(); g++ {
+		for _, v := range dt.Row(g) {
+			putFloat(h, v)
+		}
+	}
+	res, err := sched.Schedule(dt, sched.SearchOptions{Seed: 11, Moves: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range res.Dense.GPUOf {
+		putInt(h, int64(g))
+	}
+	putFloat(h, res.Makespan)
+	putInt(h, res.MovesAccepted)
+	putInt(h, res.SwapsAccepted)
+	putInt(h, int64(res.BestRestart))
+}
+
+// writeFleetsimStream hashes a synthetic step table, a trace built from it,
+// and an open- and a closed-loop replay summary.
+func writeFleetsimStream(t *testing.T, h hash.Hash) {
+	st := fleetsim.SyntheticStepTable(3, 5, 8, 21)
+	for g := range st.GPUs() {
+		for n := range st.Nets() {
+			for b := 1; b <= st.MaxBatch(); b++ {
+				putFloat(h, st.At(int32(g), int32(n), int32(b)))
+			}
+		}
+	}
+	tr, err := fleetsim.BuildTrace(loadgen.NewPoissonArrivals(150, 4), len(st.Nets()), 3000, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.ArrivalS {
+		putFloat(h, tr.ArrivalS[i])
+		putInt(h, int64(tr.Net[i]))
+	}
+	writeResult := func(cfg fleetsim.Config, trace *fleetsim.Trace) {
+		sim, err := fleetsim.NewSim(st, cfg, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := sim.Replay()
+		for _, v := range []float64{r.SimSeconds, r.P50S, r.P90S, r.P99S, r.P999S, r.MaxS, r.MeanBatch} {
+			putFloat(h, v)
+		}
+		putInt(h, r.Requests)
+		putInt(h, r.Events)
+		putInt(h, r.Batches)
+	}
+	fleet := []int32{0, 1, 2, 2}
+	writeResult(fleetsim.Config{Fleet: fleet, PostProcS: 1e-3}, tr)
+	writeResult(fleetsim.Config{Fleet: fleet, Users: 24, ThinkMeanS: 0.02, HorizonS: 4, Seed: 17}, nil)
+}
+
+// writeLoadgenStream hashes the first draws of every arrival process and
+// the think-time sampler.
+func writeLoadgenStream(t *testing.T, h hash.Hash) {
+	procs := []loadgen.Process{
+		loadgen.NewPoissonArrivals(300, 1),
+		loadgen.NewBurstyArrivals(300, 4, 0.1, 0.3, 2),
+		loadgen.NewDiurnalArrivals(300, 0.6, 5, 3),
+	}
+	for _, p := range procs {
+		h.Write([]byte(p.Name()))
+		for i := 0; i < 2000; i++ {
+			putFloat(h, p.Next())
+		}
+	}
+	think := loadgen.NewThink(0.05, 4)
+	for i := 0; i < 2000; i++ {
+		putFloat(h, think.Sample())
+	}
+}
+
+// writeRingStream hashes the proxy's ring for a fixed address set and the
+// owner walk of a fixed key set.
+func writeRingStream(t *testing.T, h hash.Hash) {
+	p, err := New([]string{"10.0.0.1:8080", "10.0.0.2:8080", "10.0.0.3:8081", "replica-d:9000"}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range p.ring {
+		putInt(h, int64(pt.hash))
+		putInt(h, int64(pt.idx))
+	}
+	for k := 0; k < 500; k++ {
+		for _, idx := range p.owners(fnv64("network=net" + strconv.Itoa(k))) {
+			putInt(h, int64(idx))
+		}
+	}
+}

@@ -2,10 +2,10 @@ package fleetsim
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/loadgen"
+	"repro/internal/rng"
 )
 
 // RouterKind selects how arrivals are dispatched to replicas.
@@ -141,7 +141,7 @@ type Sim struct {
 	sumBatch int64
 	simEndS  float64
 
-	mix      splitmix       // closed-loop network mix
+	mix      rng.Stream     // closed-loop network mix
 	think    *loadgen.Think // closed-loop think times, re-seeded per replay
 	timeline []BatchSpan
 }
@@ -237,7 +237,7 @@ func (s *Sim) Replay() Result {
 		// Closed loop: every user schedules its first request one think
 		// time into the run — a deterministic stagger, no thundering herd.
 		s.think = loadgen.NewThink(s.cfg.ThinkMeanS, s.cfg.Seed+1)
-		s.mix = splitmix{s: uint64(s.cfg.Seed)}
+		s.mix = rng.New(uint64(s.cfg.Seed))
 		for u := 0; u < s.cfg.Users; u++ {
 			s.heap.push(s.think.Sample(), evUserNext, int32(u))
 		}
@@ -329,7 +329,7 @@ func (s *Sim) onArrival(id int32, now float64) {
 func (s *Sim) onUser(u int32, now float64) {
 	id := int32(len(s.reqArrival))
 	s.reqArrival = append(s.reqArrival, now)
-	s.reqNet = append(s.reqNet, int32(s.mix.next()%uint64(len(s.st.nets))))
+	s.reqNet = append(s.reqNet, int32(s.mix.Intn(len(s.st.nets))))
 	s.reqUser = append(s.reqUser, u)
 	s.lat = append(s.lat, 0)
 	s.enqueue(s.route(id), id, now)
@@ -437,10 +437,10 @@ func (s *Sim) summarize() Result {
 	scratch := s.scratch[:len(s.lat)]
 	copy(scratch, s.lat)
 	slices.Sort(scratch)
-	res.P50S = quantileSorted(scratch, 0.50)
-	res.P90S = quantileSorted(scratch, 0.90)
-	res.P99S = quantileSorted(scratch, 0.99)
-	res.P999S = quantileSorted(scratch, 0.999)
+	res.P50S = loadgen.Quantile(scratch, 0.50)
+	res.P90S = loadgen.Quantile(scratch, 0.90)
+	res.P99S = loadgen.Quantile(scratch, 0.99)
+	res.P999S = loadgen.Quantile(scratch, 0.999)
 	if n := len(scratch); n > 0 {
 		res.MaxS = scratch[n-1]
 	}
@@ -450,19 +450,3 @@ func (s *Sim) summarize() Result {
 // Timeline returns the batch spans recorded under Config.RecordTimeline,
 // valid until the next Replay.
 func (s *Sim) Timeline() []BatchSpan { return s.timeline }
-
-// quantileSorted returns the exact q-quantile of the sorted samples, the
-// same ceil-rank convention internal/loadgen reports.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}

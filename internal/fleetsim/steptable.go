@@ -17,7 +17,7 @@
 //	    + step time                 (StepTable lookup for the formed batch)
 //	    + post-processing           (fixed per-request cost)
 //
-// Everything is deterministic: seeded splitmix64 randomness, a binary-heap
+// Everything is deterministic: seeded internal/rng streams, a binary-heap
 // event queue with FIFO sequence tie-breaks, and goroutine-per-scenario
 // sweeps that merge into indexed slots — results are bit-identical across
 // runs, GOMAXPROCS settings and -race.
@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dnn"
+	"repro/internal/rng"
 )
 
 // StepTable memoizes the step-time oracle: seconds for one batch of each
@@ -174,14 +175,14 @@ func SyntheticStepTable(nGPUs, nNets, maxBatch int, seed int64) *StepTable {
 	if err != nil {
 		panic(err) // caller constants; misuse is a bug
 	}
-	rng := splitmix{s: uint64(seed)}
+	r := rng.New(uint64(seed))
 	speed := make([]float64, nGPUs)
 	for g := range speed {
-		speed[g] = 0.5 + 1.5*rng.float64()
+		speed[g] = 0.5 + 1.5*r.Float64()
 	}
 	for n := 0; n < nNets; n++ {
-		work := 1e-3 * math.Pow(50, rng.float64()) // batch-1 seconds in [1ms, 50ms)
-		alpha := 0.2 + 0.4*rng.float64()           // fixed-cost share of the batch-1 time
+		work := 1e-3 * math.Pow(50, r.Float64()) // batch-1 seconds in [1ms, 50ms)
+		alpha := 0.2 + 0.4*r.Float64()           // fixed-cost share of the batch-1 time
 		for g := 0; g < nGPUs; g++ {
 			for b := 1; b <= maxBatch; b++ {
 				st.Set(g, n, b, work*(alpha+(1-alpha)*float64(b))/speed[g])
@@ -189,23 +190,4 @@ func SyntheticStepTable(nGPUs, nNets, maxBatch int, seed int64) *StepTable {
 		}
 	}
 	return st
-}
-
-// splitmix is splitmix64, the repository's seeded, platform-identical RNG.
-type splitmix struct{ s uint64 }
-
-//dnnperf:allocfree
-func (r *splitmix) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform value in [0, 1).
-//
-//dnnperf:allocfree
-func (r *splitmix) float64() float64 {
-	return float64(r.next()>>11) / (1 << 53)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/loadgen"
+	"repro/internal/rng"
 )
 
 // Trace is a replayable open-loop request trace: request i arrives at
@@ -40,7 +41,7 @@ func (tr *Trace) Validate(nNets int) error {
 }
 
 // BuildTrace stamps n arrivals from a loadgen arrival process and draws
-// each request's network uniformly from nNets with a seeded splitmix —
+// each request's network uniformly from nNets with a seeded rng.Stream —
 // the trace source for open-loop replay. Deterministic in (process state,
 // nNets, n, mixSeed).
 func BuildTrace(proc loadgen.Process, nNets, n int, mixSeed int64) (*Trace, error) {
@@ -54,10 +55,10 @@ func BuildTrace(proc loadgen.Process, nNets, n int, mixSeed int64) (*Trace, erro
 		ArrivalS: make([]float64, n),
 		Net:      make([]int32, n),
 	}
-	mix := splitmix{s: uint64(mixSeed)}
+	mix := rng.New(uint64(mixSeed))
 	for i := 0; i < n; i++ {
 		tr.ArrivalS[i] = proc.Next()
-		tr.Net[i] = int32(mix.next() % uint64(nNets))
+		tr.Net[i] = int32(mix.Intn(nNets))
 	}
 	return tr, nil
 }

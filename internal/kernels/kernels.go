@@ -267,10 +267,6 @@ func ForLayer(l *dnn.Layer) []Kernel {
 	return appendForward(nil, l, &li)
 }
 
-// ForNetwork returns the concatenated kernel sequence of every layer, paired
-// with the producing layer index. The network must have inferred shapes.
-func ForNetwork(n *dnn.Network) ([]Kernel, []int) { return AppendNetwork(nil, nil, n, false) }
-
 // AppendNetwork appends a network's launch sequence to ks and each launch's
 // producing layer index to layerIdx, and returns both extended slices. With
 // training false the sequence is one forward pass; with training true it is

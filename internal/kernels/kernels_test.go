@@ -162,7 +162,7 @@ func TestForNetworkMapping(t *testing.T) {
 	if err := net.Infer(4); err != nil {
 		t.Fatal(err)
 	}
-	ks, idx := ForNetwork(net)
+	ks, idx := AppendNetwork(nil, nil, net, false)
 	if len(ks) != len(idx) {
 		t.Fatalf("kernels/indices mismatch: %d vs %d", len(ks), len(idx))
 	}
@@ -193,7 +193,7 @@ func TestKernelNameDiversity(t *testing.T) {
 		if err := n.Infer(512); err != nil {
 			t.Fatal(err)
 		}
-		ks, _ := ForNetwork(n)
+		ks, _ := AppendNetwork(nil, nil, n, false)
 		for _, k := range ks {
 			names[k.Name] = true
 		}

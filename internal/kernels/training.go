@@ -25,12 +25,6 @@ func ForLayerTraining(l *dnn.Layer) []Kernel {
 	return appendBackward(appendForward(nil, l, &li), l, &li)
 }
 
-// ForNetworkTraining returns the full training-step kernel sequence of a
-// network (forward, backward, optimizer), paired with producing layer
-// indices. Backward kernels are emitted in reverse layer order, as autograd
-// executes them.
-func ForNetworkTraining(n *dnn.Network) ([]Kernel, []int) { return AppendNetwork(nil, nil, n, true) }
-
 // appendBackward appends the layer's gradient kernels, then its optimizer
 // update if it has weights, to dst.
 func appendBackward(dst []Kernel, l *dnn.Layer, li *layerInfo) []Kernel {

@@ -65,8 +65,8 @@ func TestForNetworkTrainingOrdering(t *testing.T) {
 	if err := net.Infer(8); err != nil {
 		t.Fatal(err)
 	}
-	fwdKs, _ := ForNetwork(net)
-	ks, idx := ForNetworkTraining(net)
+	fwdKs, _ := AppendNetwork(nil, nil, net, false)
+	ks, idx := AppendNetwork(nil, nil, net, true)
 	if len(ks) != len(idx) {
 		t.Fatal("kernels/indices mismatch")
 	}
@@ -95,11 +95,11 @@ func TestTrainingKernelNamesDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	fwd := map[string]bool{}
-	fwdKs, _ := ForNetwork(net)
+	fwdKs, _ := AppendNetwork(nil, nil, net, false)
 	for _, k := range fwdKs {
 		fwd[k.Name] = true
 	}
-	ks, _ := ForNetworkTraining(net)
+	ks, _ := AppendNetwork(nil, nil, net, true)
 	bwdNames := map[string]bool{}
 	for _, k := range ks[len(fwdKs):] {
 		bwdNames[k.Name] = true
@@ -120,11 +120,11 @@ func TestTrainingFLOPsRoughlyTriple(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fwd, train int64
-	fwdKs, _ := ForNetwork(net)
+	fwdKs, _ := AppendNetwork(nil, nil, net, false)
 	for _, k := range fwdKs {
 		fwd += k.FLOPs
 	}
-	ks, _ := ForNetworkTraining(net)
+	ks, _ := AppendNetwork(nil, nil, net, true)
 	for _, k := range ks {
 		train += k.FLOPs
 	}

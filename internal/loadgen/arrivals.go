@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Arrival processes as deterministic simulated-time generators. The HTTP
@@ -44,39 +46,22 @@ type Process interface {
 	Next() float64
 }
 
-// splitmix is splitmix64 — the repository's seeded, allocation-free,
-// platform-identical RNG (same construction as internal/sched's).
-type splitmix struct{ s uint64 }
-
-func (r *splitmix) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform value in [0, 1).
-func (r *splitmix) float64() float64 {
-	return float64(r.next()>>11) / (1 << 53)
-}
-
 // expGap draws an exponential inter-arrival gap at the given rate:
 // −ln(1−U)/rate with U uniform in [0,1), so the argument stays in (0,1].
-func (r *splitmix) expGap(rate float64) float64 {
-	return -math.Log(1-r.float64()) / rate
+func expGap(r *rng.Stream, rate float64) float64 {
+	return -math.Log(1-r.Float64()) / rate
 }
 
 // PoissonArrivals is the homogeneous Poisson process.
 type PoissonArrivals struct {
 	rate float64
 	t    float64
-	rng  splitmix
+	rng  rng.Stream
 }
 
 // NewPoissonArrivals returns a Poisson process at rate arrivals/second.
 func NewPoissonArrivals(rate float64, seed int64) *PoissonArrivals {
-	return &PoissonArrivals{rate: rate, rng: splitmix{s: uint64(seed)}}
+	return &PoissonArrivals{rate: rate, rng: rng.New(uint64(seed))}
 }
 
 // Name implements Process.
@@ -84,7 +69,7 @@ func (p *PoissonArrivals) Name() string { return string(Poisson) }
 
 // Next implements Process.
 func (p *PoissonArrivals) Next() float64 {
-	p.t += p.rng.expGap(p.rate)
+	p.t += expGap(&p.rng, p.rate)
 	return p.t
 }
 
@@ -97,7 +82,7 @@ type BurstyArrivals struct {
 	onS, offS    float64
 	t, phaseEnd  float64
 	inBurst      bool
-	rng          splitmix
+	rng          rng.Stream
 }
 
 // NewBurstyArrivals returns a bursty process with mean-phase windows onS
@@ -116,7 +101,7 @@ func NewBurstyArrivals(rate, factor, onS, offS float64, seed int64) *BurstyArriv
 	return &BurstyArrivals{
 		rate: rate, factor: factor, onS: onS, offS: offS,
 		phaseEnd: onS, inBurst: true,
-		rng: splitmix{s: uint64(seed)},
+		rng: rng.New(uint64(seed)),
 	}
 }
 
@@ -138,7 +123,7 @@ func (p *BurstyArrivals) Next() float64 {
 	if p.inBurst {
 		rate = p.rate * p.factor
 	}
-	p.t += p.rng.expGap(rate)
+	p.t += expGap(&p.rng, rate)
 	return p.t
 }
 
@@ -147,7 +132,7 @@ func (p *BurstyArrivals) Next() float64 {
 type DiurnalArrivals struct {
 	base, amp, period float64
 	t                 float64
-	rng               splitmix
+	rng               rng.Stream
 }
 
 // NewDiurnalArrivals returns a diurnal process. Amplitude is clamped to
@@ -163,7 +148,7 @@ func NewDiurnalArrivals(base, amplitude, periodS float64, seed int64) *DiurnalAr
 	if periodS <= 0 {
 		periodS = 86400
 	}
-	return &DiurnalArrivals{base: base, amp: amplitude, period: periodS, rng: splitmix{s: uint64(seed)}}
+	return &DiurnalArrivals{base: base, amp: amplitude, period: periodS, rng: rng.New(uint64(seed))}
 }
 
 // Name implements Process.
@@ -178,8 +163,8 @@ func (p *DiurnalArrivals) Rate(t float64) float64 {
 func (p *DiurnalArrivals) Next() float64 {
 	peak := p.base * (1 + p.amp)
 	for {
-		p.t += p.rng.expGap(peak)
-		if p.rng.float64()*peak <= p.Rate(p.t) {
+		p.t += expGap(&p.rng, peak)
+		if p.rng.Float64()*peak <= p.Rate(p.t) {
 			return p.t
 		}
 	}
@@ -190,12 +175,12 @@ func (p *DiurnalArrivals) Next() float64 {
 // distributed with the given mean (memoryless users, the M in M/G/k).
 type Think struct {
 	mean float64
-	rng  splitmix
+	rng  rng.Stream
 }
 
 // NewThink returns a think-time sampler with the given mean in seconds.
 func NewThink(meanS float64, seed int64) *Think {
-	return &Think{mean: meanS, rng: splitmix{s: uint64(seed)}}
+	return &Think{mean: meanS, rng: rng.New(uint64(seed))}
 }
 
 // Sample returns one think time in seconds. A non-positive mean always
@@ -204,7 +189,7 @@ func (t *Think) Sample() float64 {
 	if t.mean <= 0 {
 		return 0
 	}
-	return t.rng.expGap(1 / t.mean)
+	return expGap(&t.rng, 1/t.mean)
 }
 
 // ArrivalsConfig parameterizes NewArrivals, the factory mapping an Arrival

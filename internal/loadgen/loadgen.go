@@ -23,6 +23,7 @@
 package loadgen
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -151,10 +152,16 @@ type SlowRequest struct {
 // requests (fleet.TraceIDHeader; spelled out to keep loadgen target-agnostic).
 const traceIDHeader = "X-Trace-Id"
 
-// Quantile returns the exact q-quantile of the recorded samples.
-func quantile(sorted []time.Duration, q float64) time.Duration {
+// Quantile returns the exact q-quantile of ascending samples by the
+// ceil-rank rule: sorted[⌈q·n⌉−1], the smallest sample with at least a q
+// share of the samples at or below it, clamped to the first and last
+// sample. An even-length median is the lower middle sample, and p99.9 of
+// fewer than 1,000 samples is the maximum. Empty input yields the zero
+// value. Run's latency summary and fleetsim's both report through it.
+func Quantile[T cmp.Ordered](sorted []T, q float64) T {
 	if len(sorted) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
 	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if idx < 0 {
@@ -266,10 +273,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	r.mu.Unlock()
 	sort.Slice(res.Slowest, func(i, j int) bool { return res.Slowest[i].Latency > res.Slowest[j].Latency })
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	res.P50 = quantile(samples, 0.50)
-	res.P90 = quantile(samples, 0.90)
-	res.P99 = quantile(samples, 0.99)
-	res.P999 = quantile(samples, 0.999)
+	res.P50 = Quantile(samples, 0.50)
+	res.P90 = Quantile(samples, 0.90)
+	res.P99 = Quantile(samples, 0.99)
+	res.P999 = Quantile(samples, 0.999)
 	if n := len(samples); n > 0 {
 		res.Max = samples[n-1]
 	}

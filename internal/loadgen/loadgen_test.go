@@ -90,6 +90,48 @@ func TestRunQuantilesAgainstKnownLatency(t *testing.T) {
 	}
 }
 
+// TestQuantile pins the ceil-rank rule every latency summary reports
+// through, for both sample types it is used with.
+func TestQuantile(t *testing.T) {
+	ten := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	upTo := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(i + 1)
+		}
+		return xs
+	}
+	cases := []struct {
+		name    string
+		samples []float64
+		q       float64
+		want    float64
+	}{
+		{"empty input is zero", nil, 0.5, 0},
+		{"q = 0 is the min", ten, 0, 1},
+		{"q < 0 is the min", ten, -0.25, 1},
+		{"q = 1 is the max", ten, 1, 10},
+		{"q > 1 is the max", ten, 1.5, 10},
+		{"even-length median is the lower middle", ten, 0.5, 5},
+		{"odd-length median is the middle", []float64{1, 2, 3}, 0.5, 2},
+		{"rank rounds up", ten, 0.91, 10},
+		{"p99.9 of 999 samples is the max", upTo(999), 0.999, 999},
+		{"p99.9 of 1,000 samples is the 999th", upTo(1000), 0.999, 999},
+	}
+	for _, c := range cases {
+		if got := Quantile(c.samples, c.q); got != c.want {
+			t.Errorf("%s: float64 Quantile(q=%v) = %v, want %v", c.name, c.q, got, c.want)
+		}
+		durs := make([]time.Duration, len(c.samples))
+		for i, v := range c.samples {
+			durs[i] = time.Duration(v) * time.Millisecond
+		}
+		if got, want := Quantile(durs, c.q), time.Duration(c.want)*time.Millisecond; got != want {
+			t.Errorf("%s: Duration Quantile(q=%v) = %v, want %v", c.name, c.q, got, want)
+		}
+	}
+}
+
 func TestRunClosedLoop(t *testing.T) {
 	_, newReq := testTarget(t, func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)

@@ -76,51 +76,6 @@ func (h *Histogram) Sum() units.Seconds {
 	return units.Seconds(float64(h.sumNanos.Load()) / 1e9)
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// within the bucket holding the target rank; observations in the +Inf
-// bucket report the highest finite bound. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) units.Seconds {
-	total := h.obsTotal.Load()
-	if total == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) { // +Inf bucket: no finite upper edge
-				return h.bounds[len(h.bounds)-1]
-			}
-			lower := units.Seconds(0)
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			upper := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lower + units.Seconds(frac)*(upper-lower)
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // CountAtMost returns how many observations landed in buckets whose upper
 // bound is ≤ threshold — the "fast enough" numerator for a latency
 // objective. The count is exact when the threshold equals a bucket bound

@@ -45,50 +45,6 @@ func TestHistogramBucketPlacement(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]units.Seconds{1, 2, 4})
-	// 10 observations inside (0, 1]: the median interpolates to the middle
-	// of that bucket.
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5)
-	}
-	if got := h.Quantile(0.5); math.Abs(float64(got)-0.5) > 1e-9 {
-		t.Errorf("median of a uniform first bucket = %v, want 0.5", got)
-	}
-	if got := h.Quantile(1); math.Abs(float64(got)-1) > 1e-9 {
-		t.Errorf("q=1 = %v, want the bucket's upper edge 1", got)
-	}
-
-	// Push ten more into (2, 4]: the 75th percentile now lands in that
-	// bucket, interpolated between 2 and 4.
-	for i := 0; i < 10; i++ {
-		h.Observe(3)
-	}
-	got := h.Quantile(0.75)
-	if got <= 2 || got > 4 {
-		t.Errorf("p75 = %v, want within (2, 4]", got)
-	}
-}
-
-func TestHistogramQuantileEdges(t *testing.T) {
-	h := NewHistogram([]units.Seconds{1, 2})
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("quantile of empty histogram = %v, want 0", got)
-	}
-	// Observations beyond every bound report the highest finite bound.
-	h.Observe(100)
-	if got := h.Quantile(0.99); got != 2 {
-		t.Errorf("quantile with only +Inf observations = %v, want 2", got)
-	}
-	// Out-of-range q is clamped, not panicking.
-	if got := h.Quantile(-1); got < 0 {
-		t.Errorf("Quantile(-1) = %v", got)
-	}
-	if got := h.Quantile(2); got != 2 {
-		t.Errorf("Quantile(2) = %v, want 2", got)
-	}
-}
-
 func TestNewHistogramRejectsUnsortedBounds(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -4,6 +4,8 @@ import (
 	"os"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // Trace context: W3C-traceparent-style identifiers that tie one request's
@@ -51,17 +53,12 @@ func init() {
 }
 
 // nextID returns the next splitmix64 output: an atomic add of the golden
-// ratio increment followed by the mix64 finalizer. Never zero (the format
-// reserves all-zero IDs).
+// ratio increment followed by the splitmix64 finalizer, so concurrent
+// callers share one stream without a lock. Never zero (the format reserves
+// all-zero IDs).
 func nextID() uint64 {
 	for {
-		x := idState.Add(0x9e3779b97f4a7c15)
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		if x != 0 {
+		if x := rng.Mix(idState.Add(rng.Gamma)); x != 0 {
 			return x
 		}
 	}

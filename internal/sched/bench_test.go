@@ -1,6 +1,10 @@
 package sched
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/rng"
+)
 
 // BenchmarkScheduleLocalSearch is the gated end-to-end search benchmark:
 // one full Schedule pipeline (mins, lower bound, construction, 4-restart
@@ -38,18 +42,18 @@ func BenchmarkDenseTimesBuild(b *testing.B) {
 // the swap — all annotated //dnnperf:allocfree, all O(1).
 func BenchmarkScheduleMoveEval(b *testing.B) {
 	dt := Synthetic(10_000, 8, 5)
-	rng := newSplitMix(5)
-	s := randomState(dt, rng)
+	draw := rng.New(5)
+	s := randomState(dt, &draw)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
-		i := rng.intn(s.n)
-		to := int32(rng.intn(s.g - 1))
+		i := draw.Intn(s.n)
+		to := int32(draw.Intn(s.g - 1))
 		if to >= s.gpuOf[i] {
 			to++
 		}
 		_ = s.evalMove(i, to)
-		j := rng.intn(s.n)
+		j := draw.Intn(s.n)
 		if s.gpuOf[i] != s.gpuOf[j] {
 			if s.evalSwap(i, j) < 2*s.span {
 				s.applySwap(i, j)

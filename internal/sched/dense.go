@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/rng"
 )
 
 // DenseTimes is the slice-backed time table the cluster-scale optimizer
@@ -174,50 +176,25 @@ func Synthetic(nTasks, nGPUs int, seed int64) *DenseTimes {
 	if err != nil {
 		panic(err) // nTasks/nGPUs are caller constants; misuse is a bug
 	}
-	rng := newSplitMix(uint64(seed))
+	r := rng.New(uint64(seed))
 	speed := make([]float64, nGPUs)
 	for g := range speed {
-		speed[g] = 0.5 + 1.5*rng.float64() // 0.5x–2x fleet heterogeneity
+		speed[g] = 0.5 + 1.5*r.Float64() // 0.5x–2x fleet heterogeneity
 	}
 	work := make([]float64, nTasks)
 	for i := range work {
 		// log-uniform task sizes over [1ms, 1s] — a queue of small CNNs and
 		// the occasional giant transformer, per the paper's zoo spread.
-		work[i] = 1e-3 * math.Pow(10, 3*rng.float64())
+		work[i] = 1e-3 * math.Pow(10, 3*r.Float64())
 	}
 	for g := 0; g < nGPUs; g++ {
 		row := dt.Row(g)
 		for i := range row {
-			jitter := 0.8 + 0.4*rng.float64()
+			jitter := 0.8 + 0.4*r.Float64()
 			row[i] = work[i] * jitter / speed[g]
 		}
 	}
 	return dt
-}
-
-// splitMix is a tiny deterministic RNG (splitmix64) used where we need
-// seeded, allocation-light randomness without math/rand's lock or its
-// global source. Identical output on every platform.
-type splitMix struct{ s uint64 }
-
-func newSplitMix(seed uint64) *splitMix { return &splitMix{s: seed} }
-
-func (r *splitMix) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float64 returns a uniform value in [0, 1).
-func (r *splitMix) float64() float64 {
-	return float64(r.next()>>11) / (1 << 53)
-}
-
-// intn returns a uniform value in [0, n). n must be positive.
-func (r *splitMix) intn(n int) int {
-	return int(r.next() % uint64(n))
 }
 
 // sortTasksByKeyDesc sorts task ids by key descending, ties by id ascending

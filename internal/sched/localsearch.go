@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/rng"
 )
 
 // Cluster-scale makespan search. The paper's case study 3 brute-forces 6
@@ -216,10 +218,10 @@ type restartOut struct {
 // construction.)
 func runRestart(dt *DenseTimes, initial []int32, opt SearchOptions, r int, t0, cool float64) restartOut {
 	if r%2 == 1 && dt.n <= smallInstanceTasks {
-		rng := newSplitMix(restartSeed(opt.Seed, r) ^ 0x5bf03635aca2c2cb)
+		start := rng.New(restartSeed(opt.Seed, r) ^ 0x5bf03635aca2c2cb)
 		alt := make([]int32, dt.n)
 		for i := range alt {
-			alt[i] = int32(rng.intn(len(dt.gpus)))
+			alt[i] = int32(start.Intn(len(dt.gpus)))
 		}
 		initial = alt
 	}
@@ -293,7 +295,7 @@ type searchState struct {
 	byGPU [][]int32
 	slot  []int32
 
-	rng *splitMix
+	rng rng.Stream
 
 	// Incumbent: best makespan seen and the assignment that achieved it.
 	bestSpan  float64
@@ -314,7 +316,7 @@ func newSearchState(dt *DenseTimes, initial []int32, seed uint64) *searchState {
 		heapPos:   make([]int32, g),
 		byGPU:     make([][]int32, g),
 		slot:      make([]int32, n),
-		rng:       newSplitMix(seed),
+		rng:       rng.New(seed),
 		bestGPUOf: make([]int32, n),
 	}
 	counts := make([]int32, g)
@@ -524,21 +526,21 @@ func (s *searchState) anneal(moves int, t0, cool float64) {
 	for k := 0; k < moves; k++ {
 		temp *= cool
 		var src int32
-		if s.rng.next()&3 != 0 {
+		if s.rng.Uint64()&3 != 0 {
 			src = s.heapGPU[0]
 		} else {
-			src = int32(s.rng.intn(s.g))
+			src = int32(s.rng.Intn(s.g))
 		}
 		lst := s.byGPU[src]
 		if len(lst) == 0 {
 			continue
 		}
-		i := int(lst[s.rng.intn(len(lst))])
-		to := int32(s.rng.intn(s.g - 1))
+		i := int(lst[s.rng.Intn(len(lst))])
+		to := int32(s.rng.Intn(s.g - 1))
 		if to >= src {
 			to++
 		}
-		if s.rng.next()&1 == 0 {
+		if s.rng.Uint64()&1 == 0 {
 			s.movesTried++
 			if s.accept(s.evalMove(i, to), temp) {
 				s.applyMove(i, to)
@@ -550,7 +552,7 @@ func (s *searchState) anneal(moves int, t0, cool float64) {
 			if len(dst) == 0 {
 				continue
 			}
-			j := int(dst[s.rng.intn(len(dst))])
+			j := int(dst[s.rng.Intn(len(dst))])
 			s.swapsTried++
 			if s.accept(s.evalSwap(i, j), temp) {
 				s.applySwap(i, j)
@@ -571,10 +573,10 @@ func (s *searchState) accept(newSpan, temp float64) bool {
 		return false
 	}
 	x := delta / temp
-	if x > 30 { // exp(-30) ≈ 1e-13: below any rng.float64 resolution worth paying math.Exp for
+	if x > 30 { // exp(-30) ≈ 1e-13: below any rng.Float64 resolution worth paying math.Exp for
 		return false
 	}
-	return s.rng.float64() < math.Exp(-x)
+	return s.rng.Float64() < math.Exp(-x)
 }
 
 // descend runs strict-improvement sweeps until a local optimum or the pass

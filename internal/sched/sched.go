@@ -49,18 +49,13 @@ func (tm Times) Validate(nTasks int) error {
 }
 
 // gpuNames returns the map keys sorted, for deterministic iteration.
-func (tm Times) gpuNames() []string { return tm.gpuNamesInto(nil) }
-
-// gpuNamesInto is the buffer-reusing variant of gpuNames: the sorted keys
-// are appended into buf[:0], so a caller holding the returned slice across
-// calls sorts into cached storage instead of re-allocating each time.
-func (tm Times) gpuNamesInto(buf []string) []string {
-	buf = buf[:0]
+func (tm Times) gpuNames() []string {
+	names := make([]string, 0, len(tm))
 	for g := range tm {
-		buf = append(buf, g)
+		names = append(names, g)
 	}
-	sort.Strings(buf)
-	return buf
+	sort.Strings(names)
+	return names
 }
 
 // ChooseGPU returns, for each task, the GPU with the smallest time — the
@@ -94,25 +89,16 @@ type Assignment struct {
 	Makespan float64
 }
 
-// finishAssignment recomputes loads/makespan from GPUOf and the time table,
-// allocating a fresh load map; hot loops use finishAssignmentInto instead.
+// finishAssignment fills a's per-GPU loads and makespan from GPUOf and the
+// time table, every GPU present in Load, tasks summed in index order.
 func finishAssignment(a *Assignment, tm Times) {
-	finishAssignmentInto(a, tm, make(map[string]float64, len(tm)))
-}
-
-// finishAssignmentInto is the buffer-reusing variant: the caller's load map
-// is cleared, refilled, and installed as a.Load. When the map already holds
-// this table's GPU keys the recompute performs zero allocations, which is
-// what lets per-call schedulers amortize the map across a whole queue.
-func finishAssignmentInto(a *Assignment, tm Times, load map[string]float64) {
-	clear(load)
+	a.Load = make(map[string]float64, len(tm))
 	for g := range tm {
-		load[g] = 0
+		a.Load[g] = 0
 	}
 	for i, g := range a.GPUOf {
-		load[g] += tm[g][i]
+		a.Load[g] += tm[g][i]
 	}
-	a.Load = load
 	a.Makespan = 0
 	for _, l := range a.Load {
 		if l > a.Makespan {
@@ -214,71 +200,44 @@ func Auto(tm Times, nTasks int) (Assignment, bool, error) {
 // classical approximation guarantee — on identical machines LPT is within
 // 4/3 − 1/(3g) of optimal (Graham 1969), versus 2 − 1/g for arbitrary-order
 // list scheduling — and heterogeneous fleets inherit it as a strong
-// baseline. GreedyInOrder keeps the unsorted variant for comparison.
+// baseline. It is ListSchedule with a one-task window, run on the dense
+// form of tm; GreedyInOrder keeps the unsorted variant for comparison.
 func Greedy(tm Times, nTasks int) (Assignment, error) {
-	if err := tm.Validate(nTasks); err != nil {
-		return Assignment{}, err
-	}
-	gpus := tm.gpuNames()
-	// Precompute each task's best-GPU time once: sorting with a comparator
-	// that rescans every GPU per comparison would cost O(n log n · g)
-	// redundant table reads.
-	keys := make([]float64, nTasks)
-	order := make([]int32, nTasks)
-	for i := range order {
-		order[i] = int32(i)
-		best := math.Inf(1)
-		for _, g := range gpus {
-			if tm[g][i] < best {
-				best = tm[g][i]
-			}
-		}
-		keys[i] = best
-	}
-	sortTasksByKeyDesc(order, keys)
-
-	a := Assignment{GPUOf: make([]string, nTasks)}
-	load := make(map[string]float64, len(gpus))
-	for _, task := range order {
-		i := int(task)
-		bestG, bestFinish := "", math.Inf(1)
-		for _, g := range gpus {
-			if f := load[g] + tm[g][i]; f < bestFinish {
-				bestFinish = f
-				bestG = g
-			}
-		}
-		a.GPUOf[i] = bestG
-		load[bestG] += tm[bestG][i]
-	}
-	finishAssignmentInto(&a, tm, load)
-	return a, nil
+	return scheduleTimes(tm, nTasks, ListPolicy{Lookahead: 1})
 }
 
 // GreedyInOrder is list scheduling in input order: each task in turn goes
 // to the GPU minimizing its completion time, with no LPT sort. This is the
 // order-sensitive variant (worst case 2 − 1/g on identical machines) kept
 // for golden comparisons and for queues whose arrival order is meaningful.
+// It is InOrderPolicy run on the dense form of tm.
 func GreedyInOrder(tm Times, nTasks int) (Assignment, error) {
-	if err := tm.Validate(nTasks); err != nil {
+	return scheduleTimes(tm, nTasks, InOrderPolicy{})
+}
+
+// scheduleTimes runs a dense policy on a map-form table and expands the
+// result. GPU ids follow sorted names and both dense policies break ties
+// toward the lower id, so ties go to the alphabetically first GPU. An empty
+// queue, which the dense form cannot hold, places nothing and reports
+// every GPU at zero load.
+func scheduleTimes(tm Times, nTasks int, pol Policy) (Assignment, error) {
+	if nTasks == 0 {
+		if err := tm.Validate(0); err != nil {
+			return Assignment{}, err
+		}
+		a := Assignment{GPUOf: []string{}}
+		finishAssignment(&a, tm)
+		return a, nil
+	}
+	dt, err := FromTimes(tm, nTasks)
+	if err != nil {
 		return Assignment{}, err
 	}
-	gpus := tm.gpuNames()
-	a := Assignment{GPUOf: make([]string, nTasks)}
-	load := make(map[string]float64, len(gpus))
-	for i := 0; i < nTasks; i++ {
-		bestG, bestFinish := "", math.Inf(1)
-		for _, g := range gpus {
-			if f := load[g] + tm[g][i]; f < bestFinish {
-				bestFinish = f
-				bestG = g
-			}
-		}
-		a.GPUOf[i] = bestG
-		load[bestG] += tm[bestG][i]
+	da, err := pol.Schedule(dt)
+	if err != nil {
+		return Assignment{}, err
 	}
-	finishAssignmentInto(&a, tm, load)
-	return a, nil
+	return da.Assignment(dt), nil
 }
 
 // MakespanOf evaluates an existing assignment under a different time table —

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -223,6 +224,12 @@ func TestGreedyInOrder(t *testing.T) {
 	if lpt.Makespan != 6 {
 		t.Fatalf("LPT makespan = %v, want 6", lpt.Makespan)
 	}
+
+	// An empty queue places nothing and reports every GPU idle.
+	want0 := Assignment{GPUOf: []string{}, Load: map[string]float64{"a": 0}}
+	if got, err := GreedyInOrder(Times{"a": {}}, 0); err != nil || !reflect.DeepEqual(got, want0) {
+		t.Fatalf("GreedyInOrder on an empty queue = %+v, %v; want %+v", got, err, want0)
+	}
 }
 
 func TestGreedyFeasibleAndBounded(t *testing.T) {
@@ -240,6 +247,12 @@ func TestGreedyFeasibleAndBounded(t *testing.T) {
 	}
 	if len(g.GPUOf) != 4 {
 		t.Fatalf("greedy assigned %d tasks", len(g.GPUOf))
+	}
+
+	// An empty queue places nothing and reports every GPU idle.
+	want0 := Assignment{GPUOf: []string{}, Load: map[string]float64{"a": 0}}
+	if got, err := Greedy(Times{"a": {}}, 0); err != nil || !reflect.DeepEqual(got, want0) {
+		t.Fatalf("Greedy on an empty queue = %+v, %v; want %+v", got, err, want0)
 	}
 }
 

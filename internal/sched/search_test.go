@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // dyadicInstance builds a random table whose entries are dyadic rationals
@@ -19,24 +21,24 @@ func dyadicInstance(nTasks, nGPUs int, seed uint64) *DenseTimes {
 	if err != nil {
 		panic(err)
 	}
-	rng := newSplitMix(seed)
+	draw := rng.New(seed)
 	for g := 0; g < nGPUs; g++ {
 		row := dt.Row(g)
 		for i := range row {
-			row[i] = float64(1+rng.intn(1<<20)) / (1 << 20)
+			row[i] = float64(1+draw.Intn(1<<20)) / (1 << 20)
 		}
 	}
 	return dt
 }
 
 // randomState builds a searchState over dt with a random initial
-// assignment drawn from the same rng stream.
-func randomState(dt *DenseTimes, rng *splitMix) *searchState {
+// assignment drawn from the caller's stream.
+func randomState(dt *DenseTimes, draw *rng.Stream) *searchState {
 	initial := make([]int32, dt.n)
 	for i := range initial {
-		initial[i] = int32(rng.intn(len(dt.gpus)))
+		initial[i] = int32(draw.Intn(len(dt.gpus)))
 	}
-	return newSearchState(dt, initial, rng.next())
+	return newSearchState(dt, initial, draw.Uint64())
 }
 
 // checkStateExact compares the state's incremental loads, heap top, and
@@ -69,13 +71,13 @@ func TestIncrementalMatchesRecomputeExact(t *testing.T) {
 	} {
 		for seed := uint64(0); seed < 4; seed++ {
 			dt := dyadicInstance(tc.n, tc.g, 1000*seed+uint64(tc.n))
-			rng := newSplitMix(seed * 77)
-			s := randomState(dt, rng)
+			draw := rng.New(seed * 77)
+			s := randomState(dt, &draw)
 			checkStateExact(t, s, dt, "init")
 			for step := 0; step < 500; step++ {
-				i := rng.intn(tc.n)
-				if tc.g > 1 && rng.next()&1 == 0 {
-					to := int32(rng.intn(tc.g - 1))
+				i := draw.Intn(tc.n)
+				if tc.g > 1 && draw.Uint64()&1 == 0 {
+					to := int32(draw.Intn(tc.g - 1))
 					if to >= s.gpuOf[i] {
 						to++
 					}
@@ -85,7 +87,7 @@ func TestIncrementalMatchesRecomputeExact(t *testing.T) {
 						t.Fatalf("move step %d: evalMove predicted %v, applied span %v", step, predicted, s.span)
 					}
 				} else {
-					j := rng.intn(tc.n)
+					j := draw.Intn(tc.n)
 					if s.gpuOf[i] == s.gpuOf[j] {
 						continue
 					}
@@ -106,12 +108,12 @@ func TestIncrementalMatchesRecomputeExact(t *testing.T) {
 // relative — the bound the final finishDense pass then clears entirely.
 func TestIncrementalDriftBounded(t *testing.T) {
 	dt := Synthetic(500, 6, 99)
-	rng := newSplitMix(5)
-	s := randomState(dt, rng)
+	draw := rng.New(5)
+	s := randomState(dt, &draw)
 	load := make([]float64, s.g)
 	for step := 0; step < 2000; step++ {
-		i := rng.intn(500)
-		to := int32(rng.intn(5))
+		i := draw.Intn(500)
+		to := int32(draw.Intn(5))
 		if to >= s.gpuOf[i] {
 			to++
 		}

@@ -9,8 +9,9 @@
 #   3. go test -race    — the full suite under the race detector
 #   4. fuzz             — each fuzz target (FuzzLoad, FuzzFamilyOf,
 #                         FuzzReadNetworksCSV, FuzzParseTraceparent,
-#                         FuzzPredictBatchBody, FuzzBatchRequestDecode) runs
-#                         5s of generated inputs past its seed corpus
+#                         FuzzPredictBatchBody, FuzzBatchRequestDecode,
+#                         FuzzQueryValue) runs 5s of generated inputs past
+#                         its seed corpus
 #   5. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
 #                         then a 2-replica fleet: routing, 429 backpressure,
 #                         whole-fleet graceful drain
@@ -51,6 +52,7 @@ fuzz FuzzReadNetworksCSV ./internal/dataset
 fuzz FuzzParseTraceparent ./internal/obs
 fuzz FuzzPredictBatchBody ./cmd/dnnperf
 fuzz FuzzBatchRequestDecode ./cmd/dnnperf
+fuzz FuzzQueryValue ./cmd/dnnperf
 
 echo "== serve smoke test"
 ./scripts/serve_smoke.sh
