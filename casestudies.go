@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/disagg"
 	"repro/internal/sched"
-	"repro/internal/units"
 )
 
 // This file exposes the building blocks of the paper's three case studies
@@ -54,23 +53,7 @@ func DisaggSpeedups(results []DisaggResult) []float64 { return disagg.Speedups(r
 // batch size, taking compute times from a trained kernel-wise model and
 // counting weights plus input/output activations as remote traffic.
 func DisaggJobsFromNetwork(n *Network, batch int, kw *KWModel) ([]DisaggLayerJob, error) {
-	if err := n.Infer(batch); err != nil {
-		return nil, err
-	}
-	var jobs []DisaggLayerJob
-	for _, l := range n.Layers {
-		traffic := 4 * l.WeightCount()
-		for _, s := range l.InShapes {
-			traffic += 4 * s.Numel()
-		}
-		traffic += 4 * l.OutShape.Numel()
-		jobs = append(jobs, DisaggLayerJob{
-			Name:           l.Name,
-			ComputeSeconds: kw.PredictLayerTime(l),
-			RemoteBytes:    units.Bytes(traffic),
-		})
-	}
-	return jobs, nil
+	return disagg.JobsFromNetwork(n, batch, kw.PredictLayerTime)
 }
 
 // ---------------------------------------------------------- case study 3

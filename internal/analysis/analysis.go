@@ -3,7 +3,7 @@
 // cannot state — bit-identical refits regardless of map iteration order,
 // unit-coherent arithmetic on seconds/FLOPs/bytes, epsilon-aware float
 // comparison, lock hygiene under the sharded caches, and model coefficients
-// that change only through blessed mutators. Each promise is encoded as one
+// written only by the fitting constructors. Each promise is encoded as one
 // analyzer here, checked over the whole module by cmd/dnnlint, and enforced
 // in CI through make verify.
 //

@@ -277,7 +277,7 @@ func TestLoadPackages(t *testing.T) {
 // carry the //dnnperf:allocfree contract because their steady state is
 // benchmarked at 0 allocs/op.
 var hotPathAnnotations = map[string][]string{
-	"internal/core/plan.go":     {"Predict", "PredictSweepInto", "predictTerms", "networkFingerprint", "str", "u64", "num", "flag"},
+	"internal/core/plan.go":     {"Predict", "PredictSweepInto", "networkFingerprint", "str", "u64", "num", "flag"},
 	"internal/core/model.go":    {"clampTime"},
 	"internal/core/kw.go":       {"PredictNetwork", "planFor"},
 	"internal/cache/cache.go":   {"Get", "moveToFront", "pushFront", "unlink"},

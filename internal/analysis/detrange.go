@@ -40,7 +40,8 @@ func (*Detrange) Doc() string {
 }
 
 // accumulatorMethods are method names treated as order-sensitive statistic
-// folds when invoked inside a map range (regression.Accumulator's API).
+// folds when invoked inside a map range: a running-sums accumulator's Add
+// and Merge fold floats, so their results depend on the call order.
 var accumulatorMethods = map[string]bool{"Add": true, "Merge": true}
 
 // writerMethods are serialization calls whose output order becomes the map's

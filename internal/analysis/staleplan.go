@@ -8,12 +8,13 @@ import (
 )
 
 // Staleplan guards the coherence between fitted models and their compiled
-// prediction plans. KWModel caches compiled Plans (and the mapping-batch set
-// plan compilation reads) keyed on the current coefficient structure; the
-// blessed mutators (Fit*, ObserveRecords and the rebuild helpers they call)
-// invalidate those caches after every coefficient change.
-// A write to a coefficient field from anywhere else silently leaves stale
-// plans serving predictions from the old coefficients.
+// prediction plans. KWModel caches compiled Plans, memoized layer
+// compilations and the mapping-batch set plan compilation reads, all
+// derived from its coefficients and never invalidated: a model is immutable
+// once its constructor returns, and an update is a new fit. Only the
+// constructors (Fit*/fit*) may write coefficient fields, before any plan
+// exists. A write from anywhere else silently leaves stale plans serving
+// predictions from the old coefficients.
 //
 // Two kinds of write are checked: assigning a coefficient field
 // (m.Mapping = …), and mutating its contents in place — an index write
@@ -33,7 +34,7 @@ func (*Staleplan) Name() string { return "staleplan" }
 
 // Doc implements Analyzer.
 func (*Staleplan) Doc() string {
-	return "model coefficient mutation outside the blessed mutators (stale compiled plans)"
+	return "model coefficient mutation outside the fitting constructors (stale compiled plans)"
 }
 
 // coefficientFields lists, per guarded model type, the fields that feed
@@ -45,25 +46,16 @@ var coefficientFields = map[string]map[string]bool{
 	},
 }
 
-// blessedName matches functions allowed to mutate coefficients: the fitting
-// entry points and the online-update rebuild chain.
+// blessedName matches the functions allowed to write coefficients: the
+// fitting constructors and their unexported cores.
 var blessedName = regexp.MustCompile(`^(Fit|fit)`)
-
-// blessedExact are additional allowed mutators by exact name: the online
-// observation fold and the rebuild chain it triggers (ObserveRecords →
-// rebuildFromAccumulators), plus the fit-time seeding of the online state.
-var blessedExact = map[string]bool{
-	"ObserveRecords":          true,
-	"initOnline":              true,
-	"rebuildFromAccumulators": true,
-}
 
 // Run implements Analyzer.
 func (a *Staleplan) Run(p *Pass) []Finding {
 	var findings []Finding
 	for _, fd := range funcDecls(p) {
 		name := fd.Name.Name
-		if blessedName.MatchString(name) || blessedExact[name] {
+		if blessedName.MatchString(name) {
 			continue
 		}
 		fresh := freshModels(p, fd.Body)
@@ -75,7 +67,7 @@ func (a *Staleplan) Run(p *Pass) []Finding {
 			model := guardedModelName(p, sel.X)
 			if !inPlace && !indexed {
 				reportf(p, &findings, a.Name(), n,
-					"%s.%s assigned outside the blessed mutators (Fit*, ObserveRecords, rebuildFromAccumulators); compiled plans are not invalidated and will serve stale coefficients",
+					"%s.%s assigned outside the fitting constructors (Fit*/fit*); compiled plans are never invalidated and will serve stale coefficients",
 					model, sel.Sel.Name)
 				return
 			}
@@ -83,7 +75,7 @@ func (a *Staleplan) Run(p *Pass) []Finding {
 				return // filling a model built from a literal in this function
 			}
 			reportf(p, &findings, a.Name(), n,
-				"%s.%s mutated in place outside the blessed mutators (Fit*, ObserveRecords, rebuildFromAccumulators); compiled plans and cached mapping batches are not invalidated and will serve stale coefficients",
+				"%s.%s mutated in place outside the fitting constructors (Fit*/fit*); compiled plans and cached mapping batches are never invalidated and will serve stale coefficients",
 				model, sel.Sel.Name)
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {

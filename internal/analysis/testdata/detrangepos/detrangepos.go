@@ -25,7 +25,7 @@ func collectKeys(m map[string]int) []string {
 	return keys
 }
 
-// acc mimics regression.Accumulator's folding API.
+// acc mimics a running-sums statistics accumulator's folding API.
 type acc struct{ sum float64 }
 
 // Add folds one observation.

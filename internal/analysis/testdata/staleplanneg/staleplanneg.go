@@ -1,5 +1,6 @@
 // Package staleplanneg holds true-negative fixtures for the staleplan
-// analyzer: blessed mutators, non-coefficient fields and unguarded types.
+// analyzer: fitting constructors, non-coefficient fields and unguarded
+// types.
 package staleplanneg
 
 // KWModel mirrors the guarded model.
@@ -14,18 +15,6 @@ func FitKW() *KWModel {
 	m := &KWModel{}
 	m.Classif = map[string]int{}
 	return m
-}
-
-// ObserveRecords is blessed by exact name, in-place writes included.
-func (m *KWModel) ObserveRecords() {
-	m.Classif = nil
-	m.Mapping["sig"] = []string{"k"}
-	delete(m.Mapping, "old")
-}
-
-// rebuildFromAccumulators is blessed by exact name.
-func (m *KWModel) rebuildFromAccumulators() {
-	m.Classif = map[string]int{}
 }
 
 // SetTraining writes a non-coefficient field: no plan depends on it.

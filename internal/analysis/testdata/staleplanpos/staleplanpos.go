@@ -1,5 +1,5 @@
 // Package staleplanpos holds true-positive fixtures for the staleplan
-// analyzer: coefficient writes outside the blessed mutators.
+// analyzer: coefficient writes outside the fitting constructors.
 package staleplanpos
 
 // KWModel mirrors the guarded model's coefficient fields.
@@ -22,16 +22,28 @@ func tamper(m *KWModel) {
 	m.Classif = nil
 }
 
-// SetGroups mutates through a method that is not a blessed mutator.
+// SetGroups mutates through a method that is not a fitting constructor.
 func (m *KWModel) SetGroups(gs []int) {
 	m.Groups = gs
 }
 
-// seedFromAccumulators mimics a streaming-fit fold that bypasses the blessed
-// chain (the fit-prefixed cores / rebuildFromAccumulators): still a
-// violation.
+// seedFromAccumulators mimics a streaming-fit fold that bypasses the
+// fit-prefixed cores: still a violation.
 func seedFromAccumulators(m *KWModel) {
 	m.Groups = append(m.Groups, 1)
+}
+
+// ObserveRecords updates a live model in place, as an online learner
+// would: plans compiled from the old coefficients keep serving.
+func (m *KWModel) ObserveRecords() {
+	m.Classif = nil
+	m.Mapping["sig"] = []string{"k"}
+	delete(m.Mapping, "old")
+}
+
+// rebuildFromAccumulators rewrites a live model's classification.
+func (m *KWModel) rebuildFromAccumulators() {
+	m.Classif = map[string]int{}
 }
 
 // plant adds one mapping entry in place: the table grows, but cached plans

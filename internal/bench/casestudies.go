@@ -188,24 +188,9 @@ func Figure17(l *Lab) (*Figure17Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := net.Infer(Figure17Batch); err != nil {
+		jobs, err := disagg.JobsFromNetwork(net, Figure17Batch, kw.PredictLayerTime)
+		if err != nil {
 			return nil, err
-		}
-		var jobs []disagg.LayerJob
-		for _, layer := range net.Layers {
-			// The remote pool holds both parameters and spilled activations:
-			// each layer streams its weights plus its input/output feature
-			// maps over the link.
-			traffic := 4 * layer.WeightCount()
-			for _, s := range layer.InShapes {
-				traffic += 4 * s.Numel()
-			}
-			traffic += 4 * layer.OutShape.Numel()
-			jobs = append(jobs, disagg.LayerJob{
-				Name:           layer.Name,
-				ComputeSeconds: kw.PredictLayerTime(layer),
-				RemoteBytes:    units.Bytes(traffic),
-			})
 		}
 		results, err := disagg.Sweep(jobs, disagg.Config{LinkLatencyUS: 2}, figure17Bandwidths)
 		if err != nil {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dnn"
 	"repro/internal/gpu"
 )
 
@@ -193,7 +195,8 @@ func TestRobustness(t *testing.T) {
 }
 
 func TestOnlineLearning(t *testing.T) {
-	r, err := OnlineLearning(quickLab(t), gpu.A100)
+	l := quickLab(t)
+	r, err := OnlineLearning(l, gpu.A100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,5 +217,23 @@ func TestOnlineLearning(t *testing.T) {
 	}
 	if last.ObservedNetworks <= first.ObservedNetworks {
 		t.Fatal("streaming did not advance")
+	}
+	// Having observed every training network, the deployed model is the one
+	// fitted on the whole training split: same held-out error to the bit.
+	ds, err := l.Dataset(gpu.A100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test := l.Split(ds)
+	kw, err := core.FitKW(train, gpu.A100.Name, TrainBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evals, err := l.evalOnTest(kw, test, dnn.TaskImageClassification)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := core.MeanRelError(evals); last.KWError != want {
+		t.Fatalf("last online step error %v, fit on the training split %v", last.KWError, want)
 	}
 }

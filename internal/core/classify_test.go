@@ -164,6 +164,7 @@ func TestGroupKernelsReducesModelCount(t *testing.T) {
 func TestGroupSparseKernelsExcluded(t *testing.T) {
 	recs := plantRecords("dense", DriverInput, 1e-9, 1e-6, 100, 9)
 	recs = append(recs, plantRecords("sparse", DriverInput, 1e-9, 1e-6, MinKernelObservations-1, 10)...)
+	recs = append(recs, plantRecords("threshold", DriverInput, 1e-9, 1e-6, MinKernelObservations, 11)...)
 	classif := ClassifyKernels(recs)
 	_, groupOf := GroupKernels(classif, recs)
 	if _, ok := groupOf["sparse"]; ok {
@@ -171,6 +172,9 @@ func TestGroupSparseKernelsExcluded(t *testing.T) {
 	}
 	if _, ok := groupOf["dense"]; !ok {
 		t.Fatal("dense kernel should be grouped")
+	}
+	if _, ok := groupOf["threshold"]; !ok {
+		t.Fatalf("kernel with exactly %d observations should be grouped", MinKernelObservations)
 	}
 }
 

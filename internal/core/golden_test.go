@@ -6,17 +6,16 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/zoo"
 )
 
 // The golden determinism contract: building the dataset, fitting the KW
-// model, folding an online update, serializing the model and compiling a
-// prediction plan must produce byte-identical artifacts regardless of
-// GOMAXPROCS. This is the end-to-end guarantee the detrange invariant
-// (sorted map iteration around float folds) exists to protect — if any
-// fitting path ranged a map while accumulating, these bytes would differ
-// between runs and across parallelism levels.
+// model, serializing the model and compiling a prediction plan must produce
+// byte-identical artifacts regardless of GOMAXPROCS. This is the end-to-end
+// guarantee the detrange invariant (sorted map iteration around float
+// folds) exists to protect — if any fitting path ranged a map while
+// accumulating, these bytes would differ between runs and across
+// parallelism levels.
 
 // goldenArtifacts runs the full pipeline at the given parallelism and
 // returns the serialized model bytes and an exact textual dump of the
@@ -27,16 +26,10 @@ func goldenArtifacts(t *testing.T, procs int) (model, plan []byte) {
 	defer runtime.GOMAXPROCS(prev)
 
 	ds := buildSampleDataset(t, false)
-
-	// Split the kernel records: fit on the bulk, stream the tail through
-	// ObserveRecords so the online rebuild path is part of the contract.
-	cut := len(ds.Kernels) * 3 / 4
-	head := &dataset.Dataset{Networks: ds.Networks, Layers: ds.Layers, Kernels: ds.Kernels[:cut]}
-	m, err := FitKW(head, "A100", 512)
+	m, err := FitKW(ds, "A100", 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.ObserveRecords(ds.Kernels[cut:])
 
 	var buf bytes.Buffer
 	if err := Save(&buf, m); err != nil {

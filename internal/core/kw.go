@@ -62,23 +62,18 @@ type KWModel struct {
 	// Training marks a training-step model (see KWOptions.Training).
 	Training bool `json:"training"`
 
-	// online holds the incremental-learning state (see online.go).
-	online *onlineState
-
-	// plans caches compiled prediction plans per network and layerPlans
-	// caches resolved per-layer term lists (see plan.go). Both make repeated
-	// predictions allocation-free and safe for concurrent use; ObserveRecords
-	// invalidates them. Zero values are ready; the fields are unexported so
-	// persistence never sees them.
-	plans      cache.Sharded[planKey, *Plan]
-	layerPlans cache.Sharded[layerKey, []layerTerm]
+	// plans caches compiled prediction plans per network (see plan.go),
+	// making repeated predictions allocation-free and safe for concurrent
+	// use. The zero value is ready; the fields are unexported so persistence
+	// never sees them. A model never changes after its constructor returns,
+	// so nothing derived from it goes stale: a new fit is a new model.
+	plans cache.Sharded[planKey, *Plan]
 	// layerMemo holds every distinct layer shape the model's plans have
 	// compiled, so a later plan copies it instead of compiling it again (see
-	// compilePlan). Every constructor bounds it with initCaches;
-	// ObserveRecords clears it with the caches above.
+	// compilePlan). Every constructor bounds it with initCaches.
 	layerMemo cache.Sharded[layerShapeKey, distLayer]
 	// mapBatches caches the batch sizes embedded in Mapping's signatures
-	// for plan compilation; ObserveRecords resets it with the caches.
+	// for plan compilation.
 	mapBatches mappingBatches
 }
 
@@ -158,10 +153,8 @@ func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOpt
 		m.Families = map[string]Classification{}
 	}
 	m.Training = opt.Training
-	m.initOnline(recs)
 	m.initCaches()
 	m.plans.RegisterMetrics("core_kw_plan_cache")
-	m.layerPlans.RegisterMetrics("core_kw_layer_cache")
 	m.layerMemo.RegisterMetrics("core_kw_layer_memo")
 	return m, nil
 }
@@ -485,33 +478,15 @@ func (m *KWModel) launchCount(n *dnn.Network) int {
 // PredictLayerTime predicts one layer's execution time: the sum of its
 // kernels' predictions. The layer must have inferred shapes. This is the
 // per-layer granularity the disaggregated-memory case study schedules with.
-// Resolved (line, driver value) terms are cached per layer signature, so the
-// scheduling loops that call this per layer per configuration pay the kernel
-// resolution once.
+// The study builds each network's job list once (disagg.JobsFromNetwork)
+// and then sweeps it, so each layer is predicted once and nothing here is
+// cached.
 func (m *KWModel) PredictLayerTime(l *dnn.Layer) units.Seconds {
-	key := layerKeyFor(l, m.Training)
-	terms, err := m.layerPlans.GetOrCompute(key, func() ([]layerTerm, error) {
-		ks := m.kernelsForLayer(l)
-		out := make([]layerTerm, len(ks))
-		for i, k := range ks {
-			line, driver := m.resolveKernel(k.Name, k.LayerFLOPs == 0)
-			var x float64
-			switch driver {
-			case DriverInput:
-				x = float64(k.LayerInputElems)
-			case DriverOperation:
-				x = float64(k.LayerFLOPs)
-			default:
-				x = float64(k.LayerOutputElems)
-			}
-			out[i] = layerTerm{line: line, x: x}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return 0 // unreachable: the compute function never errors
+	var total units.Seconds
+	for _, k := range m.kernelsForLayer(l) {
+		total += m.PredictKernel(k.Name, units.FLOPs(k.LayerFLOPs), k.LayerInputElems, k.LayerOutputElems)
 	}
-	return predictTerms(terms)
+	return total
 }
 
 // PredictRecords predicts the end-to-end time implied by a set of kernel

@@ -137,6 +137,20 @@ func (m *LWModel) validate() error {
 	return nil
 }
 
+// sortedStringKeys returns the map's keys in sorted order, for loops whose
+// output depends on visiting order: Go randomizes map iteration order, so
+// ranging the map directly would make the first validation error reported
+// (and any float fold) differ between runs (the detrange invariant in
+// internal/analysis).
+func sortedStringKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // validate rejects KW state that prediction would trip over: a group_of
 // index outside Groups (an index panic in every predict path), a group
 // without kernels, a group, family or class-fallback driver outside

@@ -484,9 +484,9 @@ type mappingHit struct {
 // mapping-table signatures — the only batch sizes at which the table can
 // substitute kernel names. It depends on the table alone, so it is computed
 // on the first compile and reused by every later one instead of walking
-// every signature per plan; mutators that change the table (ObserveRecords)
-// reset it together with the plan caches. Concurrent first compiles may
-// each compute it; they store identical values.
+// every signature per plan; the table never changes once the model is
+// built. Concurrent first compiles may each compute it; they store
+// identical values.
 type mappingBatches struct {
 	p atomic.Pointer[[]int]
 }
@@ -507,9 +507,6 @@ func (c *mappingBatches) get(mapping map[string][]string) []int {
 	c.p.Store(&bs)
 	return bs
 }
-
-// reset drops the cached set; the next compile recomputes it.
-func (c *mappingBatches) reset() { c.p.Store(nil) }
 
 // appendLayerShapeKey appends an exact rendering of everything a layer's
 // kernel resolution can depend on — kind, every dispatch parameter, and
@@ -604,37 +601,6 @@ type planKey struct {
 // Hash implements cache.Hasher.
 func (k planKey) Hash() uint64 { return k.fp }
 
-// layerKey identifies a per-layer term list in the layer-prediction cache.
-// The signature pins the layer's kind, parameters and first-input/output
-// shapes; the summed input element count disambiguates multi-input layers
-// whose extra inputs the signature does not cover.
-type layerKey struct {
-	sig     string
-	inElems int64
-	h       uint64
-}
-
-// Hash implements cache.Hasher.
-func (k layerKey) Hash() uint64 { return k.h }
-
-// layerTerm is one kernel's resolved (line, driver value) pair within a
-// cached layer prediction.
-type layerTerm struct {
-	line regression.Line
-	x    float64
-}
-
-// predictTerms sums a cached layer's kernel predictions.
-//
-//dnnperf:allocfree
-func predictTerms(terms []layerTerm) units.Seconds {
-	var total units.Seconds
-	for _, t := range terms {
-		total += clampTime(units.Seconds(t.line.Predict(t.x)))
-	}
-	return total
-}
-
 // FNV-1a, hand-rolled so fingerprinting allocates nothing.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -713,21 +679,4 @@ func networkFingerprint(n *dnn.Network, training bool) uint64 {
 		h.flag(l.TransposeB)
 	}
 	return uint64(h)
-}
-
-// layerKeyFor builds the cache key of one inferred layer.
-func layerKeyFor(l *dnn.Layer, training bool) layerKey {
-	sig := l.Signature()
-	inElems := int64(0)
-	for _, s := range l.InShapes {
-		inElems += s.Numel()
-	}
-	if inElems == 0 {
-		inElems = l.InShape.Numel()
-	}
-	h := fnv64(fnvOffset64)
-	h.str(sig)
-	h.u64(uint64(inElems))
-	h.flag(training)
-	return layerKey{sig: sig, inElems: inElems, h: uint64(h)}
 }

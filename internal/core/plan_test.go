@@ -450,59 +450,27 @@ func TestPlanSegments(t *testing.T) {
 	}
 }
 
-// TestObserveRecordsInvalidatesPlans: online updates change the regression
-// lines, so cached plans must be dropped and recompiled to stay identical to
-// the uncached path.
-func TestObserveRecordsInvalidatesPlans(t *testing.T) {
-	ds := plantKernelDataset(gpu.A100, 3)
-	kw, err := FitKW(ds, "A100", 512)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestFittedMappingSubstitution: a model fitted on records traced at batch
+// 64 under names that differ from the dispatch rules must substitute the
+// traced names at 64 and nowhere else. The batch comes to plan compilation
+// only through the fitted table (buildMapping, then signatureBatch into the
+// model's mapping-batch set), so a plan that missed it would predict the
+// dispatch names at 64 and disagree with the uncached path.
+func TestFittedMappingSubstitution(t *testing.T) {
+	const observed = 64
 	net, err := zoo.ByName("resnet50")
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := kw.PredictNetwork(net, 512)
+	ds := plantKernelDataset(gpu.A100, 3)
+	for i := range ds.Kernels {
+		ds.Kernels[i].BatchSize = observed // the planted kernels join the batch-64 fit
+	}
+	ds.Kernels = append(ds.Kernels, renamedLayerRecords(t, net, observed)...)
+	kw, err := FitKW(ds, "A100", observed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kw.plans.Len() == 0 || kw.layerMemo.Len() == 0 {
-		t.Fatalf("prediction left %d cached plans and %d memoized layers, want both populated",
-			kw.plans.Len(), kw.layerMemo.Len())
-	}
-
-	// Shift one kernel's behaviour drastically and observe it.
-	extra := plantKernelDataset(gpu.A100, 3).Kernels
-	for i := range extra {
-		extra[i].Seconds *= 100
-	}
-	kw.ObserveRecords(extra)
-	if kw.plans.Len() != 0 || kw.layerMemo.Len() != 0 {
-		t.Fatalf("ObserveRecords left %d cached plans and %d memoized layers", kw.plans.Len(), kw.layerMemo.Len())
-	}
-
-	after, err := kw.PredictNetwork(net, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAfter, err := kw.PredictNetworkUncached(net.Clone(), 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after != wantAfter {
-		t.Fatalf("post-update plan %v != uncached %v", after, wantAfter)
-	}
-	if after == before {
-		t.Fatal("100x slower observations did not change the prediction — stale plan served")
-	}
-
-	// Observe renamed kernels at a batch the fit never saw. The mapping table
-	// gains batch-64 signatures, so the recompiled plan must substitute at
-	// 64 and stop at 65; a mapping-batch set kept from the earlier compiles
-	// would miss 64 entirely.
-	const observed = 64
-	kw.ObserveRecords(renamedLayerRecords(t, net, observed))
 	for _, b := range []int{observed - 1, observed, observed + 1} {
 		got, err := kw.PredictNetwork(net, b)
 		if err != nil {
@@ -513,7 +481,7 @@ func TestObserveRecordsInvalidatesPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("post-observe plan @%d: %v != uncached %v", b, got, want)
+			t.Fatalf("plan @%d: %v != uncached %v", b, got, want)
 		}
 		if substituted := got != predictUnmapped(t, kw, net, b); substituted != (b == observed) {
 			t.Fatalf("@%d: substitution applied = %v, want %v", b, substituted, b == observed)
@@ -664,7 +632,7 @@ func TestPlanLayerMemoConcurrent(t *testing.T) {
 // renamedLayerRecords measures-by-construction every kernel of the network
 // at the batch under a name that differs from kernels.ForLayer's, as a
 // profiler tracing a different library version would: each layer's records
-// carry its real signature, so observing them plants renamed mapping
+// carry its real signature, so fitting on them plants renamed mapping
 // entries at that batch.
 func renamedLayerRecords(t *testing.T, n *dnn.Network, batch int) []dataset.KernelRecord {
 	t.Helper()

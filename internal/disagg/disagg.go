@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/dnn"
 	"repro/internal/obs"
 	"repro/internal/units"
 )
@@ -59,6 +60,30 @@ type LayerJob struct {
 	// RemoteBytes is the traffic the prefetcher moves over the link for
 	// this layer.
 	RemoteBytes units.Bytes
+}
+
+// JobsFromNetwork infers the network's shapes at the batch size and builds
+// its per-layer job list: compute times from layerTime (a performance
+// model's per-layer prediction), remote traffic from the layer's fp32
+// weights plus its input and output activations.
+func JobsFromNetwork(n *dnn.Network, batch int, layerTime func(*dnn.Layer) units.Seconds) ([]LayerJob, error) {
+	if err := n.Infer(batch); err != nil {
+		return nil, err
+	}
+	jobs := make([]LayerJob, 0, len(n.Layers))
+	for _, l := range n.Layers {
+		traffic := 4 * l.WeightCount()
+		for _, s := range l.InShapes {
+			traffic += 4 * s.Numel()
+		}
+		traffic += 4 * l.OutShape.Numel()
+		jobs = append(jobs, LayerJob{
+			Name:           l.Name,
+			ComputeSeconds: layerTime(l),
+			RemoteBytes:    units.Bytes(traffic),
+		})
+	}
+	return jobs, nil
 }
 
 // Result summarizes one simulation.

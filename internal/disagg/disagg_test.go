@@ -7,7 +7,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dnn"
 	"repro/internal/units"
+	"repro/internal/zoo"
 )
 
 func almostEqual[A, B ~float64](a A, b B) bool {
@@ -213,5 +215,34 @@ func TestSpeedupsEdgeCases(t *testing.T) {
 	got := Speedups([]Result{{TotalSeconds: 2}, {TotalSeconds: 0}})
 	if !math.IsInf(got[1], 1) {
 		t.Fatalf("zero-time entry should be +Inf, got %v", got[1])
+	}
+}
+
+func TestJobsFromNetwork(t *testing.T) {
+	n := zoo.MustResNet(18)
+	calls := 0
+	jobs, err := JobsFromNetwork(n, 4, func(l *dnn.Layer) units.Seconds {
+		calls++
+		return units.Seconds(l.OutShape.Numel()) * 1e-9
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != len(n.Layers) || calls != len(n.Layers) {
+		t.Fatalf("%d jobs from %d layer-time calls, want one each for %d layers", len(jobs), calls, len(n.Layers))
+	}
+	for i, l := range n.Layers {
+		traffic := 4 * (l.WeightCount() + l.OutShape.Numel())
+		for _, s := range l.InShapes {
+			traffic += 4 * s.Numel()
+		}
+		j := jobs[i]
+		if j.Name != l.Name || j.RemoteBytes != units.Bytes(traffic) ||
+			j.ComputeSeconds != units.Seconds(l.OutShape.Numel())*1e-9 {
+			t.Fatalf("job %d = %+v, want %s with %d B", i, j, l.Name, traffic)
+		}
+	}
+	if _, err := JobsFromNetwork(n, 0, func(*dnn.Layer) units.Seconds { return 0 }); err == nil {
+		t.Fatal("batch 0 accepted")
 	}
 }

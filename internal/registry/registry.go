@@ -8,7 +8,7 @@
 // Versions are monotonic per registry and start at 1. Snapshots are
 // immutable: the registry never mutates a published model, and callers must
 // treat the coefficient set behind a snapshot as read-only (the staleplan
-// analyzer enforces that coefficients change only through blessed mutators).
+// analyzer enforces that only the fitting constructors write coefficients).
 //
 // The registry keeps a bounded history of recent publications for the
 // /modelz introspection endpoint, and exports swap counts through the obs

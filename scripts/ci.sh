@@ -27,7 +27,8 @@
 #                         simulated requests/sec single-core)
 #
 # Followed by the lint self-test: seed known violations (one per
-# representative analyzer) into a scratch copy of the module and require
+# representative analyzer: detrange, allocfree, goroleak, httpcontract,
+# staleplan) into a scratch copy of the module and require
 # dnnlint to fail with the right finding and the right exit code (0 clean,
 # 1 findings, 2 load error), so a silently broken analyzer or a conflated
 # exit path cannot green-light the gate.

@@ -6,7 +6,8 @@
 #
 #   - the pristine copy exits 0;
 #   - one seeded violation per representative analyzer (detrange, allocfree,
-#     goroleak, httpcontract) makes dnnlint exit 1 with the right finding;
+#     goroleak, httpcontract, staleplan) makes dnnlint exit 1 with the right
+#     finding;
 #   - a well-formed //lint:ignore directive silences a seeded finding
 #     (exit 0) while a bare directive without a reason is itself reported
 #     (exit 1 with a `suppress` finding);
@@ -170,7 +171,28 @@ require_rc 1 "seeded httpcontract violation not reported as findings"
 require_finding httpcontract "dnnlint failed without an httpcontract finding"
 rm "$tmp/cmd/dnnperf/seeded_violation.go"
 
-# --- 5. A file that does not type-check is a load error: exit 2, not 1.
+# --- 5. staleplan: an in-place mutator on a fitted KWModel. Plans compiled
+# from the old mapping table would keep serving; only the fitting
+# constructors may write coefficients.
+cat > "$tmp/internal/core/seeded_violation.go" <<'EOF'
+package core
+
+import "repro/internal/dataset"
+
+// ObserveRecords exists only while scripts/lint_selftest.sh runs: it grows
+// a fitted model's mapping table in place.
+func (m *KWModel) ObserveRecords(recs []dataset.KernelRecord) {
+	for _, r := range recs {
+		m.Mapping[r.LayerSignature] = []string{r.Kernel}
+	}
+}
+EOF
+lint ./internal/core
+require_rc 1 "seeded staleplan violation not reported as findings"
+require_finding staleplan "dnnlint failed without a staleplan finding"
+rm "$tmp/internal/core/seeded_violation.go"
+
+# --- 6. A file that does not type-check is a load error: exit 2, not 1.
 cat > "$tmp/internal/core/seeded_violation.go" <<'EOF'
 package core
 
@@ -181,4 +203,4 @@ require_rc 2 "type-check failure did not exit with the load-error status"
 require_finding "failed to load" "load failure not reported on stderr"
 rm "$tmp/internal/core/seeded_violation.go"
 
-echo "lint_selftest: ok (exit codes 0/1/2, four seeded analyzers, suppression contract)"
+echo "lint_selftest: ok (exit codes 0/1/2, five seeded analyzers, suppression contract)"
