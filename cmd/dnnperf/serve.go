@@ -644,7 +644,10 @@ var validKinds = func() map[string]dnn.Kind {
 	return m
 }()
 
-// networkFromSpec builds and shape-checks an inline network spec.
+// networkFromSpec builds an inline network spec and checks its layer graph.
+// It leaves shape inference to the plan compile, which infers its own copy
+// once; a spec whose shapes fail there fails the sweep, which the handler
+// answers with 422 as it does a spec rejected here.
 func networkFromSpec(spec *batchSpec) (*dnn.Network, error) {
 	if len(spec.InputShape) == 0 {
 		return nil, fmt.Errorf("network_spec.input_shape must be non-empty")
@@ -687,9 +690,6 @@ func networkFromSpec(spec *batchSpec) (*dnn.Network, error) {
 			VocabSize: ls.VocabSize, EmbedDim: ls.EmbedDim,
 			Heads: ls.Heads, TransposeB: ls.TransposeB,
 		})
-	}
-	if err := n.Infer(1); err != nil {
-		return nil, err
 	}
 	return n, nil
 }

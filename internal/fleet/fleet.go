@@ -9,8 +9,16 @@
 //
 //   - Routing only considers replicas whose /readyz reports a warmed model;
 //     a background prober refreshes readiness continuously.
-//   - Connection-level failures (refused, reset) mark the replica unready
-//     immediately and retry the next ring owner, bounded by Options.Retries.
+//   - A request is forwarded on its handler's own goroutine, over a
+//     per-replica pool of keep-alive connections (at most
+//     Options.MaxInflight idle per replica); Options.Timeout is the
+//     exchange's connection deadline. A pooled connection that fails
+//     before any response byte arrives was closed by the replica while
+//     idle, and is redialed once on the same replica.
+//   - Other connection-level failures (refused, reset, timed out) mark the
+//     replica unready immediately and retry the next ring owner, bounded
+//     by Options.Retries. A client that disconnects aborts the exchange
+//     without marking the replica unready.
 //   - Admission control: each replica has an in-flight cap. A request whose
 //     owner is saturated spills to the next ready owner on the ring; when
 //     the whole fleet is above the high watermark the proxy sheds the
@@ -75,14 +83,16 @@ const maxBufferedBody = 1 << 20
 type Options struct {
 	// MaxInflight caps concurrently forwarded requests per replica; 0 means
 	// 256. Admission control sheds load with 429 once every ready replica is
-	// at its cap (the queue-depth high watermark).
+	// at its cap (the queue-depth high watermark). It also caps each
+	// replica's idle keep-alive connections.
 	MaxInflight int
 	// Retries bounds how many additional replicas a request may try after a
 	// connection-level failure; 0 means 2.
 	Retries int
 	// HealthInterval is the readiness probe period; 0 means 250ms.
 	HealthInterval time.Duration
-	// Timeout bounds one forwarded request; 0 means 30s.
+	// Timeout bounds one forward attempt — dial, request, response head and
+	// body — as the connection's deadline; 0 means 30s.
 	Timeout time.Duration
 	// RetryAfter is the hint returned with 429 responses, in seconds; 0
 	// means 1.
@@ -135,6 +145,11 @@ type replica struct {
 	inflight atomic.Int64
 	// modelVersion mirrors the replica's /readyz model version for /fleetz.
 	modelVersion atomic.Uint64
+
+	// idle holds the keep-alive connections between exchanges, most
+	// recently used last.
+	mu   sync.Mutex
+	idle []*backendConn
 }
 
 // ringPoint is one virtual node: a hash position owned by a replica.
@@ -149,8 +164,10 @@ type Proxy struct {
 	opt      Options
 	replicas []*replica
 	ring     []ringPoint
-	client   *http.Client
-	probes   *http.Client
+	// walks[i*n:(i+1)*n], n = len(replicas), is the ring walk from point i:
+	// the distinct replicas in ring order. 64·n² ints, computed once.
+	walks  []int
+	probes *http.Client
 
 	// tracer holds the proxy's own span buffer; reqTrack is the single
 	// reserved track every request span lands on (one timeline row per
@@ -170,14 +187,7 @@ func New(addrs []string, opt Options) (*Proxy, error) {
 	}
 	opt = opt.withDefaults()
 	p := &Proxy{
-		opt: opt,
-		client: &http.Client{
-			Timeout: opt.Timeout,
-			Transport: &http.Transport{
-				MaxIdleConns:        4 * opt.MaxInflight,
-				MaxIdleConnsPerHost: opt.MaxInflight,
-			},
-		},
+		opt:    opt,
 		probes: &http.Client{Timeout: 2 * time.Second},
 		tracer: obs.NewTracer(),
 	}
@@ -203,6 +213,19 @@ func New(addrs []string, opt Options) (*Proxy, error) {
 		}
 	}
 	sort.Slice(p.ring, func(i, j int) bool { return p.ring[i].hash < p.ring[j].hash })
+	n := len(p.replicas)
+	p.walks = make([]int, 0, len(p.ring)*n)
+	seen := make([]bool, n)
+	for i := range p.ring {
+		clear(seen)
+		for j, found := i, 0; found < n; j++ {
+			if idx := p.ring[j%len(p.ring)].idx; !seen[idx] {
+				seen[idx] = true
+				p.walks = append(p.walks, idx)
+				found++
+			}
+		}
+	}
 	return p, nil
 }
 
@@ -375,7 +398,8 @@ func jsonStringField(body []byte, name string) string {
 }
 
 // owners yields the ring walk for a hash: the owner replica first, then each
-// distinct successor. The returned slice is indices into p.replicas.
+// distinct successor. The returned slice is indices into p.replicas, shared
+// by every caller: read it, never write it.
 func (p *Proxy) owners(hash uint64) []int {
 	hash = rng.Mix(hash) // spread clustered key hashes before the ring walk
 	// First ring point with hash >= key, wrapping.
@@ -383,16 +407,8 @@ func (p *Proxy) owners(hash uint64) []int {
 	if i == len(p.ring) {
 		i = 0
 	}
-	out := make([]int, 0, len(p.replicas))
-	seen := make(map[int]bool, len(p.replicas))
-	for n := 0; n < len(p.ring) && len(out) < len(p.replicas); n++ {
-		idx := p.ring[(i+n)%len(p.ring)].idx
-		if !seen[idx] {
-			seen[idx] = true
-			out = append(out, idx)
-		}
-	}
-	return out
+	n := len(p.replicas)
+	return p.walks[i*n : (i+1)*n : (i+1)*n]
 }
 
 // Owner returns the ready ring owner's address for a network name — the
@@ -442,13 +458,21 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	if rt != nil {
 		w.Header().Set(TraceIDHeader, rt.sc.TraceID())
 	}
-	status := p.route(w, req, rt)
-	if rt != nil {
-		rt.finish(req.Method, req.URL.Path, status)
-	} else {
-		p.recordBadUnsampled(req.Method, req.URL.Path, status, unsampledStart, p.tracer.Now())
-	}
+	// A relay that breaks off mid-body unwinds with http.ErrAbortHandler;
+	// the request is still traced, as a 502.
+	status := http.StatusBadGateway
+	defer func() {
+		if rt != nil {
+			rt.finish(req.Method, req.URL.Path, status)
+		} else {
+			p.recordBadUnsampled(req.Method, req.URL.Path, status, unsampledStart, p.tracer.Now())
+		}
+	}()
+	status = p.route(w, req, rt)
 }
+
+// bodyPool recycles the buffers route reads request bodies into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // route buffers the body, walks the ring, and forwards; it returns the
 // status committed to the client. rt is nil for unsampled requests.
@@ -456,18 +480,24 @@ func (p *Proxy) route(w http.ResponseWriter, req *http.Request, rt *proxyTrace) 
 	// Buffer the body once so retries can replay it.
 	var body []byte
 	if req.Body != nil && req.Body != http.NoBody {
-		b, err := io.ReadAll(io.LimitReader(req.Body, maxBufferedBody+1))
+		buf := bodyPool.Get().(*bytes.Buffer)
+		buf.Reset()
+		defer bodyPool.Put(buf)
+		if n := req.ContentLength; n > 0 && n <= maxBufferedBody {
+			buf.Grow(int(n) + bytes.MinRead) // room for the read that sees EOF
+		}
+		_, err := buf.ReadFrom(io.LimitReader(req.Body, maxBufferedBody+1))
 		req.Body.Close()
 		if err != nil {
 			writeError(w, http.StatusBadGateway, "reading request body: "+err.Error())
 			return http.StatusBadGateway
 		}
-		if len(b) > maxBufferedBody {
+		if buf.Len() > maxBufferedBody {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("body exceeds %d bytes", maxBufferedBody))
 			return http.StatusRequestEntityTooLarge
 		}
-		body = b
+		body = buf.Bytes()
 	}
 
 	owners := p.owners(shardKey(req, body))
@@ -526,51 +556,6 @@ func (p *Proxy) route(w http.ResponseWriter, req *http.Request, rt *proxyTrace) 
 	metricUnavailable.Inc()
 	writeError(w, http.StatusServiceUnavailable, "no ready replica")
 	return http.StatusServiceUnavailable
-}
-
-// forward sends the request to one replica and relays the response. It
-// reports retryable=true only for connection-level failures where no
-// response bytes reached the client. A sampled request propagates its trace
-// context downstream, with a fresh span ID per attempt.
-func (p *Proxy) forward(w http.ResponseWriter, req *http.Request, r *replica, body []byte, rt *proxyTrace) (int, bool) {
-	r.inflight.Add(1)
-	metricInflight.Add(1)
-	defer func() {
-		r.inflight.Add(-1)
-		metricInflight.Add(-1)
-	}()
-
-	out, err := http.NewRequestWithContext(req.Context(), req.Method,
-		"http://"+r.addr+req.URL.RequestURI(), bytes.NewReader(body))
-	if err != nil {
-		writeError(w, http.StatusBadGateway, err.Error())
-		return http.StatusBadGateway, false
-	}
-	copyHeaders(out.Header, req.Header)
-	out.Header.Set("X-Forwarded-For", req.RemoteAddr)
-	if rt != nil {
-		out.Header.Set("traceparent", rt.sc.Child().Traceparent())
-	}
-
-	metricForwarded.Inc()
-	resp, err := p.client.Do(out)
-	if err != nil {
-		// Nothing was written to the client yet; safe to retry elsewhere.
-		return 0, true
-	}
-	defer resp.Body.Close()
-
-	copyHeaders(w.Header(), resp.Header)
-	w.Header().Set("X-Fleet-Replica", r.addr)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	return resp.StatusCode, false
-}
-
-func copyHeaders(dst, src http.Header) {
-	for k, vs := range src {
-		dst[k] = vs
-	}
 }
 
 // writeHealth reports proxy liveness.

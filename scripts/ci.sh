@@ -10,8 +10,8 @@
 #   4. fuzz             — each fuzz target (FuzzLoad, FuzzFamilyOf,
 #                         FuzzReadNetworksCSV, FuzzParseTraceparent,
 #                         FuzzPredictBatchBody, FuzzBatchRequestDecode,
-#                         FuzzQueryValue) runs 5s of generated inputs past
-#                         its seed corpus
+#                         FuzzQueryValue, FuzzForwardRequest) runs 5s of
+#                         generated inputs past its seed corpus
 #   5. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
 #                         then a 2-replica fleet: routing, 429 backpressure,
 #                         whole-fleet graceful drain
@@ -54,6 +54,7 @@ fuzz FuzzParseTraceparent ./internal/obs
 fuzz FuzzPredictBatchBody ./cmd/dnnperf
 fuzz FuzzBatchRequestDecode ./cmd/dnnperf
 fuzz FuzzQueryValue ./cmd/dnnperf
+fuzz FuzzForwardRequest ./internal/fleet
 
 echo "== serve smoke test"
 ./scripts/serve_smoke.sh
