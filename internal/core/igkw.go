@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/gpu"
@@ -29,57 +30,142 @@ import (
 // measured model. Regression intercepts (launch overheads) are carried over
 // as the training-GPU average.
 
-// IGKWBase is the target-independent part of the inter-GPU model: per-GPU
-// kernel classifications and the union mapping table. Resolving a target GPU
-// from a base is cheap, which is what makes bandwidth design-space sweeps
-// (case study 1) take milliseconds per point.
+// IGKWBase is the target-independent part of the inter-GPU model: for every
+// kernel and kernel family, and for each driver's pooled class line, the
+// R²-voted driver and each contributing training GPU's bandwidth, rate and
+// intercept; plus the union mapping table. It keeps no training record, so
+// Resolve does no per-record work: it evaluates each name's rate-versus-
+// bandwidth fit at the target bandwidth. On the quick lab's four
+// bandwidth-DSE training GPUs, on a 2-vCPU VM, FitIGKWBase takes ~38 ms and
+// a Resolve ~40 µs (BenchmarkFitIGKWBase, BenchmarkIGKWResolve), so a
+// bandwidth design-space sweep (case study 1) costs microseconds per point
+// before its predictions.
 type IGKWBase struct {
-	fits       []gpuFit
-	famFits    []gpuFit
+	trainGPUs  []string
 	trainBatch int
 	mapping    map[string][]string
+	kernels    []rateEvidence // sorted by name
+	families   []rateEvidence // sorted by name
+	classes    []rateEvidence // in Drivers() order, usable drivers only
 }
 
-// FitIGKWBase performs the per-GPU training work shared by every target.
+// rateEvidence is the target-independent input of one bandwidth-scaled
+// line: the name's voted driver and, for each contributing training GPU in
+// training order, its bandwidth, rate (1/slope of its line on that driver)
+// and intercept. n counts the training observations behind the line.
+type rateEvidence struct {
+	name                   string
+	driver                 Driver
+	bws, rates, intercepts []float64
+	n                      int
+}
+
+// add records one training GPU's line on the evidence's driver.
+func (e *rateEvidence) add(bw float64, line regression.Line) {
+	e.bws = append(e.bws, bw)
+	e.rates = append(e.rates, 1/line.Slope)
+	e.intercepts = append(e.intercepts, line.Intercept)
+}
+
+// gpuFit is one training GPU's share of a base fit: its records at the
+// train batch, their kernel- and family-level classifications, its mapping
+// table and its per-driver pooled lines (the KW class fallbacks). FitIGKWBase
+// drops it once the base's evidence is extracted.
+type gpuFit struct {
+	recs     []dataset.KernelRecord
+	kernels  classified
+	families classified
+	mapping  map[string][]string
+	pooled   map[Driver]regression.Line
+}
+
+// classified is one granularity's classification together with the record
+// indices behind each name, so a refit reads the name's records directly.
+type classified struct {
+	classif map[string]Classification
+	index   map[string][]int
+}
+
+// fitGPU classifies one training GPU's records at the train batch.
+func fitGPU(ds *dataset.Dataset, g gpu.Spec, trainBatch int) (gpuFit, error) {
+	recs := trainRecords(ds, g.Name, trainBatch)
+	if len(recs) == 0 {
+		return gpuFit{}, errNoRecords("IGKW", g.Name)
+	}
+	kernels := recordIndex(recs, kernelName)
+	families := recordIndex(recs, FamilyOf)
+	f := gpuFit{
+		recs:     recs,
+		kernels:  classified{classifyIndexed(recs, kernels), kernels},
+		families: classified{classifyIndexed(recs, families), families},
+		mapping:  buildMapping(recs),
+	}
+	f.pooled = classFallbacks(f.kernels.classif, recs)
+	return f, nil
+}
+
+// FitIGKWBase performs the training work shared by every target: it fits
+// each training GPU on its own goroutine, then extracts the
+// target-independent evidence of every kernel, family and driver class.
+// With several GPUs lacking records at the train batch, the error names the
+// first in argument order.
 func FitIGKWBase(ds *dataset.Dataset, trainGPUs []gpu.Spec, trainBatch int) (*IGKWBase, error) {
 	if len(trainGPUs) < 2 {
 		return nil, fmt.Errorf("core: IGKW model needs at least 2 training GPUs, got %d", len(trainGPUs))
 	}
-	b := &IGKWBase{trainBatch: trainBatch, mapping: map[string][]string{}}
-	for _, g := range trainGPUs {
-		var recs []dataset.KernelRecord
-		for _, r := range ds.Kernels {
-			if r.GPU == g.Name && r.BatchSize == trainBatch {
-				recs = append(recs, r)
-			}
+	fits := make([]gpuFit, len(trainGPUs))
+	errs := make([]error, len(trainGPUs))
+	var wg sync.WaitGroup
+	for i, g := range trainGPUs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fits[i], errs[i] = fitGPU(ds, g, trainBatch)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		if len(recs) == 0 {
-			return nil, errNoRecords("IGKW", g.Name)
-		}
-		b.fits = append(b.fits, gpuFit{spec: g, classif: ClassifyKernels(recs), records: recs})
-		for sig, ks := range buildMapping(recs) {
+	}
+
+	b := &IGKWBase{trainGPUs: make([]string, len(trainGPUs)), trainBatch: trainBatch,
+		mapping: fits[0].mapping}
+	bws := make([]float64, len(trainGPUs))
+	for i, g := range trainGPUs {
+		b.trainGPUs[i] = g.Name
+		bws[i] = g.MemBWGBps
+		// First GPU wins in the mapping union.
+		for sig, ks := range fits[i].mapping {
 			if _, ok := b.mapping[sig]; !ok {
 				b.mapping[sig] = ks
 			}
 		}
 	}
-	// Family-level classifications, for sparse/unseen kernels.
-	b.famFits = make([]gpuFit, len(b.fits))
-	for i, f := range b.fits {
-		b.famFits[i] = gpuFit{spec: f.spec, classif: ClassifyFamilies(f.records),
-			records: familyRecords(f.records)}
+	b.kernels = scaledEvidence(fits, bws, func(f *gpuFit) *classified { return &f.kernels })
+	// Family-level evidence, for sparse/unseen kernels.
+	b.families = scaledEvidence(fits, bws, func(f *gpuFit) *classified { return &f.families })
+	// Per-driver pooled fallbacks, themselves bandwidth-scaled. A driver
+	// without a usable pooled fit on a GPU has a zero-slope line there.
+	for _, d := range Drivers() {
+		e := rateEvidence{driver: d}
+		for i := range fits {
+			line := fits[i].pooled[d]
+			if line.Slope <= 0 {
+				continue
+			}
+			e.add(bws[i], line)
+		}
+		if len(e.bws) > 0 {
+			b.classes = append(b.classes, e)
+		}
 	}
 	return b, nil
 }
 
 // TrainGPUNames returns the names of the training GPUs.
-func (b *IGKWBase) TrainGPUNames() []string {
-	out := make([]string, len(b.fits))
-	for i, f := range b.fits {
-		out[i] = f.spec.Name
-	}
-	return out
-}
+func (b *IGKWBase) TrainGPUNames() []string { return slices.Clone(b.trainGPUs) }
 
 // FitIGKW trains the inter-GPU model from the records of the training GPUs
 // and resolves it for the target GPU. The target's measurements are never
@@ -97,12 +183,15 @@ func FitIGKW(ds *dataset.Dataset, trainGPUs []gpu.Spec, target gpu.Spec, trainBa
 // a bandwidth-resolved line becomes a singleton group (indexed in sorted
 // kernel order), every family with one a Families entry, and the per-driver
 // pools the class fallbacks; kernels without a usable slope on any training
-// GPU fall through to the family and class tiers at prediction time.
+// GPU fall through to the family and class tiers at prediction time. Every
+// model resolved from one base shares the base's mapping table: a KWModel
+// never changes after its constructor returns.
 func (b *IGKWBase) Resolve(target gpu.Spec) (*KWModel, error) {
-	lines := bandwidthScaledClassifs(b.fits, target)
-	if len(lines) == 0 {
+	if len(b.kernels) == 0 {
 		return nil, fmt.Errorf("core: IGKW model: no kernel observed with a usable slope on any training GPU")
 	}
+	bw := target.MemBWGBps
+	lines := resolveClassifs(b.kernels, bw)
 	groups, groupOf := singletonGroups(lines)
 	m := &KWModel{
 		GPU:           target.Name,
@@ -111,76 +200,84 @@ func (b *IGKWBase) Resolve(target gpu.Spec) (*KWModel, error) {
 		Classif:       lines,
 		Groups:        groups,
 		GroupOf:       groupOf,
-		Mapping:       maps.Clone(b.mapping),
-		Families:      bandwidthScaledClassifs(b.famFits, target),
-		ClassFallback: map[Driver]regression.Line{},
+		Mapping:       b.mapping,
+		Families:      resolveClassifs(b.families, bw),
+		ClassFallback: make(map[Driver]regression.Line, len(b.classes)),
 	}
-
-	// Per-driver pooled fallbacks, themselves bandwidth-scaled.
-	for _, d := range Drivers() {
-		var bws, rates, intercepts []float64
-		for _, f := range b.fits {
-			var xs, ys []float64
-			for _, r := range f.records {
-				c, ok := f.classif[r.Kernel]
-				if !ok || c.Driver != d {
-					continue
-				}
-				xs = append(xs, driverX(r, d))
-				ys = append(ys, float64(r.Seconds))
-			}
-			line, err := regression.Fit(xs, ys)
-			if err != nil || line.Slope <= 0 {
-				continue
-			}
-			bws = append(bws, f.spec.MemBWGBps)
-			rates = append(rates, 1/line.Slope)
-			intercepts = append(intercepts, line.Intercept)
-		}
-		if resolved, ok := resolveRate(bws, rates, intercepts, target.MemBWGBps); ok {
-			m.ClassFallback[d] = resolved
-		}
+	for _, e := range b.classes {
+		m.ClassFallback[e.driver], _ = resolveRate(e.bws, e.rates, e.intercepts, bw)
 	}
 	m.initCaches()
 	m.plans.RegisterMetrics("core_igkw_plan_cache")
 	return m, nil
 }
 
-// bandwidthScaledClassifs resolves every kernel (or family) the per-GPU fits
-// classify for the target: the R²-voted driver and the bandwidth-scaled line,
-// with N the training observations behind it. Names without a usable slope
-// on any training GPU are left out.
-func bandwidthScaledClassifs(fits []gpuFit, target gpu.Spec) map[string]Classification {
-	names := map[string]bool{}
-	for _, f := range fits {
-		for name := range f.classif {
-			names[name] = true
+// resolveClassifs evaluates every name's evidence at the target bandwidth:
+// the voted driver and the bandwidth-scaled line, with N the training
+// observations behind it.
+func resolveClassifs(evidence []rateEvidence, targetBW float64) map[string]Classification {
+	out := make(map[string]Classification, len(evidence))
+	for _, e := range evidence {
+		line, _ := resolveRate(e.bws, e.rates, e.intercepts, targetBW)
+		out[e.name] = Classification{Kernel: e.name, Driver: e.driver, Line: line, N: e.n}
+	}
+	return out
+}
+
+// scaledEvidence extracts the evidence of every name the training GPUs
+// classify at one level (kernels or families), in sorted name order: the
+// R²-voted driver, and each training GPU's line on it. Only per-GPU fits
+// with a positive slope and at least MinKernelObservations contribute, so
+// a resolved line has N ≥ MinKernelObservations and passes the KW model's
+// family guard; a GPU whose own vote differed is refitted on the voted
+// driver. Names without a usable slope on any training GPU are left out.
+func scaledEvidence(fits []gpuFit, bws []float64, level func(*gpuFit) *classified) []rateEvidence {
+	levels := make([]*classified, len(fits))
+	seen := map[string]bool{}
+	var names []string
+	for i := range fits {
+		levels[i] = level(&fits[i])
+		for name := range levels[i].classif {
+			if !seen[name] {
+				seen[name] = true
+				names = append(names, name)
+			}
 		}
 	}
-	out := map[string]Classification{}
-	for name := range names {
-		driver := majorityDriver(fits, name)
-		if line, n, ok := bandwidthScaledLine(fits, name, driver, target); ok {
-			out[name] = Classification{Kernel: name, Driver: driver, Line: line, N: n}
+	slices.Sort(names)
+	out := make([]rateEvidence, 0, len(names))
+	for _, name := range names {
+		e := rateEvidence{name: name, driver: majorityDriver(levels, name)}
+		for i, l := range levels {
+			c, ok := l.classif[name]
+			if !ok || c.Line.Slope <= 0 || c.N < MinKernelObservations {
+				continue
+			}
+			line := c.Line
+			if c.Driver != e.driver {
+				xs, ys := indexedXY(fits[i].recs, l.index[name], e.driver)
+				refit, err := regression.Fit(xs, ys)
+				if err != nil || refit.Slope <= 0 {
+					continue
+				}
+				line = refit
+			}
+			e.add(bws[i], line)
+			e.n += c.N
+		}
+		if len(e.bws) > 0 {
+			out = append(out, e)
 		}
 	}
 	return out
 }
 
-// gpuFit bundles one training GPU's spec, kernel classification and raw
-// records.
-type gpuFit struct {
-	spec    gpu.Spec
-	classif map[string]Classification
-	records []dataset.KernelRecord
-}
-
-// majorityDriver votes the driver class of a kernel across GPUs, weighting
+// majorityDriver votes the driver class of a name across GPUs, weighting
 // each vote by the winning fit's R².
-func majorityDriver(fits []gpuFit, kernel string) Driver {
+func majorityDriver(levels []*classified, name string) Driver {
 	score := map[Driver]float64{}
-	for _, f := range fits {
-		if c, ok := f.classif[kernel]; ok {
+	for _, l := range levels {
+		if c, ok := l.classif[name]; ok {
 			w := c.R2[c.Driver]
 			if w <= 0 {
 				w = 1e-3
@@ -197,45 +294,6 @@ func majorityDriver(fits []gpuFit, kernel string) Driver {
 		}
 	}
 	return best
-}
-
-// bandwidthScaledLine derives the kernel's time regression on the target GPU
-// from its per-GPU slopes: rate = 1/slope is fitted against bandwidth and
-// evaluated at the target's bandwidth. n counts the training observations
-// behind the line; only per-GPU fits with at least MinKernelObservations
-// contribute, so a resolved line has n ≥ MinKernelObservations and passes
-// the KW model's family guard.
-func bandwidthScaledLine(fits []gpuFit, kernel string, driver Driver, target gpu.Spec) (regression.Line, int, bool) {
-	var bws, rates, intercepts []float64
-	n := 0
-	for _, f := range fits {
-		c, ok := f.classif[kernel]
-		if !ok || c.Line.Slope <= 0 || c.N < MinKernelObservations {
-			continue
-		}
-		// Re-fit on the voted driver if the per-GPU vote differed.
-		line := c.Line
-		if c.Driver != driver {
-			var xs, ys []float64
-			for _, r := range f.records {
-				if r.Kernel == kernel {
-					xs = append(xs, driverX(r, driver))
-					ys = append(ys, float64(r.Seconds))
-				}
-			}
-			refit, err := regression.Fit(xs, ys)
-			if err != nil || refit.Slope <= 0 {
-				continue
-			}
-			line = refit
-		}
-		bws = append(bws, f.spec.MemBWGBps)
-		rates = append(rates, 1/line.Slope)
-		intercepts = append(intercepts, line.Intercept)
-		n += c.N
-	}
-	line, ok := resolveRate(bws, rates, intercepts, target.MemBWGBps)
-	return line, n, ok
 }
 
 // resolveRate fits rate = a + b·bandwidth over the observations and returns

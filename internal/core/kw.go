@@ -103,30 +103,18 @@ func FitKW(ds *dataset.Dataset, gpuName string, trainBatch int) (*KWModel, error
 	return FitKWOptions(ds, gpuName, trainBatch, KWOptions{})
 }
 
-// FitKWOptions is FitKW with explicit design-choice options. It reads the
-// dataset's kernel records in one filtering pass (counted first, so the
-// training slice is allocated once) and fits the classification, groups,
-// fallbacks and mapping table from them.
+// FitKWOptions is FitKW with explicit design-choice options. It fits the
+// classification, groups, fallbacks and mapping table from the GPU's
+// records at the train batch.
 func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOptions) (*KWModel, error) {
-	n := 0
-	for i := range ds.Kernels {
-		if r := &ds.Kernels[i]; r.GPU == gpuName && r.BatchSize == trainBatch {
-			n++
-		}
-	}
-	if n == 0 {
+	recs := trainRecords(ds, gpuName, trainBatch)
+	if len(recs) == 0 {
 		return nil, errNoRecords("KW", gpuName)
-	}
-	recs := make([]dataset.KernelRecord, 0, n)
-	for i := range ds.Kernels {
-		if r := &ds.Kernels[i]; r.GPU == gpuName && r.BatchSize == trainBatch {
-			recs = append(recs, *r)
-		}
 	}
 
 	classif := ClassifyKernels(recs)
 	if opt.ForceDriver != "" {
-		classif = forceDriver(classif, recs, opt.ForceDriver)
+		classif = forceDriver(classif, recs, kernelName, opt.ForceDriver)
 	}
 	var groups []Group
 	var groupOf map[string]int
@@ -147,7 +135,7 @@ func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOpt
 		ClassFallback: classFallbacks(classif, recs),
 	}
 	if opt.ForceDriver != "" {
-		m.Families = forceDriver(m.Families, familyRecords(recs), opt.ForceDriver)
+		m.Families = forceDriver(m.Families, recs, FamilyOf, opt.ForceDriver)
 	}
 	if opt.DisableFamilyFallback {
 		m.Families = map[string]Classification{}
@@ -164,17 +152,44 @@ func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOpt
 // before the model is shared.
 func (m *KWModel) initCaches() { m.layerMemo.Capacity = layerMemoCapacity }
 
-// forceDriver refits every kernel's line on a single imposed driver.
-func forceDriver(classif map[string]Classification, recs []dataset.KernelRecord, d Driver) map[string]Classification {
-	byKernel := recordIndex(recs, kernelName)
+// trainRecords copies the dataset's kernel records of one GPU at the train
+// batch, counting them first so the slice is allocated once.
+func trainRecords(ds *dataset.Dataset, gpuName string, trainBatch int) []dataset.KernelRecord {
+	n := 0
+	for i := range ds.Kernels {
+		if r := &ds.Kernels[i]; r.GPU == gpuName && r.BatchSize == trainBatch {
+			n++
+		}
+	}
+	recs := make([]dataset.KernelRecord, 0, n)
+	for i := range ds.Kernels {
+		if r := &ds.Kernels[i]; r.GPU == gpuName && r.BatchSize == trainBatch {
+			recs = append(recs, *r)
+		}
+	}
+	return recs
+}
+
+// indexedXY reads the indexed records' driver variable and duration, in
+// index order.
+func indexedXY(recs []dataset.KernelRecord, idx []int, d Driver) (xs, ys []float64) {
+	xs = make([]float64, len(idx))
+	ys = make([]float64, len(idx))
+	for i, ri := range idx {
+		xs[i] = driverX(recs[ri], d)
+		ys[i] = float64(recs[ri].Seconds)
+	}
+	return xs, ys
+}
+
+// forceDriver refits every line of a classification keyed by key(kernel
+// name) — kernels or families — on a single imposed driver.
+func forceDriver(classif map[string]Classification, recs []dataset.KernelRecord, key func(string) string, d Driver) map[string]Classification {
+	byKey := recordIndex(recs, key)
 	out := make(map[string]Classification, len(classif))
 	for name, c := range classif {
-		idx := byKernel[name]
-		var xs, ys []float64
-		for _, ri := range idx {
-			xs = append(xs, driverX(recs[ri], d))
-			ys = append(ys, float64(recs[ri].Seconds))
-		}
+		idx := byKey[name]
+		xs, ys := indexedXY(recs, idx, d)
 		forced := Classification{Kernel: name, Driver: d, R2: c.R2, N: len(idx)}
 		if line, err := regression.Fit(xs, ys); err == nil {
 			forced.Line = line
@@ -182,16 +197,6 @@ func forceDriver(classif map[string]Classification, recs []dataset.KernelRecord,
 			forced.Line = regression.Line{Intercept: regression.Mean(ys), N: len(ys)}
 		}
 		out[name] = forced
-	}
-	return out
-}
-
-// familyRecords rewrites record kernel names to their families.
-func familyRecords(recs []dataset.KernelRecord) []dataset.KernelRecord {
-	out := make([]dataset.KernelRecord, len(recs))
-	copy(out, recs)
-	for i := range out {
-		out[i].Kernel = FamilyOf(out[i].Kernel)
 	}
 	return out
 }

@@ -20,6 +20,8 @@
 #   7. fleetsim smoke   — `dnnperf fleetsim` replays a 10k-request trace
 #                         against the simulated fleet; every request served
 #                         with monotone percentiles, plus a capacity sweep
+#                         and a 2k-request replay on the quick-lab IGKW
+#                         cluster fleet (`-quick -cluster`)
 #   8. bench compare    — cached-predict benchmarks vs BENCH_baseline.json
 #                         (>25% ns/op regression fails) plus the fleet
 #                         throughput/p99 gate (BENCH_FLEET_THRESHOLD) and

@@ -5,9 +5,11 @@
 # monotone latency percentiles, then fans a 2-cell capacity sweep to prove
 # the grid path composes, and a planned-policy sweep listed largest fleet
 # first (with a space in the policy list) that must give the same capacity
-# answer as the ascending grid. Runs off the synthetic step-time oracle, so
-# the whole smoke is milliseconds of simulated-time replay — no HTTP, no
-# model fitting.
+# answer as the ascending grid. Those runs use the synthetic step-time
+# oracle. A last run replays 2k requests against the 8-GPU cluster fleet
+# (`-quick -cluster`): it collects the quick lab on four GPUs, fits the IGKW
+# base, resolves all eight fleet members and compiles their step table, and
+# must serve every request. No HTTP; the whole smoke takes a few seconds.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -82,4 +84,19 @@ if [ "$descending" != "$ascending" ]; then
     exit 1
 fi
 
-echo "fleetsim_smoke: 10000 requests replayed, p50=${p50}s p99=${p99}s, capacity answer ${answer} replicas"
+echo "fleetsim_smoke: 8-GPU cluster fleet from the quick-lab IGKW oracle, 2k requests..."
+"$bin" -quick -cluster -fleet-size 8 -rate 40 -requests 2000 -seed 7 fleetsim >"$out"
+served="$(sed -n '/"result"/,$ s/.*"requests": \([0-9]*\).*/\1/p' "$out" | head -1)"
+cluster_unfinished="$(field unfinished)"
+if [ "$served" != "2000" ] || [ "$cluster_unfinished" != "0" ]; then
+    echo "fleetsim_smoke: cluster fleet served $served requests with $cluster_unfinished unfinished, want 2000/0" >&2
+    cat "$out" >&2
+    exit 1
+fi
+if ! grep -q '"r07:GTX 1080 Ti@300GBps"' "$out"; then
+    echo "fleetsim_smoke: cluster fleet lacks its resolved hypothetical GPUs:" >&2
+    cat "$out" >&2
+    exit 1
+fi
+
+echo "fleetsim_smoke: 10000 requests replayed, p50=${p50}s p99=${p99}s, capacity answer ${answer} replicas; cluster fleet served 2000/2000"
