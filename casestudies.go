@@ -58,34 +58,40 @@ func DisaggJobsFromNetwork(n *Network, batch int, kw *KWModel) ([]DisaggLayerJob
 
 // ---------------------------------------------------------- case study 3
 
-// ScheduleTimes holds per-GPU execution time estimates for a task list.
-type ScheduleTimes = sched.Times
+// ScheduleTimes is the scheduling time table: per-task seconds on each GPU,
+// one flat gpu-major row per GPU, with the GPUs interned as ids in the
+// order given to NewScheduleTimes. Every scheduling call below takes it,
+// from the paper's nine-network queue to ~10⁶ tasks × dozens of GPU types.
+type ScheduleTimes = sched.DenseTimes
 
-// ScheduleAssignment maps tasks to GPUs with the resulting makespan.
-type ScheduleAssignment = sched.Assignment
+// ScheduleAssignment maps each task to a GPU id of its table, with per-GPU
+// loads and the makespan.
+type ScheduleAssignment = sched.DenseAssignment
 
-// ChooseGPU returns, per task, the GPU with the smallest time.
-func ChooseGPU(tm ScheduleTimes, nTasks int) ([]string, error) {
-	return sched.ChooseGPU(tm, nTasks)
+// NewScheduleTimes allocates an empty table for nTasks tasks on the GPUs;
+// fill each GPU's row in place through Row.
+func NewScheduleTimes(gpus []string, nTasks int) (*ScheduleTimes, error) {
+	return sched.NewDenseTimes(gpus, nTasks)
+}
+
+// ChooseGPU returns, per task, the id of the GPU with the smallest time;
+// ties go to the lowest id.
+func ChooseGPU(tm *ScheduleTimes) ([]int32, error) {
+	return sched.ChooseGPU(tm)
 }
 
 // ScheduleBruteForce enumerates every assignment (≤ 16 tasks, ≤ 4 GPUs) and
 // returns one with minimal makespan. Beyond those limits the error wraps
 // ErrScheduleSearchSpace; ScheduleAuto handles the fallback automatically.
-func ScheduleBruteForce(tm ScheduleTimes, nTasks int) (ScheduleAssignment, error) {
-	return sched.BruteForce(tm, nTasks)
-}
-
-// ScheduleGreedy is the scalable longest-processing-time heuristic.
-func ScheduleGreedy(tm ScheduleTimes, nTasks int) (ScheduleAssignment, error) {
-	return sched.Greedy(tm, nTasks)
+func ScheduleBruteForce(tm *ScheduleTimes) (*ScheduleAssignment, error) {
+	return sched.BruteForce(tm)
 }
 
 // ScheduleGreedyInOrder places tasks in input order on the earliest-finish
-// GPU — the weaker heuristic ScheduleGreedy improved on; kept for queues
-// that must be served in arrival order.
-func ScheduleGreedyInOrder(tm ScheduleTimes, nTasks int) (ScheduleAssignment, error) {
-	return sched.GreedyInOrder(tm, nTasks)
+// GPU — the weaker heuristic that ScheduleList's longest-first order
+// improves on; kept for queues that must be served in arrival order.
+func ScheduleGreedyInOrder(tm *ScheduleTimes) (*ScheduleAssignment, error) {
+	return sched.InOrderPolicy{}.Schedule(tm)
 }
 
 // ErrScheduleSearchSpace marks a brute-force request whose search space is
@@ -95,25 +101,17 @@ var ErrScheduleSearchSpace = sched.ErrSearchSpace
 // ScheduleAuto brute-forces when the search space permits and falls back to
 // the cluster-scale optimizer (list scheduling plus local search) otherwise.
 // The flag reports whether the returned assignment is the exact optimum.
-func ScheduleAuto(tm ScheduleTimes, nTasks int) (ScheduleAssignment, bool, error) {
-	return sched.Auto(tm, nTasks)
+func ScheduleAuto(tm *ScheduleTimes) (*ScheduleAssignment, bool, error) {
+	return sched.Auto(tm)
 }
 
 // MakespanOf re-costs an assignment under a different time table (e.g. a
-// predicted-time schedule evaluated with measured times).
-func MakespanOf(gpuOf []string, tm ScheduleTimes) (float64, error) {
-	return sched.MakespanOf(gpuOf, tm)
+// predicted-time schedule evaluated with measured times). gpuOf holds ids
+// into gpus, the GPU list of the table the assignment was made on; tm must
+// list the same GPUs in the same order.
+func MakespanOf(gpuOf []int32, gpus []string, tm *ScheduleTimes) (float64, error) {
+	return sched.MakespanOf(gpuOf, gpus, tm)
 }
-
-// ------------------------------------------- cluster-scale scheduling
-
-// ScheduleDenseTimes is the dense gpu-major time table the cluster-scale
-// optimizer works on; build one with NewScheduleDenseTimes and fill its
-// rows, or convert a map-form table with ScheduleDenseFromTimes.
-type ScheduleDenseTimes = sched.DenseTimes
-
-// ScheduleDenseAssignment is a schedule over a dense table.
-type ScheduleDenseAssignment = sched.DenseAssignment
 
 // ScheduleSearchOptions tunes the makespan search; the zero value picks
 // size-appropriate defaults.
@@ -122,32 +120,22 @@ type ScheduleSearchOptions = sched.SearchOptions
 // ScheduleSearchResult is a schedule with its certified optimality gap.
 type ScheduleSearchResult = sched.SearchResult
 
-// NewScheduleDenseTimes allocates an empty dense table for the GPUs.
-func NewScheduleDenseTimes(gpus []string, nTasks int) (*ScheduleDenseTimes, error) {
-	return sched.NewDenseTimes(gpus, nTasks)
-}
-
-// ScheduleDenseFromTimes converts a map-form time table to dense form.
-func ScheduleDenseFromTimes(tm ScheduleTimes, nTasks int) (*ScheduleDenseTimes, error) {
-	return sched.FromTimes(tm, nTasks)
-}
-
 // ScheduleSearch runs the cluster-scale makespan optimizer: LPT-lookahead
 // construction, multi-start annealed local search with O(1) incremental
 // move evaluation, and a lower bound certifying the optimality gap. It
 // handles ~10⁶ tasks × dozens of GPU types in seconds.
-func ScheduleSearch(dt *ScheduleDenseTimes, opt ScheduleSearchOptions) (*ScheduleSearchResult, error) {
-	return sched.Schedule(dt, opt)
+func ScheduleSearch(tm *ScheduleTimes, opt ScheduleSearchOptions) (*ScheduleSearchResult, error) {
+	return sched.Schedule(tm, opt)
 }
 
 // ScheduleList runs only the construction heuristic: longest-processing-time
-// order with a bounded-lookahead regret rule.
-func ScheduleList(dt *ScheduleDenseTimes, lookahead int) (*ScheduleDenseAssignment, error) {
-	return sched.ListSchedule(dt, lookahead)
+// order with a bounded-lookahead regret rule; lookahead 1 is plain LPT.
+func ScheduleList(tm *ScheduleTimes, lookahead int) (*ScheduleAssignment, error) {
+	return sched.ListSchedule(tm, lookahead)
 }
 
 // ScheduleLowerBound certifies a makespan lower bound for the instance; no
 // schedule can beat it, so (makespan−bound)/bound bounds suboptimality.
-func ScheduleLowerBound(dt *ScheduleDenseTimes) (float64, error) {
-	return sched.LowerBound(dt)
+func ScheduleLowerBound(tm *ScheduleTimes) (float64, error) {
+	return sched.LowerBound(tm)
 }

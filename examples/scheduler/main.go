@@ -43,38 +43,45 @@ func main() {
 	}
 
 	// Predict every queue entry on both GPUs; measure ground truth for the
-	// oracle comparison.
-	pred := repro.ScheduleTimes{}
-	actual := repro.ScheduleTimes{}
-	for _, g := range gpus {
-		pred[g.Name] = make([]float64, len(queue))
-		actual[g.Name] = make([]float64, len(queue))
+	// oracle comparison. Both tables list the GPUs in the same order, so a
+	// GPU id names the same device in either.
+	names := make([]string, len(gpus))
+	for j, g := range gpus {
+		names[j] = g.Name
+	}
+	pred, err := repro.NewScheduleTimes(names, len(queue))
+	if err != nil {
+		log.Fatal(err)
+	}
+	actual, err := repro.NewScheduleTimes(names, len(queue))
+	if err != nil {
+		log.Fatal(err)
 	}
 	for i, name := range queue {
 		net, err := repro.NetworkByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, g := range gpus {
+		for j, g := range gpus {
 			p, err := kws[g.Name].PredictNetwork(net, repro.TrainBatchSize)
 			if err != nil {
 				log.Fatal(err)
 			}
-			pred[g.Name][i] = float64(p)
+			pred.Row(j)[i] = float64(p)
 			tr, err := repro.Profile(net, repro.TrainBatchSize, g)
 			if err != nil {
 				log.Fatal(err)
 			}
-			actual[g.Name][i] = tr.E2ETime
+			actual.Row(j)[i] = tr.E2ETime
 		}
 	}
 
 	// Question 1: per-network GPU choice.
-	choice, err := repro.ChooseGPU(pred, len(queue))
+	choice, err := repro.ChooseGPU(pred)
 	if err != nil {
 		log.Fatal(err)
 	}
-	truth, err := repro.ChooseGPU(actual, len(queue))
+	truth, err := repro.ChooseGPU(actual)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -85,35 +92,36 @@ func main() {
 		if ok {
 			correct++
 		}
-		fmt.Printf("  %-14s → %-10s (fastest: %-10s correct=%t)\n", name, choice[i], truth[i], ok)
+		fmt.Printf("  %-14s → %-10s (fastest: %-10s correct=%t)\n", name, names[choice[i]], names[truth[i]], ok)
 	}
 	fmt.Printf("  %d/%d correct\n\n", correct, len(queue))
 
-	// Question 2: queue scheduling by brute force over predicted times.
-	plan, err := repro.ScheduleBruteForce(pred, len(queue))
+	// Question 2: queue scheduling by brute force over predicted times,
+	// against plain longest-processing-time-first list scheduling.
+	plan, err := repro.ScheduleBruteForce(pred)
 	if err != nil {
 		log.Fatal(err)
 	}
-	achieved, err := repro.MakespanOf(plan.GPUOf, actual)
+	achieved, err := repro.MakespanOf(plan.GPUOf, names, actual)
 	if err != nil {
 		log.Fatal(err)
 	}
-	oracle, err := repro.ScheduleBruteForce(actual, len(queue))
+	oracle, err := repro.ScheduleBruteForce(actual)
 	if err != nil {
 		log.Fatal(err)
 	}
-	greedy, err := repro.ScheduleGreedy(pred, len(queue))
+	greedy, err := repro.ScheduleList(pred, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	greedyAchieved, err := repro.MakespanOf(greedy.GPUOf, actual)
+	greedyAchieved, err := repro.MakespanOf(greedy.GPUOf, names, actual)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("queue schedule (brute force on predicted times):")
 	for i, name := range queue {
-		fmt.Printf("  %-14s → %s\n", name, plan.GPUOf[i])
+		fmt.Printf("  %-14s → %s\n", name, names[plan.GPUOf[i]])
 	}
 	fmt.Printf("\nmakespans: model plan %.1f ms (achieved), greedy %.1f ms, oracle %.1f ms\n",
 		achieved*1e3, greedyAchieved*1e3, oracle.Makespan*1e3)

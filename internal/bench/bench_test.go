@@ -363,7 +363,7 @@ func TestFigure19(t *testing.T) {
 		t.Fatalf("assignment covers %d networks", len(r.Assignment.GPUOf))
 	}
 	// Both GPUs must be used (the queue cannot fit one GPU optimally).
-	used := map[string]bool{}
+	used := map[int32]bool{}
 	for _, g := range r.Assignment.GPUOf {
 		used[g] = true
 	}

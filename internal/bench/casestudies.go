@@ -407,8 +407,10 @@ var figure19Nets = []string{
 // oracle (measured-time) schedule.
 type Figure19Result struct {
 	Networks []string
+	// GPUs names the GPU ids of Assignment.
+	GPUs []string
 	// Assignment is the predicted-time brute-force schedule.
-	Assignment sched.Assignment
+	Assignment *sched.DenseAssignment
 	// PredictedMakespan is that schedule's makespan under predicted times;
 	// AchievedMakespan re-costs it with measured times; OracleMakespan is
 	// the best achievable with measured times.
@@ -435,41 +437,50 @@ func Figure19(l *Lab) (*Figure19Result, error) {
 		return nil, err
 	}
 
-	pred := sched.Times{}
-	actual := sched.Times{}
-	for _, g := range schedGPUs() {
-		pred[g.Name] = make([]float64, len(figure19Nets))
-		actual[g.Name] = make([]float64, len(figure19Nets))
+	// Both tables list the GPUs in schedGPUs() order, which is also their
+	// sorted name order, so brute-force ties keep breaking alphabetically.
+	gpus := make([]string, len(schedGPUs()))
+	for j, g := range schedGPUs() {
+		gpus[j] = g.Name
+	}
+	pred, err := sched.NewDenseTimes(gpus, len(figure19Nets))
+	if err != nil {
+		return nil, err
+	}
+	actual, err := sched.NewDenseTimes(gpus, len(figure19Nets))
+	if err != nil {
+		return nil, err
 	}
 	for i, name := range figure19Nets {
-		for j, g := range schedGPUs() {
-			pred[g.Name][i] = float64(preds[i][j])
+		for j, g := range gpus {
+			pred.Row(j)[i] = float64(preds[i][j])
 			for _, r := range meas.Networks {
-				if r.Network == name && r.GPU == g.Name && r.BatchSize == TrainBatch {
-					actual[g.Name][i] = float64(r.E2ESeconds)
+				if r.Network == name && r.GPU == g && r.BatchSize == TrainBatch {
+					actual.Row(j)[i] = float64(r.E2ESeconds)
 				}
 			}
 		}
 	}
 
 	// Auto takes the exhaustive search here (9 tasks × 2 GPUs is well within
-	// the brute-force limits) and would degrade to Greedy on a larger queue
-	// instead of failing.
-	plan, _, err := sched.Auto(pred, len(figure19Nets))
+	// the brute-force limits) and would degrade to local search on a larger
+	// queue instead of failing.
+	plan, _, err := sched.Auto(pred)
 	if err != nil {
 		return nil, err
 	}
-	achieved, err := sched.MakespanOf(plan.GPUOf, actual)
+	achieved, err := sched.MakespanOf(plan.GPUOf, gpus, actual)
 	if err != nil {
 		return nil, err
 	}
-	oracle, _, err := sched.Auto(actual, len(figure19Nets))
+	oracle, _, err := sched.Auto(actual)
 	if err != nil {
 		return nil, err
 	}
 	const tol = 1.005 // measured-time ties within 0.5 % count as matching
 	return &Figure19Result{
 		Networks:          figure19Nets,
+		GPUs:              gpus,
 		Assignment:        plan,
 		PredictedMakespan: plan.Makespan,
 		AchievedMakespan:  achieved,
@@ -482,7 +493,7 @@ func Figure19(l *Lab) (*Figure19Result, error) {
 func (r *Figure19Result) Render() string {
 	rows := [][]string{{"network", "assigned GPU"}}
 	for i, n := range r.Networks {
-		rows = append(rows, []string{n, r.Assignment.GPUOf[i]})
+		rows = append(rows, []string{n, r.GPUs[r.Assignment.GPUOf[i]]})
 	}
 	rows = append(rows,
 		[]string{"predicted makespan", fmt.Sprintf("%.1f ms", r.PredictedMakespan*1e3)},

@@ -14,10 +14,10 @@ import (
 // Cluster-scale scheduling: the case-study-3 pattern ("models as a fast
 // oracle inside a search loop") taken from the paper's 9 tasks × 2 GPUs to
 // a heterogeneous fleet and queues of up to 10⁶ tasks. The time table is
-// built with one PredictSweep per (model, network) over the queue's unique
-// batch sizes (core.TaskTimes), and the schedule comes from sched.Schedule
-// — LPT-lookahead construction plus multi-start annealed local search with
-// a certified optimality gap.
+// filled from one core.PredictGrid over (model, network, clusterBatches) —
+// one sweep per (model, network) pair, however long the queue — and the
+// schedule comes from sched.Schedule — LPT-lookahead construction plus
+// multi-start annealed local search with a certified optimality gap.
 
 // clusterFleet is the 8-GPU heterogeneous fleet: four measured devices plus
 // four bandwidth-modified hypotheticals resolved through the interpolated
@@ -113,27 +113,31 @@ func ClusterSchedule(l *Lab, nTasks int, seed int64) (*ClusterScheduleResult, er
 	}
 
 	// Seeded task sampling: one draw per task picks its network from the
-	// low bits and its batch from the high bits, deterministic in the seed.
+	// low bits and its batch (an index into clusterBatches) from the high
+	// bits, deterministic in the seed.
 	taskNet := make([]int, nTasks)
 	taskBatch := make([]int, nTasks)
 	r := rng.New(uint64(seed))
 	for i := range taskNet {
 		z := r.Uint64()
 		taskNet[i] = int(z % uint64(len(nets)))
-		taskBatch[i] = clusterBatches[(z>>32)%uint64(len(clusterBatches))]
+		taskBatch[i] = int((z >> 32) % uint64(len(clusterBatches)))
 	}
 
 	tableStart := time.Now()
-	gpus, table, err := core.TaskTimes(models, nets, taskNet, taskBatch)
+	grid, err := core.PredictGrid(models, nets, clusterBatches)
 	if err != nil {
 		return nil, err
 	}
-	dt, err := sched.NewDenseTimes(gpus, nTasks)
+	dt, err := sched.NewDenseTimes(grid.GPUs, nTasks)
 	if err != nil {
 		return nil, err
 	}
-	for g := range gpus {
-		copy(dt.Row(g), table[g*nTasks:(g+1)*nTasks])
+	for g, secs := range grid.Seconds {
+		row := dt.Row(g)
+		for i := range row {
+			row[i] = secs[taskNet[i]][taskBatch[i]].Float64()
+		}
 	}
 	tableSecs := time.Since(tableStart).Seconds()
 
@@ -150,14 +154,18 @@ func ClusterSchedule(l *Lab, nTasks int, seed int64) (*ClusterScheduleResult, er
 	}
 	searchSecs := time.Since(searchStart).Seconds()
 
+	load := make(map[string]float64, dt.NumGPUs())
+	for g, name := range dt.GPUs() {
+		load[name] = res.Dense.Load[g]
+	}
 	out := &ClusterScheduleResult{
-		Tasks: nTasks, Fleet: gpus, Networks: clusterNets(), Seed: seed,
+		Tasks: nTasks, Fleet: dt.GPUs(), Networks: clusterNets(), Seed: seed,
 		Makespan: res.Makespan, LowerBound: res.LowerBound, Gap: res.Gap,
 		TableSeconds: tableSecs, SearchSeconds: searchSecs,
 		TasksPerSec: float64(nTasks) / (tableSecs + searchSecs),
 		MovesTried:  res.MovesTried, SwapsTried: res.SwapsTried,
 		BestRestart: res.BestRestart,
-		Load:        res.Dense.Assignment(dt).Load,
+		Load:        load,
 	}
 	return out, nil
 }

@@ -208,7 +208,6 @@ func (b *IGKWBase) Resolve(target gpu.Spec) (*KWModel, error) {
 		m.ClassFallback[e.driver], _ = resolveRate(e.bws, e.rates, e.intercepts, bw)
 	}
 	m.initCaches()
-	m.plans.RegisterMetrics("core_igkw_plan_cache")
 	return m, nil
 }
 

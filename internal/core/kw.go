@@ -142,8 +142,6 @@ func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOpt
 	}
 	m.Training = opt.Training
 	m.initCaches()
-	m.plans.RegisterMetrics("core_kw_plan_cache")
-	m.layerMemo.RegisterMetrics("core_kw_layer_memo")
 	return m, nil
 }
 
@@ -151,6 +149,16 @@ func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOpt
 // IGKWBase.Resolve and Load — every path that creates a KWModel — call it
 // before the model is shared.
 func (m *KWModel) initCaches() { m.layerMemo.Capacity = layerMemoCapacity }
+
+// RegisterMetrics exposes this model's plan cache and layer memo through
+// the global obs registry as core_kw_plan_cache_* and core_kw_layer_memo_*,
+// rebinding the gauges from whichever model held them before. The serving
+// registry calls it on every publish, so the gauges describe the model
+// that serves.
+func (m *KWModel) RegisterMetrics() {
+	m.plans.RegisterMetrics("core_kw_plan_cache")
+	m.layerMemo.RegisterMetrics("core_kw_layer_memo")
+}
 
 // trainRecords copies the dataset's kernel records of one GPU at the train
 // batch, counting them first so the slice is allocated once.

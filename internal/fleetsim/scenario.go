@@ -186,8 +186,8 @@ func (sc *Scenario) run(st *StepTable, plan planFunc) (Result, error) {
 // Sweep replays every scenario across a bounded worker pool and merges the
 // results into indexed slots, so output order matches input order and the
 // first failing scenario in input order wins error reporting — the same
-// deterministic fan-out discipline as core.TaskTimes. workers ≤ 0 defaults
-// to GOMAXPROCS.
+// deterministic fan-out discipline as core.PredictGrid. workers ≤ 0
+// defaults to GOMAXPROCS.
 //
 // Planned routes are solved once per distinct (policy, fleet, request
 // network sequence) within the call: PlanRoute never reads arrival times,

@@ -26,7 +26,6 @@ package fleetsim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dnn"
@@ -100,11 +99,10 @@ func (st *StepTable) Validate() error {
 }
 
 // BuildStepTable compiles the oracle from prediction models: one
-// PredictSweep per (model, network) pair over batches 1..maxBatch, run
-// goroutine-per-pair with indexed result slots like core.TaskTimes, so the
-// table is deterministic and the first failing pair in input order wins
-// error reporting. GPU type ids follow the models' order, network ids the
-// nets' order.
+// core.PredictGrid over batches 1..maxBatch, so each (model, network) pair
+// is one PredictSweep, the table is deterministic and the first failing
+// pair in input order wins error reporting. GPU type ids follow the models'
+// order, network ids the nets' order.
 func BuildStepTable(models []core.SweepPredictor, nets []*dnn.Network, maxBatch int) (*StepTable, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("fleetsim: step table needs at least one model")
@@ -125,29 +123,15 @@ func BuildStepTable(models []core.SweepPredictor, nets []*dnn.Network, maxBatch 
 	for b := range batches {
 		batches[b] = b + 1
 	}
-
-	errs := make([]error, len(models)*len(nets))
-	var wg sync.WaitGroup
-	for g, m := range models {
-		for n, net := range nets {
-			wg.Add(1)
-			go func(g, n int, m core.SweepPredictor, net *dnn.Network) {
-				defer wg.Done()
-				out, err := m.PredictSweep(net, batches)
-				if err != nil {
-					errs[g*len(nets)+n] = fmt.Errorf("fleetsim: step table cell (%s, %s): %w", m.GPUName(), net.Name, err)
-					return
-				}
-				for b, v := range out {
-					st.Set(g, n, b+1, v.Float64())
-				}
-			}(g, n, m, net)
-		}
+	grid, err := core.PredictGrid(models, nets, batches)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for g, perNet := range grid.Seconds {
+		for n, out := range perNet {
+			for b, v := range out {
+				st.Set(g, n, b+1, v.Float64())
+			}
 		}
 	}
 	if err := st.Validate(); err != nil {

@@ -79,7 +79,9 @@ func New() *Registry { return &Registry{} }
 // Publish installs model as the current snapshot under the next monotonic
 // version and returns that snapshot. Publish is safe for concurrent use with
 // readers and other publishers; readers that loaded the previous snapshot
-// keep serving it untouched.
+// keep serving it untouched. It also binds the model-cache gauges
+// (KWModel.RegisterMetrics) to the published model, under the same lock as
+// the store, so they describe the model that serves.
 func (r *Registry) Publish(model *core.KWModel, source string) (*Snapshot, error) {
 	if model == nil {
 		return nil, fmt.Errorf("registry: cannot publish a nil model")
@@ -94,6 +96,7 @@ func (r *Registry) Publish(model *core.KWModel, source string) (*Snapshot, error
 	}
 	swapped := r.cur.Load() != nil
 	r.cur.Store(snap)
+	model.RegisterMetrics()
 	r.history = append(r.history, Entry{
 		Version: snap.Version, Source: source,
 		GPU: model.GPUName(), Kernels: model.KernelCount(), Groups: model.ModelCount(),

@@ -1,10 +1,16 @@
 package registry
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/dnn"
+	"repro/internal/gpu"
+	"repro/internal/obs"
+	"repro/internal/zoo"
 )
 
 func TestPublishMonotonicVersions(t *testing.T) {
@@ -117,5 +123,80 @@ func TestConcurrentPublishAndRead(t *testing.T) {
 	wg.Wait()
 	if got := r.Version(); got != publishers*perPublisher {
 		t.Fatalf("final version %d, want %d", got, publishers*perPublisher)
+	}
+}
+
+// cacheGauge reads one model-cache gauge from the global obs registry.
+func cacheGauge(t *testing.T, name string) int64 {
+	t.Helper()
+	for _, m := range obs.Default().Snapshot() {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	t.Fatalf("gauge %s not registered", name)
+	return 0
+}
+
+// TestPublishBindsCacheGauges: the model-cache gauges describe the published
+// model, also when it came from Load (the POST /modelz hot swap) rather than
+// from a fit.
+func TestPublishBindsCacheGauges(t *testing.T) {
+	opt := dataset.DefaultBuildOptions()
+	opt.Batches = 3
+	opt.Warmup = 1
+	opt.E2EBatchSizes = []int{512}
+	ds, _, err := dataset.Build([]*dnn.Network{zoo.MustResNet(18)}, []gpu.Spec{gpu.A100}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitted, err := core.FitKW(ds, "A100", 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := core.Save(&saved, fitted); err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Load(&saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := p.(*core.KWModel)
+
+	r := New()
+	if _, err := r.Publish(fitted, "warmup"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fitted.CompiledPlan(zoo.MustResNet(18)); err != nil {
+		t.Fatal(err)
+	}
+	if got := cacheGauge(t, "core_kw_plan_cache_entries"); got != 1 {
+		t.Fatalf("fitted model serving: plan cache entries = %d, want 1", got)
+	}
+
+	if _, err := r.Publish(loaded, "modelz-post"); err != nil {
+		t.Fatal(err)
+	}
+	if got := cacheGauge(t, "core_kw_layer_memo_entries"); got != 0 {
+		t.Fatalf("after the swap: layer memo entries = %d, want the loaded model's 0", got)
+	}
+	for _, n := range []*dnn.Network{zoo.MustResNet(34), zoo.MustResNet(50), zoo.MustVGG(11, false)} {
+		if _, err := loaded.CompiledPlan(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, want := range map[string]int64{
+		"core_kw_plan_cache_entries":   3,
+		"core_kw_plan_cache_misses":    3,
+		"core_kw_plan_cache_hits":      0,
+		"core_kw_plan_cache_evictions": 0,
+	} {
+		if got := cacheGauge(t, name); got != want {
+			t.Errorf("loaded model serving: %s = %d, want %d", name, got, want)
+		}
+	}
+	if got := cacheGauge(t, "core_kw_layer_memo_entries"); got == 0 {
+		t.Error("loaded model serving: layer memo entries = 0 after three compiles")
 	}
 }

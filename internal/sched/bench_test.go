@@ -24,19 +24,6 @@ func BenchmarkScheduleLocalSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkDenseTimesBuild measures converting a map-form Times table into
-// the dense gpu-major layout for a 10⁵-task × 8-GPU fleet.
-func BenchmarkDenseTimesBuild(b *testing.B) {
-	tm := Synthetic(100_000, 8, 7).Times()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FromTimes(tm, 100_000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkScheduleMoveEval is the 0 allocs/op gate on the incremental
 // move-evaluation hot path: each op evaluates a move and a swap and applies
 // the swap — all annotated //dnnperf:allocfree, all O(1).

@@ -8,12 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
-// DenseTimes is the slice-backed time table the cluster-scale optimizer
-// works on: one gpu-major []float64 with an interned GPU index, replacing
-// the map-of-slices Times on every hot path. For 10⁶ tasks × dozens of
-// GPU types the flat layout keeps a full table scan sequential in memory
-// and makes row fills (one core.PredictSweep pass per (network, GPU))
-// plain slice writes.
+// DenseTimes is the package's one time table, from Figure 19's nine tasks
+// to the cluster-scale optimizer's millions: one gpu-major []float64 with
+// an interned GPU index. For 10⁶ tasks × dozens of GPU types the flat
+// layout keeps a full table scan sequential in memory and makes row fills
+// (one core.PredictGrid pass over the fleet) plain slice writes.
 type DenseTimes struct {
 	gpus  []string       // interned GPU names; index is the GPU id
 	index map[string]int // name → id
@@ -23,13 +22,15 @@ type DenseTimes struct {
 
 // NewDenseTimes allocates an empty table for nTasks tasks on the given
 // GPUs, preserving their order as the interned ids. Fill rows via Row and
-// check the result with Validate.
+// check the result with Validate. An empty queue (nTasks 0) is a valid
+// table: every entry point answers it with no placements and every GPU at
+// zero load.
 func NewDenseTimes(gpus []string, nTasks int) (*DenseTimes, error) {
 	if len(gpus) == 0 {
 		return nil, fmt.Errorf("sched: no GPUs")
 	}
-	if nTasks <= 0 {
-		return nil, fmt.Errorf("sched: task count %d must be positive", nTasks)
+	if nTasks < 0 {
+		return nil, fmt.Errorf("sched: task count %d must not be negative", nTasks)
 	}
 	dt := &DenseTimes{
 		gpus:  append([]string(nil), gpus...),
@@ -45,23 +46,6 @@ func NewDenseTimes(gpus []string, nTasks int) (*DenseTimes, error) {
 			return nil, fmt.Errorf("sched: duplicate GPU name %q", name)
 		}
 		dt.index[name] = g
-	}
-	return dt, nil
-}
-
-// FromTimes converts a map-form Times table into its dense representation.
-// GPU ids follow sorted name order, so the conversion — and everything the
-// optimizer derives from it — is deterministic.
-func FromTimes(tm Times, nTasks int) (*DenseTimes, error) {
-	if err := tm.Validate(nTasks); err != nil {
-		return nil, err
-	}
-	dt, err := NewDenseTimes(tm.gpuNames(), nTasks)
-	if err != nil {
-		return nil, err
-	}
-	for g, name := range dt.gpus {
-		copy(dt.Row(g), tm[name])
 	}
 	return dt, nil
 }
@@ -102,18 +86,9 @@ func (dt *DenseTimes) Validate() error {
 	return nil
 }
 
-// Times converts back to the map form the small-instance API consumes.
-func (dt *DenseTimes) Times() Times {
-	tm := make(Times, len(dt.gpus))
-	for g, name := range dt.gpus {
-		tm[name] = append([]float64(nil), dt.Row(g)...)
-	}
-	return tm
-}
-
-// DenseAssignment maps each task to an interned GPU id, with per-GPU loads
-// and the makespan. It is the index-form counterpart of Assignment, sized
-// for millions of tasks (4 bytes per task instead of a string header).
+// DenseAssignment maps each task to an interned GPU id of its table, with
+// per-GPU loads and the makespan; 4 bytes per task keeps it small at
+// millions of tasks. Names come from the table's GPUs.
 type DenseAssignment struct {
 	// GPUOf[i] is the interned id of the GPU task i runs on.
 	GPUOf []int32
@@ -142,23 +117,6 @@ func finishDense(a *DenseAssignment, dt *DenseTimes) {
 			a.Makespan = l
 		}
 	}
-}
-
-// Assignment expands the index form into the map-form Assignment used by
-// the small-instance API and the case-study figures.
-func (a *DenseAssignment) Assignment(dt *DenseTimes) Assignment {
-	out := Assignment{
-		GPUOf:    make([]string, len(a.GPUOf)),
-		Load:     make(map[string]float64, len(dt.gpus)),
-		Makespan: a.Makespan,
-	}
-	for i, g := range a.GPUOf {
-		out.GPUOf[i] = dt.gpus[g]
-	}
-	for g, name := range dt.gpus {
-		out.Load[name] = a.Load[g]
-	}
-	return out
 }
 
 // Synthetic builds a seeded heterogeneous benchmark instance: each GPU gets

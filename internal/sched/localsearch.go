@@ -18,7 +18,7 @@ import (
 //     window as the construction heuristic;
 //   - searchState: task-move and task-swap neighborhoods evaluated as O(1)
 //     incremental load deltas against an indexed max-heap of GPU loads —
-//     never a full finishAssignment rescan;
+//     never a full finishDense rescan;
 //   - anneal/descend: simulated annealing with a seeded deterministic RNG,
 //     followed by strict-improvement descent;
 //   - Schedule: goroutine-per-restart multi-start with a deterministic
@@ -133,8 +133,8 @@ func Schedule(dt *DenseTimes, opt SearchOptions) (*SearchResult, error) {
 		LowerBound: lb,
 		Restarts:   opt.Restarts,
 	}
-	if g == 1 {
-		// One GPU: every assignment is the same schedule.
+	if g == 1 || n == 0 {
+		// One GPU or an empty queue: every assignment is the same schedule.
 		res.Dense, res.Makespan = initial, initial.Makespan
 		res.Gap = gapOf(initial.Makespan, lb)
 		recordSearchMetrics(res)
@@ -634,7 +634,9 @@ func (s *searchState) descend(maxPasses int, swapSweep bool) {
 // window: tasks are ordered by best-GPU time descending, and at each step
 // the window task with the largest regret — the completion-time penalty of
 // not receiving its best GPU now — is placed on its earliest-finishing GPU.
-// lookahead 1 is plain LPT. The public entry validates; Schedule reuses the
+// lookahead 1 is plain LPT, which on identical machines is within
+// 4/3 − 1/(3g) of optimal (Graham 1969) against 2 − 1/g for the in-order
+// rule (InOrderPolicy). The public entry validates; Schedule reuses the
 // internal path with precomputed mins.
 func ListSchedule(dt *DenseTimes, lookahead int) (*DenseAssignment, error) {
 	if dt == nil {

@@ -46,6 +46,9 @@ func (InOrderPolicy) Name() string { return "greedy-inorder" }
 
 // Schedule implements Policy.
 func (InOrderPolicy) Schedule(dt *DenseTimes) (*DenseAssignment, error) {
+	if dt == nil {
+		return nil, errNilTable
+	}
 	if err := dt.Validate(); err != nil {
 		return nil, err
 	}

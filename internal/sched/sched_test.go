@@ -9,33 +9,55 @@ import (
 	"testing/quick"
 )
 
-func twoGPUTimes() Times {
-	return Times{
-		"fast": {1, 2, 3, 4},
-		"slow": {2, 4, 6, 8},
-	}
-}
-
-func TestChooseGPU(t *testing.T) {
-	tm := Times{
-		"a": {1, 5, 3},
-		"b": {2, 4, 3},
-	}
-	got, err := ChooseGPU(tm, 3)
+// tableOf builds a table with one row per GPU, in the given order.
+func tableOf(t testing.TB, gpus []string, rows ...[]float64) *DenseTimes {
+	t.Helper()
+	dt, err := NewDenseTimes(gpus, len(rows[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"a", "b", "a"} // ties go to the lexicographically first
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ChooseGPU = %v, want %v", got, want)
-		}
+	for g, row := range rows {
+		copy(dt.Row(g), row)
+	}
+	return dt
+}
+
+func twoGPUTimes(t testing.TB) *DenseTimes {
+	return tableOf(t, []string{"fast", "slow"}, []float64{1, 2, 3, 4}, []float64{2, 4, 6, 8})
+}
+
+// randomTwoGPU draws an n-task table over g0 and g1 with times in
+// [0.01, 1.01).
+func randomTwoGPU(t testing.TB, rnd *rand.Rand, n int) *DenseTimes {
+	dt, err := NewDenseTimes([]string{"g0", "g1"}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		dt.Row(0)[i] = rnd.Float64() + 0.01
+		dt.Row(1)[i] = rnd.Float64() + 0.01
+	}
+	return dt
+}
+
+func TestChooseGPU(t *testing.T) {
+	dt := tableOf(t, []string{"a", "b"}, []float64{1, 5, 3}, []float64{2, 4, 3})
+	got, err := ChooseGPU(dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int32{0, 1, 0} // ties go to the lowest id
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ChooseGPU = %v, want %v", got, want)
+	}
+	if _, err := ChooseGPU(nil); err == nil {
+		t.Fatal("nil table should error")
 	}
 }
 
 func TestBruteForceBeatsSingleGPU(t *testing.T) {
-	tm := twoGPUTimes()
-	a, err := BruteForce(tm, 4)
+	dt := twoGPUTimes(t)
+	a, err := BruteForce(dt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,58 +82,64 @@ func TestBruteForceBeatsSingleGPU(t *testing.T) {
 }
 
 func TestBruteForceSingleTask(t *testing.T) {
-	tm := Times{"a": {5}, "b": {3}}
-	a, err := BruteForce(tm, 1)
+	a, err := BruteForce(tableOf(t, []string{"a", "b"}, []float64{5}, []float64{3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.GPUOf[0] != "b" || a.Makespan != 3 {
+	if a.GPUOf[0] != 1 || a.Makespan != 3 {
 		t.Fatalf("assignment = %+v", a)
 	}
 }
 
-func TestBruteForceLimits(t *testing.T) {
-	tm := Times{"a": make([]float64, 20), "b": make([]float64, 20)}
-	for i := range tm["a"] {
-		tm["a"][i], tm["b"][i] = 1, 1
+// uniformTable is an n-task table over the GPUs with every time v.
+func uniformTable(t testing.TB, gpus []string, n int, v float64) *DenseTimes {
+	dt, err := NewDenseTimes(gpus, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := BruteForce(tm, 20); err == nil {
+	for g := range gpus {
+		for i := range dt.Row(g) {
+			dt.Row(g)[i] = v
+		}
+	}
+	return dt
+}
+
+func TestBruteForceLimits(t *testing.T) {
+	if _, err := BruteForce(uniformTable(t, []string{"a", "b"}, 20, 1)); err == nil {
 		t.Fatal("20 tasks should exceed the brute-force limit")
 	}
 }
 
 func TestBruteForceSearchSpaceError(t *testing.T) {
 	// 20 tasks on 2 GPUs: over the task limit.
-	tm := Times{"a": make([]float64, 20), "b": make([]float64, 20)}
-	for i := range tm["a"] {
-		tm["a"][i], tm["b"][i] = 1, 2
+	dt := uniformTable(t, []string{"a", "b"}, 20, 1)
+	for i := range dt.Row(1) {
+		dt.Row(1)[i] = 2
 	}
-	_, err := BruteForce(tm, 20)
+	_, err := BruteForce(dt)
 	if !errors.Is(err, ErrSearchSpace) {
 		t.Fatalf("20-task error = %v, want ErrSearchSpace", err)
 	}
 
 	// 5 GPUs: over the GPU limit.
-	wide := Times{}
-	for _, g := range []string{"a", "b", "c", "d", "e"} {
-		wide[g] = []float64{1, 2}
-	}
-	_, err = BruteForce(wide, 2)
+	_, err = BruteForce(uniformTable(t, []string{"a", "b", "c", "d", "e"}, 2, 1))
 	if !errors.Is(err, ErrSearchSpace) {
 		t.Fatalf("5-GPU error = %v, want ErrSearchSpace", err)
 	}
 
-	// A validation error must NOT be ErrSearchSpace.
-	_, err = BruteForce(Times{}, 3)
-	if err == nil || errors.Is(err, ErrSearchSpace) {
-		t.Fatalf("validation error = %v, want a non-search-space error", err)
+	// Validation errors must NOT be ErrSearchSpace.
+	for _, bad := range []*DenseTimes{nil, uniformTable(t, []string{"a"}, 3, 0)} {
+		if _, err := BruteForce(bad); err == nil || errors.Is(err, ErrSearchSpace) {
+			t.Fatalf("validation error = %v, want a non-search-space error", err)
+		}
 	}
 }
 
 func TestAutoFallsBackToSearch(t *testing.T) {
 	// In-limit case: Auto must return the brute-force optimum and exact=true.
-	small := Times{"a": {1, 5}, "b": {5, 1}}
-	a, exact, err := Auto(small, 2)
+	small := tableOf(t, []string{"a", "b"}, []float64{1, 5}, []float64{5, 1})
+	a, exact, err := Auto(small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,32 +151,38 @@ func TestAutoFallsBackToSearch(t *testing.T) {
 	}
 
 	// Over-limit case: Auto routes to local search, which starts from an
-	// LPT construction and only improves — it must never lose to Greedy.
-	big := Times{"a": make([]float64, 24), "b": make([]float64, 24)}
-	for i := range big["a"] {
-		big["a"][i], big["b"][i] = float64(i+1), float64(24-i)
+	// LPT construction and only improves — it must never lose to plain LPT.
+	big, err := NewDenseTimes([]string{"a", "b"}, 24)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, exact, err = Auto(big, 24)
+	for i := 0; i < 24; i++ {
+		big.Row(0)[i], big.Row(1)[i] = float64(i+1), float64(24-i)
+	}
+	a, exact, err = Auto(big)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exact {
 		t.Fatal("24 tasks should not be reported as exact")
 	}
-	g, err := Greedy(big, 24)
+	lpt, err := ListSchedule(big, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Makespan > g.Makespan+1e-12 {
-		t.Fatalf("Auto fallback makespan = %v worse than Greedy = %v", a.Makespan, g.Makespan)
+	if a.Makespan > lpt.Makespan+1e-12 {
+		t.Fatalf("Auto fallback makespan = %v worse than LPT = %v", a.Makespan, lpt.Makespan)
 	}
 	if len(a.GPUOf) != 24 || len(a.Load) != 2 {
 		t.Fatalf("fallback assignment malformed: %+v", a)
 	}
 
 	// Validation errors pass through instead of triggering the fallback.
-	if _, _, err := Auto(Times{}, 1); err == nil {
-		t.Fatal("empty Times should error")
+	if _, _, err := Auto(uniformTable(t, []string{"a"}, 1, 0)); err == nil {
+		t.Fatal("zero-filled table should error")
+	}
+	if _, _, err := Auto(nil); err == nil {
+		t.Fatal("nil table should error")
 	}
 }
 
@@ -170,8 +204,7 @@ func TestAutoRoutingTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dt := Synthetic(tc.nTasks, tc.nGPUs, 7)
-			a, exact, err := Auto(dt.Times(), tc.nTasks)
+			a, exact, err := Auto(Synthetic(tc.nTasks, tc.nGPUs, 7))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,16 +219,21 @@ func TestAutoRoutingTable(t *testing.T) {
 	}
 }
 
+// TestGreedyInOrder pins the in-order list-scheduling rule (InOrderPolicy)
+// against LPT (ListSchedule with a one-task window).
 func TestGreedyInOrder(t *testing.T) {
-	tm := twoGPUTimes()
-	a, err := GreedyInOrder(tm, 4)
+	dt := twoGPUTimes(t)
+	a, err := InOrderPolicy{}.Schedule(dt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// In input order on {fast: 1,2,3,4 / slow: 2,4,6,8}: task 0 → fast
-	// (1 < 2), task 1 → slow (1+2 vs 2 ties at... fast finish 3, slow 4 →
-	// fast), replaying the earliest-finish rule by hand gives:
-	want, err := MakespanOf(a.GPUOf, tm)
+	// In input order on {fast: 1,2,3,4 / slow: 2,4,6,8} each task goes to
+	// its earliest-finishing GPU: fast, fast, fast (finishing at 6 on
+	// either, a tie the lower id wins), slow.
+	if want := []int32{0, 0, 0, 1}; !reflect.DeepEqual(a.GPUOf, want) {
+		t.Fatalf("in-order placement = %v, want %v", a.GPUOf, want)
+	}
+	want, err := MakespanOf(a.GPUOf, dt.GPUs(), dt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,15 +244,13 @@ func TestGreedyInOrder(t *testing.T) {
 	// one big task. In-order splits the units 3/3 and lands the big task
 	// on top (makespan 9); LPT places the big task first and packs the
 	// units opposite it (makespan 6).
-	adv := Times{
-		"g0": {1, 1, 1, 1, 1, 1, 6},
-		"g1": {1, 1, 1, 1, 1, 1, 6},
-	}
-	inOrder, err := GreedyInOrder(adv, 7)
+	units := []float64{1, 1, 1, 1, 1, 1, 6}
+	adv := tableOf(t, []string{"g0", "g1"}, units, units)
+	inOrder, err := InOrderPolicy{}.Schedule(adv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpt, err := Greedy(adv, 7)
+	lpt, err := ListSchedule(adv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,64 +260,104 @@ func TestGreedyInOrder(t *testing.T) {
 	if lpt.Makespan != 6 {
 		t.Fatalf("LPT makespan = %v, want 6", lpt.Makespan)
 	}
-
-	// An empty queue places nothing and reports every GPU idle.
-	want0 := Assignment{GPUOf: []string{}, Load: map[string]float64{"a": 0}}
-	if got, err := GreedyInOrder(Times{"a": {}}, 0); err != nil || !reflect.DeepEqual(got, want0) {
-		t.Fatalf("GreedyInOrder on an empty queue = %+v, %v; want %+v", got, err, want0)
-	}
 }
 
+// TestGreedyFeasibleAndBounded: plain LPT places every task and never beats
+// the exhaustive optimum.
 func TestGreedyFeasibleAndBounded(t *testing.T) {
-	tm := twoGPUTimes()
-	g, err := Greedy(tm, 4)
+	dt := twoGPUTimes(t)
+	g, err := ListSchedule(dt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BruteForce(tm, 4)
+	b, err := BruteForce(dt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Makespan < b.Makespan {
-		t.Fatalf("greedy %v beat brute force %v", g.Makespan, b.Makespan)
+		t.Fatalf("LPT %v beat brute force %v", g.Makespan, b.Makespan)
 	}
 	if len(g.GPUOf) != 4 {
-		t.Fatalf("greedy assigned %d tasks", len(g.GPUOf))
+		t.Fatalf("LPT assigned %d tasks", len(g.GPUOf))
 	}
+}
 
-	// An empty queue places nothing and reports every GPU idle.
-	want0 := Assignment{GPUOf: []string{}, Load: map[string]float64{"a": 0}}
-	if got, err := Greedy(Times{"a": {}}, 0); err != nil || !reflect.DeepEqual(got, want0) {
-		t.Fatalf("Greedy on an empty queue = %+v, %v; want %+v", got, err, want0)
+// TestEmptyQueue: every entry point answers a zero-task table with no
+// placements, every GPU at zero load and a zero makespan.
+func TestEmptyQueue(t *testing.T) {
+	for _, gpus := range [][]string{{"a"}, {"a", "b"}, {"a", "b", "c", "d", "e"}} {
+		dt, err := NewDenseTimes(gpus, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &DenseAssignment{GPUOf: []int32{}, Load: make([]float64, len(gpus))}
+		run := map[string]func() (*DenseAssignment, error){
+			"BruteForce": func() (*DenseAssignment, error) { return BruteForce(dt) },
+			"Auto": func() (*DenseAssignment, error) {
+				a, _, err := Auto(dt)
+				return a, err
+			},
+			"ListSchedule":  func() (*DenseAssignment, error) { return ListSchedule(dt, 8) },
+			"InOrderPolicy": func() (*DenseAssignment, error) { return InOrderPolicy{}.Schedule(dt) },
+			"Schedule": func() (*DenseAssignment, error) {
+				res, err := Schedule(dt, SearchOptions{})
+				if err != nil {
+					return nil, err
+				}
+				if res.Makespan != 0 || res.LowerBound != 0 || res.Gap != 0 {
+					t.Errorf("%d GPUs: Schedule result %+v, want all zero", len(gpus), res)
+				}
+				return res.Dense, nil
+			},
+		}
+		for name, f := range run {
+			if got, err := f(); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%d GPUs: %s = %+v, %v; want %+v", len(gpus), name, got, err, want)
+			}
+		}
+		if got, err := ChooseGPU(dt); err != nil || !reflect.DeepEqual(got, []int32{}) {
+			t.Errorf("%d GPUs: ChooseGPU = %v, %v; want []", len(gpus), got, err)
+		}
+		if lb, err := LowerBound(dt); err != nil || lb != 0 {
+			t.Errorf("%d GPUs: LowerBound = %v, %v; want 0", len(gpus), lb, err)
+		}
+		if span, err := MakespanOf([]int32{}, gpus, dt); err != nil || span != 0 {
+			t.Errorf("%d GPUs: MakespanOf = %v, %v; want 0", len(gpus), span, err)
+		}
 	}
 }
 
 func TestMakespanOf(t *testing.T) {
-	tm := twoGPUTimes()
-	span, err := MakespanOf([]string{"fast", "fast", "slow", "slow"}, tm)
+	dt := twoGPUTimes(t)
+	span, err := MakespanOf([]int32{0, 0, 1, 1}, dt.GPUs(), dt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if span != 14 { // slow: 6+8
 		t.Fatalf("makespan = %v, want 14", span)
 	}
-	if _, err := MakespanOf([]string{"nope", "fast", "fast", "fast"}, tm); err == nil {
-		t.Fatal("unknown GPU should error")
+	if _, err := MakespanOf([]int32{2, 0, 0, 0}, dt.GPUs(), dt); err == nil {
+		t.Fatal("out-of-range GPU id should error")
+	}
+	if _, err := MakespanOf([]int32{0, 0, 1, 1}, []string{"slow", "fast"}, dt); err == nil {
+		t.Fatal("a table whose GPU list differs should error")
+	}
+	if _, err := MakespanOf([]int32{0, 0, 1}, dt.GPUs(), dt); err == nil {
+		t.Fatal("an assignment of the wrong length should error")
 	}
 }
 
 func TestValidation(t *testing.T) {
-	if err := (Times{}).Validate(1); err == nil {
-		t.Fatal("empty Times should error")
+	if _, err := NewDenseTimes(nil, 1); err == nil {
+		t.Fatal("no GPUs should error")
 	}
-	if err := (Times{"a": {1, 2}}).Validate(3); err == nil {
-		t.Fatal("wrong count should error")
+	if _, err := NewDenseTimes([]string{"a"}, -1); err == nil {
+		t.Fatal("negative task count should error")
 	}
-	if err := (Times{"a": {1, -2}}).Validate(2); err == nil {
-		t.Fatal("negative time should error")
-	}
-	if err := (Times{"a": {1, math.NaN()}}).Validate(2); err == nil {
-		t.Fatal("NaN time should error")
+	for _, bad := range []float64{0, -2, math.NaN(), math.Inf(1)} {
+		if err := tableOf(t, []string{"a"}, []float64{1, bad}).Validate(); err == nil {
+			t.Fatalf("time %v should fail Validate", bad)
+		}
 	}
 }
 
@@ -291,21 +367,17 @@ func TestBruteForceOptimal(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		n := int(nRaw%6) + 2
-		tm := Times{"g0": make([]float64, n), "g1": make([]float64, n)}
-		for i := 0; i < n; i++ {
-			tm["g0"][i] = rnd.Float64() + 0.01
-			tm["g1"][i] = rnd.Float64() + 0.01
-		}
-		best, err := BruteForce(tm, n)
+		dt := randomTwoGPU(t, rnd, n)
+		best, err := BruteForce(dt)
 		if err != nil {
 			return false
 		}
 		for trial := 0; trial < 30; trial++ {
-			gpuOf := make([]string, n)
+			gpuOf := make([]int32, n)
 			for i := range gpuOf {
-				gpuOf[i] = []string{"g0", "g1"}[rnd.Intn(2)]
+				gpuOf[i] = int32(rnd.Intn(2))
 			}
-			span, err := MakespanOf(gpuOf, tm)
+			span, err := MakespanOf(gpuOf, dt.GPUs(), dt)
 			if err != nil {
 				return false
 			}
@@ -327,14 +399,9 @@ func TestBruteForceOptimal(t *testing.T) {
 func TestGreedyNeverWorseThanTwiceOptimal(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rnd := rand.New(rand.NewSource(seed))
-		n := int(nRaw%8) + 2
-		tm := Times{"g0": make([]float64, n), "g1": make([]float64, n)}
-		for i := 0; i < n; i++ {
-			tm["g0"][i] = rnd.Float64() + 0.01
-			tm["g1"][i] = rnd.Float64() + 0.01
-		}
-		g, err1 := Greedy(tm, n)
-		b, err2 := BruteForce(tm, n)
+		dt := randomTwoGPU(t, rnd, int(nRaw%8)+2)
+		g, err1 := ListSchedule(dt, 1)
+		b, err2 := BruteForce(dt)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -347,12 +414,7 @@ func TestGreedyNeverWorseThanTwiceOptimal(t *testing.T) {
 }
 
 func TestThreeGPUs(t *testing.T) {
-	tm := Times{
-		"a": {3, 3, 3},
-		"b": {3, 3, 3},
-		"c": {3, 3, 3},
-	}
-	a, err := BruteForce(tm, 3)
+	a, err := BruteForce(uniformTable(t, []string{"a", "b", "c"}, 3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

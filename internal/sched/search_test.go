@@ -134,7 +134,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 	for _, sh := range shapes {
 		for seed := int64(1); seed <= 4; seed++ {
 			dt := Synthetic(sh.n, sh.g, seed)
-			opt, err := BruteForce(dt.Times(), sh.n)
+			opt, err := BruteForce(dt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,50 +308,34 @@ func TestPolicySubstrate(t *testing.T) {
 	}
 }
 
-// TestDenseRoundTrip: map → dense → map conversions preserve the table and
-// the interned order is the sorted name order.
-func TestDenseRoundTrip(t *testing.T) {
-	tm := Times{
-		"b": {1, 2, 3},
-		"a": {4, 5, 6},
-		"c": {7, 8, 9},
-	}
-	dt, err := FromTimes(tm, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dt.GPUs(); got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("interned order %v, want sorted names", got)
-	}
-	back := dt.Times()
-	for name, row := range tm {
-		for i, v := range row {
-			if back[name][i] != v {
-				t.Fatalf("round trip lost %s[%d]: %v != %v", name, i, back[name][i], v)
-			}
-		}
-	}
-	if g, ok := dt.GPUIndex("b"); !ok || g != 1 {
-		t.Fatalf("GPUIndex(b) = %d, %v", g, ok)
-	}
-	if dt.At(1, 2) != 3 {
-		t.Fatalf("At(1,2) = %v, want 3", dt.At(1, 2))
-	}
-}
-
 // TestDenseValidation covers the table constructors' error paths.
 func TestDenseValidation(t *testing.T) {
 	if _, err := NewDenseTimes(nil, 3); err == nil {
 		t.Fatal("no GPUs should error")
 	}
-	if _, err := NewDenseTimes([]string{"a"}, 0); err == nil {
-		t.Fatal("zero tasks should error")
+	if _, err := NewDenseTimes([]string{"a"}, -1); err == nil {
+		t.Fatal("a negative task count should error")
+	}
+	if _, err := NewDenseTimes([]string{"a"}, 0); err != nil {
+		t.Fatalf("an empty queue is a valid table: %v", err)
 	}
 	if _, err := NewDenseTimes([]string{"a", "a"}, 2); err == nil {
 		t.Fatal("duplicate GPU names should error")
 	}
 	if _, err := NewDenseTimes([]string{""}, 2); err == nil {
 		t.Fatal("empty GPU name should error")
+	}
+	// Ids follow the given order, not name order.
+	named, err := NewDenseTimes([]string{"b", "a", "c"}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named.Row(1)[2] = 6
+	if g, ok := named.GPUIndex("a"); !ok || g != 1 || named.GPUs()[g] != "a" || named.At(g, 2) != 6 {
+		t.Fatalf("GPUIndex(a) = %d, %v; GPUs %v", g, ok, named.GPUs())
+	}
+	if _, ok := named.GPUIndex("z"); ok {
+		t.Fatal("GPUIndex found a GPU the table does not list")
 	}
 	dt, err := NewDenseTimes([]string{"a"}, 2)
 	if err != nil {

@@ -136,73 +136,80 @@ func TestFacadeDisagg(t *testing.T) {
 	}
 }
 
-func TestFacadeScheduling(t *testing.T) {
-	tm := ScheduleTimes{"A40": {1, 4}, "TITAN RTX": {2, 2}}
-	choice, err := ChooseGPU(tm, 2)
+// facadeTable builds a two-GPU schedule table through the facade.
+func facadeTable(t *testing.T, a40, titan []float64) *ScheduleTimes {
+	t.Helper()
+	tm, err := NewScheduleTimes([]string{"A40", "TITAN RTX"}, len(a40))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if choice[0] != "A40" || choice[1] != "TITAN RTX" {
+	copy(tm.Row(0), a40)
+	copy(tm.Row(1), titan)
+	return tm
+}
+
+func TestFacadeScheduling(t *testing.T) {
+	tm := facadeTable(t, []float64{1, 4}, []float64{2, 2})
+	choice, err := ChooseGPU(tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm.GPUs()[choice[0]] != "A40" || tm.GPUs()[choice[1]] != "TITAN RTX" {
 		t.Fatalf("choice = %v", choice)
 	}
-	plan, err := ScheduleBruteForce(tm, 2)
+	plan, err := ScheduleBruteForce(tm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Makespan != 2 {
 		t.Fatalf("makespan = %v", plan.Makespan)
 	}
-	g, err := ScheduleGreedy(tm, 2)
+	lpt, err := ScheduleList(tm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Makespan < plan.Makespan {
-		t.Fatal("greedy beat brute force")
+	if lpt.Makespan < plan.Makespan {
+		t.Fatal("LPT beat brute force")
 	}
-	span, err := MakespanOf(plan.GPUOf, tm)
+	span, err := MakespanOf(plan.GPUOf, tm.GPUs(), tm)
 	if err != nil || math.Abs(span-plan.Makespan) > 1e-12 {
 		t.Fatalf("MakespanOf = %v, %v", span, err)
 	}
-	inOrder, err := ScheduleGreedyInOrder(tm, 2)
+	inOrder, err := ScheduleGreedyInOrder(tm)
 	if err != nil || inOrder.Makespan < plan.Makespan {
 		t.Fatalf("GreedyInOrder = %v, %v", inOrder.Makespan, err)
+	}
+	auto, exact, err := ScheduleAuto(tm)
+	if err != nil || !exact || auto.Makespan != plan.Makespan {
+		t.Fatalf("ScheduleAuto = %v (exact %v), %v", auto, exact, err)
 	}
 }
 
 func TestFacadeClusterScheduling(t *testing.T) {
-	tm := ScheduleTimes{"A40": {1, 4, 3}, "TITAN RTX": {2, 2, 5}}
-	dt, err := ScheduleDenseFromTimes(tm, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := ScheduleLowerBound(dt)
+	tm := facadeTable(t, []float64{1, 4, 3}, []float64{2, 2, 5})
+	lb, err := ScheduleLowerBound(tm)
 	if err != nil || lb <= 0 {
 		t.Fatalf("lower bound = %v, %v", lb, err)
 	}
-	list, err := ScheduleList(dt, 4)
+	list, err := ScheduleList(tm, 4)
 	if err != nil || list.Makespan < lb {
 		t.Fatalf("list = %v (lb %v), %v", list.Makespan, lb, err)
 	}
-	res, err := ScheduleSearch(dt, ScheduleSearchOptions{Seed: 7})
+	res, err := ScheduleSearch(tm, ScheduleSearchOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Makespan < lb || res.Makespan > list.Makespan+1e-12 {
 		t.Fatalf("search makespan %v outside [lb %v, list %v]", res.Makespan, lb, list.Makespan)
 	}
-	brute, err := ScheduleBruteForce(tm, 3)
+	brute, err := ScheduleBruteForce(tm)
 	if err != nil || math.Abs(res.Makespan-brute.Makespan) > 1e-12 {
 		t.Fatalf("search %v != brute force %v (%v)", res.Makespan, brute.Makespan, err)
 	}
-	fresh, err := NewScheduleDenseTimes([]string{"A40", "TITAN RTX"}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(fresh.Row(0), dt.Row(0))
-	copy(fresh.Row(1), dt.Row(1))
+	fresh := facadeTable(t, tm.Row(0), tm.Row(1))
 	again, err := ScheduleSearch(fresh, ScheduleSearchOptions{Seed: 7})
 	if err != nil || again.Makespan != res.Makespan {
-		t.Fatalf("dense rebuild diverged: %v vs %v (%v)", again.Makespan, res.Makespan, err)
+		t.Fatalf("table rebuild diverged: %v vs %v (%v)", again.Makespan, res.Makespan, err)
 	}
 }
 

@@ -37,11 +37,10 @@ go test -run '^$' -bench 'BenchmarkFitKW$' -benchtime 50x ./internal/core/ >>"$t
 # rest — matching bench_compare.sh exactly.
 go test -run '^$' -bench 'BenchmarkDnnlintModule$' -benchtime 3x ./internal/analysis/ >>"$tmp"
 
-# Cluster-scale scheduler: full 10⁵-task search pipeline, map→dense table
-# conversion, and the incremental move-evaluation hot path (its allocs/op
-# baseline is informational — bench_compare.sh holds it at absolute 0).
+# Cluster-scale scheduler: full 10⁵-task search pipeline and the
+# incremental move-evaluation hot path (its allocs/op baseline is
+# informational — bench_compare.sh holds it at absolute 0).
 go test -run '^$' -bench 'BenchmarkScheduleLocalSearch$' -benchtime 2x ./internal/sched/ >>"$tmp"
-go test -run '^$' -bench 'BenchmarkDenseTimesBuild$' -benchtime 20x ./internal/sched/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkScheduleMoveEval$' -benchtime 20000x ./internal/sched/ >>"$tmp"
 
 # Fleet simulator: the discrete-event replay benchmark. Its ns/op and

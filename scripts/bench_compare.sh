@@ -19,12 +19,11 @@
 # for must report an ns/op result: a gated benchmark that is renamed or
 # deleted fails the gate instead of silently dropping out of it.
 #
-# The cluster-scale scheduler adds three gates: the full search pipeline
+# The cluster-scale scheduler adds two gates: the full search pipeline
 # over a 10⁵-task × 8-GPU instance (ScheduleLocalSearch — ns/op against
 # baseline, plus allocs/op within the same threshold so the search cannot
-# quietly start allocating per move), the map→dense table conversion
-# (DenseTimesBuild), and the incremental move-evaluation hot path
-# (ScheduleMoveEval), which is additionally held at an absolute
+# quietly start allocating per move), and the incremental move-evaluation
+# hot path (ScheduleMoveEval), which is additionally held at an absolute
 # 0 allocs/op like the serve handler.
 #
 # The fleet simulator adds one more gate (FleetSimReplay): the
@@ -88,7 +87,6 @@ bench 'BenchmarkFitKW$' -benchtime 50x -count 3 ./internal/core/
 # ns/op matches how bench_baseline.sh measures the same benchmark.
 bench 'BenchmarkDnnlintModule$' -benchtime 3x ./internal/analysis/
 bench 'BenchmarkScheduleLocalSearch$' -benchtime 2x -count 3 ./internal/sched/
-bench 'BenchmarkDenseTimesBuild$' -benchtime 20x -count 3 ./internal/sched/
 bench 'BenchmarkScheduleMoveEval$' -benchtime 20000x -count 3 ./internal/sched/
 bench 'BenchmarkFleetSimReplay$' -benchtime 10x -count 3 ./internal/fleetsim/
 
