@@ -31,6 +31,7 @@ lint-sarif:
 # /predict/batch body, its one-pass decoder against encoding/json, and the
 # GET query scanner against url.ParseQuery) past its seed corpus, the
 # `dnnperf serve` + fleet smoke test, the fleet loadtest smoke, the
+# fleetsim smoke, one run of every benchmark (`make bench-smoke`), the
 # cached-predict benchmark regression gate with the fleet throughput/p99
 # gate, and the lint self-test proving the gate fails on a seeded violation.
 # scripts/ci.sh runs all of them.

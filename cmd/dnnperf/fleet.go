@@ -204,7 +204,7 @@ func runFleet(quick bool, gpuName, addr string, ff fleetFlags) error {
 	for i, kid := range kids {
 		addrs[i] = kid.addr
 	}
-	proxy, err := fleet.New(addrs, fleet.Options{MaxInflight: ff.maxInflight})
+	proxy, err := fleet.New(addrs, ff.maxInflight)
 	if err != nil {
 		return err
 	}
@@ -310,7 +310,7 @@ func runLoadtest(quick bool, gpuName, network string, ff fleetFlags) error {
 	for i, kid := range kids {
 		addrs[i] = kid.addr
 	}
-	proxy, err := fleet.New(addrs, fleet.Options{MaxInflight: ff.maxInflight})
+	proxy, err := fleet.New(addrs, ff.maxInflight)
 	if err != nil {
 		return err
 	}

@@ -36,7 +36,6 @@ type fleetsimFlags struct {
 	seed      int64
 	cluster   bool
 	quick     bool
-	workers   int
 
 	sweepFleet  string
 	sweepRate   string
@@ -169,7 +168,7 @@ func runFleetsimSweep(ff fleetsimFlags, st *fleetsim.StepTable) error {
 
 	sp := obs.StartPhase("capacity sweep")
 	start := time.Now()
-	results, err := fleetsim.Sweep(st, grid, ff.workers)
+	results, err := fleetsim.Sweep(st, grid, 0) // one worker per GOMAXPROCS
 	elapsed := time.Since(start).Seconds()
 	sp.End()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -52,5 +53,24 @@ func TestFleetsimSweepTrimsListFlags(t *testing.T) {
 	want := []string{"r100-jsq", "r100-lpt", "r200-jsq", "r200-lpt"}
 	if !slices.Equal(keys, want) {
 		t.Fatalf("capacity answer keys %q, want %q", keys, want)
+	}
+}
+
+// TestFleetsimClosedLoopNeedsUsers runs `dnnperf -arrival closed fleetsim`
+// without -users: the scenario is rejected with an error naming Users,
+// not the simulator's internal complaint about a missing trace.
+func TestFleetsimClosedLoopNeedsUsers(t *testing.T) {
+	err := runFleetsim(fleetsimFlags{
+		fleetSize: 2,
+		requests:  100,
+		rate:      100,
+		arrival:   "closed",
+		policy:    "jsq",
+		think:     50 * time.Millisecond,
+		horizon:   time.Second,
+		seed:      1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "Users") {
+		t.Fatalf("closed loop without users: error %v, want one naming Users", err)
 	}
 }

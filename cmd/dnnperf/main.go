@@ -87,7 +87,7 @@ func main() {
 	rate := flag.Float64("rate", 200, "offered request rate (rps) for loadtest")
 	duration := flag.Duration("duration", 10*time.Second, "loadtest run length including warm-up")
 	warmup := flag.Duration("warmup", 2*time.Second, "loadtest warm-up window excluded from the measurements")
-	arrival := flag.String("arrival", "poisson", "loadtest arrival schedule: poisson, bursty or closed")
+	arrival := flag.String("arrival", "poisson", "loadtest/fleetsim arrival schedule: poisson, bursty, diurnal or closed (fleetsim's closed loop needs -users)")
 	seed := flag.Int64("seed", 1, "randomness seed for loadtest/sched")
 	tasks := flag.Int("tasks", 1_000_000, "sched: task count of the scheduling instance")
 	fleetSize := flag.Int("fleet-size", 8, "sched: GPU count of the synthetic fleet")
@@ -103,7 +103,6 @@ func main() {
 	sweepRate := flag.String("sweep-rate", "", "fleetsim: comma-separated arrival rates (rps) to sweep")
 	sweepPolicy := flag.String("sweep-policy", "", "fleetsim: comma-separated policies to sweep")
 	p99Target := flag.Duration("p99-target", 250*time.Millisecond, "fleetsim sweep: p99 target for the capacity answer")
-	sweepWorkers := flag.Int("sweep-workers", 0, "fleetsim sweep: concurrent scenario workers (0 = GOMAXPROCS)")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -167,7 +166,7 @@ func main() {
 			fleetSize: *fleetSize, requests: *requests, maxBatch: *maxBatch,
 			rate: *rate, arrival: *arrival, policy: *policy,
 			users: *users, think: *think, horizon: *horizon, post: *postProc,
-			seed: *seed, cluster: *cluster, quick: *quick, workers: *sweepWorkers,
+			seed: *seed, cluster: *cluster, quick: *quick,
 			sweepFleet: *sweepFleet, sweepRate: *sweepRate, sweepPolicy: *sweepPolicy,
 			p99Target: *p99Target, timeline: *traceOut != "",
 		}

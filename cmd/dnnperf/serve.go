@@ -159,8 +159,7 @@ func newServer(l *bench.Lab, g gpu.Spec) *server {
 		procName: "replica",
 	}
 	s.reqTrack = s.tracer.ReserveTrack()
-	s.slo = obs.NewSLOTracker(obs.SLOConfig{},
-		metricServeRequests.Value, metricServe5xx.Value, metricServeLatency)
+	s.slo = obs.NewSLOTracker(metricServeRequests.Value, metricServe5xx.Value, metricServeLatency)
 	s.reg.RegisterMetrics("serve_model")
 	return s
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/fleet"
@@ -151,8 +152,8 @@ func TestServePredictUnsampledZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestServeSlozEndpoint checks the burn-rate report decodes with the default
-// objectives and windows.
+// TestServeSlozEndpoint checks the burn-rate report decodes with the
+// serving objectives and windows.
 func TestServeSlozEndpoint(t *testing.T) {
 	h := fittedServer(t).handler()
 	w := get(t, h, "/sloz")
@@ -166,8 +167,12 @@ func TestServeSlozEndpoint(t *testing.T) {
 	if rep.AvailabilityObjective != 0.999 || rep.LatencyObjective != 0.99 {
 		t.Fatalf("objectives %v/%v, want 0.999/0.99", rep.AvailabilityObjective, rep.LatencyObjective)
 	}
-	if len(rep.Windows) != len(obs.DefaultSLOWindows()) {
-		t.Fatalf("%d windows, want %d", len(rep.Windows), len(obs.DefaultSLOWindows()))
+	var windows []string
+	for _, w := range rep.Windows {
+		windows = append(windows, w.Window)
+	}
+	if want := []string{"1m0s", "5m0s", "30m0s"}; !slices.Equal(windows, want) {
+		t.Fatalf("windows %q, want %q", windows, want)
 	}
 }
 

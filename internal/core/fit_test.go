@@ -37,8 +37,10 @@ func TestStreamingFitGolden(t *testing.T) {
 
 	type artifacts struct{ kw, lw, e2e []byte }
 	run := func(workers int) artifacts {
-		opt.Workers = workers
+		// Collection runs GOMAXPROCS workers.
+		prev := runtime.GOMAXPROCS(workers)
 		ds, _, err := dataset.Build(zooSample(), []gpu.Spec{gpu.A100}, opt)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,8 +87,7 @@ type classified struct {
 }
 
 // fitGPU classifies one training GPU's records at the train batch.
-func fitGPU(ds *dataset.Dataset, g gpu.Spec, trainBatch int) (gpuFit, error) {
-	recs := trainRecords(ds, g.Name, trainBatch)
+func fitGPU(recs []dataset.KernelRecord, g gpu.Spec) (gpuFit, error) {
 	if len(recs) == 0 {
 		return gpuFit{}, errNoRecords("IGKW", g.Name)
 	}
@@ -113,6 +112,11 @@ func FitIGKWBase(ds *dataset.Dataset, trainGPUs []gpu.Spec, trainBatch int) (*IG
 	if len(trainGPUs) < 2 {
 		return nil, fmt.Errorf("core: IGKW model needs at least 2 training GPUs, got %d", len(trainGPUs))
 	}
+	names := make([]string, len(trainGPUs))
+	for i, g := range trainGPUs {
+		names[i] = g.Name
+	}
+	recs := trainRecords(ds, names, trainBatch)
 	fits := make([]gpuFit, len(trainGPUs))
 	errs := make([]error, len(trainGPUs))
 	var wg sync.WaitGroup
@@ -120,7 +124,7 @@ func FitIGKWBase(ds *dataset.Dataset, trainGPUs []gpu.Spec, trainBatch int) (*IG
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fits[i], errs[i] = fitGPU(ds, g, trainBatch)
+			fits[i], errs[i] = fitGPU(recs[i], g)
 		}()
 	}
 	wg.Wait()

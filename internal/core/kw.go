@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/dataset"
@@ -107,7 +108,7 @@ func FitKW(ds *dataset.Dataset, gpuName string, trainBatch int) (*KWModel, error
 // classification, groups, fallbacks and mapping table from the GPU's
 // records at the train batch.
 func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOptions) (*KWModel, error) {
-	recs := trainRecords(ds, gpuName, trainBatch)
+	recs := trainRecords(ds, []string{gpuName}, trainBatch)[0]
 	if len(recs) == 0 {
 		return nil, errNoRecords("KW", gpuName)
 	}
@@ -160,22 +161,38 @@ func (m *KWModel) RegisterMetrics() {
 	m.layerMemo.RegisterMetrics("core_kw_layer_memo")
 }
 
-// trainRecords copies the dataset's kernel records of one GPU at the train
-// batch, counting them first so the slice is allocated once.
-func trainRecords(ds *dataset.Dataset, gpuName string, trainBatch int) []dataset.KernelRecord {
-	n := 0
+// trainRecords copies the dataset's kernel records at the train batch of
+// every named GPU in one counting pass and one filling pass over
+// ds.Kernels, so each GPU's slice is allocated once; result i holds
+// gpuNames[i]'s records in dataset order. Training sets are a handful of
+// GPUs, so a linear scan of the names finds each record's slot.
+func trainRecords(ds *dataset.Dataset, gpuNames []string, trainBatch int) [][]dataset.KernelRecord {
+	slot := func(r *dataset.KernelRecord) int {
+		if r.BatchSize != trainBatch {
+			return -1
+		}
+		return slices.Index(gpuNames, r.GPU)
+	}
+	counts := make([]int, len(gpuNames))
 	for i := range ds.Kernels {
-		if r := &ds.Kernels[i]; r.GPU == gpuName && r.BatchSize == trainBatch {
-			n++
+		if s := slot(&ds.Kernels[i]); s >= 0 {
+			counts[s]++
 		}
 	}
-	recs := make([]dataset.KernelRecord, 0, n)
+	sel := make([][]dataset.KernelRecord, len(gpuNames))
+	for s, n := range counts {
+		sel[s] = make([]dataset.KernelRecord, 0, n)
+	}
 	for i := range ds.Kernels {
-		if r := &ds.Kernels[i]; r.GPU == gpuName && r.BatchSize == trainBatch {
-			recs = append(recs, *r)
+		if s := slot(&ds.Kernels[i]); s >= 0 {
+			sel[s] = append(sel[s], ds.Kernels[i])
 		}
 	}
-	return recs
+	// A name listed twice shares its first listing's records.
+	for i, name := range gpuNames {
+		sel[i] = sel[slices.Index(gpuNames, name)]
+	}
+	return sel
 }
 
 // indexedXY reads the indexed records' driver variable and duration, in

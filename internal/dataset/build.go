@@ -46,10 +46,9 @@ type BuildOptions struct {
 	// collection workers is byte-identical to calling Dataset.Clean on the
 	// built result, without the serial whole-dataset pass.
 	Dedup bool
-	// SimConfig overrides the device-model constants (zero = defaults).
+	// SimConfig overrides the device model's seed and noise (zero =
+	// defaults).
 	SimConfig sim.Config
-	// Workers bounds collection parallelism (0 = GOMAXPROCS).
-	Workers int
 }
 
 // DefaultBuildOptions returns the paper's collection protocol.
@@ -119,13 +118,7 @@ func collect(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) ([]collectR
 	if opt.DetailBatchSize <= 0 {
 		opt.DetailBatchSize = 512
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(nets) {
-		workers = len(nets)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(nets))
 	tm := obs.StartTimer(metricBuildSeconds)
 	defer tm.Stop()
 

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func TestBuildPanicReturnsError(t *testing.T) {
 	nets := append(smallNets(), bad)
 
 	opt := smallOpt()
-	opt.Workers = 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // two collection workers
 
 	done := make(chan struct{})
 	var err error
@@ -76,7 +77,7 @@ func TestBuildErrorDrainsJobs(t *testing.T) {
 	}
 	nets := []*dnn.Network{mkBad("bad0"), mkBad("bad1"), mkBad("bad2"), mkBad("bad3")}
 	opt := smallOpt()
-	opt.Workers = 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // two collection workers
 	done := make(chan struct{})
 	var err error
 	go func() {

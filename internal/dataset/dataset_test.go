@@ -3,6 +3,7 @@ package dataset
 import (
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -108,12 +109,13 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	opt.E2EBatchSizes = []int{8}
 	opt.DetailBatchSize = 8
 
-	opt.Workers = 1
+	// Collection runs GOMAXPROCS workers.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a, _, err := Build(nets, []gpu.Spec{gpu.A100}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Workers = 4
+	runtime.GOMAXPROCS(4)
 	b, _, err := Build(nets, []gpu.Spec{gpu.A100}, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -169,7 +169,8 @@ func TestFaults(t *testing.T) {
 		})
 		healthy := newCountingReplica(t, nil)
 		const timeout = 150 * time.Millisecond
-		p := readyProxy(t, Options{Timeout: timeout}, hang.addr(), healthy.addr())
+		p := readyProxy(t, 0, hang.addr(), healthy.addr())
+		p.timeout = timeout
 		front, c := frontFor(t, p)
 		name := ownedBy(t, p, hang.addr())
 		if status, body := getStatus(t, c, front.URL, name); status != http.StatusOK || body != "hang" {
@@ -193,7 +194,7 @@ func TestFaults(t *testing.T) {
 	t.Run("reset-after-request", func(t *testing.T) {
 		reset := newRawReplica(t, resetAfterRequest)
 		healthy := newCountingReplica(t, nil)
-		p := readyProxy(t, Options{}, reset.addr(), healthy.addr())
+		p := readyProxy(t, 0, reset.addr(), healthy.addr())
 		front, c := frontFor(t, p)
 		name := ownedBy(t, p, reset.addr())
 		for i := 0; i < 5; i++ {
@@ -213,7 +214,7 @@ func TestFaults(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			trunc := newRawReplica(t, func(c net.Conn) { io.WriteString(c, tc.answer) })
-			p := readyProxy(t, Options{}, trunc.addr())
+			p := readyProxy(t, 0, trunc.addr())
 			front, c := frontFor(t, p)
 			for i := 0; i < 3; i++ {
 				resp, err := c.Get(front.URL + "/predict?network=n")
@@ -234,7 +235,7 @@ func TestFaults(t *testing.T) {
 
 	t.Run("stale-idle-connection", func(t *testing.T) {
 		r := newCountingReplica(t, nil)
-		p := readyProxy(t, Options{}, r.addr())
+		p := readyProxy(t, 0, r.addr())
 		front, c := frontFor(t, p)
 		const rounds = 20
 		for i := 0; i < rounds; i++ {
@@ -260,7 +261,7 @@ func TestFaults(t *testing.T) {
 			w.WriteHeader(http.StatusEarlyHints)
 			io.WriteString(w, "final")
 		})
-		p := readyProxy(t, Options{}, r.addr())
+		p := readyProxy(t, 0, r.addr())
 		front, c := frontFor(t, p)
 		for i := 0; i < 3; i++ {
 			if status, body := getStatus(t, c, front.URL, "n"); status != http.StatusOK || body != "final" {
@@ -281,7 +282,7 @@ func TestFaults(t *testing.T) {
 			}
 			done <- time.Now()
 		})
-		p := readyProxy(t, Options{Timeout: 10 * time.Second}, r.addr())
+		p := readyProxy(t, 0, r.addr())
 		front, c := frontFor(t, p)
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
@@ -311,13 +312,30 @@ func TestFaults(t *testing.T) {
 			io.WriteString(w, "flap")
 		})
 		steady := newCountingReplica(t, nil)
-		p, err := New([]string{flap.addr(), steady.addr()}, Options{HealthInterval: 2 * time.Millisecond})
+		p, err := New([]string{flap.addr(), steady.addr()}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		t.Cleanup(func() { cancel(); p.Wait() })
-		p.Start(ctx)
+		// Probe every 2 ms beside the traffic, so readiness flips while
+		// requests are in flight.
+		p.probeAll()
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tick := time.NewTicker(2 * time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+					p.probeAll()
+				}
+			}
+		}()
+		t.Cleanup(func() { close(stop); wg.Wait() })
 		front, c := frontFor(t, p)
 		for i := 0; i < 300; i++ {
 			if status, body := getStatus(t, c, front.URL, fmt.Sprintf("n-%d", i)); status >= 500 {
@@ -336,27 +354,25 @@ func TestFaults(t *testing.T) {
 			reps[i] = newRawReplica(t, resetAfterRequest)
 			addrs[i] = reps[i].addr()
 		}
-		for _, retries := range []int{1, 2} {
-			p := readyProxy(t, Options{Retries: retries}, addrs...)
-			front, c := frontFor(t, p)
-			for i := 0; i < 4; i++ {
-				before := int64(0)
-				for _, r := range reps {
-					before += r.requests.Load()
-				}
-				for _, r := range p.replicas {
-					r.ready.Store(true)
-				}
-				if status, _ := getStatus(t, c, front.URL, fmt.Sprintf("n-%d", i)); status != http.StatusBadGateway {
-					t.Fatalf("retries=%d request %d: status %d, want 502", retries, i, status)
-				}
-				after := int64(0)
-				for _, r := range reps {
-					after += r.requests.Load()
-				}
-				if got := after - before; got > int64(1+retries) {
-					t.Fatalf("retries=%d request %d: %d forward attempts, want at most %d", retries, i, got, 1+retries)
-				}
+		p := readyProxy(t, 0, addrs...)
+		front, c := frontFor(t, p)
+		for i := 0; i < 4; i++ {
+			before := int64(0)
+			for _, r := range reps {
+				before += r.requests.Load()
+			}
+			for _, r := range p.replicas {
+				r.ready.Store(true)
+			}
+			if status, _ := getStatus(t, c, front.URL, fmt.Sprintf("n-%d", i)); status != http.StatusBadGateway {
+				t.Fatalf("request %d: status %d, want 502", i, status)
+			}
+			after := int64(0)
+			for _, r := range reps {
+				after += r.requests.Load()
+			}
+			if got := after - before; got > 1+maxRetries {
+				t.Fatalf("request %d: %d forward attempts, want at most %d", i, got, 1+maxRetries)
 			}
 		}
 	})
@@ -379,7 +395,7 @@ func TestFaults(t *testing.T) {
 			{"no replica ready", []string{a.addr(), b.addr()}, []bool{false, false}, []bool{false, false}, http.StatusServiceUnavailable},
 		}
 		for _, tc := range cases {
-			p := readyProxy(t, Options{MaxInflight: 1, Retries: 2}, tc.addrs...)
+			p := readyProxy(t, 1, tc.addrs...)
 			for i, addr := range tc.addrs {
 				r := replicaAt(p, addr)
 				r.ready.Store(tc.ready[i])

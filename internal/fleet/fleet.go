@@ -10,14 +10,14 @@
 //   - Routing only considers replicas whose /readyz reports a warmed model;
 //     a background prober refreshes readiness continuously.
 //   - A request is forwarded on its handler's own goroutine, over a
-//     per-replica pool of keep-alive connections (at most
-//     Options.MaxInflight idle per replica); Options.Timeout is the
-//     exchange's connection deadline. A pooled connection that fails
-//     before any response byte arrives was closed by the replica while
-//     idle, and is redialed once on the same replica.
+//     per-replica pool of keep-alive connections (at most the in-flight
+//     cap idle per replica); forwardTimeout is the exchange's connection
+//     deadline. A pooled connection that fails before any response byte
+//     arrives was closed by the replica while idle, and is redialed once
+//     on the same replica.
 //   - Other connection-level failures (refused, reset, timed out) mark the
-//     replica unready immediately and retry the next ring owner, bounded
-//     by Options.Retries. A client that disconnects aborts the exchange
+//     replica unready immediately and retry the next ring owner, at most
+//     maxRetries times. A client that disconnects aborts the exchange
 //     without marking the replica unready.
 //   - Admission control: each replica has an in-flight cap. A request whose
 //     owner is saturated spills to the next ready owner on the ring; when
@@ -79,64 +79,34 @@ const vnodesPerReplica = 64
 // retryable forwarding; longer bodies get 413 (mirroring the replicas' cap).
 const maxBufferedBody = 1 << 20
 
-// Options tunes a Proxy.
-type Options struct {
-	// MaxInflight caps concurrently forwarded requests per replica; 0 means
-	// 256. Admission control sheds load with 429 once every ready replica is
-	// at its cap (the queue-depth high watermark). It also caps each
-	// replica's idle keep-alive connections.
-	MaxInflight int
-	// Retries bounds how many additional replicas a request may try after a
-	// connection-level failure; 0 means 2.
-	Retries int
-	// HealthInterval is the readiness probe period; 0 means 250ms.
-	HealthInterval time.Duration
-	// Timeout bounds one forward attempt — dial, request, response head and
-	// body — as the connection's deadline; 0 means 30s.
-	Timeout time.Duration
-	// RetryAfter is the hint returned with 429 responses, in seconds; 0
-	// means 1.
-	RetryAfter int
-	// SampleEvery is the head-based trace sampling period: 1 in SampleEvery
-	// forwarded requests gets a full trace (the first always does); 0 means
-	// 64. Requests arriving with a valid sampled traceparent header are
+// Proxy tuning shared by every fleet; only the in-flight cap is New's to
+// choose.
+const (
+	// defaultMaxInflight is the per-replica in-flight cap New applies for
+	// a non-positive argument.
+	defaultMaxInflight = 256
+	// maxRetries bounds how many additional replicas a request may try
+	// after a connection-level failure.
+	maxRetries = 2
+	// healthInterval is the readiness probe period.
+	healthInterval = 250 * time.Millisecond
+	// forwardTimeout bounds one forward attempt — dial, request, response
+	// head and body — as the connection's deadline.
+	forwardTimeout = 30 * time.Second
+	// retryAfter is the hint, in seconds, returned with 429 responses.
+	retryAfter = "1"
+	// sampleEvery is the head-based trace sampling period: 1 in
+	// sampleEvery forwarded requests gets a full trace (the first always
+	// does). Requests arriving with a valid sampled traceparent header are
 	// always traced.
-	SampleEvery int
-	// SlowSample is the latency past which an unsampled request still gets a
-	// post-hoc summary span; 0 means 250ms.
-	SlowSample time.Duration
-	// ProcessName labels the proxy's track group in merged Perfetto
-	// timelines; empty means "proxy".
-	ProcessName string
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 256
-	}
-	if o.Retries <= 0 {
-		o.Retries = 2
-	}
-	if o.HealthInterval <= 0 {
-		o.HealthInterval = 250 * time.Millisecond
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 30 * time.Second
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = 1
-	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 64
-	}
-	if o.SlowSample <= 0 {
-		o.SlowSample = 250 * time.Millisecond
-	}
-	if o.ProcessName == "" {
-		o.ProcessName = "proxy"
-	}
-	return o
-}
+	sampleEvery = 64
+	// slowSample is the latency past which an unsampled request still gets
+	// a post-hoc summary span.
+	slowSample = 250 * time.Millisecond
+	// processName labels the proxy's track group in merged Perfetto
+	// timelines.
+	processName = "proxy"
+)
 
 // replica is one backend and its routing state.
 type replica struct {
@@ -161,7 +131,13 @@ type ringPoint struct {
 // Proxy is the sharding reverse proxy. Create with New, then Start the
 // health prober; the Proxy itself is an http.Handler.
 type Proxy struct {
-	opt      Options
+	// maxInflight caps concurrently forwarded requests per replica.
+	// Admission control sheds load with 429 once every ready replica is at
+	// its cap (the queue-depth high watermark). It also caps each
+	// replica's idle keep-alive connections.
+	maxInflight int
+	// timeout is the forward deadline, forwardTimeout outside tests.
+	timeout  time.Duration
 	replicas []*replica
 	ring     []ringPoint
 	// walks[i*n:(i+1)*n], n = len(replicas), is the ring walk from point i:
@@ -180,23 +156,26 @@ type Proxy struct {
 	wg sync.WaitGroup
 }
 
-// New builds a proxy over the replica addresses (host:port each).
-func New(addrs []string, opt Options) (*Proxy, error) {
+// New builds a proxy over the replica addresses (host:port each) with a
+// per-replica in-flight cap; maxInflight ≤ 0 means 256.
+func New(addrs []string, maxInflight int) (*Proxy, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("fleet: no replicas")
 	}
-	opt = opt.withDefaults()
+	if maxInflight <= 0 {
+		maxInflight = defaultMaxInflight
+	}
 	p := &Proxy{
-		opt:    opt,
-		probes: &http.Client{Timeout: 2 * time.Second},
-		tracer: obs.NewTracer(),
+		maxInflight: maxInflight,
+		timeout:     forwardTimeout,
+		probes:      &http.Client{Timeout: 2 * time.Second},
+		tracer:      obs.NewTracer(),
 	}
 	p.reqTrack = p.tracer.ReserveTrack()
 	// Availability counts 502 (exhausted forwards) and 503 (no ready
 	// replica) as bad; 429 is deliberate shedding, not a broken promise, so
 	// it burns no availability budget.
-	p.slo = obs.NewSLOTracker(obs.SLOConfig{},
-		metricRequests.Value,
+	p.slo = obs.NewSLOTracker(metricRequests.Value,
 		func() int64 { return metricProxyErrors.Value() + metricUnavailable.Value() },
 		metricLatency)
 	for i, addr := range addrs {
@@ -236,7 +215,7 @@ func (p *Proxy) Start(ctx context.Context) {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		t := time.NewTicker(p.opt.HealthInterval)
+		t := time.NewTicker(healthInterval)
 		defer t.Stop()
 		// SLO burn-rate windows need periodic counter samples; piggyback on
 		// the prober goroutine rather than spawning another.
@@ -515,11 +494,11 @@ func (p *Proxy) route(w http.ResponseWriter, req *http.Request, rt *proxyTrace) 
 			continue
 		}
 		sawReady = true
-		if r.inflight.Load() >= int64(p.opt.MaxInflight) {
+		if r.inflight.Load() >= int64(p.maxInflight) {
 			sawSpill = true
 			continue
 		}
-		if attempts > p.opt.Retries {
+		if attempts > maxRetries {
 			break
 		}
 		if attempts > 0 {
@@ -549,7 +528,7 @@ func (p *Proxy) route(w http.ResponseWriter, req *http.Request, rt *proxyTrace) 
 	rt.stage("admission")
 	if sawReady {
 		metricRejected.Inc()
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", p.opt.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "fleet saturated: all ready replicas at their in-flight cap")
 		return http.StatusTooManyRequests
 	}
@@ -609,8 +588,8 @@ func (p *Proxy) writeFleetz(w http.ResponseWriter) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"replicas":     p.Fleetz(),
 		"vnodes":       vnodesPerReplica,
-		"max_inflight": p.opt.MaxInflight,
-		"retries":      p.opt.Retries,
+		"max_inflight": p.maxInflight,
+		"retries":      maxRetries,
 	})
 }
 

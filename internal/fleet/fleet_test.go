@@ -58,22 +58,40 @@ func (f *fakeReplica) count(network string) int {
 
 // startProxy builds a started proxy over the replicas and an httptest
 // front-end serving it.
-func startProxy(t *testing.T, opt Options, reps ...*fakeReplica) (*Proxy, *httptest.Server) {
+func startProxy(t *testing.T, maxInflight int, reps ...*fakeReplica) (*Proxy, *httptest.Server) {
 	t.Helper()
-	addrs := make([]string, len(reps))
-	for i, r := range reps {
-		addrs[i] = r.addr()
-	}
-	p, err := New(addrs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newProxy(t, maxInflight, reps)
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(func() { cancel(); p.Wait() })
 	p.Start(ctx)
 	front := httptest.NewServer(p)
 	t.Cleanup(front.Close)
 	return p, front
+}
+
+// probedProxy is startProxy without the prober: readiness comes from one
+// probe, so no later probe can mark a replica the test closes unready
+// before the request under test reaches it.
+func probedProxy(t *testing.T, maxInflight int, reps ...*fakeReplica) (*Proxy, *httptest.Server) {
+	t.Helper()
+	p := newProxy(t, maxInflight, reps)
+	p.probeAll()
+	front := httptest.NewServer(p)
+	t.Cleanup(front.Close)
+	return p, front
+}
+
+func newProxy(t *testing.T, maxInflight int, reps []*fakeReplica) *Proxy {
+	t.Helper()
+	addrs := make([]string, len(reps))
+	for i, r := range reps {
+		addrs[i] = r.addr()
+	}
+	p, err := New(addrs, maxInflight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -92,7 +110,7 @@ func TestShardingIsDeterministicAndSpreads(t *testing.T) {
 		newFakeReplica(t, "r0"), newFakeReplica(t, "r1"),
 		newFakeReplica(t, "r2"), newFakeReplica(t, "r3"),
 	}
-	p, front := startProxy(t, Options{}, reps...)
+	p, front := startProxy(t, 0, reps...)
 
 	// The same network always lands on its ring owner.
 	owner, ok := p.Owner("resnet50")
@@ -150,7 +168,7 @@ func TestShardKeyFromPOSTBody(t *testing.T) {
 func TestHealthAwareRerouting(t *testing.T) {
 	r0 := newFakeReplica(t, "r0")
 	r1 := newFakeReplica(t, "r1")
-	p, front := startProxy(t, Options{HealthInterval: 20 * time.Millisecond}, r0, r1)
+	p, front := startProxy(t, 0, r0, r1)
 
 	// Find a network owned by r0 so its death forces rerouting.
 	var net string
@@ -173,8 +191,8 @@ func TestHealthAwareRerouting(t *testing.T) {
 		t.Fatalf("post-kill: status=%d body=%q, want 200 r1", status, body)
 	}
 
-	// The prober then keeps r0 out of the ready set.
-	time.Sleep(100 * time.Millisecond)
+	// A probe then keeps r0 out of the ready set.
+	p.probeAll()
 	if owner, ok := p.Owner(net); !ok || owner != r1.addr() {
 		t.Fatalf("owner after death = %q (ok=%t), want %s", owner, ok, r1.addr())
 	}
@@ -187,7 +205,7 @@ func TestAdmissionControl429(t *testing.T) {
 		<-release
 		w.WriteHeader(http.StatusOK)
 	}
-	_, front := startProxy(t, Options{MaxInflight: 1}, slow)
+	_, front := startProxy(t, 1, slow)
 
 	// Occupy the only in-flight slot.
 	errc := make(chan error, 1)
@@ -240,7 +258,7 @@ func TestRetryOnRefusedIsBounded(t *testing.T) {
 	ln.Close()
 
 	alive := newFakeReplica(t, "alive")
-	p, err := New([]string{deadAddr, alive.addr()}, Options{Retries: 2})
+	p, err := New([]string{deadAddr, alive.addr()}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +282,7 @@ func TestRetryOnRefusedIsBounded(t *testing.T) {
 
 func TestNoReadyReplicas503(t *testing.T) {
 	r0 := newFakeReplica(t, "r0")
-	p, err := New([]string{r0.addr()}, Options{})
+	p, err := New([]string{r0.addr()}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +303,7 @@ func TestNoReadyReplicas503(t *testing.T) {
 func TestFleetzIntrospection(t *testing.T) {
 	r0 := newFakeReplica(t, "r0")
 	r1 := newFakeReplica(t, "r1")
-	p, front := startProxy(t, Options{MaxInflight: 5, Retries: 1}, r0, r1)
+	p, front := startProxy(t, 5, r0, r1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -322,7 +340,7 @@ func TestFleetzIntrospection(t *testing.T) {
 
 func TestBodyTooLarge413(t *testing.T) {
 	r0 := newFakeReplica(t, "r0")
-	_, front := startProxy(t, Options{}, r0)
+	_, front := startProxy(t, 0, r0)
 
 	big := strings.NewReader(strings.Repeat("x", maxBufferedBody+1))
 	resp, err := http.Post(front.URL+"/predict/batch", "application/json", big)
@@ -337,7 +355,7 @@ func TestBodyTooLarge413(t *testing.T) {
 
 func TestRingIsBalanced(t *testing.T) {
 	addrs := []string{"10.0.0.1:1", "10.0.0.2:1", "10.0.0.3:1", "10.0.0.4:1"}
-	p, err := New(addrs, Options{})
+	p, err := New(addrs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func (p *Proxy) forward(w http.ResponseWriter, req *http.Request, r *replica, bo
 	}
 	metricForwarded.Inc()
 	ctx := req.Context()
-	deadline := time.Now().Add(p.opt.Timeout)
+	deadline := time.Now().Add(p.timeout)
 	bc := r.takeIdle()
 	reused := bc != nil
 	for {
@@ -162,7 +162,7 @@ func (p *Proxy) relay(w http.ResponseWriter, r *replica, bc *backendConn, resp *
 	w.WriteHeader(resp.StatusCode)
 	_, err := io.Copy(w, resp.Body)
 	if stop() && err == nil && !resp.Close {
-		r.putIdle(bc, p.opt.MaxInflight)
+		r.putIdle(bc, p.maxInflight)
 		return resp.StatusCode
 	}
 	bc.Close()

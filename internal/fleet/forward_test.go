@@ -58,9 +58,9 @@ func stubReplica(tb testing.TB, conns *atomic.Int64) *httptest.Server {
 
 // readyProxy builds an unstarted proxy (no prober, so only forwards reach
 // the backends) whose replicas are all marked ready.
-func readyProxy(tb testing.TB, opt Options, backends ...string) *Proxy {
+func readyProxy(tb testing.TB, maxInflight int, backends ...string) *Proxy {
 	tb.Helper()
-	p, err := New(backends, opt)
+	p, err := New(backends, maxInflight)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func postOnce(c *http.Client, url, body string) (int, error) {
 func TestForwardReusesOneConnection(t *testing.T) {
 	var backendConns, clientConns atomic.Int64
 	stub := stubReplica(t, &backendConns)
-	p := readyProxy(t, Options{}, strings.TrimPrefix(stub.URL, "http://"))
+	p := readyProxy(t, 0, strings.TrimPrefix(stub.URL, "http://"))
 	front := countingServer(t, p, &clientConns)
 	tr := &http.Transport{MaxConnsPerHost: 1, DisableCompression: true}
 	defer tr.CloseIdleConnections()
@@ -108,12 +108,12 @@ func TestForwardReusesOneConnection(t *testing.T) {
 
 // TestForwardPoolUnderConcurrency drives one replica from several clients at
 // once: every answer is a 200 or an admission 429, connections are reused,
-// and at most MaxInflight of them stay idle afterwards.
+// and at most the in-flight cap of them stay idle afterwards.
 func TestForwardPoolUnderConcurrency(t *testing.T) {
 	for _, maxInflight := range []int{2, 256} {
 		var backendConns atomic.Int64
 		stub := stubReplica(t, &backendConns)
-		p := readyProxy(t, Options{MaxInflight: maxInflight}, strings.TrimPrefix(stub.URL, "http://"))
+		p := readyProxy(t, maxInflight, strings.TrimPrefix(stub.URL, "http://"))
 		front := httptest.NewServer(p)
 		const clients, perClient = 6, 100
 		var wg sync.WaitGroup
@@ -155,7 +155,7 @@ func TestForwardPoolUnderConcurrency(t *testing.T) {
 func BenchmarkProxyForward(b *testing.B) {
 	var conns atomic.Int64
 	stub := stubReplica(b, &conns)
-	front := httptest.NewServer(readyProxy(b, Options{}, strings.TrimPrefix(stub.URL, "http://")))
+	front := httptest.NewServer(readyProxy(b, 0, strings.TrimPrefix(stub.URL, "http://")))
 	defer front.Close()
 	tr := &http.Transport{MaxConnsPerHost: 1, DisableCompression: true}
 	defer tr.CloseIdleConnections()

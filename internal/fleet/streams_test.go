@@ -8,6 +8,7 @@ import (
 	"math"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/fleetsim"
 	"repro/internal/loadgen"
@@ -19,8 +20,12 @@ import (
 // synthetic step table, trace network mix and closed-loop replay, the four
 // loadgen processes, and the proxy's ring positions and key walks — to
 // digests taken before the streams were routed through one shared
-// generator. A change that moves any draw, however slightly, moves its
-// digest. It lives in package fleet because the ring is unexported.
+// generator. The sched-defaults and arrivals-defaults cases pin the
+// default search effort of each instance-size regime and the default
+// bursty and diurnal shapes, as digests taken while those values were
+// still settable options. A change that moves any draw, however slightly,
+// moves its digest. It lives in package fleet because the ring is
+// unexported.
 func TestSeededStreamDigests(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -31,6 +36,10 @@ func TestSeededStreamDigests(t *testing.T) {
 		{"fleetsim", writeFleetsimStream, "92e7156d7bcbdd8a71d77bba6e9e70eda708f1502d5c0b04bcf2974f6eb31af0"},
 		{"loadgen", writeLoadgenStream, "def48e3bea40e791a320ec1d774c1043dc5966a9beb01936cb4f06b13089c88b"},
 		{"ring", writeRingStream, "5837921149c395d4b492d86cf31229cfd2a84a7b72000ac88662195d398a91d5"},
+		{"sched-defaults-48", writeSchedDefaults(48, 4), "8d0c789ce9cbbd9378ff258dff83c2d1166e3f53858375f35df43ebe4effbafc"},
+		{"sched-defaults-300", writeSchedDefaults(300, 5), "454a85fbb158a5e749d804fad39bb81032f33a713d3e7e3fe3c83e4c93e0bd15"},
+		{"sched-defaults-1200", writeSchedDefaults(1200, 6), "499987f1a6cfdc34d7021c98f768bc7a8b32b04e4f771034dacf5c649a90290b"},
+		{"arrivals-defaults", writeArrivalsDefaults, "b3a533d25801c4f4c11257f6e861f948acd1f76e0582c61cbf652ea865f3e197"},
 	}
 	for _, c := range cases {
 		h := sha256.New()
@@ -73,6 +82,27 @@ func writeSchedStream(t *testing.T, h hash.Hash) {
 	putInt(h, res.MovesAccepted)
 	putInt(h, res.SwapsAccepted)
 	putInt(h, int64(res.BestRestart))
+}
+
+// writeSchedDefaults hashes the search of a tasks × gpus synthetic table
+// with only the seed set, so the size-dependent restart, move-budget,
+// lookahead and descent defaults decide every draw: 48 tasks is in the
+// 8-restart regime, 300 in the full-descent one, 1,200 in neither.
+func writeSchedDefaults(tasks, gpus int) func(*testing.T, hash.Hash) {
+	return func(t *testing.T, h hash.Hash) {
+		res, err := sched.Schedule(sched.Synthetic(tasks, gpus, int64(tasks)), sched.SearchOptions{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range res.Dense.GPUOf {
+			putInt(h, int64(g))
+		}
+		putFloat(h, res.Makespan)
+		for _, v := range []int64{res.MovesTried, res.MovesAccepted, res.SwapsTried, res.SwapsAccepted,
+			int64(res.Restarts), int64(res.BestRestart)} {
+			putInt(h, v)
+		}
+	}
 }
 
 // writeFleetsimStream hashes a synthetic step table, a trace built from it,
@@ -132,10 +162,34 @@ func writeLoadgenStream(t *testing.T, h hash.Hash) {
 	}
 }
 
+// writeArrivalsDefaults hashes the first draws of every open-loop schedule
+// built by NewArrivals from a rate and a seed alone, plus a diurnal one
+// with its period set, as loadgen.Run sets it.
+func writeArrivalsDefaults(t *testing.T, h hash.Hash) {
+	for _, c := range []struct {
+		arrival loadgen.Arrival
+		cfg     loadgen.ArrivalsConfig
+	}{
+		{loadgen.Poisson, loadgen.ArrivalsConfig{Rate: 300, Seed: 1}},
+		{loadgen.Bursty, loadgen.ArrivalsConfig{Rate: 300, Seed: 2}},
+		{loadgen.Diurnal, loadgen.ArrivalsConfig{Rate: 300, Seed: 3}},
+		{loadgen.Diurnal, loadgen.ArrivalsConfig{Rate: 300, Seed: 3, DiurnalPeriod: 5 * time.Second}},
+	} {
+		p, err := loadgen.NewArrivals(c.arrival, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(p.Name()))
+		for i := 0; i < 2000; i++ {
+			putFloat(h, p.Next())
+		}
+	}
+}
+
 // writeRingStream hashes the proxy's ring for a fixed address set and the
 // owner walk of a fixed key set.
 func writeRingStream(t *testing.T, h hash.Hash) {
-	p, err := New([]string{"10.0.0.1:8080", "10.0.0.2:8080", "10.0.0.3:8081", "replica-d:9000"}, Options{})
+	p, err := New([]string{"10.0.0.1:8080", "10.0.0.2:8080", "10.0.0.3:8081", "replica-d:9000"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Request tracing at the proxy. The proxy is the head of every request, so
-// it owns the sampling decision: 1 in Options.SampleEvery forwarded requests
+// it owns the sampling decision: 1 in sampleEvery forwarded requests
 // gets a fresh trace (the first forwarded request is always sampled), and a
 // request arriving with a valid sampled `traceparent` header continues its
 // existing trace. Sampled requests carry their context to the replica in a
@@ -19,7 +19,7 @@ import (
 // process renders as a single timeline row in Perfetto.
 //
 // Unsampled requests cost one counter increment and two clock reads; if one
-// turns out bad — 5xx, or slower than Options.SlowSample — a single summary
+// turns out bad — 5xx, or slower than slowSample — a single summary
 // span is recorded post-hoc so tail latency is never invisible. (Post-hoc
 // means the response headers are already gone; deliberate trade: the header
 // echo only exists for head-sampled requests.)
@@ -45,7 +45,7 @@ func (p *Proxy) sampleRequest(req *http.Request) *proxyTrace {
 		return p.newProxyTrace(sc.Child())
 	}
 	n := p.sampleN.Add(1)
-	if (n-1)%uint64(p.opt.SampleEvery) != 0 {
+	if (n-1)%sampleEvery != 0 {
 		return nil
 	}
 	return p.newProxyTrace(obs.NewSpanContext())
@@ -130,7 +130,7 @@ func (t *proxyTrace) finish(method, path string, status int) {
 // recordBadUnsampled records the post-hoc summary span for an unsampled
 // request that erred or exceeded the slow threshold.
 func (p *Proxy) recordBadUnsampled(method, path string, status int, start, end time.Duration) {
-	if status < 500 && end-start < p.opt.SlowSample {
+	if status < 500 && end-start < slowSample {
 		return
 	}
 	name := "slow_request"
@@ -152,7 +152,7 @@ func (p *Proxy) recordBadUnsampled(method, path string, status int, start, end t
 
 // ProcessTrace snapshots the proxy's span buffer for merged timelines.
 func (p *Proxy) ProcessTrace() obs.ProcessTrace {
-	return p.tracer.ProcessTrace(p.opt.ProcessName)
+	return p.tracer.ProcessTrace(processName)
 }
 
 // ReplicaAddrs lists the backend addresses (for trace and metric scraping).

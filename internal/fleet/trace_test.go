@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/units"
@@ -62,7 +62,7 @@ func argOf(ev obs.TraceEvent, key string) string {
 func TestTraceIDEchoAndPropagation(t *testing.T) {
 	a := newTraceRecordingReplica(t, "a")
 	b := newTraceRecordingReplica(t, "b")
-	p, front := startProxy(t, Options{SampleEvery: 1}, a.fakeReplica, b.fakeReplica)
+	p, front := startProxy(t, 0, a.fakeReplica, b.fakeReplica)
 
 	resp, err := http.Get(front.URL + "/predict?network=resnet50&batch=8")
 	if err != nil {
@@ -118,30 +118,29 @@ func names(pt obs.ProcessTrace) []string {
 
 func TestSamplingPeriod(t *testing.T) {
 	a := newFakeReplica(t, "a")
-	_, front := startProxy(t, Options{SampleEvery: 4}, a)
+	_, front := startProxy(t, 0, a)
 
-	var sampled []bool
-	for i := 0; i < 8; i++ {
+	var sampled []int
+	for i := 0; i < 2*sampleEvery; i++ {
 		resp, err := http.Get(front.URL + "/predict?network=resnet50")
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		sampled = append(sampled, resp.Header.Get(TraceIDHeader) != "")
-	}
-	want := []bool{true, false, false, false, true, false, false, false}
-	for i := range want {
-		if sampled[i] != want[i] {
-			t.Fatalf("sampling pattern %v, want %v (1-in-4, first always)", sampled, want)
+		if resp.Header.Get(TraceIDHeader) != "" {
+			sampled = append(sampled, i)
 		}
+	}
+	if want := []int{0, sampleEvery}; !slices.Equal(sampled, want) {
+		t.Fatalf("sampled requests %v, want %v (1 in %d, first always)", sampled, want, sampleEvery)
 	}
 }
 
 func TestIncomingTraceparentContinuation(t *testing.T) {
 	a := newTraceRecordingReplica(t, "a")
-	// Huge period: only the continuation (and the always-sampled first
-	// request) can produce traces.
-	_, front := startProxy(t, Options{SampleEvery: 1 << 30}, a.fakeReplica)
+	// Within the first sampleEvery requests only the continuation (and the
+	// always-sampled first request) can produce traces.
+	_, front := startProxy(t, 0, a.fakeReplica)
 
 	// Burn the always-sampled first request.
 	resp, err := http.Get(front.URL + "/predict?network=warm")
@@ -192,7 +191,7 @@ func TestIncomingTraceparentContinuation(t *testing.T) {
 func TestTracePropagationAcrossRetry(t *testing.T) {
 	a := newTraceRecordingReplica(t, "a")
 	b := newTraceRecordingReplica(t, "b")
-	p, front := startProxy(t, Options{SampleEvery: 1, HealthInterval: time.Hour}, a.fakeReplica, b.fakeReplica)
+	p, front := probedProxy(t, 0, a.fakeReplica, b.fakeReplica)
 
 	// Find the ring owner for the key and kill it, so the request retries
 	// onto the survivor.
@@ -244,7 +243,7 @@ func TestTracePropagationAcrossRetry(t *testing.T) {
 func TestTracePropagationAcrossSpill(t *testing.T) {
 	a := newTraceRecordingReplica(t, "a")
 	b := newTraceRecordingReplica(t, "b")
-	p, front := startProxy(t, Options{SampleEvery: 1, MaxInflight: 1, HealthInterval: time.Hour}, a.fakeReplica, b.fakeReplica)
+	p, front := probedProxy(t, 1, a.fakeReplica, b.fakeReplica)
 
 	owner, ok := p.Owner("resnet50")
 	if !ok {
@@ -308,7 +307,7 @@ func metricsReplica(t *testing.T, name string, reqs int64, lats []units.Seconds)
 func TestMetricszMergesReplicaBuckets(t *testing.T) {
 	a := metricsReplica(t, "a", 3, []units.Seconds{1e-6, 2e-4, 0.3})
 	b := metricsReplica(t, "b", 9, []units.Seconds{1e-6, 1e-6, 7})
-	_, front := startProxy(t, Options{}, a, b)
+	_, front := startProxy(t, 0, a, b)
 
 	status, body := get(t, front.URL+"/metricsz")
 	if status != http.StatusOK {
@@ -383,7 +382,7 @@ func TestMetricszReportsFailedScrapes(t *testing.T) {
 	b.handler = func(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "no metrics", http.StatusNotFound)
 	}
-	_, front := startProxy(t, Options{}, a, b)
+	_, front := startProxy(t, 0, a, b)
 
 	status, body := get(t, front.URL+"/metricsz")
 	if status != http.StatusOK {
@@ -403,7 +402,7 @@ func TestMetricszReportsFailedScrapes(t *testing.T) {
 
 func TestSlozEndpoint(t *testing.T) {
 	a := newFakeReplica(t, "a")
-	_, front := startProxy(t, Options{}, a)
+	_, front := startProxy(t, 0, a)
 
 	// Serve a little traffic so the report has requests to window.
 	for i := 0; i < 3; i++ {
@@ -437,7 +436,7 @@ func TestSlozEndpoint(t *testing.T) {
 
 func TestTracezEndpoint(t *testing.T) {
 	a := newFakeReplica(t, "a")
-	_, front := startProxy(t, Options{SampleEvery: 1, ProcessName: "proxy test"}, a)
+	_, front := startProxy(t, 0, a)
 
 	resp, err := http.Get(front.URL + "/predict?network=resnet50")
 	if err != nil {
@@ -453,7 +452,7 @@ func TestTracezEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decoding /tracez.json: %v", err)
 	}
-	if pt.Process != "proxy test" {
+	if pt.Process != "proxy" {
 		t.Fatalf("process = %q", pt.Process)
 	}
 	if len(pt.Events) == 0 {

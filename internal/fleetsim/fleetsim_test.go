@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -286,6 +287,22 @@ func TestValidationErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := NewSim(st, c.cfg, c.trace); err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	// Scenario.Build rejects what it cannot turn into a Config with an
+	// error naming the scenario field at fault.
+	scenarios := []struct {
+		sc   Scenario
+		want string
+	}{
+		{Scenario{Name: "closed without users", FleetSize: 1, Arrival: loadgen.Closed, HorizonS: 1}, "Users > 0"},
+		{Scenario{Name: "planned closed loop", FleetSize: 1, Users: 2, HorizonS: 1, Policy: "lpt"}, "open-loop trace"},
+		{Scenario{Name: "no requests", FleetSize: 1, RateRPS: 10}, "Requests > 0"},
+		{Scenario{Name: "no fleet", RateRPS: 10, Requests: 10}, "no fleet"},
+	}
+	for _, c := range scenarios {
+		if _, err := c.sc.Build(st); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("scenario %q: error %v, want one containing %q", c.sc.Name, err, c.want)
 		}
 	}
 	if err := (&Trace{ArrivalS: []float64{0, 0}, Net: []int32{0, 0}}).Validate(2); err == nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/loadgen"
 	"repro/internal/sched"
@@ -23,8 +22,10 @@ type Scenario struct {
 	FleetSize int     `json:"fleet_size,omitempty"`
 
 	// Open-loop workload: Requests arrivals drawn from the loadgen
-	// Arrival schedule at RateRPS. Closed-loop workload: Users virtual
-	// users with ThinkMeanS think time over HorizonS simulated seconds
+	// Arrival schedule at RateRPS, bursty and diurnal in loadgen's shapes
+	// (a diurnal cycle lasts one simulated day). Closed-loop workload
+	// (Users > 0, which Arrival closed requires): Users virtual users with
+	// ThinkMeanS think time over HorizonS simulated seconds
 	// (Requests/RateRPS ignored).
 	Arrival    loadgen.Arrival `json:"arrival"`
 	RateRPS    float64         `json:"rate_rps,omitempty"`
@@ -32,12 +33,6 @@ type Scenario struct {
 	Users      int             `json:"users,omitempty"`
 	ThinkMeanS float64         `json:"think_mean_s,omitempty"`
 	HorizonS   float64         `json:"horizon_s,omitempty"`
-
-	// Bursty/diurnal shape knobs, passed through to loadgen.
-	BurstOn, BurstOff time.Duration `json:"-"`
-	BurstFactor       float64       `json:"burst_factor,omitempty"`
-	DiurnalPeriod     time.Duration `json:"-"`
-	DiurnalAmplitude  float64       `json:"diurnal_amplitude,omitempty"`
 
 	// Policy is the dispatch rule: "jsq", "rr", or a sched policy name
 	// ("lpt", "inorder", "search") applied to the whole trace up front and
@@ -124,6 +119,9 @@ func (sc *Scenario) build(st *StepTable, plan planFunc) (*Sim, error) {
 	}
 
 	if sc.Users > 0 || sc.Arrival == loadgen.Closed {
+		if sc.Users <= 0 {
+			return nil, fmt.Errorf("fleetsim: scenario %q: closed-loop arrival needs Users > 0", sc.Name)
+		}
 		if pol != nil {
 			return nil, fmt.Errorf("fleetsim: scenario %q: planned policies need an open-loop trace", sc.Name)
 		}
@@ -140,15 +138,7 @@ func (sc *Scenario) build(st *StepTable, plan planFunc) (*Sim, error) {
 	if arrival == "" {
 		arrival = loadgen.Poisson
 	}
-	proc, err := loadgen.NewArrivals(arrival, loadgen.ArrivalsConfig{
-		Rate:             sc.RateRPS,
-		Seed:             sc.Seed,
-		BurstOn:          sc.BurstOn,
-		BurstOff:         sc.BurstOff,
-		BurstFactor:      sc.BurstFactor,
-		DiurnalPeriod:    sc.DiurnalPeriod,
-		DiurnalAmplitude: sc.DiurnalAmplitude,
-	})
+	proc, err := loadgen.NewArrivals(arrival, loadgen.ArrivalsConfig{Rate: sc.RateRPS, Seed: sc.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("fleetsim: scenario %q: %w", sc.Name, err)
 	}

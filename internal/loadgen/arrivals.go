@@ -200,15 +200,20 @@ type ArrivalsConfig struct {
 	Rate float64
 	// Seed seeds the process randomness.
 	Seed int64
-	// BurstOn, BurstOff and BurstFactor shape Bursty (zero values default
-	// as in NewBurstyArrivals).
-	BurstOn, BurstOff time.Duration
-	BurstFactor       float64
-	// DiurnalPeriod and DiurnalAmplitude shape Diurnal; a zero period
-	// defaults to one day, a zero amplitude to 0.5.
-	DiurnalPeriod    time.Duration
-	DiurnalAmplitude float64
+	// DiurnalPeriod is the Diurnal cycle; zero means one day.
+	DiurnalPeriod time.Duration
 }
+
+// The shapes NewArrivals gives Bursty and Diurnal: bursts of 4× the rate
+// for 200 ms alternate with 200 ms at a quarter of it, so the time-average
+// offered rate is rate·(4 + 1/4)/2; the diurnal rate swings ±50 % around
+// its base.
+const (
+	burstFactor      = 4
+	burstOnS         = 0.2
+	burstOffS        = 0.2
+	diurnalAmplitude = 0.5
+)
 
 // NewArrivals builds the open-loop Process for a schedule. Closed is not an
 // open-loop schedule (its arrivals are completion-triggered, see Think) and
@@ -221,13 +226,9 @@ func NewArrivals(a Arrival, cfg ArrivalsConfig) (Process, error) {
 	case Poisson:
 		return NewPoissonArrivals(cfg.Rate, cfg.Seed), nil
 	case Bursty:
-		return NewBurstyArrivals(cfg.Rate, cfg.BurstFactor, cfg.BurstOn.Seconds(), cfg.BurstOff.Seconds(), cfg.Seed), nil
+		return NewBurstyArrivals(cfg.Rate, burstFactor, burstOnS, burstOffS, cfg.Seed), nil
 	case Diurnal:
-		amp := cfg.DiurnalAmplitude
-		if amp == 0 {
-			amp = 0.5
-		}
-		return NewDiurnalArrivals(cfg.Rate, amp, cfg.DiurnalPeriod.Seconds(), cfg.Seed), nil
+		return NewDiurnalArrivals(cfg.Rate, diurnalAmplitude, cfg.DiurnalPeriod.Seconds(), cfg.Seed), nil
 	case Closed:
 		return nil, fmt.Errorf("loadgen: %s is completion-triggered, not an open-loop schedule (use Think)", a)
 	}

@@ -11,8 +11,8 @@
 //   - Bursty: an on/off modulated Poisson process (rate·factor during bursts,
 //     rate/factor between them), stressing admission control and queue
 //     watermarks the way diurnal or thundering-herd traffic does.
-//   - Closed: Concurrency workers issue requests back to back; throughput
-//     reports the service capacity at that concurrency.
+//   - Closed: closedWorkers workers issue requests back to back;
+//     throughput reports the service capacity at that concurrency.
 //
 // Latencies are recorded twice: exact per-request samples (sorted once at
 // the end for precise p50/p99/p999) and an internal/obs latency histogram
@@ -67,11 +67,9 @@ type Config struct {
 	// Seed yields a reproducible request mix.
 	NewRequest func(rng *rand.Rand) (*http.Request, error)
 
-	// Client issues the requests. Nil uses a dedicated client with keep-alive
-	// connections sized to Concurrency.
-	Client *http.Client
-
-	// Arrival is the schedule; empty defaults to Poisson.
+	// Arrival is the schedule; empty defaults to Poisson. Bursty and
+	// Diurnal take their shapes from NewArrivals, with one diurnal cycle
+	// per Duration.
 	Arrival Arrival
 
 	// Rate is the mean offered arrival rate in requests/second for the
@@ -82,33 +80,22 @@ type Config struct {
 	// prefix whose responses are excluded from latency and throughput.
 	Duration, Warmup time.Duration
 
-	// Concurrency bounds outstanding requests. Open-loop arrivals beyond the
-	// bound are shed (counted, not sent) rather than queued, keeping the
-	// generator itself from becoming the queue. For Closed it is the worker
-	// count. 0 defaults to 512 (open) / 16 (closed).
-	Concurrency int
-
 	// Seed seeds the arrival and request-mix randomness.
 	Seed int64
-
-	// BurstOn and BurstOff shape the Bursty schedule (defaults 200ms each);
-	// BurstFactor is the on-phase rate multiplier (default 4). The off-phase
-	// rate is Rate/BurstFactor; with equal on/off windows the time-average
-	// offered rate is Rate·(BurstFactor + 1/BurstFactor)/2.
-	BurstOn, BurstOff time.Duration
-	BurstFactor       float64
-
-	// DiurnalPeriod and DiurnalAmplitude shape the Diurnal schedule: the
-	// offered rate follows Rate·(1 + amp·sin(2πt/period)). A zero period
-	// defaults to Duration (one full cycle per run), a zero amplitude
-	// to 0.5.
-	DiurnalPeriod    time.Duration
-	DiurnalAmplitude float64
-
-	// SlowestK bounds Result.Slowest, the slowest post-warm-up requests kept
-	// with their echoed trace IDs (default 5; negative disables).
-	SlowestK int
 }
+
+// Run's fixed shape.
+const (
+	// openConcurrency bounds outstanding open-loop requests. Arrivals
+	// beyond the bound are shed (counted, not sent) rather than queued,
+	// keeping the generator itself from becoming the queue.
+	openConcurrency = 512
+	// closedWorkers is the Closed schedule's worker count.
+	closedWorkers = 16
+	// slowestK bounds Result.Slowest, the slowest post-warm-up requests
+	// kept with their echoed trace IDs.
+	slowestK = 5
+)
 
 // Result summarizes one run.
 type Result struct {
@@ -116,7 +103,7 @@ type Result struct {
 	// OfferedRPS is the configured mean arrival rate (0 for Closed).
 	OfferedRPS float64
 	// Sent counts requests actually issued; Shed counts open-loop arrivals
-	// dropped because Concurrency requests were already outstanding.
+	// dropped because openConcurrency requests were already outstanding.
 	Sent, Shed int64
 	// Completed counts responses received (any status); Run returns only
 	// after every sent request completed, so Completed == Sent unless the
@@ -193,38 +180,23 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Warmup < 0 || cfg.Warmup >= cfg.Duration {
 		return nil, fmt.Errorf("loadgen: Warmup %v must be in [0, Duration)", cfg.Warmup)
 	}
-	conc := cfg.Concurrency
-	if conc <= 0 {
-		if arrival == Closed {
-			conc = 16
-		} else {
-			conc = 512
-		}
+	conc := openConcurrency
+	if arrival == Closed {
+		conc = closedWorkers
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{
+	r := &run{
+		cfg: cfg,
+		// A dedicated client with keep-alive connections sized to the
+		// concurrency.
+		client: &http.Client{
 			Timeout: 30 * time.Second,
 			Transport: &http.Transport{
 				MaxIdleConns:        conc,
 				MaxIdleConnsPerHost: conc,
 			},
-		}
-	}
-
-	slowestK := cfg.SlowestK
-	switch {
-	case slowestK == 0:
-		slowestK = 5
-	case slowestK < 0:
-		slowestK = 0
-	}
-	r := &run{
-		cfg:       cfg,
-		client:    client,
+		},
 		warmupEnd: time.Now().Add(cfg.Warmup),
 		hist:      obs.NewHistogram(nil),
-		slowestK:  slowestK,
 	}
 	res := &Result{Arrival: arrival, OfferedRPS: cfg.Rate}
 	if arrival == Closed {
@@ -236,15 +208,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	case Closed:
 		r.runClosed(ctx, conc, deadline)
 	default:
-		period := cfg.DiurnalPeriod
-		if period <= 0 {
-			period = cfg.Duration
-		}
-		proc, err := NewArrivals(arrival, ArrivalsConfig{
-			Rate: cfg.Rate, Seed: cfg.Seed,
-			BurstOn: cfg.BurstOn, BurstOff: cfg.BurstOff, BurstFactor: cfg.BurstFactor,
-			DiurnalPeriod: period, DiurnalAmplitude: cfg.DiurnalAmplitude,
-		})
+		proc, err := NewArrivals(arrival, ArrivalsConfig{Rate: cfg.Rate, Seed: cfg.Seed, DiurnalPeriod: cfg.Duration})
 		if err != nil {
 			return nil, err
 		}
@@ -295,7 +259,6 @@ type run struct {
 	measured                        atomic.Int64
 	outstanding                     atomic.Int64
 	wg                              sync.WaitGroup
-	slowestK                        int
 	mu                              sync.Mutex
 	samples                         []time.Duration
 	slowest                         []SlowRequest // unordered top-k by latency
@@ -304,10 +267,7 @@ type run struct {
 
 // recordSlow keeps the top-k slowest requests; r.mu must be held.
 func (r *run) recordSlow(elapsed time.Duration, status int, traceID string) {
-	if r.slowestK == 0 {
-		return
-	}
-	if len(r.slowest) < r.slowestK {
+	if len(r.slowest) < slowestK {
 		r.slowest = append(r.slowest, SlowRequest{TraceID: traceID, Latency: elapsed, Status: status})
 		return
 	}

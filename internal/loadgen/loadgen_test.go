@@ -137,11 +137,10 @@ func TestRunClosedLoop(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	})
 	res, err := Run(context.Background(), Config{
-		NewRequest:  newReq,
-		Arrival:     Closed,
-		Concurrency: 4,
-		Duration:    300 * time.Millisecond,
-		Seed:        3,
+		NewRequest: newReq,
+		Arrival:    Closed,
+		Duration:   300 * time.Millisecond,
+		Seed:       3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,14 +161,11 @@ func TestRunBurstyOffersMoreVariance(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	})
 	res, err := Run(context.Background(), Config{
-		NewRequest:  newReq,
-		Arrival:     Bursty,
-		Rate:        300,
-		Duration:    600 * time.Millisecond,
-		BurstOn:     100 * time.Millisecond,
-		BurstOff:    100 * time.Millisecond,
-		BurstFactor: 4,
-		Seed:        4,
+		NewRequest: newReq,
+		Arrival:    Bursty,
+		Rate:       300,
+		Duration:   600 * time.Millisecond,
+		Seed:       4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,13 +286,12 @@ func TestRunSlowestTraceIDs(t *testing.T) {
 		Duration:   500 * time.Millisecond,
 		Warmup:     50 * time.Millisecond,
 		Seed:       3,
-		SlowestK:   3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Slowest) == 0 || len(res.Slowest) > 3 {
-		t.Fatalf("got %d slowest entries, want 1..3", len(res.Slowest))
+	if len(res.Slowest) == 0 || len(res.Slowest) > slowestK {
+		t.Fatalf("got %d slowest entries, want 1..%d", len(res.Slowest), slowestK)
 	}
 	for i, s := range res.Slowest {
 		if s.TraceID == "" {

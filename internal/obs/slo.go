@@ -20,46 +20,24 @@ import (
 // burn 1.0 means "erring exactly at the objective"; a 14x burn over 5
 // minutes is the classic page-now signal.
 
-// DefaultSLOWindows are the sliding windows /sloz reports over.
-func DefaultSLOWindows() []time.Duration {
-	return []time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute}
-}
+// The SLO every tracker reports against. The objectives are typed so that
+// 1 − objective rounds as float64 arithmetic does.
+const (
+	// sloAvailabilityObjective is the target success fraction.
+	sloAvailabilityObjective float64 = 0.999
+	// sloLatencyObjective is the target fraction of requests at or under
+	// sloLatencyThreshold.
+	sloLatencyObjective float64 = 0.99
+	// sloLatencyThreshold is the latency SLO boundary, a
+	// DefaultLatencyBuckets bound so the windowed counts are exact.
+	sloLatencyThreshold units.Seconds = 0.05
+	// sloMaxSamples bounds the ring: enough for the longest window at the
+	// serving processes' 2 s sampling interval.
+	sloMaxSamples = 1024
+)
 
-// SLOConfig parameterizes a tracker. Zero fields take defaults.
-type SLOConfig struct {
-	// AvailabilityObjective is the target success fraction, e.g. 0.999.
-	AvailabilityObjective float64
-	// LatencyObjective is the target fraction of requests at or under
-	// LatencyThreshold, e.g. 0.99.
-	LatencyObjective float64
-	// LatencyThreshold is the latency SLO boundary. Pick a histogram bucket
-	// bound to keep the windowed counts exact.
-	LatencyThreshold units.Seconds
-	// Windows are the sliding report windows (default DefaultSLOWindows).
-	Windows []time.Duration
-	// MaxSamples bounds the ring (default: enough for the longest window at
-	// the expected sampling interval, 1024).
-	MaxSamples int
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.AvailabilityObjective == 0 {
-		c.AvailabilityObjective = 0.999
-	}
-	if c.LatencyObjective == 0 {
-		c.LatencyObjective = 0.99
-	}
-	if c.LatencyThreshold == 0 {
-		c.LatencyThreshold = 0.05 // 50ms, a DefaultLatencyBuckets bound
-	}
-	if c.Windows == nil {
-		c.Windows = DefaultSLOWindows()
-	}
-	if c.MaxSamples == 0 {
-		c.MaxSamples = 1024
-	}
-	return c
-}
+// sloWindows are the sliding windows /sloz reports over.
+var sloWindows = [...]time.Duration{time.Minute, 5 * time.Minute, 30 * time.Minute}
 
 // sloSample is one point-in-time counter snapshot.
 type sloSample struct {
@@ -73,14 +51,13 @@ type sloSample struct {
 // SLOTracker samples live counters and reports windowed burn rates. Safe for
 // concurrent Sample/Report.
 type SLOTracker struct {
-	cfg      SLOConfig
 	requests func() int64
 	bad      func() int64
 	hist     *Histogram
 	now      func() time.Time // test-substitutable clock
 
 	mu      sync.Mutex
-	samples []sloSample // ascending by time, bounded by cfg.MaxSamples
+	samples []sloSample // ascending by time, bounded by sloMaxSamples
 }
 
 // NewSLOTracker builds a tracker over live counter reads. requests and bad
@@ -88,9 +65,8 @@ type SLOTracker struct {
 // the latency objective reads (nil disables the latency report). The
 // creation instant is recorded as a baseline sample, so short-lived
 // processes report meaningful windows immediately.
-func NewSLOTracker(cfg SLOConfig, requests, bad func() int64, hist *Histogram) *SLOTracker {
+func NewSLOTracker(requests, bad func() int64, hist *Histogram) *SLOTracker {
 	t := &SLOTracker{
-		cfg:      cfg.withDefaults(),
 		requests: requests,
 		bad:      bad,
 		hist:     hist,
@@ -105,11 +81,11 @@ func (t *SLOTracker) Sample() {
 	s := sloSample{at: t.now(), requests: t.requests(), bad: t.bad()}
 	if t.hist != nil {
 		s.histN = t.hist.Count()
-		s.histFast = t.hist.CountAtMost(t.cfg.LatencyThreshold)
+		s.histFast = t.hist.CountAtMost(sloLatencyThreshold)
 	}
 	t.mu.Lock()
 	t.samples = append(t.samples, s)
-	if len(t.samples) > t.cfg.MaxSamples {
+	if len(t.samples) > sloMaxSamples {
 		// Drop the oldest; shift in place to keep one allocation.
 		copy(t.samples, t.samples[1:])
 		t.samples = t.samples[:len(t.samples)-1]
@@ -168,24 +144,23 @@ func (t *SLOTracker) oldestWithin(cutoff time.Time) (sloSample, bool) {
 	return sloSample{}, false
 }
 
-// Report computes burn rates for every configured window against the live
-// counters.
+// Report computes burn rates for every window against the live counters.
 func (t *SLOTracker) Report() SLOReport {
 	now := t.now()
 	cur := sloSample{at: now, requests: t.requests(), bad: t.bad()}
 	if t.hist != nil {
 		cur.histN = t.hist.Count()
-		cur.histFast = t.hist.CountAtMost(t.cfg.LatencyThreshold)
+		cur.histFast = t.hist.CountAtMost(sloLatencyThreshold)
 	}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rep := SLOReport{
-		AvailabilityObjective: t.cfg.AvailabilityObjective,
-		LatencyObjective:      t.cfg.LatencyObjective,
-		LatencyThresholdSecs:  float64(t.cfg.LatencyThreshold),
+		AvailabilityObjective: sloAvailabilityObjective,
+		LatencyObjective:      sloLatencyObjective,
+		LatencyThresholdSecs:  float64(sloLatencyThreshold),
 	}
-	for _, w := range t.cfg.Windows {
+	for _, w := range sloWindows {
 		base, ok := t.oldestWithin(now.Add(-w))
 		if !ok {
 			if len(t.samples) == 0 {
@@ -210,13 +185,13 @@ func (t *SLOTracker) Report() SLOReport {
 		if wr.Requests > 0 {
 			errFrac := float64(wr.Bad) / float64(wr.Requests)
 			wr.Availability = 1 - errFrac
-			wr.AvailabilityBurnRate = errFrac / (1 - t.cfg.AvailabilityObjective)
+			wr.AvailabilityBurnRate = errFrac / (1 - sloAvailabilityObjective)
 		}
 		if n := cur.histN - base.histN; n > 0 {
 			fast := cur.histFast - base.histFast
 			slowFrac := float64(n-fast) / float64(n)
 			wr.LatencyCompliance = 1 - slowFrac
-			wr.LatencyBurnRate = slowFrac / (1 - t.cfg.LatencyObjective)
+			wr.LatencyBurnRate = slowFrac / (1 - sloLatencyObjective)
 		}
 		rep.Windows = append(rep.Windows, wr)
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,11 +20,10 @@ type sloFixture struct {
 	hist     *Histogram
 }
 
-func newSLOFixture(cfg SLOConfig) *sloFixture {
+func newSLOFixture() *sloFixture {
 	f := &sloFixture{hist: NewHistogram(nil)}
 	f.clock = time.Unix(1000, 0)
 	f.t = &SLOTracker{
-		cfg:      cfg.withDefaults(),
 		requests: f.requests.Load,
 		bad:      f.bad.Load,
 		hist:     f.hist,
@@ -42,37 +42,36 @@ func (f *sloFixture) serve(n int64, bad int64, lat units.Seconds) {
 }
 
 func TestSLOReportCleanTraffic(t *testing.T) {
-	f := newSLOFixture(SLOConfig{Windows: []time.Duration{time.Minute}})
+	f := newSLOFixture()
 	f.serve(100, 0, 1e-3) // 100 fast, clean requests
 	f.clock = f.clock.Add(30 * time.Second)
 
 	rep := f.t.Report()
-	if len(rep.Windows) != 1 {
-		t.Fatalf("windows = %+v", rep.Windows)
+	var windows []string
+	for _, w := range rep.Windows {
+		windows = append(windows, w.Window)
 	}
-	w := rep.Windows[0]
-	if w.Requests != 100 || w.Bad != 0 {
-		t.Fatalf("requests/bad = %d/%d, want 100/0", w.Requests, w.Bad)
+	if want := []string{"1m0s", "5m0s", "30m0s"}; !slices.Equal(windows, want) {
+		t.Fatalf("windows = %q, want %q", windows, want)
 	}
-	if w.Availability != 1 || w.AvailabilityBurnRate != 0 {
-		t.Fatalf("availability %v burn %v, want 1 and 0", w.Availability, w.AvailabilityBurnRate)
-	}
-	if w.LatencyCompliance != 1 || w.LatencyBurnRate != 0 {
-		t.Fatalf("latency %v burn %v, want 1 and 0", w.LatencyCompliance, w.LatencyBurnRate)
-	}
-	if w.CoverageSeconds != 30 {
-		t.Fatalf("coverage = %v, want 30 (young process)", w.CoverageSeconds)
+	for _, w := range rep.Windows {
+		if w.Requests != 100 || w.Bad != 0 {
+			t.Fatalf("%s: requests/bad = %d/%d, want 100/0", w.Window, w.Requests, w.Bad)
+		}
+		if w.Availability != 1 || w.AvailabilityBurnRate != 0 {
+			t.Fatalf("%s: availability %v burn %v, want 1 and 0", w.Window, w.Availability, w.AvailabilityBurnRate)
+		}
+		if w.LatencyCompliance != 1 || w.LatencyBurnRate != 0 {
+			t.Fatalf("%s: latency %v burn %v, want 1 and 0", w.Window, w.LatencyCompliance, w.LatencyBurnRate)
+		}
+		if w.CoverageSeconds != 30 {
+			t.Fatalf("%s: coverage = %v, want 30 (young process)", w.Window, w.CoverageSeconds)
+		}
 	}
 }
 
 func TestSLOBurnRates(t *testing.T) {
-	cfg := SLOConfig{
-		AvailabilityObjective: 0.999,
-		LatencyObjective:      0.99,
-		LatencyThreshold:      0.05,
-		Windows:               []time.Duration{time.Minute},
-	}
-	f := newSLOFixture(cfg)
+	f := newSLOFixture()
 	// 1000 requests: 10 bad (1% error, 10x the 0.1% budget), 100 slow
 	// (10% slow, 10x the 1% latency budget).
 	f.serve(890, 0, 1e-3)
@@ -80,7 +79,11 @@ func TestSLOBurnRates(t *testing.T) {
 	f.serve(100, 0, 0.2)
 	f.clock = f.clock.Add(20 * time.Second)
 
-	w := f.t.Report().Windows[0]
+	rep := f.t.Report()
+	if rep.AvailabilityObjective != 0.999 || rep.LatencyObjective != 0.99 || rep.LatencyThresholdSecs != 0.05 {
+		t.Fatalf("objectives %+v, want 0.999, 0.99 and 0.05 s", rep)
+	}
+	w := rep.Windows[0]
 	if w.Requests != 1000 || w.Bad != 10 {
 		t.Fatalf("requests/bad = %d/%d", w.Requests, w.Bad)
 	}
@@ -99,7 +102,7 @@ func TestSLOBurnRates(t *testing.T) {
 }
 
 func TestSLOWindowing(t *testing.T) {
-	f := newSLOFixture(SLOConfig{Windows: []time.Duration{time.Minute, 5 * time.Minute}})
+	f := newSLOFixture()
 
 	// Minute 0–4: an error burst. Then 2 minutes of clean traffic, sampling
 	// every 30s like the production loop.
@@ -134,29 +137,31 @@ func TestSLOWindowing(t *testing.T) {
 }
 
 func TestSLORingBound(t *testing.T) {
-	f := newSLOFixture(SLOConfig{MaxSamples: 4, Windows: []time.Duration{time.Hour}})
-	for i := 0; i < 10; i++ {
-		f.clock = f.clock.Add(time.Second)
+	f := newSLOFixture()
+	const extra = 6
+	for i := 0; i < sloMaxSamples+extra; i++ {
+		f.clock = f.clock.Add(time.Millisecond)
 		f.serve(1, 0, 1e-3)
 		f.t.Sample()
 	}
 	f.t.mu.Lock()
 	n := len(f.t.samples)
 	f.t.mu.Unlock()
-	if n != 4 {
-		t.Fatalf("ring holds %d samples, want 4", n)
+	if n != sloMaxSamples {
+		t.Fatalf("ring holds %d samples, want %d", n, sloMaxSamples)
 	}
-	// All samples predate nothing here, but the hour window exceeds the
-	// ring's span: the report falls back to the oldest retained sample.
+	// Every window exceeds the ring's span, so the report diffs against the
+	// oldest retained sample: the creation baseline and the first extra
+	// samples were dropped.
 	w := f.t.Report().Windows[0]
-	if w.Requests != 3 { // 10 total − 7 at the oldest retained sample
-		t.Fatalf("requests over truncated window = %d, want 3", w.Requests)
+	if want := int64(sloMaxSamples - 1); w.Requests != want {
+		t.Fatalf("requests over truncated window = %d, want %d", w.Requests, want)
 	}
 }
 
 func TestSLOTrackerRun(t *testing.T) {
 	var reqs atomic.Int64
-	tr := NewSLOTracker(SLOConfig{}, reqs.Load, func() int64 { return 0 }, nil)
+	tr := NewSLOTracker(reqs.Load, func() int64 { return 0 }, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { tr.Run(ctx, time.Millisecond); close(done) }()
@@ -184,8 +189,7 @@ func TestSLOTrackerRun(t *testing.T) {
 
 func TestSLOReportNoLatencyHistogram(t *testing.T) {
 	var reqs atomic.Int64
-	tr := NewSLOTracker(SLOConfig{Windows: []time.Duration{time.Minute}},
-		reqs.Load, func() int64 { return 0 }, nil)
+	tr := NewSLOTracker(reqs.Load, func() int64 { return 0 }, nil)
 	reqs.Add(10)
 	w := tr.Report().Windows[0]
 	if w.LatencyCompliance != 1 || w.LatencyBurnRate != 0 {

@@ -10,14 +10,13 @@ import (
 
 // DenseTimes is the package's one time table, from Figure 19's nine tasks
 // to the cluster-scale optimizer's millions: one gpu-major []float64 with
-// an interned GPU index. For 10⁶ tasks × dozens of GPU types the flat
+// interned GPU ids. For 10⁶ tasks × dozens of GPU types the flat
 // layout keeps a full table scan sequential in memory and makes row fills
 // (one core.PredictGrid pass over the fleet) plain slice writes.
 type DenseTimes struct {
-	gpus  []string       // interned GPU names; index is the GPU id
-	index map[string]int // name → id
-	n     int            // task count
-	t     []float64      // gpu-major: t[g*n+i] is task i's seconds on GPU g
+	gpus []string  // interned GPU names; index is the GPU id
+	n    int       // task count
+	t    []float64 // gpu-major: t[g*n+i] is task i's seconds on GPU g
 }
 
 // NewDenseTimes allocates an empty table for nTasks tasks on the given
@@ -32,22 +31,21 @@ func NewDenseTimes(gpus []string, nTasks int) (*DenseTimes, error) {
 	if nTasks < 0 {
 		return nil, fmt.Errorf("sched: task count %d must not be negative", nTasks)
 	}
-	dt := &DenseTimes{
-		gpus:  append([]string(nil), gpus...),
-		index: make(map[string]int, len(gpus)),
-		n:     nTasks,
-		t:     make([]float64, len(gpus)*nTasks),
-	}
+	seen := make(map[string]bool, len(gpus))
 	for g, name := range gpus {
 		if name == "" {
 			return nil, fmt.Errorf("sched: GPU %d has an empty name", g)
 		}
-		if _, dup := dt.index[name]; dup {
+		if seen[name] {
 			return nil, fmt.Errorf("sched: duplicate GPU name %q", name)
 		}
-		dt.index[name] = g
+		seen[name] = true
 	}
-	return dt, nil
+	return &DenseTimes{
+		gpus: append([]string(nil), gpus...),
+		n:    nTasks,
+		t:    make([]float64, len(gpus)*nTasks),
+	}, nil
 }
 
 // NumGPUs returns the GPU count.
@@ -59,12 +57,6 @@ func (dt *DenseTimes) NumTasks() int { return dt.n }
 // GPUs returns the interned GPU names; the slice is shared and must be
 // treated as read-only.
 func (dt *DenseTimes) GPUs() []string { return dt.gpus }
-
-// GPUIndex resolves a GPU name to its interned id.
-func (dt *DenseTimes) GPUIndex(name string) (int, bool) {
-	g, ok := dt.index[name]
-	return g, ok
-}
 
 // At returns task i's time on GPU g, in seconds.
 func (dt *DenseTimes) At(g, i int) float64 { return dt.t[g*dt.n+i] }

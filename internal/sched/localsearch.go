@@ -29,53 +29,17 @@ import (
 
 // SearchOptions tunes Schedule. The zero value selects scaled defaults.
 type SearchOptions struct {
-	// Restarts is the number of independent annealing restarts, each run
-	// on its own goroutine with its own RNG stream. Default 4.
-	Restarts int
 	// Moves is the number of annealing proposals per restart. Default
 	// max(50_000, 2·nTasks).
 	Moves int
 	// Seed is the base RNG seed; restart r derives an independent stream
 	// from (Seed, r). The default 0 is a valid seed.
 	Seed int64
-	// Lookahead is the construction heuristic's regret window: how many
-	// upcoming LPT-ordered tasks compete for the next placement. Default 8;
-	// 1 is plain LPT.
-	Lookahead int
-	// DescentPasses bounds the strict-improvement sweeps after annealing.
-	// Default: until convergence for small instances, 2 passes at scale.
-	DescentPasses int
 }
 
-// withDefaults resolves the scaled defaults for an (n tasks, g GPUs)
-// instance.
-func (o SearchOptions) withDefaults(n int) SearchOptions {
-	if o.Restarts <= 0 {
-		o.Restarts = 4
-		if n <= 64 {
-			// Tiny instances are cheap and the most likely to sit one
-			// basin away from the exact optimum — double the diversity.
-			o.Restarts = 8
-		}
-	}
-	if o.Moves <= 0 {
-		o.Moves = 2 * n
-		if o.Moves < 50_000 {
-			o.Moves = 50_000
-		}
-	}
-	if o.Lookahead <= 0 {
-		o.Lookahead = 8
-	}
-	if o.DescentPasses <= 0 {
-		if n <= smallInstanceTasks {
-			o.DescentPasses = 256
-		} else {
-			o.DescentPasses = 2
-		}
-	}
-	return o
-}
+// searchLookahead is Schedule's construction regret window: how many
+// upcoming LPT-ordered tasks compete for the next placement.
+const searchLookahead = 8
 
 // smallInstanceTasks bounds the O(n²) swap-sweep descent: below it, descent
 // iterates move and pairwise-swap sweeps to a full local optimum (the
@@ -118,7 +82,18 @@ func Schedule(dt *DenseTimes, opt SearchOptions) (*SearchResult, error) {
 		return nil, err
 	}
 	n, g := dt.n, len(dt.gpus)
-	opt = opt.withDefaults(n)
+	// Independent annealing restarts, each on its own goroutine with its
+	// own RNG stream. Tiny instances are cheap and the most likely to sit
+	// one basin away from the exact optimum, so they get double the
+	// diversity.
+	restarts := 4
+	if n <= 64 {
+		restarts = 8
+	}
+	moves := opt.Moves
+	if moves <= 0 {
+		moves = max(2*n, 50_000)
+	}
 
 	timer := startSearchTimer()
 	defer timer.Stop()
@@ -127,11 +102,11 @@ func Schedule(dt *DenseTimes, opt SearchOptions) (*SearchResult, error) {
 
 	mins := taskMins(dt)
 	lb := lowerBoundFromMins(dt, mins)
-	initial := listSchedule(dt, mins, opt.Lookahead)
+	initial := listSchedule(dt, mins, searchLookahead)
 
 	res := &SearchResult{
 		LowerBound: lb,
-		Restarts:   opt.Restarts,
+		Restarts:   restarts,
 	}
 	if g == 1 || n == 0 {
 		// One GPU or an empty queue: every assignment is the same schedule.
@@ -141,14 +116,14 @@ func Schedule(dt *DenseTimes, opt SearchOptions) (*SearchResult, error) {
 		return res, nil
 	}
 
-	t0, cool := annealSchedule(mins, n, opt.Moves)
-	outs := make([]restartOut, opt.Restarts)
+	t0, cool := annealSchedule(mins, n, moves)
+	outs := make([]restartOut, restarts)
 	var wg sync.WaitGroup
-	for r := 0; r < opt.Restarts; r++ {
+	for r := 0; r < restarts; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			outs[r] = runRestart(dt, initial.GPUOf, opt, r, t0, cool)
+			outs[r] = runRestart(dt, initial.GPUOf, opt.Seed, moves, r, t0, cool)
 		}(r)
 	}
 	wg.Wait()
@@ -156,7 +131,7 @@ func Schedule(dt *DenseTimes, opt SearchOptions) (*SearchResult, error) {
 	// Deterministic best-of reduction: strict < keeps the lowest restart
 	// index on ties, so the winner is independent of goroutine timing.
 	best := 0
-	for r := 1; r < opt.Restarts; r++ {
+	for r := 1; r < restarts; r++ {
 		if outs[r].makespan < outs[best].makespan {
 			best = r
 		}
@@ -216,18 +191,18 @@ type restartOut struct {
 // different basins rather than four RNG streams in the same one. (At
 // cluster scale a random start is hopeless and every restart keeps the
 // construction.)
-func runRestart(dt *DenseTimes, initial []int32, opt SearchOptions, r int, t0, cool float64) restartOut {
+func runRestart(dt *DenseTimes, initial []int32, seed int64, moves, r int, t0, cool float64) restartOut {
 	if r%2 == 1 && dt.n <= smallInstanceTasks {
-		start := rng.New(restartSeed(opt.Seed, r) ^ 0x5bf03635aca2c2cb)
+		start := rng.New(restartSeed(seed, r) ^ 0x5bf03635aca2c2cb)
 		alt := make([]int32, dt.n)
 		for i := range alt {
 			alt[i] = int32(start.Intn(len(dt.gpus)))
 		}
 		initial = alt
 	}
-	st := newSearchState(dt, initial, restartSeed(opt.Seed, r))
-	st.anneal(opt.Moves, t0, cool)
-	st.descend(opt.DescentPasses, st.n <= smallInstanceTasks)
+	st := newSearchState(dt, initial, restartSeed(seed, r))
+	st.anneal(moves, t0, cool)
+	st.descend()
 
 	// The end state is a local optimum but the annealing phase may have
 	// seen a better incumbent; recompute both exactly and keep the winner
@@ -582,8 +557,14 @@ func (s *searchState) accept(newSpan, temp float64) bool {
 // descend runs strict-improvement sweeps until a local optimum or the pass
 // bound: every task tries its best move; small instances additionally try
 // every cross-GPU pair swap, which is what lets multi-start search land on
-// the brute-force optimum for case-study-sized queues.
-func (s *searchState) descend(maxPasses int, swapSweep bool) {
+// the brute-force optimum for case-study-sized queues. Small instances
+// sweep until convergence (at most 256 passes), larger ones twice.
+func (s *searchState) descend() {
+	swapSweep := s.n <= smallInstanceTasks
+	maxPasses := 2
+	if swapSweep {
+		maxPasses = 256
+	}
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for i := 0; i < s.n; i++ {

@@ -1,7 +1,5 @@
 package sched
 
-import "fmt"
-
 // Policy is the pluggable scheduler-policy substrate: a named strategy
 // turning a dense time table into an assignment. Fleet-level consumers
 // (the planned fleetsim) select policies by configuration and compare them
@@ -14,24 +12,16 @@ type Policy interface {
 	Schedule(dt *DenseTimes) (*DenseAssignment, error)
 }
 
-// ListPolicy is construction-only scheduling: LPT with a bounded regret
-// lookahead (see ListSchedule). The zero value is plain LPT.
-type ListPolicy struct {
-	// Lookahead is the regret window; ≤ 0 means 1 (plain LPT).
-	Lookahead int
-}
+// ListPolicy is construction-only scheduling: plain LPT (ListSchedule with
+// lookahead 1).
+type ListPolicy struct{}
 
 // Name implements Policy.
-func (p ListPolicy) Name() string {
-	if p.Lookahead > 1 {
-		return fmt.Sprintf("list-lpt-w%d", p.Lookahead)
-	}
-	return "list-lpt"
-}
+func (ListPolicy) Name() string { return "list-lpt" }
 
 // Schedule implements Policy.
-func (p ListPolicy) Schedule(dt *DenseTimes) (*DenseAssignment, error) {
-	return ListSchedule(dt, p.Lookahead)
+func (ListPolicy) Schedule(dt *DenseTimes) (*DenseAssignment, error) {
+	return ListSchedule(dt, 1)
 }
 
 // InOrderPolicy is dense list scheduling in input order: each task in turn
@@ -73,17 +63,15 @@ func (InOrderPolicy) Schedule(dt *DenseTimes) (*DenseAssignment, error) {
 }
 
 // SearchPolicy is the full multi-start local-search pipeline (see
-// Schedule). The zero value uses the scaled default options.
-type SearchPolicy struct {
-	Options SearchOptions
-}
+// Schedule) with the scaled default options.
+type SearchPolicy struct{}
 
 // Name implements Policy.
-func (p SearchPolicy) Name() string { return "local-search" }
+func (SearchPolicy) Name() string { return "local-search" }
 
 // Schedule implements Policy.
-func (p SearchPolicy) Schedule(dt *DenseTimes) (*DenseAssignment, error) {
-	res, err := Schedule(dt, p.Options)
+func (SearchPolicy) Schedule(dt *DenseTimes) (*DenseAssignment, error) {
+	res, err := Schedule(dt, SearchOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -287,11 +288,7 @@ func TestListScheduleLookahead(t *testing.T) {
 // TestPolicySubstrate exercises the pluggable Policy interface end to end.
 func TestPolicySubstrate(t *testing.T) {
 	dt := Synthetic(200, 3, 8)
-	policies := []Policy{
-		ListPolicy{},
-		ListPolicy{Lookahead: 8},
-		SearchPolicy{Options: SearchOptions{Seed: 8}},
-	}
+	policies := []Policy{ListPolicy{}, InOrderPolicy{}, SearchPolicy{}}
 	names := map[string]bool{}
 	for _, p := range policies {
 		if names[p.Name()] {
@@ -331,11 +328,8 @@ func TestDenseValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	named.Row(1)[2] = 6
-	if g, ok := named.GPUIndex("a"); !ok || g != 1 || named.GPUs()[g] != "a" || named.At(g, 2) != 6 {
-		t.Fatalf("GPUIndex(a) = %d, %v; GPUs %v", g, ok, named.GPUs())
-	}
-	if _, ok := named.GPUIndex("z"); ok {
-		t.Fatal("GPUIndex found a GPU the table does not list")
+	if got := named.GPUs(); !slices.Equal(got, []string{"b", "a", "c"}) || named.At(1, 2) != 6 {
+		t.Fatalf("GPUs %v, At(1, 2) = %v; want ids in the given order", got, named.At(1, 2))
 	}
 	dt, err := NewDenseTimes([]string{"a"}, 2)
 	if err != nil {

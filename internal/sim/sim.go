@@ -25,85 +25,56 @@ import (
 	"repro/internal/kernels"
 )
 
-// Config holds the device-model constants. Zero fields take defaults.
+// Config holds the device model's settable values. Zero fields take
+// defaults.
 type Config struct {
 	// Seed perturbs every hashed efficiency, giving a distinct "universe"
 	// of device behaviour (useful for robustness tests). The default 0 is
 	// the canonical universe all experiments use.
 	Seed int64
 
-	// NoiseSigma is the per-invocation lognormal measurement noise.
+	// NoiseSigma is the per-invocation lognormal measurement noise; 0
+	// means 0.03, and a negative value gives a noiseless device.
 	NoiseSigma float64
-	// KernelOverheadUS is the fixed device-side cost per kernel (ramp-up,
+}
+
+// defaultNoiseSigma is the measurement noise of a zero Config.
+const defaultNoiseSigma = 0.03
+
+// The device-model constants every paper artifact depends on. They are
+// typed so that products such as kernelOverheadUS*1e-6 round exactly as
+// the same arithmetic on float64 variables does.
+const (
+	// kernelOverheadUS is the fixed device-side cost per kernel (ramp-up,
 	// tail effect), in microseconds. It is part of the *measured kernel
 	// duration*, as a profiler would report it.
-	KernelOverheadUS float64
-	// PipelineOverlapUS is the per-kernel-boundary saving when consecutive
+	kernelOverheadUS float64 = 1.8
+	// pipelineOverlapUS is the per-kernel-boundary saving when consecutive
 	// kernels pipeline back-to-back in a real stream; it reduces end-to-end
 	// wall time below the sum of individually-measured durations and is the
 	// mechanism behind the kernel-wise model's overestimation tail on tiny
 	// networks (§5.4).
-	PipelineOverlapUS float64
-	// PipelineOverlapFrac is the proportional part of the same effect: each
+	pipelineOverlapUS float64 = 1.1
+	// pipelineOverlapFrac is the proportional part of the same effect: each
 	// kernel boundary additionally hides this fraction of the shorter
 	// neighbour (tail/ramp overlap between back-to-back kernels). A model
 	// that sums individually measured kernel durations cannot observe it —
 	// it is why the kernel-wise S-curve almost never underestimates
 	// (Figure 13).
-	PipelineOverlapFrac float64
-	// BatchFloorUS is the per-batch CPU scheduling overhead added to
+	pipelineOverlapFrac float64 = 0.06
+	// batchFloorUS is the per-batch CPU scheduling overhead added to
 	// end-to-end wall time (§4 O1: the linear trend breaks at low FLOPs).
-	BatchFloorUS float64
-	// UtilElems scales the soft SM-utilization knee of the compute leg: a
-	// kernel writing x elements computes at utilization x/(x+UtilElems·SM).
-	UtilElems float64
-	// MemKneeBytes scales the bandwidth-utilization knee of the memory leg:
-	// a kernel moving b bytes sustains b/(b+MemKneeBytes·SM) of its
+	batchFloorUS float64 = 60
+	// utilElems scales the soft SM-utilization knee of the compute leg: a
+	// kernel writing x elements computes at utilization x/(x+utilElems·SM).
+	utilElems float64 = 3072
+	// memKneeBytes scales the bandwidth-utilization knee of the memory leg:
+	// a kernel moving b bytes sustains b/(b+memKneeBytes·SM) of its
 	// achievable bandwidth. Large streaming transfers (e.g. FC weight
 	// reads) saturate DRAM even at low occupancy, so this knee is in bytes,
 	// not output elements.
-	MemKneeBytes float64
-}
-
-// DefaultConfig returns the canonical device-model constants.
-func DefaultConfig() Config {
-	return Config{
-		NoiseSigma:          0.03,
-		KernelOverheadUS:    1.8,
-		PipelineOverlapUS:   1.1,
-		PipelineOverlapFrac: 0.06,
-		BatchFloorUS:        60,
-		UtilElems:           3072,
-		MemKneeBytes:        32 << 10,
-	}
-}
-
-// withDefaults fills zero fields from DefaultConfig.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.NoiseSigma == 0 {
-		c.NoiseSigma = d.NoiseSigma
-	}
-	if c.KernelOverheadUS == 0 {
-		c.KernelOverheadUS = d.KernelOverheadUS
-	}
-	if c.PipelineOverlapUS == 0 {
-		c.PipelineOverlapUS = d.PipelineOverlapUS
-	}
-	if c.PipelineOverlapFrac == 0 {
-		c.PipelineOverlapFrac = d.PipelineOverlapFrac
-	}
-	if c.BatchFloorUS == 0 {
-		c.BatchFloorUS = d.BatchFloorUS
-	}
-	if c.UtilElems == 0 {
-		c.UtilElems = d.UtilElems
-	}
-	if c.MemKneeBytes == 0 {
-		c.MemKneeBytes = d.MemKneeBytes
-	}
-	return c
-}
+	memKneeBytes float64 = 32 << 10
+)
 
 // Device is a timing model of one GPU.
 type Device struct {
@@ -116,7 +87,10 @@ type Device struct {
 
 // New builds a device model for the given GPU with the given configuration.
 func New(g gpu.Spec, cfg Config) *Device {
-	d := &Device{GPU: g, cfg: cfg.withDefaults()}
+	if cfg.NoiseSigma == 0 {
+		cfg.NoiseSigma = defaultNoiseSigma
+	}
+	d := &Device{GPU: g, cfg: cfg}
 	for i := 0; i < 8; i++ {
 		d.seedBytes[i] = byte(d.cfg.Seed >> (8 * i))
 	}
@@ -405,7 +379,7 @@ func (d *Device) BaseKernelTime(k kernels.Kernel) float64 {
 
 	// Compute leg: small kernels cannot fill the SMs.
 	tc := float64(k.FLOPs) / (compEff * d.GPU.PeakFLOPS())
-	kneeC := d.cfg.UtilElems * float64(d.GPU.SMCount)
+	kneeC := utilElems * float64(d.GPU.SMCount)
 	x := float64(k.LayerOutputElems)
 	if x <= 0 {
 		x = 1
@@ -416,7 +390,7 @@ func (d *Device) BaseKernelTime(k kernels.Kernel) float64 {
 	// reads (weights) do so regardless of occupancy.
 	bytes := float64(k.Bytes())
 	tm := bytes / (bwEff * d.GPU.PeakBytesPerSec())
-	kneeM := d.cfg.MemKneeBytes * float64(d.GPU.SMCount)
+	kneeM := memKneeBytes * float64(d.GPU.SMCount)
 	if bytes > 0 {
 		tm /= bytes / (bytes + kneeM)
 	}
@@ -426,7 +400,7 @@ func (d *Device) BaseKernelTime(k kernels.Kernel) float64 {
 		t = tm
 	}
 	t *= d.shapeFactor(k) * d.geomFactor(k) * d.curvatureFactor(k)
-	return t + d.cfg.KernelOverheadUS*1e-6
+	return t + kernelOverheadUS*1e-6
 }
 
 // KernelTime returns one noisy measured duration of a kernel invocation,
@@ -446,18 +420,18 @@ func (d *Device) MemoryBound(k kernels.Kernel) bool {
 
 // WallTime assembles the measured end-to-end wall time of one batch from the
 // (already noisy) kernel durations: consecutive kernels pipeline and save
-// PipelineOverlapUS per boundary (never more than the kernel itself), and the
+// pipelineOverlapUS per boundary (never more than the kernel itself), and the
 // per-batch CPU scheduling floor is added.
 func (d *Device) WallTime(kernelDurations []float64) float64 {
-	wall := d.cfg.BatchFloorUS * 1e-6
-	overlap := d.cfg.PipelineOverlapUS * 1e-6
+	wall := batchFloorUS * 1e-6
+	overlap := pipelineOverlapUS * 1e-6
 	for i, t := range kernelDurations {
 		if i > 0 {
 			shorter := t
 			if prev := kernelDurations[i-1]; prev < shorter {
 				shorter = prev
 			}
-			saved := overlap + d.cfg.PipelineOverlapFrac*shorter
+			saved := overlap + pipelineOverlapFrac*shorter
 			if saved > t*0.8 {
 				saved = t * 0.8
 			}

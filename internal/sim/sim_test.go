@@ -64,7 +64,7 @@ func TestOverheadFloorsTinyKernels(t *testing.T) {
 	d := NewDefault(gpu.A100)
 	tiny := testKernel("elementwise_relu", 10, 40, 10)
 	got := d.BaseKernelTime(tiny)
-	floor := d.Config().KernelOverheadUS * 1e-6
+	floor := kernelOverheadUS * 1e-6
 	if got < floor {
 		t.Fatalf("tiny kernel time %v below the launch overhead %v", got, floor)
 	}
@@ -170,7 +170,7 @@ func TestWallTimePipelineOverlap(t *testing.T) {
 	for _, t := range durations {
 		sum += t
 	}
-	floor := d.Config().BatchFloorUS * 1e-6
+	floor := batchFloorUS * 1e-6
 	if wall >= sum+floor {
 		t.Fatalf("wall %v should be below serialized sum %v (pipelining)", wall, sum+floor)
 	}
@@ -181,7 +181,7 @@ func TestWallTimePipelineOverlap(t *testing.T) {
 
 func TestWallTimeFloor(t *testing.T) {
 	d := NewDefault(gpu.A100)
-	if wall := d.WallTime(nil); wall != d.Config().BatchFloorUS*1e-6 {
+	if wall := d.WallTime(nil); wall != batchFloorUS*1e-6 {
 		t.Fatalf("empty wall = %v", wall)
 	}
 	// Tiny kernels can never make the batch faster than the CPU floor.
@@ -189,7 +189,7 @@ func TestWallTimeFloor(t *testing.T) {
 	for i := range tiny {
 		tiny[i] = 1e-7
 	}
-	if wall := d.WallTime(tiny); wall < d.Config().BatchFloorUS*1e-6 {
+	if wall := d.WallTime(tiny); wall < batchFloorUS*1e-6 {
 		t.Fatalf("wall %v below scheduling floor", wall)
 	}
 }
@@ -222,16 +222,12 @@ func TestMemoryBoundConsistency(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	d := New(gpu.A100, Config{})
-	cfg := d.Config()
-	def := DefaultConfig()
-	if cfg != def {
-		t.Fatalf("zero config should resolve to defaults: %+v vs %+v", cfg, def)
+	if cfg := New(gpu.A100, Config{}).Config(); cfg != (Config{NoiseSigma: 0.03}) {
+		t.Fatalf("zero config should resolve to the default noise: %+v", cfg)
 	}
-	// Partial overrides keep the rest at defaults.
-	d2 := New(gpu.A100, Config{NoiseSigma: 0.5})
-	if d2.Config().NoiseSigma != 0.5 || d2.Config().KernelOverheadUS != def.KernelOverheadUS {
-		t.Fatalf("partial override mishandled: %+v", d2.Config())
+	// Set fields are kept as given.
+	if cfg := New(gpu.A100, Config{Seed: 3, NoiseSigma: 0.5}).Config(); cfg != (Config{Seed: 3, NoiseSigma: 0.5}) {
+		t.Fatalf("override mishandled: %+v", cfg)
 	}
 }
 

@@ -22,7 +22,9 @@
 #                         with monotone percentiles, plus a capacity sweep
 #                         and a 2k-request replay on the quick-lab IGKW
 #                         cluster fleet (`-quick -cluster`)
-#   8. bench compare    — cached-predict benchmarks vs BENCH_baseline.json
+#   8. bench smoke      — every benchmark in the module runs once
+#                         (-benchtime 1x), so none rots unnoticed
+#   9. bench compare    — cached-predict benchmarks vs BENCH_baseline.json
 #                         (>25% ns/op regression fails) plus the fleet
 #                         throughput/p99 gate (BENCH_FLEET_THRESHOLD) and
 #                         the fleetsim replay gate (0 allocs/op, ≥1M
@@ -66,6 +68,9 @@ echo "== loadtest smoke test"
 
 echo "== fleetsim smoke test"
 ./scripts/fleetsim_smoke.sh
+
+echo "== bench smoke"
+go test -run '^$' -bench . -benchtime 1x ./...
 
 echo "== bench compare"
 ./scripts/bench_compare.sh
