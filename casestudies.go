@@ -128,10 +128,10 @@ func ScheduleSearch(tm *ScheduleTimes, opt ScheduleSearchOptions) (*ScheduleSear
 	return sched.Schedule(tm, opt)
 }
 
-// ScheduleList runs only the construction heuristic: longest-processing-time
-// order with a bounded-lookahead regret rule; lookahead 1 is plain LPT.
-func ScheduleList(tm *ScheduleTimes, lookahead int) (*ScheduleAssignment, error) {
-	return sched.ListSchedule(tm, lookahead)
+// ScheduleList runs only a construction heuristic: plain
+// longest-processing-time (LPT) list scheduling.
+func ScheduleList(tm *ScheduleTimes) (*ScheduleAssignment, error) {
+	return sched.ListSchedule(tm)
 }
 
 // ScheduleLowerBound certifies a makespan lower bound for the instance; no

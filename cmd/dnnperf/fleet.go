@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,7 +18,10 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/gpu"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
 )
@@ -25,10 +29,16 @@ import (
 // The fleet subcommand scales the serving tier horizontally: it re-executes
 // this binary N times as `dnnperf serve` replicas on ephemeral ports, fronts
 // them with the internal/fleet consistent-hash proxy, and serves the proxy
-// on -addr. Each replica fits its own model copy and owns a disjoint slice
-// of the plan-cache key space (requests shard by network identity), so
-// aggregate cache capacity grows with the fleet. SIGINT/SIGTERM drain the
-// proxy first, then terminate the replicas — the whole cascade exits 0.
+// on -addr. The model is fitted once per fleet, as the paper distributes a
+// model trained once: while the replicas boot, the parent runs the same
+// lab → dataset → split → FitKW pipeline a self-fitting replica would, and
+// writes the model's core.Save envelope to every replica's stdin (each runs
+// `serve -model -`), so every replica serves the same model bytes as
+// version 1. A failed fit stops the replicas and fails the command. Each
+// replica owns a disjoint slice of the plan-cache key space (requests shard
+// by network identity), so aggregate cache capacity grows with the fleet.
+// SIGINT/SIGTERM drain the proxy first, then terminate the replicas — the
+// whole cascade exits 0.
 //
 // The loadtest subcommand boots the same fleet, waits until every replica's
 // /readyz reports a warmed model, then drives open-loop load through the
@@ -42,26 +52,33 @@ const replicaBootTimeout = 30 * time.Second
 // readyTimeout bounds the whole fleet's model warm-up before a loadtest.
 const readyTimeout = 300 * time.Second
 
-// childReplica is one spawned `dnnperf serve` process.
+// childReplica is one spawned `dnnperf serve` process; stdin is where its
+// model envelope goes.
 type childReplica struct {
-	cmd  *exec.Cmd
-	addr string
+	cmd   *exec.Cmd
+	addr  string
+	stdin io.WriteCloser
 }
 
 // spawnReplica re-executes this binary as one serve replica on an ephemeral
-// port and parses the bound address off its stdout announcement line.
+// port, reading its model from stdin, and parses the bound address off its
+// stdout announcement line.
 func spawnReplica(quick bool, gpuName string) (*childReplica, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("fleet: resolving own binary: %w", err)
 	}
-	args := []string{"-gpu", gpuName, "-addr", "127.0.0.1:0"}
+	args := []string{"-gpu", gpuName, "-addr", "127.0.0.1:0", "-model", "-"}
 	if quick {
 		args = append([]string{"-quick"}, args...)
 	}
 	args = append(args, "serve")
 	cmd := exec.Command(exe, args...)
 	cmd.Stderr = os.Stderr
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		return nil, err
+	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err
@@ -92,7 +109,7 @@ func spawnReplica(quick bool, gpuName string) (*childReplica, error) {
 
 	select {
 	case addr := <-addrc:
-		return &childReplica{cmd: cmd, addr: addr}, nil
+		return &childReplica{cmd: cmd, addr: addr, stdin: stdin}, nil
 	case err := <-errc:
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
@@ -104,22 +121,79 @@ func spawnReplica(quick bool, gpuName string) (*childReplica, error) {
 	}
 }
 
-// spawnFleet boots n replicas, tearing all of them down on any failure.
-func spawnFleet(n int, quick bool, gpuName string) ([]*childReplica, error) {
+// spawnFleet starts fitting the fleet's model, boots n replicas while the
+// fit runs, and hands every replica the model's envelope from a goroutine,
+// so the caller can start its proxy meanwhile. The returned channel yields
+// once: nil when every replica has its envelope, or the error that stopped
+// the fit or a delivery. A failed spawn tears every replica down.
+func spawnFleet(n int, quick bool, g gpu.Spec) ([]*childReplica, <-chan error, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("fleet: -replicas must be >= 1, got %d", n)
+		return nil, nil, fmt.Errorf("fleet: -replicas must be >= 1, got %d", n)
 	}
+	type fit struct {
+		env []byte
+		err error
+	}
+	fitc := make(chan fit, 1)
+	go func() {
+		env, err := fitEnvelope(quick, g)
+		fitc <- fit{env, err}
+	}()
+
 	var kids []*childReplica
 	for i := 0; i < n; i++ {
-		kid, err := spawnReplica(quick, gpuName)
+		kid, err := spawnReplica(quick, g.Name)
 		if err != nil {
 			stopFleet(kids)
-			return nil, fmt.Errorf("replica %d: %w", i, err)
+			return nil, nil, fmt.Errorf("replica %d: %w", i, err)
 		}
 		kids = append(kids, kid)
 		fmt.Fprintf(os.Stderr, "dnnperf fleet: replica %d serving on %s (pid %d)\n", i, kid.addr, kid.cmd.Process.Pid)
 	}
-	return kids, nil
+
+	delivered := make(chan error, 1)
+	go func() {
+		f := <-fitc
+		if f.err != nil {
+			delivered <- fmt.Errorf("fleet: fitting the model: %w", f.err)
+			return
+		}
+		delivered <- deliverEnvelope(kids, f.env)
+	}()
+	return kids, delivered, nil
+}
+
+// fitEnvelope fits the model a self-fitting replica would warm up with, on
+// the same lab (-quick or not), and returns its core.Save envelope.
+func fitEnvelope(quick bool, g gpu.Spec) ([]byte, error) {
+	newLab := bench.NewLab
+	if quick {
+		newLab = bench.NewQuickLab
+	}
+	kw, err := fitServeModel(newLab(), g)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := core.Save(&buf, kw); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// deliverEnvelope writes the envelope to each replica's stdin and closes it;
+// each replica publishes what it reads as version 1.
+func deliverEnvelope(kids []*childReplica, env []byte) error {
+	for i, kid := range kids {
+		_, err := kid.stdin.Write(env)
+		if cerr := kid.stdin.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("fleet: handing replica %d its model: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // stopFleet SIGTERMs every replica and waits for the drain; replicas that
@@ -192,9 +266,10 @@ func writeFleetTrace(path string, proxy *fleet.Proxy) error {
 	return nil
 }
 
-// runFleet is the `dnnperf fleet` command: replicas + proxy until SIGTERM.
-func runFleet(quick bool, gpuName, addr string, ff fleetFlags) error {
-	kids, err := spawnFleet(ff.replicas, quick, gpuName)
+// runFleet is the `dnnperf fleet` command: replicas + proxy until SIGTERM,
+// or until the fleet's model fails to fit or reach a replica.
+func runFleet(quick bool, g gpu.Spec, addr string, ff fleetFlags) error {
+	kids, delivered, err := spawnFleet(ff.replicas, quick, g)
 	if err != nil {
 		return err
 	}
@@ -229,10 +304,17 @@ func runFleet(quick bool, gpuName, addr string, ff fleetFlags) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
+	for ctx.Err() == nil {
+		select {
+		case err := <-errc:
+			return err
+		case err := <-delivered:
+			if err != nil {
+				return err
+			}
+			delivered = nil
+		case <-ctx.Done():
+		}
 	}
 	sctx, cancel := context.WithTimeout(context.Background(), shutdownDrain)
 	defer cancel()
@@ -295,12 +377,12 @@ var loadtestBatches = []int{1, 8, 64, 512}
 
 // runLoadtest is the `dnnperf loadtest` command: boot a fleet, warm it,
 // drive open-loop load through the proxy, print the JSON summary.
-func runLoadtest(quick bool, gpuName, network string, ff fleetFlags) error {
+func runLoadtest(quick bool, g gpu.Spec, network string, ff fleetFlags) error {
 	arrival, err := loadgen.ParseArrival(ff.arrival)
 	if err != nil {
 		return err
 	}
-	kids, err := spawnFleet(ff.replicas, quick, gpuName)
+	kids, delivered, err := spawnFleet(ff.replicas, quick, g)
 	if err != nil {
 		return err
 	}
@@ -319,6 +401,9 @@ func runLoadtest(quick bool, gpuName, network string, ff fleetFlags) error {
 	proxy.Start(probeCtx)
 
 	fmt.Fprintf(os.Stderr, "dnnperf loadtest: waiting for %d replicas to warm up (budget %v)...\n", len(kids), readyTimeout)
+	if err := <-delivered; err != nil {
+		return err
+	}
 	wctx, wcancel := context.WithTimeout(context.Background(), readyTimeout)
 	defer wcancel()
 	if err := proxy.WaitReady(wctx, len(kids)); err != nil {

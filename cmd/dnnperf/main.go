@@ -42,6 +42,8 @@
 //	-batch N    batch size for trace/predict (default 512)
 //	-out DIR    output directory for collect (default ./dataset)
 //	-addr ADDR  listen address for serve (default localhost:8080)
+//	-model FILE model file: train writes it, predict reads it, and serve
+//	            serves it instead of fitting (- reads it from stdin)
 //	-timing     report per-phase wall time from the observability spans
 //	-o FILE     write a Chrome trace-event JSON of the run (Perfetto-loadable)
 package main
@@ -77,7 +79,7 @@ func main() {
 	network := flag.String("network", "resnet50", "network name for trace/predict")
 	batch := flag.Int("batch", 512, "batch size for trace/predict")
 	out := flag.String("out", "dataset", "output directory for collect/export")
-	modelPath := flag.String("model", "", "model file: written by train, read by predict")
+	modelPath := flag.String("model", "", "model file: written by train, read by predict, and served by serve instead of fitting (serve: - reads it from stdin)")
 	addr := flag.String("addr", "localhost:8080", "listen address for serve")
 	timing := flag.Bool("timing", false, "report per-phase wall time (observability spans)")
 	traceOut := flag.String("o", "", "write a Chrome trace-event JSON of the run to this file")
@@ -140,12 +142,12 @@ func main() {
 	case "predict":
 		runPredict(lab(), g, *network, *batch, *modelPath)
 	case "serve":
-		if err := runServe(lab(), g, *addr); err != nil {
+		if err := runServe(lab(), g, *addr, *modelPath); err != nil {
 			fatal(err)
 		}
 	case "fleet":
 		ff := fleetFlags{replicas: *replicas, maxInflight: *maxInflight, traceOut: *fleetTraceOut}
-		if err := runFleet(*quick, *gpuName, *addr, ff); err != nil {
+		if err := runFleet(*quick, g, *addr, ff); err != nil {
 			fatal(err)
 		}
 	case "loadtest":
@@ -154,7 +156,7 @@ func main() {
 			rate: *rate, duration: *duration, warmup: *warmup,
 			arrival: *arrival, seed: *seed, traceOut: *fleetTraceOut,
 		}
-		if err := runLoadtest(*quick, *gpuName, *network, ff); err != nil {
+		if err := runLoadtest(*quick, g, *network, ff); err != nil {
 			fatal(err)
 		}
 	case "sched":

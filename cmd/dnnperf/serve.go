@@ -7,6 +7,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -47,13 +48,15 @@ import (
 //	GET  /debug/vars     expvar (includes the obs snapshot under "obs")
 //	GET  /debug/pprof/   runtime profiling endpoints
 //
-// The KW model is fitted in the background at startup and published into a
-// versioned registry, so /healthz responds immediately; the predict endpoints
-// return 503 until the first snapshot lands. Later POSTs to /modelz hot-swap
-// the serving model atomically — requests already past loadModel finish on
-// the snapshot they loaded, so a swap never drops an in-flight prediction.
-// SIGINT/SIGTERM trigger a graceful drain: the listener closes, in-flight
-// requests get up to shutdownDrain to finish, then the process exits.
+// The KW model is fitted in the background at startup — or, with -model,
+// read from a core.Save envelope file (or stdin, for -model -) — and
+// published into a versioned registry, so /healthz responds immediately; the
+// predict endpoints return 503 until the first snapshot lands. Later POSTs to
+// /modelz hot-swap the serving model atomically — requests already past
+// loadModel finish on the snapshot they loaded, so a swap never drops an
+// in-flight prediction. SIGINT/SIGTERM trigger a graceful drain: the
+// listener closes, in-flight requests get up to shutdownDrain to finish,
+// then the process exits.
 //
 // Every endpoint runs under uniform protective limits: the http.Server
 // enforces read-header/read/write/idle timeouts, and any request that
@@ -135,6 +138,10 @@ type server struct {
 	reg      *registry.Registry
 	modelErr atomic.Pointer[error]
 
+	// envelope, when set, is the core.Save stream (serve -model) the
+	// warm-up publishes instead of fitting; the warm-up closes it.
+	envelope *os.File
+
 	// nets caches name → network so the hot path never rebuilds a standard
 	// model that fell outside the lab's sample.
 	nets cache.Sharded[netKey, *dnn.Network]
@@ -164,18 +171,46 @@ func newServer(l *bench.Lab, g gpu.Spec) *server {
 	return s
 }
 
-// runServe fits the model in the background and serves until the process
-// receives SIGINT or SIGTERM, then drains gracefully.
-func runServe(l *bench.Lab, g gpu.Spec, addr string) error {
+// runServe warms the model up in the background — fitting it, or reading
+// the envelope at modelPath ("-" is stdin) when one is given — and serves
+// until the process receives SIGINT or SIGTERM, then drains gracefully.
+func runServe(l *bench.Lab, g gpu.Spec, addr, modelPath string) error {
 	obs.SetEnabled(true)
+	s := newServer(l, g)
+	switch modelPath {
+	case "":
+	case "-":
+		s.envelope = os.Stdin
+	default:
+		f, err := os.Open(modelPath)
+		if err != nil {
+			return err
+		}
+		s.envelope = f
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	return newServer(l, g).serveUntil(ctx, addr, nil)
+	return s.serveUntil(ctx, addr, nil)
 }
 
-// startWarmup kicks off the background model fit; the result is published
-// into the registry as version 1. It is a no-op when a snapshot is already
-// installed (tests pre-fit servers).
+// fitServeModel is the pipeline a self-fitting server warms up with: the
+// lab's dataset on g, its training split, and the KW fit at the training
+// batch size. The fleet parent runs it once for all of its replicas.
+func fitServeModel(l *bench.Lab, g gpu.Spec) (*core.KWModel, error) {
+	ds, err := l.Dataset(g)
+	if err != nil {
+		return nil, err
+	}
+	train, _ := l.Split(ds)
+	return core.FitKW(train, g.Name, bench.TrainBatch)
+}
+
+// startWarmup kicks off the background warm-up: it publishes the envelope
+// when the server has one and fits the model otherwise, as version 1. A
+// failure (a fit error, or an envelope that does not decode, EOF included)
+// is stored for /readyz and /healthz to report, and nothing is published.
+// It is a no-op when a snapshot is already installed (tests pre-fit
+// servers).
 func (s *server) startWarmup() {
 	if s.reg.Current() != nil {
 		return
@@ -183,21 +218,45 @@ func (s *server) startWarmup() {
 	go func() {
 		sp := obs.StartSpan("serve model warm-up " + s.gpu.Name)
 		defer sp.End()
-		ds, err := s.lab.Dataset(s.gpu)
-		if err != nil {
-			s.modelErr.Store(&err)
-			return
+		var err error
+		if s.envelope != nil {
+			_, _, err = s.publishEnvelope(http.MaxBytesReader(nil, s.envelope, maxModelBody), s.envelope.Name())
+			s.envelope.Close()
+		} else {
+			var kw *core.KWModel
+			if kw, err = fitServeModel(s.lab, s.gpu); err == nil {
+				_, err = s.reg.Publish(kw, "warmup")
+			}
 		}
-		train, _ := s.lab.Split(ds)
-		kw, err := core.FitKW(train, s.gpu.Name, bench.TrainBatch)
 		if err != nil {
-			s.modelErr.Store(&err)
-			return
-		}
-		if _, err := s.reg.Publish(kw, "warmup"); err != nil {
 			s.modelErr.Store(&err)
 		}
 	}()
+}
+
+// publishEnvelope decodes a core.Save envelope from body, which its caller
+// caps at maxModelBody with http.MaxBytesReader, and publishes the KW model
+// it carries. It is the one decode path behind POST /modelz and serve
+// -model. On failure it also returns the HTTP status the error maps to.
+func (s *server) publishEnvelope(body io.Reader, source string) (*registry.Snapshot, int, error) {
+	pred, err := core.Load(body)
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxModelBody)
+		}
+		return nil, http.StatusBadRequest, fmt.Errorf("decoding model envelope: %w", err)
+	}
+	kw, ok := pred.(*core.KWModel)
+	if !ok {
+		return nil, http.StatusUnprocessableEntity,
+			fmt.Errorf("model kind %q cannot serve here; want a kw model", pred.Name())
+	}
+	snap, err := s.reg.Publish(kw, source)
+	if err != nil {
+		return nil, http.StatusUnprocessableEntity, err
+	}
+	return snap, http.StatusOK, nil
 }
 
 // publishObsOnce guards the process-global expvar registration so tests can
@@ -415,28 +474,12 @@ func (s *server) handleModelz(w http.ResponseWriter, req *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, mz)
 	case http.MethodPost:
-		pred, err := core.Load(http.MaxBytesReader(w, req.Body, maxModelBody))
+		snap, status, err := s.publishEnvelope(http.MaxBytesReader(w, req.Body, maxModelBody), "modelz-post")
 		if err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				writeJSONError(w, http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("body exceeds %d bytes", maxModelBody))
-				return
-			}
-			writeJSONError(w, http.StatusBadRequest, "decoding model envelope: "+err.Error())
+			writeJSONError(w, status, err.Error())
 			return
 		}
-		kw, ok := pred.(*core.KWModel)
-		if !ok {
-			writeJSONError(w, http.StatusUnprocessableEntity,
-				fmt.Sprintf("model kind %q cannot serve here; want a kw model", pred.Name()))
-			return
-		}
-		snap, err := s.reg.Publish(kw, "modelz-post")
-		if err != nil {
-			writeJSONError(w, http.StatusUnprocessableEntity, err.Error())
-			return
-		}
+		kw := snap.Model
 		writeJSON(w, http.StatusOK, map[string]any{
 			"version": snap.Version,
 			"gpu":     kw.GPUName(),
@@ -471,7 +514,7 @@ func (s *server) handleMetricsJSON(w http.ResponseWriter, req *http.Request) {
 // a concurrent hot-swap replaces the registry's current pointer but never
 // touches the model this request already holds. The snapshot-present fast
 // path is allocation-free; the 503 rendering below only runs while the
-// model is still warming up (or failed to fit).
+// model is still warming up (or its warm-up failed).
 //
 //dnnperf:allocfree
 func (s *server) loadModel(w http.ResponseWriter) *core.KWModel {
@@ -480,8 +523,8 @@ func (s *server) loadModel(w http.ResponseWriter) *core.KWModel {
 	}
 	msg := "model warming up"
 	if errp := s.modelErr.Load(); errp != nil {
-		//lint:ignore allocfree the fit-failure message renders only before the model is ready
-		msg = "model fit failed: " + (*errp).Error()
+		//lint:ignore allocfree the warm-up failure message renders only before the model is ready
+		msg = "model warm-up failed: " + (*errp).Error()
 	}
 	//lint:ignore allocfree the 503 path runs only before the model is ready
 	writeJSONError(w, http.StatusServiceUnavailable, msg)

@@ -110,7 +110,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	greedy, err := repro.ScheduleList(pred, 1)
+	greedy, err := repro.ScheduleList(pred)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -207,8 +207,10 @@ type collectResult struct {
 }
 
 // collectNetwork profiles one network on every device. It works on a private
-// clone so parallel workers never share mutable shape state. The loop is
-// batch-outer/device-inner: shape inference and kernel enumeration run once
+// clone so parallel workers never share mutable shape state. The clone is
+// shape-inferred once, at the first batch size, and moved to each later one
+// in place (Network.Rebatch), which fails exactly where a fresh inference
+// would. The loop is batch-outer/device-inner: kernel enumeration runs once
 // per batch size (Profiler.Prepare) and the prepared plan replays on each
 // device — the per-device work is just the timing simulation. Records are
 // emitted per device in batch order, which is exactly the legacy
@@ -243,7 +245,15 @@ func collectNetwork(p *profiler.Profiler, cl *cleaner, src *dnn.Network, devices
 		// Only the end-to-end record survives for the other batch sizes, so
 		// they skip the layer templates and the per-kernel trace.
 		detail := bs == opt.DetailBatchSize
-		prep, err := p.Prepare(net, bs, detail)
+		reshape := net.Rebatch
+		if bi == 0 {
+			reshape = net.Infer
+		}
+		if err := reshape(bs); err != nil {
+			res.err = err
+			return res
+		}
+		prep, err := p.Prepare(net, detail)
 		if err != nil {
 			res.err = err
 			return res

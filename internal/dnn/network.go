@@ -32,7 +32,8 @@ type Network struct {
 	// Layers holds the layers in topological order.
 	Layers []*Layer
 
-	// batch is the batch size of the most recent successful Infer call, or 0.
+	// batch is the batch size the inferred shapes describe: set by a
+	// successful Infer or Rebatch, 0 before one and after a failed one.
 	batch int
 }
 
@@ -170,8 +171,8 @@ func (n *Network) Sigmoid(in int) int {
 // Output returns the index of the network's output layer (the last layer).
 func (n *Network) Output() int { return len(n.Layers) - 1 }
 
-// Batch returns the batch size of the most recent successful Infer, or 0 if
-// shapes are not inferred.
+// Batch returns the batch size the inferred shapes describe (the last
+// successful Infer or Rebatch), or 0 if shapes are not inferred.
 func (n *Network) Batch() int { return n.batch }
 
 // Infer runs static shape inference at the given batch size, populating every
@@ -189,6 +190,9 @@ func (n *Network) Infer(batch int) error {
 	}
 	netIn := n.InputShape.WithBatch(batch)
 
+	// Layers are rewritten one by one, so until the pass completes the
+	// shapes describe no single batch size.
+	n.batch = 0
 	for i, l := range n.Layers {
 		if err := l.validate(); err != nil {
 			return err
@@ -212,11 +216,46 @@ func (n *Network) Infer(batch int) error {
 		l.InShape = ins[0]
 		l.InShapes = ins
 		l.OutShape = out
-		if err := l.checkCounts(); err != nil {
-			return fmt.Errorf("dnn: network %q: layer %d (%q) at batch %d: %w", n.Name, i, l.Name, batch, err)
+		if err := n.checkLayer(i, batch); err != nil {
+			return err
 		}
 	}
 	n.batch = batch
+	return nil
+}
+
+// Rebatch moves an inferred network to another batch size in place: it
+// rewrites every layer's batch dimension (Layer.Rebatch) and re-checks each
+// layer's counts, which is all that changes with the batch size — every
+// structural check Infer makes is batch-invariant. It succeeds and fails
+// exactly where Infer(batch) would, with Infer's error, and allocates
+// nothing. A network that has not been inferred (or whose last Infer or
+// Rebatch failed) is an error.
+func (n *Network) Rebatch(batch int) error {
+	if batch <= 0 {
+		return fmt.Errorf("dnn: network %q: batch size %d must be positive", n.Name, batch)
+	}
+	if n.batch == 0 {
+		return fmt.Errorf("dnn: network %q: Rebatch needs inferred shapes; call Infer first", n.Name)
+	}
+	n.batch = 0
+	for i, l := range n.Layers {
+		l.Rebatch(batch)
+		if err := n.checkLayer(i, batch); err != nil {
+			return err
+		}
+	}
+	n.batch = batch
+	return nil
+}
+
+// checkLayer is layer i's count check at the given batch size, with the
+// error Infer and Rebatch share.
+func (n *Network) checkLayer(i, batch int) error {
+	l := n.Layers[i]
+	if err := l.checkCounts(); err != nil {
+		return fmt.Errorf("dnn: network %q: layer %d (%q) at batch %d: %w", n.Name, i, l.Name, batch, err)
+	}
 	return nil
 }
 

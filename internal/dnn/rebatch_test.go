@@ -23,9 +23,10 @@ func buildTinyTransformer() *Network {
 }
 
 // TestRebatchMatchesInfer proves Layer.Rebatch's exactness claim, which
-// plan compilation relies on: rewriting every layer's batch dimension in
-// place produces the same shapes, in every slot of every layer, as a fresh
-// shape inference at the target batch size.
+// plan compilation and collection rely on: rewriting every layer's batch
+// dimension in place (Network.Rebatch) produces the same shapes, in every
+// slot of every layer, as a fresh shape inference at the target batch
+// size, and the network reports the batch it moved to.
 func TestRebatchMatchesInfer(t *testing.T) {
 	builders := map[string]func() *Network{
 		"cnn":         buildTinyCNN,
@@ -34,12 +35,15 @@ func TestRebatchMatchesInfer(t *testing.T) {
 	batches := []int{1, 2, 7, 64, 512}
 	for name, build := range builders {
 		re := build()
-		if err := re.Infer(1); err != nil {
-			t.Fatalf("%s: Infer(1): %v", name, err)
+		if err := re.Infer(4); err != nil {
+			t.Fatalf("%s: Infer(4): %v", name, err)
 		}
 		for _, b := range batches {
-			for _, l := range re.Layers {
-				l.Rebatch(b)
+			if err := re.Rebatch(b); err != nil {
+				t.Fatalf("%s: Rebatch(%d): %v", name, b, err)
+			}
+			if re.Batch() != b {
+				t.Fatalf("%s: Batch() = %d after Rebatch(%d)", name, re.Batch(), b)
 			}
 			ref := build()
 			if err := ref.Infer(b); err != nil {
@@ -113,5 +117,57 @@ func TestAppendSignatureMatchesSignature(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("inferred")
+	}
+}
+
+// TestNetworkRebatchOverflowMatchesInfer: an inline network whose counts
+// fit int64 at the inferred batch but overflow at a larger one fails the
+// rebatch with exactly the error Infer gives at that batch, and is left
+// marked uninferred.
+func TestNetworkRebatchOverflowMatchesInfer(t *testing.T) {
+	wide := func() *Network { // FLOPs 27·2^52 at batch 1, past int64 at 100
+		n := New("wide", "Test", TaskImageClassification, Shape{3, 1 << 16, 1 << 16})
+		n.Conv(NetworkInput, 3, 1<<20, 3, 1, 1)
+		return n
+	}
+	deep := func() *Network { // 2^50 elements per sample, 2^63 at batch 2^13
+		n := New("deep", "Test", TaskImageClassification, Shape{1 << 20, 1 << 20, 1 << 10})
+		n.ReLU(n.ReLU(NetworkInput))
+		return n
+	}
+	for _, c := range []struct {
+		build     func() *Network
+		fit, over int
+	}{{wide, 1, 100}, {deep, 1, 1 << 13}} {
+		n := c.build()
+		if err := n.Infer(c.fit); err != nil {
+			t.Fatalf("Infer(%d): %v", c.fit, err)
+		}
+		got := n.Rebatch(c.over)
+		want := c.build().Infer(c.over)
+		if got == nil || want == nil || got.Error() != want.Error() {
+			t.Fatalf("%s: Rebatch(%d) = %v, want Infer's %v", n.Name, c.over, got, want)
+		}
+		if n.Batch() != 0 {
+			t.Fatalf("%s: Batch() = %d after a failed Rebatch, want 0", n.Name, n.Batch())
+		}
+		if err := n.Rebatch(c.fit); err == nil {
+			t.Fatalf("%s: Rebatch after a failed Rebatch succeeded; shapes are half-moved", n.Name)
+		}
+		if err := n.Infer(c.fit); err != nil {
+			t.Fatalf("%s: re-Infer(%d) after the failure: %v", n.Name, c.fit, err)
+		}
+	}
+
+	// Non-positive batches and uninferred networks fail like Infer does.
+	n := buildTinyCNN()
+	if err := n.Rebatch(8); err == nil {
+		t.Fatal("Rebatch of an uninferred network succeeded")
+	}
+	if err := n.Infer(4); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := n.Rebatch(0), buildTinyCNN().Infer(0); got == nil || got.Error() != want.Error() {
+		t.Fatalf("Rebatch(0) = %v, want Infer's %v", got, want)
 	}
 }

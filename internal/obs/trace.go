@@ -75,11 +75,6 @@ func NewTracer() *Tracer {
 	return t
 }
 
-// Epoch returns the tracer's time origin. Merging traces from several
-// processes needs it: each process's event offsets are relative to its own
-// epoch, and the merge shifts them onto the earliest one.
-func (t *Tracer) Epoch() time.Time { return t.epoch }
-
 // Now returns the current offset from the epoch — the clock Complete events
 // are timed with. Nil-safe (returns 0).
 func (t *Tracer) Now() time.Duration {

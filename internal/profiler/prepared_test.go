@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -20,8 +21,11 @@ func TestPreparedReplayMatchesProfile(t *testing.T) {
 	devA := sim.NewDefault(gpu.A100)
 	devB := sim.NewDefault(gpu.V100)
 
+	if err := net.Infer(8); err != nil {
+		t.Fatal(err)
+	}
 	p := &Profiler{Warmup: 2, Batches: 4}
-	prep, err := p.Prepare(net, 8, true)
+	prep, err := p.Prepare(net, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +60,11 @@ func TestPreparedReplayMatchesProfile(t *testing.T) {
 // per-kernel trace.
 func TestProfileE2EPreparedMatchesDetail(t *testing.T) {
 	net := zoo.MustResNet(18)
+	if err := net.Infer(8); err != nil {
+		t.Fatal(err)
+	}
 	p := &Profiler{Device: sim.NewDefault(gpu.A100), Warmup: 2, Batches: 4}
-	prep, err := p.Prepare(net, 8, true)
+	prep, err := p.Prepare(net, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +93,11 @@ func TestProfileE2EPreparedMatchesDetail(t *testing.T) {
 // layers.
 func TestE2EOnlyPreparedRefusesDetail(t *testing.T) {
 	net := zoo.MustResNet(18)
+	if err := net.Infer(8); err != nil {
+		t.Fatal(err)
+	}
 	p := &Profiler{Device: sim.NewDefault(gpu.A100), Warmup: 2, Batches: 4}
-	full, err := p.Prepare(net, 8, true)
+	full, err := p.Prepare(net, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +105,7 @@ func TestE2EOnlyPreparedRefusesDetail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2eOnly, err := p.Prepare(net, 8, false)
+	e2eOnly, err := p.Prepare(net, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +121,111 @@ func TestE2EOnlyPreparedRefusesDetail(t *testing.T) {
 	}
 	if tr, err := p.ProfilePrepared(e2eOnly); err == nil {
 		t.Fatalf("detail trace from a Prepared without layer templates: %d layers, want an error", len(tr.Layers))
+	}
+}
+
+// quickLabNetworks builds the quick experiment lab's network sample
+// (bench.NewQuickLab): every sixth zoo network.
+func quickLabNetworks() []*dnn.Network {
+	builders := zoo.FullBuilders()
+	nets := make([]*dnn.Network, 0, (len(builders)+5)/6)
+	for i := 0; i < len(builders); i += 6 {
+		nets = append(nets, builders[i]())
+	}
+	return nets
+}
+
+// TestRebatchedPrepareMatchesInfer: collection infers each network once and
+// rebatches it in place, so the Prepared it reaches at every batch size
+// must equal, field for field, the one a fresh inference at that batch
+// gives — for every quick-lab network, in inference and training mode.
+func TestRebatchedPrepareMatchesInfer(t *testing.T) {
+	batches := []int{4, 64, 512}
+	for _, training := range []bool{false, true} {
+		re := &Profiler{Training: training}
+		fresh := &Profiler{Training: training}
+		for _, src := range quickLabNetworks() {
+			net := src.Clone()
+			for bi, b := range batches {
+				reshape := net.Rebatch
+				if bi == 0 {
+					reshape = net.Infer
+				}
+				if err := reshape(b); err != nil {
+					t.Fatalf("%s batch %d: %v", src.Name, b, err)
+				}
+				ref := src.Clone()
+				if err := ref.Infer(b); err != nil {
+					t.Fatal(err)
+				}
+				for _, detail := range []bool{false, true} {
+					got, err := re.Prepare(net, detail)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := fresh.Prepare(ref, detail)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s batch %d training %v detail %v: Prepared.%s differs from a fresh inference",
+							src.Name, b, training, detail, firstDiff(got, want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// firstDiff names the first field in which two Prepareds differ.
+func firstDiff(a, b *Prepared) string {
+	av, bv := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for f := 0; f < av.NumField(); f++ {
+		if fmt.Sprint(av.Field(f)) != fmt.Sprint(bv.Field(f)) {
+			return av.Type().Field(f).Name
+		}
+	}
+	return "(none printed)"
+}
+
+// TestPreparedSurvivesRebatch: a Prepared keeps none of the network's shape
+// slices, so moving the network to other batch sizes after preparing it
+// leaves what it profiles byte-identical.
+func TestPreparedSurvivesRebatch(t *testing.T) {
+	for _, training := range []bool{false, true} {
+		net := zoo.MustResNet(18)
+		if err := net.Infer(8); err != nil {
+			t.Fatal(err)
+		}
+		p := &Profiler{Device: sim.NewDefault(gpu.A100), Warmup: 2, Batches: 4, Training: training}
+		prep, err := p.Prepare(net, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := p.ProfilePrepared(prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []int{64, 1} {
+			if err := net.Rebatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after, err := p.ProfilePrepared(prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("training %v: a Prepared profiles differently after its network was rebatched", training)
+		}
+		if after.BatchSize != 8 {
+			t.Fatalf("training %v: trace batch %d, want the prepared 8", training, after.BatchSize)
+		}
+	}
+
+	// Prepare refuses a network without inferred shapes.
+	if _, err := (&Profiler{}).Prepare(zoo.MustResNet(18), true); err == nil {
+		t.Fatal("Prepare of an uninferred network succeeded")
 	}
 }
 

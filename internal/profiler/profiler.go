@@ -10,10 +10,10 @@
 // is the average across measured batches.
 //
 // Profiling one (network, batch size) on several devices shares work: the
-// device-independent half (shape inference, kernel enumeration, layer
-// templates) is computed once by Prepare and re-executed per device by
-// ProfilePrepared, which additionally memoizes noiseless kernel base times
-// per device across calls.
+// device-independent half (kernel enumeration, footprint, layer templates)
+// is computed once by Prepare from the network's inferred shapes and
+// re-executed per device by ProfilePrepared, which additionally memoizes
+// noiseless kernel base times per device across calls.
 package profiler
 
 import (
@@ -103,19 +103,6 @@ type Trace struct {
 	KernelSum float64
 }
 
-// KernelEvents returns all kernel events across layers, in launch order.
-func (t *Trace) KernelEvents() []KernelEvent {
-	total := 0
-	for _, l := range t.Layers {
-		total += len(l.Kernels)
-	}
-	out := make([]KernelEvent, 0, total)
-	for _, l := range t.Layers {
-		out = append(out, l.Kernels...)
-	}
-	return out
-}
-
 // Profiler runs networks on a device model with the paper's warm-up and
 // averaging protocol.
 type Profiler struct {
@@ -197,12 +184,12 @@ func seedFor(net, gpuName string, batch int, training bool) int64 {
 }
 
 // Prepared is the device-independent half of profiling one (network, batch
-// size) pair: shape inference, FLOP counting, kernel enumeration, memory
-// footprint and, for detail traces, layer templates. One Prepared can be
-// executed on any number of devices via ProfilePrepared — the dataset
-// builder prepares each batch size once and replays it across GPUs. It
-// snapshots everything it needs, so it stays valid after the network is
-// re-inferred at another batch size.
+// size) pair: FLOP counting, kernel enumeration, memory footprint and, for
+// detail traces, layer templates. One Prepared can be executed on any
+// number of devices via ProfilePrepared — the dataset builder prepares each
+// batch size once and replays it across GPUs. It copies everything it needs
+// out of the network and keeps none of its shape slices, so it stays valid
+// after the network is re-inferred or rebatched to another batch size.
 type Prepared struct {
 	name       string
 	family     string
@@ -232,14 +219,17 @@ type Prepared struct {
 func (pr *Prepared) Kernels() int { return len(pr.uniqIdx) }
 
 // Prepare computes the device-independent work of profiling the network at
-// the given batch size. The network is (re-)shape-inferred at that batch
-// size; the returned Prepared snapshots the result. detail selects whether
-// it carries the layer templates ProfilePrepared needs; an end-to-end-only
-// Prepared skips building them and serves only ProfileE2EPrepared.
-func (p *Profiler) Prepare(n *dnn.Network, batch int, detail bool) (*Prepared, error) {
-	if err := n.Infer(batch); err != nil {
+// the batch size its shapes were last inferred at (Network.Infer or
+// Network.Rebatch); it does not infer, so a caller walking several batch
+// sizes infers once and rebatches in between. The returned Prepared
+// snapshots the result. detail selects whether it carries the layer
+// templates ProfilePrepared needs; an end-to-end-only Prepared skips
+// building them and serves only ProfileE2EPrepared.
+func (p *Profiler) Prepare(n *dnn.Network, detail bool) (*Prepared, error) {
+	batch := n.Batch()
+	if batch == 0 {
 		metricProfileFailures.Inc()
-		return nil, err
+		return nil, fmt.Errorf("profiler: network %q has no inferred shapes to prepare", n.Name)
 	}
 	totalFLOPs, err := n.TotalFLOPs()
 	if err != nil {
@@ -313,7 +303,11 @@ func (p *Profiler) Prepare(n *dnn.Network, batch int, detail bool) (*Prepared, e
 // trace. The network is (re-)shape-inferred at that batch size. Runs whose
 // memory footprint exceeds the device return ErrOutOfMemory.
 func (p *Profiler) Profile(n *dnn.Network, batch int) (*Trace, error) {
-	prep, err := p.Prepare(n, batch, true)
+	if err := n.Infer(batch); err != nil {
+		metricProfileFailures.Inc()
+		return nil, err
+	}
+	prep, err := p.Prepare(n, true)
 	if err != nil {
 		return nil, err
 	}
@@ -375,10 +369,10 @@ func (p *Profiler) run(prep *Prepared, detail bool) (*Trace, error) {
 	sigma := p.Device.Config().NoiseSigma
 	var rnd *rand.Rand
 	if sigma > 0 {
-		// With σ ≤ 0 the simulation draws nothing (see lognormal in
-		// internal/sim), so the RNG — whose seeding is itself costly — is
-		// only touched when noise is on. Seed fully rewrites the source
-		// state, so the reused generator's stream is identical to a fresh
+		// With σ ≤ 0 the noise factor is exactly 1 and nothing is drawn,
+		// so the RNG — whose seeding is itself costly — is only touched
+		// when noise is on. Seed fully rewrites the source state, so the
+		// reused generator's stream is identical to a fresh
 		// rand.New(rand.NewSource(seed)).
 		seed := seedFor(prep.name, p.Device.GPU.Name, prep.batch, prep.training)
 		if p.rnd == nil {

@@ -22,6 +22,16 @@ func profileResNet18(t *testing.T, g gpu.Spec, batch int) *Trace {
 	return tr
 }
 
+// kernelEvents returns all kernel events of an inference trace across
+// layers, in launch order.
+func kernelEvents(tr *Trace) []KernelEvent {
+	var out []KernelEvent
+	for _, l := range tr.Layers {
+		out = append(out, l.Kernels...)
+	}
+	return out
+}
+
 func TestTraceStructure(t *testing.T) {
 	tr := profileResNet18(t, gpu.A100, 8)
 	if tr.Network != "resnet18" || tr.GPU != "A100" || tr.BatchSize != 8 {
@@ -68,7 +78,7 @@ func TestLayerKernelMapping(t *testing.T) {
 
 func TestKernelStartsMonotone(t *testing.T) {
 	tr := profileResNet18(t, gpu.A100, 8)
-	events := tr.KernelEvents()
+	events := kernelEvents(tr)
 	for i := 1; i < len(events); i++ {
 		if events[i].Start < events[i-1].Start {
 			t.Fatalf("event %d starts before its predecessor", i)
@@ -161,7 +171,7 @@ func TestProfileErrors(t *testing.T) {
 
 func TestKernelEventFeatures(t *testing.T) {
 	tr := profileResNet18(t, gpu.A100, 8)
-	for _, ev := range tr.KernelEvents() {
+	for _, ev := range kernelEvents(tr) {
 		if ev.Name == "" || ev.Name != ev.Kernel.Name {
 			t.Fatalf("event name mismatch: %q vs %q", ev.Name, ev.Kernel.Name)
 		}

@@ -49,16 +49,14 @@ func BenchmarkScheduleMoveEval(b *testing.B) {
 	}
 }
 
-// BenchmarkListSchedule isolates the construction heuristic at the same
-// scale as the search benchmark.
+// BenchmarkListSchedule isolates Schedule's construction heuristic (the
+// searchLookahead window) at the same scale as the search benchmark.
 func BenchmarkListSchedule(b *testing.B) {
 	dt := Synthetic(100_000, 8, 11)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ListSchedule(dt, 8); err != nil {
-			b.Fatal(err)
-		}
+		listSchedule(dt, taskMins(dt), searchLookahead)
 	}
 }
 

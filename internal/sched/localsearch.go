@@ -15,7 +15,8 @@ import (
 // the search stack for 10⁶-task instances:
 //
 //   - listSchedule: LPT list scheduling with a bounded regret-lookahead
-//     window as the construction heuristic;
+//     window as the construction heuristic (ListSchedule is its one-task
+//     window, plain LPT);
 //   - searchState: task-move and task-swap neighborhoods evaluated as O(1)
 //     incremental load deltas against an indexed max-heap of GPU loads —
 //     never a full finishDense rescan;
@@ -611,27 +612,25 @@ func (s *searchState) descend() {
 
 // ---------------------------------------------------------------- construction
 
-// ListSchedule is LPT list scheduling with a bounded regret-lookahead
-// window: tasks are ordered by best-GPU time descending, and at each step
-// the window task with the largest regret — the completion-time penalty of
-// not receiving its best GPU now — is placed on its earliest-finishing GPU.
-// lookahead 1 is plain LPT, which on identical machines is within
-// 4/3 − 1/(3g) of optimal (Graham 1969) against 2 − 1/g for the in-order
-// rule (InOrderPolicy). The public entry validates; Schedule reuses the
-// internal path with precomputed mins.
-func ListSchedule(dt *DenseTimes, lookahead int) (*DenseAssignment, error) {
+// ListSchedule is plain LPT list scheduling: tasks in order of best-GPU
+// time descending, each placed on its earliest-finishing GPU. On identical
+// machines it is within 4/3 − 1/(3g) of optimal (Graham 1969) against
+// 2 − 1/g for the in-order rule (InOrderPolicy).
+func ListSchedule(dt *DenseTimes) (*DenseAssignment, error) {
 	if dt == nil {
 		return nil, errNilTable
 	}
 	if err := dt.Validate(); err != nil {
 		return nil, err
 	}
-	if lookahead <= 0 {
-		lookahead = 1
-	}
-	return listSchedule(dt, taskMins(dt), lookahead), nil
+	return listSchedule(dt, taskMins(dt), 1), nil
 }
 
+// listSchedule is LPT with a regret-lookahead window of lookahead ≥ 1
+// tasks: at each step the window task with the largest regret — the
+// completion-time penalty of not receiving its best GPU now — is placed on
+// its earliest-finishing GPU. A one-task window is plain LPT; Schedule
+// constructs with searchLookahead.
 func listSchedule(dt *DenseTimes, mins *taskMinStats, lookahead int) *DenseAssignment {
 	n, g := dt.n, len(dt.gpus)
 	order := make([]int32, n)

@@ -12,8 +12,7 @@ type Policy interface {
 	Schedule(dt *DenseTimes) (*DenseAssignment, error)
 }
 
-// ListPolicy is construction-only scheduling: plain LPT (ListSchedule with
-// lookahead 1).
+// ListPolicy is construction-only scheduling: plain LPT (ListSchedule).
 type ListPolicy struct{}
 
 // Name implements Policy.
@@ -21,7 +20,7 @@ func (ListPolicy) Name() string { return "list-lpt" }
 
 // Schedule implements Policy.
 func (ListPolicy) Schedule(dt *DenseTimes) (*DenseAssignment, error) {
-	return ListSchedule(dt, 1)
+	return ListSchedule(dt)
 }
 
 // InOrderPolicy is dense list scheduling in input order: each task in turn

@@ -166,7 +166,7 @@ func TestAutoFallsBackToSearch(t *testing.T) {
 	if exact {
 		t.Fatal("24 tasks should not be reported as exact")
 	}
-	lpt, err := ListSchedule(big, 1)
+	lpt, err := ListSchedule(big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestAutoRoutingTable(t *testing.T) {
 }
 
 // TestGreedyInOrder pins the in-order list-scheduling rule (InOrderPolicy)
-// against LPT (ListSchedule with a one-task window).
+// against LPT (ListSchedule).
 func TestGreedyInOrder(t *testing.T) {
 	dt := twoGPUTimes(t)
 	a, err := InOrderPolicy{}.Schedule(dt)
@@ -250,7 +250,7 @@ func TestGreedyInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpt, err := ListSchedule(adv, 1)
+	lpt, err := ListSchedule(adv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestGreedyInOrder(t *testing.T) {
 // the exhaustive optimum.
 func TestGreedyFeasibleAndBounded(t *testing.T) {
 	dt := twoGPUTimes(t)
-	g, err := ListSchedule(dt, 1)
+	g, err := ListSchedule(dt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestEmptyQueue(t *testing.T) {
 				a, _, err := Auto(dt)
 				return a, err
 			},
-			"ListSchedule":  func() (*DenseAssignment, error) { return ListSchedule(dt, 8) },
+			"ListSchedule":  func() (*DenseAssignment, error) { return ListSchedule(dt) },
 			"InOrderPolicy": func() (*DenseAssignment, error) { return InOrderPolicy{}.Schedule(dt) },
 			"Schedule": func() (*DenseAssignment, error) {
 				res, err := Schedule(dt, SearchOptions{})
@@ -400,7 +400,7 @@ func TestGreedyNeverWorseThanTwiceOptimal(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		dt := randomTwoGPU(t, rnd, int(nRaw%8)+2)
-		g, err1 := ListSchedule(dt, 1)
+		g, err1 := ListSchedule(dt)
 		b, err2 := BruteForce(dt)
 		if err1 != nil || err2 != nil {
 			return false

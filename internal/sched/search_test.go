@@ -267,15 +267,19 @@ func TestLowerBoundDominance(t *testing.T) {
 }
 
 // TestListScheduleLookahead: the construction is valid for any window, and
-// window 1 is plain LPT.
+// ListSchedule is its one-task window, plain LPT.
 func TestListScheduleLookahead(t *testing.T) {
 	dt := Synthetic(300, 4, 5)
 	load := make([]float64, dt.NumGPUs())
-	for _, w := range []int{0, 1, 2, 8, 64, 1000} {
-		a, err := ListSchedule(dt, w)
-		if err != nil {
-			t.Fatal(err)
-		}
+	lpt, err := ListSchedule(dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one := listSchedule(dt, taskMins(dt), 1); !slices.Equal(one.GPUOf, lpt.GPUOf) {
+		t.Fatal("ListSchedule differs from the one-task window")
+	}
+	for _, w := range []int{1, 2, 8, 64, 1000} {
+		a := listSchedule(dt, taskMins(dt), w)
 		if len(a.GPUOf) != 300 {
 			t.Fatalf("window %d: %d tasks assigned", w, len(a.GPUOf))
 		}
@@ -344,7 +348,7 @@ func TestDenseValidation(t *testing.T) {
 	if _, err := Schedule(nil, SearchOptions{}); err == nil {
 		t.Fatal("Schedule must reject a nil table")
 	}
-	if _, err := ListSchedule(nil, 1); err == nil {
+	if _, err := ListSchedule(nil); err == nil {
 		t.Fatal("ListSchedule must reject a nil table")
 	}
 	if _, err := LowerBound(nil); err == nil {

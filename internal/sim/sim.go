@@ -17,7 +17,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"strconv"
 
 	"repro/internal/dnn"
@@ -403,21 +402,6 @@ func (d *Device) BaseKernelTime(k kernels.Kernel) float64 {
 	return t + kernelOverheadUS*1e-6
 }
 
-// KernelTime returns one noisy measured duration of a kernel invocation,
-// drawing measurement noise from rnd.
-func (d *Device) KernelTime(k kernels.Kernel, rnd *rand.Rand) float64 {
-	return d.BaseKernelTime(k) * lognormal(rnd, d.cfg.NoiseSigma)
-}
-
-// MemoryBound reports whether the kernel's roofline leg is the memory side
-// on this device (used by analysis tests, not by the predictors).
-func (d *Device) MemoryBound(k kernels.Kernel) bool {
-	compEff, bwEff := d.Efficiencies(k.Name)
-	tc := float64(k.FLOPs) / (compEff * d.GPU.PeakFLOPS())
-	tm := float64(k.Bytes()) / (bwEff * d.GPU.PeakBytesPerSec())
-	return tm >= tc
-}
-
 // WallTime assembles the measured end-to-end wall time of one batch from the
 // (already noisy) kernel durations: consecutive kernels pipeline and save
 // pipelineOverlapUS per boundary (never more than the kernel itself), and the
@@ -472,17 +456,4 @@ func (d *Device) FitsFootprint(need int64) bool { return need <= d.GPU.MemBytes(
 // execute experiments").
 func (d *Device) FitsMemory(n *dnn.Network) bool {
 	return d.FitsFootprint(InferenceFootprint(n))
-}
-
-// FitsMemoryTraining is the training-step variant of FitsMemory.
-func (d *Device) FitsMemoryTraining(n *dnn.Network) bool {
-	return d.FitsFootprint(TrainingFootprint(n))
-}
-
-// lognormal returns exp(N(0, sigma²)) drawn from rnd.
-func lognormal(rnd *rand.Rand, sigma float64) float64 {
-	if sigma <= 0 {
-		return 1
-	}
-	return math.Exp(rnd.NormFloat64() * sigma)
 }

@@ -164,7 +164,7 @@ func TestFacadeScheduling(t *testing.T) {
 	if plan.Makespan != 2 {
 		t.Fatalf("makespan = %v", plan.Makespan)
 	}
-	lpt, err := ScheduleList(tm, 1)
+	lpt, err := ScheduleList(tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestFacadeClusterScheduling(t *testing.T) {
 	if err != nil || lb <= 0 {
 		t.Fatalf("lower bound = %v, %v", lb, err)
 	}
-	list, err := ScheduleList(tm, 4)
+	list, err := ScheduleList(tm)
 	if err != nil || list.Makespan < lb {
 		t.Fatalf("list = %v (lb %v), %v", list.Makespan, lb, err)
 	}

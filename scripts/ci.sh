@@ -13,7 +13,10 @@
 #                         FuzzQueryValue, FuzzForwardRequest) runs 5s of
 #                         generated inputs past its seed corpus
 #   5. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
-#                         then a 2-replica fleet: routing, 429 backpressure,
+#                         then `train -model F` + `serve -model F` must
+#                         answer /predict as the self-fitted server; then a
+#                         2-replica fleet: one model on every replica
+#                         (/modelz version 1), routing, 429 backpressure,
 #                         whole-fleet graceful drain
 #   6. loadtest smoke   — `dnnperf loadtest` drives a 2-replica fleet for
 #                         ~2s; non-zero throughput, zero 5xx required

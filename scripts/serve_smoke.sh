@@ -7,20 +7,28 @@
 # /predict/batch (GET and POST) must answer with predictions. The server
 # must exit 0 on SIGTERM — the graceful-shutdown contract.
 #
-# A second section boots a 2-replica fleet proxy with a deliberately tiny
-# admission cap (-max-inflight 1), verifies routed predictions, provokes a
-# 429 Retry-After backpressure response with a concurrent burst, verifies
-# the tracing surface (a sampled traceparent's trace ID is echoed in
-# X-Trace-Id) and the /metricsz aggregation (merged histogram buckets equal
-# the bucket-wise sum of the replica histograms), and checks that SIGTERM
-# drains the whole fleet: proxy exits 0 and no replica processes survive it.
+# A second section trains the same model into a file (`dnnperf -model F
+# train`) and serves it (`dnnperf -model F serve`): the loaded server must
+# become ready and answer /predict exactly as the self-fitted one did.
+#
+# A third section boots a 2-replica fleet proxy with a deliberately tiny
+# admission cap (-max-inflight 1), verifies that both replicas serve the
+# parent's one fitted model (/modelz version 1, equal kernel and group
+# counts) and routed predictions, provokes a 429 Retry-After backpressure
+# response with a concurrent burst, verifies the tracing surface (a sampled
+# traceparent's trace ID is echoed in X-Trace-Id) and the /metricsz
+# aggregation (merged histogram buckets equal the bucket-wise sum of the
+# replica histograms), and checks that SIGTERM drains the whole fleet: proxy
+# exits 0 and no replica processes survive it.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 addr="${SERVE_SMOKE_ADDR:-localhost:18097}"
 fleet_addr="${SERVE_SMOKE_FLEET_ADDR:-localhost:18098}"
+model_addr="${SERVE_SMOKE_MODEL_ADDR:-localhost:18099}"
 bin="$(mktemp -d)/dnnperf"
+workdir="$(dirname "$bin")"
 log="$(mktemp)"
 codes="$(mktemp)"
 pid=""
@@ -118,7 +126,7 @@ while [ "$i" -lt 240 ]; do
         break
         ;;
     *'"status": "degraded"'*)
-        echo "serve_smoke: model fit failed: $health" >&2
+        echo "serve_smoke: model warm-up failed: $health" >&2
         exit 1
         ;;
     esac
@@ -141,11 +149,11 @@ case "$ready" in
     ;;
 esac
 
-pred="$(fetch "http://$addr/predict?network=resnet50&batch=64")"
-case "$pred" in
+self_pred="$(fetch "http://$addr/predict?network=resnet50&batch=64")"
+case "$self_pred" in
 *'"predicted_ms"'*) : ;;
 *)
-    echo "serve_smoke: unexpected /predict body: $pred" >&2
+    echo "serve_smoke: unexpected /predict body: $self_pred" >&2
     exit 1
     ;;
 esac
@@ -181,6 +189,54 @@ fi
 
 echo "serve_smoke: single-server health, readiness, metrics, predict and graceful shutdown verified"
 
+# --- Model-file section: train once into a file, serve the file.
+"$bin" -quick -model "$workdir/m.json" train >"$log" 2>&1 || {
+    echo "serve_smoke: train -model failed:" >&2
+    cat "$log" >&2
+    exit 1
+}
+"$bin" -quick -model "$workdir/m.json" -addr "$model_addr" serve >"$log" 2>&1 &
+pid=$!
+ok=0
+i=0
+while [ "$i" -lt 240 ]; do
+    if [ "$(code "http://$model_addr/readyz")" = "200" ]; then
+        ok=1
+        break
+    fi
+    if ! kill -0 "$pid" 2>/dev/null; then
+        echo "serve_smoke: model-file server exited early:" >&2
+        cat "$log" >&2
+        exit 1
+    fi
+    sleep 0.25
+    i=$((i + 1))
+done
+if [ "$ok" -ne 1 ]; then
+    echo "serve_smoke: model-file server not ready within 60s:" >&2
+    fetch "http://$model_addr/readyz" >&2 || true
+    cat "$log" >&2
+    exit 1
+fi
+file_pred="$(fetch "http://$model_addr/predict?network=resnet50&batch=64")"
+if [ "$file_pred" != "$self_pred" ]; then
+    echo "serve_smoke: the model-file server answers differently from the self-fitted one:" >&2
+    echo "  file: $file_pred" >&2
+    echo "  self: $self_pred" >&2
+    exit 1
+fi
+kill "$pid"
+status=0
+wait "$pid" || status=$?
+pid=""
+if [ "$status" -ne 0 ]; then
+    echo "serve_smoke: model-file server exited with status $status on SIGTERM" >&2
+    cat "$log" >&2
+    exit 1
+fi
+
+echo "serve_smoke: train -model then serve -model answers as the self-fitted server"
+
 # --- Fleet section: sharded proxy, admission backpressure, whole-fleet drain.
 echo "serve_smoke: booting 2-replica fleet with max-inflight 1..."
 "$bin" -quick -replicas 2 -max-inflight 1 -addr "$fleet_addr" fleet >"$log" 2>&1 &
@@ -207,6 +263,37 @@ done
 if [ "$ok" -ne 1 ]; then
     echo "serve_smoke: fleet replicas not ready within 120s" >&2
     cat "$log" >&2
+    exit 1
+fi
+
+# Every replica serves the parent's one fitted model: version 1, with equal
+# kernel and group counts.
+raddrs="$(sed -n 's/^dnnperf fleet: replica [0-9]* serving on \([^ ]*\).*/\1/p' "$log")"
+if [ "$(printf '%s\n' "$raddrs" | wc -l)" -ne 2 ]; then
+    echo "serve_smoke: expected 2 replica addresses in fleet log, got: $raddrs" >&2
+    exit 1
+fi
+models=""
+for ra in $raddrs; do
+    mz="$(fetch "http://$ra/modelz")"
+    row="$(printf '%s\n' "$mz" | awk -F'[:,]' '
+        /^  "version":/ { v = $2 + 0 }
+        /^  "kernels":/ { k = $2 + 0 }
+        /^  "groups":/  { g = $2 + 0 }
+        END { print v, k, g }')"
+    case "$row" in
+    "1 "*) : ;;
+    *)
+        echo "serve_smoke: replica $ra does not serve model version 1: $mz" >&2
+        exit 1
+        ;;
+    esac
+    models="$models$row
+"
+done
+if [ "$(printf '%s' "$models" | sort -u | wc -l)" -ne 1 ]; then
+    echo "serve_smoke: replicas serve different models (version kernels groups):" >&2
+    printf '%s' "$models" >&2
     exit 1
 fi
 
@@ -285,12 +372,6 @@ esac
 # histogram must equal the sum of the replicas' buckets. The stage metrics
 # only move on /predict traffic, which the health prober never sends, so the
 # replica scrapes and the merged scrape see identical counters.
-workdir="$(dirname "$bin")"
-raddrs="$(sed -n 's/^dnnperf fleet: replica [0-9]* serving on \([^ ]*\).*/\1/p' "$log")"
-if [ "$(printf '%s\n' "$raddrs" | wc -l)" -ne 2 ]; then
-    echo "serve_smoke: expected 2 replica addresses in fleet log, got: $raddrs" >&2
-    exit 1
-fi
 i=0
 for ra in $raddrs; do
     i=$((i + 1))
