@@ -24,12 +24,13 @@ lint:
 lint-sarif:
 	$(GO) run ./cmd/dnnlint -sarif ./... > dnnlint.sarif
 
-# verify is the pre-merge gate: vet, dnnlint, the full test suite under the
-# race detector (the concurrency tests in internal/bench, internal/cache and
-# internal/core only bite with -race on), a 5s run of every fuzz target (the
-# model envelope, kernel-family names, network CSV, traceparent, the
-# /predict/batch body, its one-pass decoder against encoding/json, and the
-# GET query scanner against url.ParseQuery) past its seed corpus, the
+# verify is the pre-merge gate: a gofmt check of every tracked Go file, vet,
+# dnnlint, the full test suite under the race detector (the concurrency
+# tests in internal/bench, internal/cache and internal/core only bite with
+# -race on), a 5s run of every fuzz target (the model envelope,
+# kernel-family names, network CSV, traceparent, the /predict/batch body,
+# its one-pass decoder against encoding/json, and the GET query scanner
+# against url.ParseQuery) past its seed corpus, the
 # `dnnperf serve` + fleet smoke test, the fleet loadtest smoke, the
 # fleetsim smoke, one run of every benchmark (`make bench-smoke`), the
 # cached-predict benchmark regression gate with the fleet throughput/p99

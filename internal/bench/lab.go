@@ -193,10 +193,6 @@ func (l *Lab) buildGPUs(gpus []gpu.Spec, flights []*labBuild) {
 	opt := dataset.DefaultBuildOptions()
 	opt.Batches = l.batches
 	opt.Warmup = l.warmup
-	// Deduplicate inside the collection workers: byte-identical to a serial
-	// Clean of each per-GPU part (duplicates never span networks or GPUs),
-	// minus the whole-dataset rescan.
-	opt.Dedup = true
 	parts, _, err := dataset.BuildPerGPU(l.nets, gpus, opt)
 	for i, g := range gpus {
 		b := flights[i]

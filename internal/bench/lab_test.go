@@ -245,6 +245,29 @@ func TestQuickLabCollectionDigest(t *testing.T) {
 	}
 }
 
+// fullLabCollectionDigest pins the full-fidelity A100 dataset every paper
+// figure reads (the 646-network zoo at the paper's 20 warm-up and 30
+// measured batches), recorded by running TestFullLabCollectionDigest's body
+// while collection still carried its own dedup pass and base-time memo.
+const fullLabCollectionDigest = "27fcc241c8f747b65bfd9e57209bf7bf246d9067ec12b4adb7839dba15d6a5fb"
+
+// TestFullLabCollectionDigest hashes every field of every record of the
+// full lab's A100 dataset, floats in hex.
+func TestFullLabCollectionDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-lab collection")
+	}
+	ds, err := NewLab().Dataset(gpu.A100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	hashRecords(h, "A100", ds)
+	if got := hex.EncodeToString(h.Sum(nil)); got != fullLabCollectionDigest {
+		t.Fatalf("full-lab collection digest = %s, want %s", got, fullLabCollectionDigest)
+	}
+}
+
 // hashRecords writes every field of every record of ds to w, one line per
 // record, floats in hex.
 func hashRecords(w io.Writer, label string, ds *dataset.Dataset) {

@@ -122,16 +122,6 @@ func classifyIndexed(recs []dataset.KernelRecord, byKey map[string][]int) map[st
 	return out
 }
 
-// DriverOf returns the learned driver for a kernel, with ok=false for
-// kernels absent from the classification.
-func DriverOf(classif map[string]Classification, kernel string) (Driver, bool) {
-	c, ok := classif[kernel]
-	if !ok {
-		return "", false
-	}
-	return c.Driver, true
-}
-
 // SortedKernels returns the classified kernel names in sorted order.
 func SortedKernels(classif map[string]Classification) []string {
 	out := make([]string, 0, len(classif))

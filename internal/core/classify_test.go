@@ -217,11 +217,11 @@ func TestClassifyFamiliesPools(t *testing.T) {
 func TestDriverOfAndSortedKernels(t *testing.T) {
 	recs := plantRecords("k1", DriverInput, 1e-9, 1e-6, 50, 13)
 	classif := ClassifyKernels(recs)
-	if d, ok := DriverOf(classif, "k1"); !ok || d != DriverInput {
-		t.Fatalf("DriverOf = %v, %v", d, ok)
+	if c, ok := classif["k1"]; !ok || c.Driver != DriverInput {
+		t.Fatalf("k1 driver = %v, %v", c.Driver, ok)
 	}
-	if _, ok := DriverOf(classif, "missing"); ok {
-		t.Fatal("missing kernel should report !ok")
+	if _, ok := classif["missing"]; ok {
+		t.Fatal("missing kernel should be absent")
 	}
 	if names := SortedKernels(classif); len(names) != 1 || names[0] != "k1" {
 		t.Fatalf("SortedKernels = %v", names)

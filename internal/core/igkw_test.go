@@ -87,7 +87,6 @@ func dseDataset(b *testing.B) (*dataset.Dataset, []gpu.Spec) {
 	opt := dataset.DefaultBuildOptions()
 	opt.Batches = 8
 	opt.Warmup = 2
-	opt.Dedup = true
 	ds, _, err := dataset.Build(zooSample(), train, opt)
 	if err != nil {
 		b.Fatal(err)

@@ -316,34 +316,19 @@ func (m *KWModel) ModelCount() int { return len(m.Groups) }
 func (m *KWModel) KernelCount() int { return len(m.Classif) }
 
 // PredictKernel predicts one kernel invocation's duration from its name and
-// the layer-level driver candidates.
+// the layer-level driver candidates, through the same fallback chain plans
+// compile with (resolveKernel): the kernel's group, else its family's pooled
+// model, else the class fallback.
 func (m *KWModel) PredictKernel(name string, layerFLOPs units.FLOPs, layerInElems, layerOutElems int64) units.Seconds {
-	x := func(d Driver) float64 {
-		switch d {
-		case DriverInput:
-			return float64(layerInElems)
-		case DriverOperation:
-			return float64(layerFLOPs)
-		default:
-			return float64(layerOutElems)
-		}
+	line, d := m.resolveKernel(name, layerFLOPs == 0)
+	x := float64(layerOutElems)
+	switch d {
+	case DriverInput:
+		x = float64(layerInElems)
+	case DriverOperation:
+		x = float64(layerFLOPs)
 	}
-	if gi, ok := m.GroupOf[name]; ok {
-		g := m.Groups[gi]
-		return clampTime(units.Seconds(g.Line.Predict(x(g.Driver))))
-	}
-	// Sparse or unseen kernel: fall back to its family's pooled model.
-	if c, ok := m.Families[FamilyOf(name)]; ok && c.N >= MinKernelObservations {
-		return clampTime(units.Seconds(c.Line.Predict(x(c.Driver))))
-	}
-	// Unknown family: guess the class from an operation-first heuristic and
-	// use the pooled class fallback. Kernels carrying FLOPs are treated as
-	// main kernels; zero-FLOPs kernels as output-driven data movement.
-	d := DriverOperation
-	if layerFLOPs == 0 {
-		d = DriverOutput
-	}
-	return clampTime(units.Seconds(m.ClassFallback[d].Predict(x(d))))
+	return clampTime(units.Seconds(line.Predict(x)))
 }
 
 // kernelsForLayer resolves a layer to its kernel list: first through the
@@ -475,9 +460,13 @@ func (m *KWModel) CompilePlan(n *dnn.Network) (*Plan, error) {
 	return compilePlan(n, m.GPU, m.Training, m.Mapping, m.mapBatches.get(m.Mapping), m.resolveKernel, &m.layerMemo)
 }
 
-// resolveKernel maps a kernel name to the concrete regression line and driver
-// PredictKernel would use — the same three-tier fallback (group → family →
-// class), resolved once at plan-compile time.
+// resolveKernel maps a kernel name to its regression line and driver through
+// the three-tier fallback: the kernel's group; for a sparse or unseen kernel,
+// its family's pooled model; for an unknown family, the pooled class
+// fallback, with the class guessed by an operation-first heuristic (kernels
+// carrying FLOPs are treated as main kernels, zero-FLOPs kernels as
+// output-driven data movement). PredictKernel resolves per call; plans
+// resolve once, at compile time.
 func (m *KWModel) resolveKernel(name string, flopsZero bool) (regression.Line, Driver) {
 	if gi, ok := m.GroupOf[name]; ok {
 		g := m.Groups[gi]

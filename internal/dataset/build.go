@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -12,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profiler"
 	"repro/internal/sim"
-	"repro/internal/units"
 )
 
 var (
@@ -40,12 +40,6 @@ type BuildOptions struct {
 	// Training collects training-step measurements (forward + backward +
 	// optimizer kernels) instead of inference.
 	Training bool
-	// Dedup drops exact duplicate records at collection time. Every record
-	// carries its network name, so duplicates can only arise within one
-	// network's output — dropping them per network inside the parallel
-	// collection workers is byte-identical to calling Dataset.Clean on the
-	// built result, without the serial whole-dataset pass.
-	Dedup bool
 	// SimConfig overrides the device model's seed and noise (zero =
 	// defaults).
 	SimConfig sim.Config
@@ -72,10 +66,13 @@ type BuildReport struct {
 
 // Build collects the dataset: for every (network, GPU) pair it records
 // end-to-end times at every E2E batch size and layer/kernel detail at the
-// detail batch size. Out-of-memory runs are dropped and reported, mirroring
-// the paper's cleaning step. Collection parallelizes across networks; the
-// result is deterministic (per-run RNG seeds depend only on network, GPU and
-// batch size) and ordered by (network index, GPU index).
+// detail batch size. Each distinct batch size is collected once, in
+// first-seen order (the E2E sizes, then the detail size if it is not among
+// them), so a size listed twice adds no duplicate records. Out-of-memory
+// runs are dropped and reported, mirroring the paper's cleaning step.
+// Collection parallelizes across networks; the result is deterministic
+// (per-run RNG seeds depend only on network, GPU and batch size) and
+// ordered by (network index, GPU index).
 func Build(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) (*Dataset, *BuildReport, error) {
 	results, report, err := collect(nets, gpus, opt)
 	if err != nil {
@@ -118,6 +115,16 @@ func collect(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) ([]collectR
 	if opt.DetailBatchSize <= 0 {
 		opt.DetailBatchSize = 512
 	}
+	// Each distinct batch size once, in first-seen order.
+	batches := make([]int, 0, len(opt.E2EBatchSizes)+1)
+	for _, b := range opt.E2EBatchSizes {
+		if !slices.Contains(batches, b) {
+			batches = append(batches, b)
+		}
+	}
+	if !slices.Contains(batches, opt.DetailBatchSize) {
+		batches = append(batches, opt.DetailBatchSize)
+	}
 	workers := min(runtime.GOMAXPROCS(0), len(nets))
 	tm := obs.StartTimer(metricBuildSeconds)
 	defer tm.Stop()
@@ -141,13 +148,11 @@ func collect(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) ([]collectR
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One profiler (and one dedup scratch) per worker, so per-kernel
-			// scratch, the base-time memo and the dedup maps persist across
-			// every network this worker collects.
+			// One profiler per worker, so its per-kernel scratch persists
+			// across every network this worker collects.
 			p := &profiler.Profiler{Warmup: opt.Warmup, Batches: opt.Batches, Training: opt.Training}
-			var cl cleaner
 			for i := range jobs {
-				results[i] = collectNetwork(p, &cl, nets[i], devices, opt)
+				results[i] = collectNetwork(p, nets[i], devices, batches, opt.DetailBatchSize)
 			}
 		}()
 	}
@@ -206,45 +211,30 @@ type collectResult struct {
 	err      error
 }
 
-// collectNetwork profiles one network on every device. It works on a private
-// clone so parallel workers never share mutable shape state. The clone is
-// shape-inferred once, at the first batch size, and moved to each later one
-// in place (Network.Rebatch), which fails exactly where a fresh inference
-// would. The loop is batch-outer/device-inner: kernel enumeration runs once
-// per batch size (Profiler.Prepare) and the prepared plan replays on each
-// device — the per-device work is just the timing simulation. Records are
-// emitted per device in batch order, which is exactly the legacy
-// (device-outer, batch-inner) order once the per-device slices are
-// concatenated.
-func collectNetwork(p *profiler.Profiler, cl *cleaner, src *dnn.Network, devices []*sim.Device, opt BuildOptions) (res collectResult) {
+// collectNetwork profiles one network on every device at each batch size
+// and appends every trace to its device's Dataset as soon as it is
+// measured. It works on a private clone so parallel workers never share
+// mutable shape state. The clone is shape-inferred once, at the first batch
+// size, and moved to each later one in place (Network.Rebatch), which fails
+// exactly where a fresh inference would. The loop is batch-outer and
+// device-inner: kernel enumeration runs once per batch size
+// (Profiler.Prepare) and the prepared plan replays on each device, where
+// the per-device work is just the timing simulation. Each device's records
+// therefore arrive in batch order. Only the detail batch size is prepared
+// with layer templates; every other size yields an end-to-end-only trace,
+// from which AddTrace keeps the network record alone.
+func collectNetwork(p *profiler.Profiler, src *dnn.Network, devices []*sim.Device, batches []int, detailBatch int) (res collectResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.err = fmt.Errorf("dataset: collecting %s: panic: %v", src.Name, r)
 		}
 	}()
-	net := cloneNetwork(src)
-
-	batches := make([]int, 0, len(opt.E2EBatchSizes)+1)
-	batches = append(batches, opt.E2EBatchSizes...)
-	hasDetail := false
-	for _, b := range batches {
-		if b == opt.DetailBatchSize {
-			hasDetail = true
-		}
-	}
-	if !hasDetail {
-		batches = append(batches, opt.DetailBatchSize)
-	}
-
-	// Collect batch-outer into a (device, batch) grid of traces.
-	grid := make([][]*profiler.Trace, len(devices))
-	for di := range grid {
-		grid[di] = make([]*profiler.Trace, len(batches))
+	net := src.Clone()
+	res.ds = make([]Dataset, len(devices))
+	for di := range res.ds {
+		res.ds[di].Networks = make([]NetworkRecord, 0, len(batches))
 	}
 	for bi, bs := range batches {
-		// Only the end-to-end record survives for the other batch sizes, so
-		// they skip the layer templates and the per-kernel trace.
-		detail := bs == opt.DetailBatchSize
 		reshape := net.Rebatch
 		if bi == 0 {
 			reshape = net.Infer
@@ -253,20 +243,14 @@ func collectNetwork(p *profiler.Profiler, cl *cleaner, src *dnn.Network, devices
 			res.err = err
 			return res
 		}
-		prep, err := p.Prepare(net, detail)
+		prep, err := p.Prepare(net, bs == detailBatch)
 		if err != nil {
 			res.err = err
 			return res
 		}
 		for di, dev := range devices {
 			p.Device = dev
-			var tr *profiler.Trace
-			var err error
-			if detail {
-				tr, err = p.ProfilePrepared(prep)
-			} else {
-				tr, err = p.ProfileE2EPrepared(prep)
-			}
+			tr, err := p.ProfilePrepared(prep)
 			if errors.Is(err, profiler.ErrOutOfMemory) {
 				res.oom = append(res.oom, fmt.Sprintf("%s@%d on %s", net.Name, bs, dev.GPU.Name))
 				continue
@@ -276,106 +260,8 @@ func collectNetwork(p *profiler.Profiler, cl *cleaner, src *dnn.Network, devices
 				return res
 			}
 			res.profiled++
-			grid[di][bi] = tr
-		}
-	}
-
-	// Pre-size each device's slices from exact counts, then emit per device
-	// in batch order.
-	res.ds = make([]Dataset, len(devices))
-	for di := range grid {
-		nNet, nLay, nKer := 0, 0, 0
-		for bi, bs := range batches {
-			tr := grid[di][bi]
-			if tr == nil {
-				continue
-			}
-			nNet++
-			if bs != opt.DetailBatchSize {
-				continue
-			}
-			for li := range tr.Layers {
-				if k := len(tr.Layers[li].Kernels); k > 0 {
-					nLay++
-					nKer += k
-				}
-			}
-		}
-		d := &res.ds[di]
-		d.Grow(nNet, nLay, nKer)
-		for bi, bs := range batches {
-			tr := grid[di][bi]
-			if tr == nil {
-				continue
-			}
-			if bs == opt.DetailBatchSize {
-				d.AddTrace(tr) // full detail
-				continue
-			}
-			// End-to-end record only.
-			d.Networks = append(d.Networks, NetworkRecord{
-				Network: tr.Network, Family: tr.Family, Task: string(tr.Task),
-				GPU: tr.GPU, BatchSize: tr.BatchSize,
-				TotalFLOPs: units.FLOPs(tr.TotalFLOPs), E2ESeconds: units.Seconds(tr.E2ETime),
-			})
-		}
-	}
-	if opt.Dedup {
-		// Duplicates carry their network and GPU names, so they can only
-		// arise within one device's slice here. With distinct batch sizes the
-		// structure narrows further — network records differ by batch size
-		// and layer records by layer index, so only kernel records can repeat
-		// — and a tiny per-layer scan replaces hashing every record. Repeated
-		// batch sizes (degenerate options) fall back to the generic cleaner,
-		// whose worker-owned maps are cleared, not reallocated, per network.
-		uniqueBatches := true
-	batchCheck:
-		for i := 1; i < len(batches); i++ {
-			for j := 0; j < i; j++ {
-				if batches[j] == batches[i] {
-					uniqueBatches = false
-					break batchCheck
-				}
-			}
-		}
-		for di := range res.ds {
-			if uniqueBatches {
-				res.ds[di].Kernels = dedupKernelGroups(res.ds[di].Kernels)
-			} else {
-				cl.clean(&res.ds[di])
-			}
+			res.ds[di].AddTrace(tr)
 		}
 	}
 	return res
 }
-
-// dedupKernelGroups drops exact duplicate kernel records in place and
-// returns the compacted slice. The records come from a single detail trace:
-// one layer's launches are contiguous and share every field except the
-// kernel name and duration, so a duplicate can only repeat within its layer
-// group — and groups are a handful of launches, making a quadratic in-group
-// scan cheaper than hashing every record into a set.
-func dedupKernelGroups(recs []KernelRecord) []KernelRecord {
-	out := recs[:0]
-	groupStart := 0
-	for i := range recs {
-		if i > 0 && recs[i].LayerIndex != recs[i-1].LayerIndex {
-			groupStart = len(out)
-		}
-		dup := false
-		for j := groupStart; j < len(out); j++ {
-			if out[j] == recs[i] {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, recs[i])
-		}
-	}
-	return out
-}
-
-// cloneNetwork deep-copies the network structure so shape inference in one
-// goroutine cannot race another.
-func cloneNetwork(n *dnn.Network) *dnn.Network { return n.Clone() }

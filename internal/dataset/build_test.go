@@ -10,7 +10,6 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/gpu"
 	"repro/internal/sim"
-	"repro/internal/units"
 	"repro/internal/zoo"
 )
 
@@ -119,81 +118,60 @@ func TestBuildPerGPUMatchesFilterGPU(t *testing.T) {
 	}
 }
 
-// TestBuildDedupMatchesClean proves collection-time deduplication is
-// byte-identical to a serial Clean of the built result — on the structural
-// fast path (distinct batch sizes), on the generic-cleaner fallback
-// (repeated batch sizes), and with a noise-free device where exact duplicate
-// kernel durations actually occur.
-func TestBuildDedupMatchesClean(t *testing.T) {
-	run := func(t *testing.T, nets []*dnn.Network, opt BuildOptions, wantDuplicates bool) {
-		gpus := []gpu.Spec{gpu.A100, gpu.V100}
-		plain, _, err := Build(nets, gpus, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dropped := plain.Clean(); wantDuplicates && dropped == 0 {
-			t.Fatal("fixture produced no duplicates; the dedup path is not exercised")
-		}
-
-		opt.Dedup = true
-		deduped, _, err := Build(nets, gpus, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, deduped) {
-			t.Fatal("Dedup build differs from Build+Clean")
-		}
+// quickLabNetworks builds the quick experiment lab's network sample
+// (bench.NewQuickLab): every sixth zoo network.
+func quickLabNetworks() []*dnn.Network {
+	builders := zoo.FullBuilders()
+	nets := make([]*dnn.Network, 0, (len(builders)+5)/6)
+	for i := 0; i < len(builders); i += 6 {
+		nets = append(nets, builders[i]())
 	}
-
-	t.Run("distinct-batches", func(t *testing.T) { run(t, smallNets(), smallOpt(), false) })
-
-	t.Run("repeated-batches", func(t *testing.T) {
-		// Degenerate options: the detail batch size appears twice, so whole
-		// duplicate record sets are emitted and the structural fast path does
-		// not apply — the generic cleaner fallback must handle it.
-		opt := smallOpt()
-		opt.E2EBatchSizes = []int{64, 64}
-		run(t, smallNets(), opt, true)
-	})
-
-	t.Run("noise-free", func(t *testing.T) {
-		// σ<0 disables measurement noise; durations are then fully
-		// deterministic, the hardest setting for accidental divergence
-		// between the two dedup implementations.
-		opt := smallOpt()
-		opt.SimConfig = sim.Config{NoiseSigma: -1}
-		run(t, smallNets(), opt, false)
-	})
+	return nets
 }
 
-// TestDedupKernelGroups exercises the structural dedup's drop path directly:
-// the current kernel enumeration never emits byte-equal launches within one
-// layer, so this is the safety net's only coverage. The result must match
-// the generic Clean on the same records.
-func TestDedupKernelGroups(t *testing.T) {
-	rec := func(layer int, name string, secs float64) KernelRecord {
-		return KernelRecord{
-			Network: "n", GPU: "g", BatchSize: 64, LayerIndex: layer,
-			LayerKind: "Conv2D", Kernel: name, Seconds: units.Seconds(secs),
+// TestCollectionEmitsNoDuplicates pins what lets collection skip any
+// dedup of its own: on the quick lab's networks and protocol, on two GPUs,
+// in inference and training mode, with measurement noise and without it
+// (σ<0 makes every duration deterministic, so repeated launches would
+// collide exactly), Clean finds nothing to drop; and a batch size listed
+// twice collects exactly what one listing does.
+func TestCollectionEmitsNoDuplicates(t *testing.T) {
+	gpus := []gpu.Spec{gpu.A100, gpu.V100}
+	noDuplicates := func(t *testing.T, cfg sim.Config) {
+		for _, training := range []bool{false, true} {
+			opt := DefaultBuildOptions()
+			opt.Batches = 8
+			opt.Warmup = 2
+			opt.Training = training
+			opt.SimConfig = cfg
+			ds, _, err := Build(quickLabNetworks(), gpus, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(ds.Networks) + len(ds.Layers) + len(ds.Kernels)
+			if dropped := ds.Clean(); dropped != 0 {
+				t.Fatalf("training %v: Clean dropped %d of %d collected records", training, dropped, n)
+			}
 		}
 	}
-	recs := []KernelRecord{
-		rec(0, "a", 1), rec(0, "a", 1), // duplicate within the group
-		rec(0, "a", 2),                 // same name, different duration: kept
-		rec(1, "a", 1),                 // same record in a NEW group: kept
-		rec(1, "b", 1), rec(1, "a", 1), // duplicate across an interleave
-		rec(2, "c", 3),
-	}
-	ref := &Dataset{Kernels: append([]KernelRecord(nil), recs...)}
-	ref.Clean()
+	t.Run("distinct-batches", func(t *testing.T) { noDuplicates(t, sim.Config{}) })
+	t.Run("noise-free", func(t *testing.T) { noDuplicates(t, sim.Config{NoiseSigma: -1}) })
 
-	got := dedupKernelGroups(append([]KernelRecord(nil), recs...))
-	if !reflect.DeepEqual(got, ref.Kernels) {
-		t.Fatalf("dedupKernelGroups = %+v\nwant (Clean) %+v", got, ref.Kernels)
-	}
-	if len(got) != 5 {
-		t.Fatalf("kept %d records, want 5", len(got))
-	}
+	t.Run("repeated-batches", func(t *testing.T) {
+		once, _, err := Build(smallNets(), gpus, smallOpt())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := smallOpt()
+		opt.E2EBatchSizes = []int{4, 64, 4, 64}
+		twice, _, err := Build(smallNets(), gpus, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(twice, once) {
+			t.Fatal("batch sizes listed twice collect differently from one listing")
+		}
+	})
 }
 
 // BenchmarkDatasetBuild gates the collection pipeline itself (the bench_compare

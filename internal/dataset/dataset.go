@@ -75,8 +75,19 @@ type Dataset struct {
 }
 
 // AddTrace ingests a profiler trace: one network record, one layer record per
-// layer that dispatched kernels, and one kernel record per kernel event.
+// layer that dispatched kernels, and one kernel record per kernel event. An
+// end-to-end-only trace (nil Layers) adds its network record alone. The
+// layer and kernel slices grow once per trace, by exactly what it adds.
 func (d *Dataset) AddTrace(t *profiler.Trace) {
+	layers, kernels := 0, 0
+	for i := range t.Layers {
+		if k := len(t.Layers[i].Kernels); k > 0 {
+			layers++
+			kernels += k
+		}
+	}
+	d.Layers = slices.Grow(d.Layers, layers)
+	d.Kernels = slices.Grow(d.Kernels, kernels)
 	d.Networks = append(d.Networks, NetworkRecord{
 		Network:   t.Network,
 		Family:    t.Family,
@@ -282,78 +293,31 @@ func partitionRecords[R any](recs []R, n int, side func(string) int, network fun
 // Clean removes exact duplicate records, mirroring the paper's dataset
 // cleaning ("removing the duplications", §3; fail-to-execute runs are already
 // excluded at collection time). It returns the number of records dropped.
+// Collection emits no duplicates, so Clean is for datasets read from disk
+// (ReadDir), which may have been concatenated or edited by hand.
 func (d *Dataset) Clean() int {
-	var c cleaner
-	return c.clean(d)
+	before := len(d.Networks) + len(d.Layers) + len(d.Kernels)
+	d.Networks = dedup(d.Networks)
+	d.Layers = dedup(d.Layers)
+	// Kernel records legitimately repeat (a layer can launch the same kernel
+	// name once per algorithm stage, and different layers share kernels);
+	// only *exact* duplicates, duration included, are dropped.
+	d.Kernels = dedup(d.Kernels)
+	return before - len(d.Networks) - len(d.Layers) - len(d.Kernels)
 }
 
-// cleaner is Clean with reusable state: the seen-maps are cleared, not
-// reallocated, between calls. The dataset builder dedups every network's
-// output inside its collection worker, so without reuse those small maps
-// would dominate the worker's allocations.
-type cleaner struct {
-	nets map[NetworkRecord]bool
-	lays map[LayerRecord]bool
-	kers map[KernelRecord]bool
-}
-
-func (c *cleaner) clean(d *Dataset) int {
-	dropped := 0
-	{
-		if c.nets == nil {
-			c.nets = make(map[NetworkRecord]bool, len(d.Networks))
-		} else {
-			clear(c.nets)
-		}
-		out := d.Networks[:0]
-		for _, r := range d.Networks {
-			if c.nets[r] {
-				dropped++
-				continue
-			}
-			c.nets[r] = true
+// dedup drops the exact repeats from recs in place, keeping each record's
+// first occurrence, in order.
+func dedup[R comparable](recs []R) []R {
+	seen := make(map[R]bool, len(recs))
+	out := recs[:0]
+	for _, r := range recs {
+		if !seen[r] {
+			seen[r] = true
 			out = append(out, r)
 		}
-		d.Networks = out
 	}
-	{
-		if c.lays == nil {
-			c.lays = make(map[LayerRecord]bool, len(d.Layers))
-		} else {
-			clear(c.lays)
-		}
-		out := d.Layers[:0]
-		for _, r := range d.Layers {
-			if c.lays[r] {
-				dropped++
-				continue
-			}
-			c.lays[r] = true
-			out = append(out, r)
-		}
-		d.Layers = out
-	}
-	{
-		// Kernel records legitimately repeat (a layer can launch the same
-		// kernel name once per algorithm stage, and different layers share
-		// kernels); only drop *exact* duplicates including duration.
-		if c.kers == nil {
-			c.kers = make(map[KernelRecord]bool, len(d.Kernels))
-		} else {
-			clear(c.kers)
-		}
-		out := d.Kernels[:0]
-		for _, r := range d.Kernels {
-			if c.kers[r] {
-				dropped++
-				continue
-			}
-			c.kers[r] = true
-			out = append(out, r)
-		}
-		d.Kernels = out
-	}
-	return dropped
+	return out
 }
 
 // SplitByNetwork partitions the dataset into train/test by drawing testFrac

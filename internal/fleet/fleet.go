@@ -390,18 +390,6 @@ func (p *Proxy) owners(hash uint64) []int {
 	return p.walks[i*n : (i+1)*n : (i+1)*n]
 }
 
-// Owner returns the ready ring owner's address for a network name — the
-// replica a /predict?network=name request will be forwarded to. Exposed for
-// tests and /fleetz introspection.
-func (p *Proxy) Owner(network string) (string, bool) {
-	for _, idx := range p.owners(fnv64(network)) {
-		if r := p.replicas[idx]; r.ready.Load() {
-			return r.addr, true
-		}
-	}
-	return "", false
-}
-
 // ServeHTTP implements the proxy.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	metricRequests.Inc()

@@ -105,6 +105,17 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
+// ownerOf returns the ready ring owner's address for a network name: the
+// replica a /predict?network=name request will be forwarded to.
+func ownerOf(p *Proxy, network string) (string, bool) {
+	for _, idx := range p.owners(fnv64(network)) {
+		if r := p.replicas[idx]; r.ready.Load() {
+			return r.addr, true
+		}
+	}
+	return "", false
+}
+
 func TestShardingIsDeterministicAndSpreads(t *testing.T) {
 	reps := []*fakeReplica{
 		newFakeReplica(t, "r0"), newFakeReplica(t, "r1"),
@@ -113,7 +124,7 @@ func TestShardingIsDeterministicAndSpreads(t *testing.T) {
 	p, front := startProxy(t, 0, reps...)
 
 	// The same network always lands on its ring owner.
-	owner, ok := p.Owner("resnet50")
+	owner, ok := ownerOf(p, "resnet50")
 	if !ok {
 		t.Fatal("no ready owner for resnet50")
 	}
@@ -174,7 +185,7 @@ func TestHealthAwareRerouting(t *testing.T) {
 	var net string
 	for i := 0; ; i++ {
 		cand := fmt.Sprintf("owned-%d", i)
-		if owner, ok := p.Owner(cand); ok && owner == r0.addr() {
+		if owner, ok := ownerOf(p, cand); ok && owner == r0.addr() {
 			net = cand
 			break
 		}
@@ -193,7 +204,7 @@ func TestHealthAwareRerouting(t *testing.T) {
 
 	// A probe then keeps r0 out of the ready set.
 	p.probeAll()
-	if owner, ok := p.Owner(net); !ok || owner != r1.addr() {
+	if owner, ok := ownerOf(p, net); !ok || owner != r1.addr() {
 		t.Fatalf("owner after death = %q (ok=%t), want %s", owner, ok, r1.addr())
 	}
 }

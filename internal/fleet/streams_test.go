@@ -23,9 +23,11 @@ import (
 // generator. The sched-defaults and arrivals-defaults cases pin the
 // default search effort of each instance-size regime and the default
 // bursty and diurnal shapes, as digests taken while those values were
-// still settable options. A change that moves any draw, however slightly,
-// moves its digest. It lives in package fleet because the ring is
-// unexported.
+// still settable options; the loadgen case likewise hashes the bursty and
+// diurnal processes at NewArrivals' shapes, as a digest taken while those
+// shapes were still constructor parameters. A change that moves any draw,
+// however slightly, moves its digest. It lives in package fleet because
+// the ring is unexported.
 func TestSeededStreamDigests(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -34,7 +36,7 @@ func TestSeededStreamDigests(t *testing.T) {
 	}{
 		{"sched", writeSchedStream, "ac8269815d0fa9f6c70ccd8ebf9a60a220d1191aa9286bbca942af5367e3a6b4"},
 		{"fleetsim", writeFleetsimStream, "92e7156d7bcbdd8a71d77bba6e9e70eda708f1502d5c0b04bcf2974f6eb31af0"},
-		{"loadgen", writeLoadgenStream, "def48e3bea40e791a320ec1d774c1043dc5966a9beb01936cb4f06b13089c88b"},
+		{"loadgen", writeLoadgenStream, "125ee50a8a0b24f62ee7209a580da9985c9e64c54e6154421ed1a1bfb5780e05"},
 		{"ring", writeRingStream, "5837921149c395d4b492d86cf31229cfd2a84a7b72000ac88662195d398a91d5"},
 		{"sched-defaults-48", writeSchedDefaults(48, 4), "8d0c789ce9cbbd9378ff258dff83c2d1166e3f53858375f35df43ebe4effbafc"},
 		{"sched-defaults-300", writeSchedDefaults(300, 5), "454a85fbb158a5e749d804fad39bb81032f33a713d3e7e3fe3c83e4c93e0bd15"},
@@ -147,8 +149,8 @@ func writeFleetsimStream(t *testing.T, h hash.Hash) {
 func writeLoadgenStream(t *testing.T, h hash.Hash) {
 	procs := []loadgen.Process{
 		loadgen.NewPoissonArrivals(300, 1),
-		loadgen.NewBurstyArrivals(300, 4, 0.1, 0.3, 2),
-		loadgen.NewDiurnalArrivals(300, 0.6, 5, 3),
+		loadgen.NewBurstyArrivals(300, 2),
+		loadgen.NewDiurnalArrivals(300, 5, 3),
 	}
 	for _, p := range procs {
 		h.Write([]byte(p.Name()))

@@ -195,7 +195,7 @@ func TestTracePropagationAcrossRetry(t *testing.T) {
 
 	// Find the ring owner for the key and kill it, so the request retries
 	// onto the survivor.
-	owner, ok := p.Owner("resnet50")
+	owner, ok := ownerOf(p, "resnet50")
 	if !ok {
 		t.Fatal("no owner")
 	}
@@ -245,7 +245,7 @@ func TestTracePropagationAcrossSpill(t *testing.T) {
 	b := newTraceRecordingReplica(t, "b")
 	p, front := probedProxy(t, 1, a.fakeReplica, b.fakeReplica)
 
-	owner, ok := p.Owner("resnet50")
+	owner, ok := ownerOf(p, "resnet50")
 	if !ok {
 		t.Fatal("no owner")
 	}

@@ -21,11 +21,11 @@ import (
 //
 //   - PoissonArrivals: homogeneous Poisson at a fixed rate — exponential
 //     inter-arrival gaps, the standard memoryless open-loop model.
-//   - BurstyArrivals: an on/off modulated Poisson process (rate·factor
-//     during bursts, rate/factor between them). With equal on/off windows
-//     the time-average rate is rate·(factor + 1/factor)/2.
+//   - BurstyArrivals: an on/off modulated Poisson process: bursts of 4×
+//     the rate for 200 ms alternate with 200 ms at a quarter of it, so the
+//     time-average rate is rate·(4 + 1/4)/2.
 //   - DiurnalArrivals: a nonhomogeneous Poisson process whose rate follows
-//     a sinusoid, rate(t) = base·(1 + amp·sin(2πt/period)) — the day/night
+//     a sinusoid, rate(t) = base·(1 + 0.5·sin(2πt/period)) — the day/night
 //     cycle capacity planning must survive. Sampled by thinning (Lewis &
 //     Shedler): candidates at the peak rate, each kept with probability
 //     rate(t)/peak, which preserves exactness for any bounded rate curve.
@@ -73,36 +73,30 @@ func (p *PoissonArrivals) Next() float64 {
 	return p.t
 }
 
+// The bursty and diurnal shapes: bursts of burstFactor× the rate for
+// burstOnS seconds alternate with burstOffS seconds at 1/burstFactor of it;
+// the diurnal rate swings ±diurnalAmplitude around its base.
+const (
+	burstFactor      = 4
+	burstOnS         = 0.2
+	burstOffS        = 0.2
+	diurnalAmplitude = 0.5
+)
+
 // BurstyArrivals is the on/off modulated Poisson process. The process
 // starts in the on phase; each gap is drawn at the rate of the phase the
 // previous arrival fell in, matching the wall-clock generator's behavior
 // (phase boundaries do not re-draw an in-flight gap).
 type BurstyArrivals struct {
-	rate, factor float64
-	onS, offS    float64
-	t, phaseEnd  float64
-	inBurst      bool
-	rng          rng.Stream
+	rate        float64
+	t, phaseEnd float64
+	inBurst     bool
+	rng         rng.Stream
 }
 
-// NewBurstyArrivals returns a bursty process with mean-phase windows onS
-// and offS seconds. Non-positive windows default to 0.2s; a factor ≤ 1
-// defaults to 4.
-func NewBurstyArrivals(rate, factor, onS, offS float64, seed int64) *BurstyArrivals {
-	if onS <= 0 {
-		onS = 0.2
-	}
-	if offS <= 0 {
-		offS = 0.2
-	}
-	if factor <= 1 {
-		factor = 4
-	}
-	return &BurstyArrivals{
-		rate: rate, factor: factor, onS: onS, offS: offS,
-		phaseEnd: onS, inBurst: true,
-		rng: rng.New(uint64(seed)),
-	}
+// NewBurstyArrivals returns a bursty process around rate arrivals/second.
+func NewBurstyArrivals(rate float64, seed int64) *BurstyArrivals {
+	return &BurstyArrivals{rate: rate, phaseEnd: burstOnS, inBurst: true, rng: rng.New(uint64(seed))}
 }
 
 // Name implements Process.
@@ -113,42 +107,37 @@ func (p *BurstyArrivals) Next() float64 {
 	for p.t >= p.phaseEnd {
 		if p.inBurst {
 			p.inBurst = false
-			p.phaseEnd += p.offS
+			p.phaseEnd += burstOffS
 		} else {
 			p.inBurst = true
-			p.phaseEnd += p.onS
+			p.phaseEnd += burstOnS
 		}
 	}
-	rate := p.rate / p.factor
+	rate := p.rate / burstFactor
 	if p.inBurst {
-		rate = p.rate * p.factor
+		rate = p.rate * burstFactor
 	}
 	p.t += expGap(&p.rng, rate)
 	return p.t
 }
 
 // DiurnalArrivals is the sinusoidally modulated Poisson process,
-// rate(t) = base·(1 + amp·sin(2πt/period)).
+// rate(t) = base·(1 + diurnalAmplitude·sin(2πt/period)).
 type DiurnalArrivals struct {
-	base, amp, period float64
-	t                 float64
-	rng               rng.Stream
+	base, period float64
+	t            float64
+	rng          rng.Stream
 }
 
-// NewDiurnalArrivals returns a diurnal process. Amplitude is clamped to
-// [0, 0.95] (1 would let the trough rate touch zero and stall thinning);
-// a non-positive period defaults to 86400 s — one day.
-func NewDiurnalArrivals(base, amplitude, periodS float64, seed int64) *DiurnalArrivals {
-	if amplitude < 0 {
-		amplitude = 0
-	}
-	if amplitude > 0.95 {
-		amplitude = 0.95
-	}
+// NewDiurnalArrivals returns a diurnal process around base arrivals/second
+// with a cycle of periodS seconds. A non-positive period means one day
+// (86400 s), as ArrivalsConfig documents; a zero period would make every
+// rate NaN and thinning would never accept a candidate.
+func NewDiurnalArrivals(base, periodS float64, seed int64) *DiurnalArrivals {
 	if periodS <= 0 {
 		periodS = 86400
 	}
-	return &DiurnalArrivals{base: base, amp: amplitude, period: periodS, rng: rng.New(uint64(seed))}
+	return &DiurnalArrivals{base: base, period: periodS, rng: rng.New(uint64(seed))}
 }
 
 // Name implements Process.
@@ -156,12 +145,13 @@ func (p *DiurnalArrivals) Name() string { return string(Diurnal) }
 
 // Rate returns the instantaneous rate at time t seconds.
 func (p *DiurnalArrivals) Rate(t float64) float64 {
-	return p.base * (1 + p.amp*math.Sin(2*math.Pi*t/p.period))
+	return p.base * (1 + diurnalAmplitude*math.Sin(2*math.Pi*t/p.period))
 }
 
-// Next implements Process by thinning at the peak rate base·(1+amp).
+// Next implements Process by thinning at the peak rate
+// base·(1+diurnalAmplitude).
 func (p *DiurnalArrivals) Next() float64 {
-	peak := p.base * (1 + p.amp)
+	peak := p.base * (1 + diurnalAmplitude)
 	for {
 		p.t += expGap(&p.rng, peak)
 		if p.rng.Float64()*peak <= p.Rate(p.t) {
@@ -204,17 +194,6 @@ type ArrivalsConfig struct {
 	DiurnalPeriod time.Duration
 }
 
-// The shapes NewArrivals gives Bursty and Diurnal: bursts of 4× the rate
-// for 200 ms alternate with 200 ms at a quarter of it, so the time-average
-// offered rate is rate·(4 + 1/4)/2; the diurnal rate swings ±50 % around
-// its base.
-const (
-	burstFactor      = 4
-	burstOnS         = 0.2
-	burstOffS        = 0.2
-	diurnalAmplitude = 0.5
-)
-
 // NewArrivals builds the open-loop Process for a schedule. Closed is not an
 // open-loop schedule (its arrivals are completion-triggered, see Think) and
 // returns an error.
@@ -226,9 +205,9 @@ func NewArrivals(a Arrival, cfg ArrivalsConfig) (Process, error) {
 	case Poisson:
 		return NewPoissonArrivals(cfg.Rate, cfg.Seed), nil
 	case Bursty:
-		return NewBurstyArrivals(cfg.Rate, burstFactor, burstOnS, burstOffS, cfg.Seed), nil
+		return NewBurstyArrivals(cfg.Rate, cfg.Seed), nil
 	case Diurnal:
-		return NewDiurnalArrivals(cfg.Rate, diurnalAmplitude, cfg.DiurnalPeriod.Seconds(), cfg.Seed), nil
+		return NewDiurnalArrivals(cfg.Rate, cfg.DiurnalPeriod.Seconds(), cfg.Seed), nil
 	case Closed:
 		return nil, fmt.Errorf("loadgen: %s is completion-triggered, not an open-loop schedule (use Think)", a)
 	}

@@ -38,8 +38,8 @@ func TestPoissonArrivalsMean(t *testing.T) {
 // rate/f (both phase gap scales are far below the 200ms window at these
 // parameters, so boundary spillover is negligible).
 func TestBurstyArrivalsMean(t *testing.T) {
-	const rate, factor = 1000.0, 4.0
-	p := NewBurstyArrivals(rate, factor, 0.2, 0.2, 7)
+	const rate, factor = 1000.0, float64(burstFactor)
+	p := NewBurstyArrivals(rate, 7)
 	const n = 400_000
 	var last float64
 	for i := 0; i < n; i++ {
@@ -56,10 +56,10 @@ func TestBurstyArrivalsMean(t *testing.T) {
 // over whole periods the sinusoid integrates to zero, so the expected count
 // in k·period seconds is base·k·period. It also checks the modulation is
 // real — the rising half-period must hold more arrivals than the falling
-// one (amp 0.8 makes the analytic ratio (1+2·amp/π)/(1−2·amp/π) ≈ 3.1).
+// one (amp 0.5 makes the analytic ratio (1+2·amp/π)/(1−2·amp/π) ≈ 1.93).
 func TestDiurnalArrivalsMean(t *testing.T) {
-	const base, amp, period = 2000.0, 0.8, 10.0
-	p := NewDiurnalArrivals(base, amp, period, 11)
+	const base, amp, period = 2000.0, diurnalAmplitude, 10.0
+	p := NewDiurnalArrivals(base, period, 11)
 	const horizon = 100.0 // 10 full periods
 	var count, firstHalf, secondHalf int
 	for {

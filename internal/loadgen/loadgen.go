@@ -8,9 +8,10 @@
 //
 //   - Poisson: exponential inter-arrival times at the configured rate, the
 //     standard memoryless open-loop model.
-//   - Bursty: an on/off modulated Poisson process (rate·factor during bursts,
-//     rate/factor between them), stressing admission control and queue
-//     watermarks the way diurnal or thundering-herd traffic does.
+//   - Bursty: an on/off modulated Poisson process (4× the rate during
+//     200 ms bursts, a quarter of it between them), stressing admission
+//     control and queue watermarks the way diurnal or thundering-herd
+//     traffic does.
 //   - Closed: closedWorkers workers issue requests back to back;
 //     throughput reports the service capacity at that concurrency.
 //
@@ -68,8 +69,8 @@ type Config struct {
 	NewRequest func(rng *rand.Rand) (*http.Request, error)
 
 	// Arrival is the schedule; empty defaults to Poisson. Bursty and
-	// Diurnal take their shapes from NewArrivals, with one diurnal cycle
-	// per Duration.
+	// Diurnal have fixed shapes (BurstyArrivals, DiurnalArrivals), with one
+	// diurnal cycle per Duration.
 	Arrival Arrival
 
 	// Rate is the mean offered arrival rate in requests/second for the

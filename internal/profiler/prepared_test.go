@@ -55,72 +55,44 @@ func TestPreparedReplayMatchesProfile(t *testing.T) {
 	}
 }
 
-// TestProfileE2EPreparedMatchesDetail: the E2E-only path runs the identical
-// simulation (same RNG stream, same E2ETime) and only skips assembling the
-// per-kernel trace.
-func TestProfileE2EPreparedMatchesDetail(t *testing.T) {
-	net := zoo.MustResNet(18)
-	if err := net.Infer(8); err != nil {
-		t.Fatal(err)
-	}
-	p := &Profiler{Device: sim.NewDefault(gpu.A100), Warmup: 2, Batches: 4}
-	prep, err := p.Prepare(net, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	detail, err := p.ProfilePrepared(prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2e, err := p.ProfileE2EPrepared(prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2e.E2ETime != detail.E2ETime {
-		t.Fatalf("E2ETime differs: %v vs %v", e2e.E2ETime, detail.E2ETime)
-	}
-	if e2e.Layers != nil {
-		t.Fatal("E2E-only trace should carry no layer detail")
-	}
-	if e2e.Network != detail.Network || e2e.GPU != detail.GPU || e2e.BatchSize != detail.BatchSize {
-		t.Fatal("trace identity differs between the two paths")
-	}
-}
-
-// TestE2EOnlyPreparedRefusesDetail: a Prepared built without layer
-// templates replays the identical end-to-end simulation, and the detail
-// path refuses it with an error instead of returning a trace with no
-// layers.
-func TestE2EOnlyPreparedRefusesDetail(t *testing.T) {
-	net := zoo.MustResNet(18)
-	if err := net.Infer(8); err != nil {
-		t.Fatal(err)
-	}
-	p := &Profiler{Device: sim.NewDefault(gpu.A100), Warmup: 2, Batches: 4}
-	full, err := p.Prepare(net, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p.ProfileE2EPrepared(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2eOnly, err := p.Prepare(net, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e2eOnly.Kernels() != full.Kernels() {
-		t.Fatalf("launch count %d, want %d", e2eOnly.Kernels(), full.Kernels())
-	}
-	got, err := p.ProfileE2EPrepared(e2eOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("end-to-end trace differs without layer templates:\n%+v\n%+v", got, want)
-	}
-	if tr, err := p.ProfilePrepared(e2eOnly); err == nil {
-		t.Fatalf("detail trace from a Prepared without layer templates: %d layers, want an error", len(tr.Layers))
+// TestE2EOnlyPreparedMatchesDetail: a Prepared built without layer
+// templates runs the identical simulation (same RNG stream, same E2ETime)
+// as a detail one, and its trace carries the same header with nil Layers
+// and no KernelSum.
+func TestE2EOnlyPreparedMatchesDetail(t *testing.T) {
+	for _, training := range []bool{false, true} {
+		net := zoo.MustResNet(18)
+		if err := net.Infer(8); err != nil {
+			t.Fatal(err)
+		}
+		p := &Profiler{Device: sim.NewDefault(gpu.A100), Warmup: 2, Batches: 4, Training: training}
+		full, err := p.Prepare(net, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2eOnly, err := p.Prepare(net, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e2eOnly.Kernels() != full.Kernels() {
+			t.Fatalf("training %v: launch count %d, want %d", training, e2eOnly.Kernels(), full.Kernels())
+		}
+		detail, err := p.ProfilePrepared(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.ProfilePrepared(e2eOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Layers != nil {
+			t.Fatalf("training %v: end-to-end-only trace carries %d layers", training, len(got.Layers))
+		}
+		want := *detail
+		want.Layers, want.KernelSum = nil, 0
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("training %v: end-to-end-only trace header differs from the detail one:\n%+v\n%+v", training, *got, want)
+		}
 	}
 }
 

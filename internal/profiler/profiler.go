@@ -12,8 +12,8 @@
 // Profiling one (network, batch size) on several devices shares work: the
 // device-independent half (kernel enumeration, footprint, layer templates)
 // is computed once by Prepare from the network's inferred shapes and
-// re-executed per device by ProfilePrepared, which additionally memoizes
-// noiseless kernel base times per device across calls.
+// re-executed per device by ProfilePrepared, which resolves each distinct
+// kernel's noiseless base time once per run.
 package profiler
 
 import (
@@ -94,12 +94,14 @@ type Trace struct {
 	// TotalFLOPs is the theoretical FLOPs of the whole forward pass.
 	TotalFLOPs int64
 	// Layers holds one record per network layer (including layers that
-	// dispatch no kernels, with empty Kernels).
+	// dispatch no kernels, with empty Kernels). An end-to-end-only trace
+	// leaves it nil.
 	Layers []LayerRecord
 	// E2ETime is the measured (batch-averaged) end-to-end wall time of one
 	// batch, seconds — what torch.cuda.Event timestamps would report.
 	E2ETime float64
-	// KernelSum is the sum of all averaged kernel durations, seconds.
+	// KernelSum is the sum of all averaged kernel durations, seconds (zero
+	// in an end-to-end-only trace).
 	KernelSum float64
 }
 
@@ -122,14 +124,6 @@ type Profiler struct {
 	// creates one per worker.
 	base, noisy, sumDur, uniqBase []float64
 
-	// baseTimes memoizes noiseless kernel durations. Kernels recur heavily
-	// across a network (every residual block repeats its shapes) and across
-	// zoo families, so the memo turns the per-run BaseKernelTime sweep —
-	// seven hash digests plus a pow per kernel — into map hits. The key
-	// includes the device pointer because a collection worker re-points
-	// Device across GPUs while reusing one Profiler.
-	baseTimes map[baseTimeKey]float64
-
 	// rnd is the reusable noise RNG, re-seeded per run (seeding writes the
 	// generator's whole state, so reuse is exact, not approximate).
 	rnd *rand.Rand
@@ -142,12 +136,6 @@ type Profiler struct {
 	layerIdx []int
 	dedup    map[kernels.Kernel]int32
 	first    []int32
-}
-
-// baseTimeKey memoizes BaseKernelTime per (device, kernel invocation).
-type baseTimeKey struct {
-	dev *sim.Device
-	k   kernels.Kernel
 }
 
 // New returns a profiler for the device with the paper's protocol
@@ -187,9 +175,11 @@ func seedFor(net, gpuName string, batch int, training bool) int64 {
 // size) pair: FLOP counting, kernel enumeration, memory footprint and, for
 // detail traces, layer templates. One Prepared can be executed on any
 // number of devices via ProfilePrepared — the dataset builder prepares each
-// batch size once and replays it across GPUs. It copies everything it needs
-// out of the network and keeps none of its shape slices, so it stays valid
-// after the network is re-inferred or rebatched to another batch size.
+// batch size once and replays it across GPUs. Whether it profiles to a
+// detail or an end-to-end-only trace is fixed when it is prepared. It
+// copies everything it needs out of the network and keeps none of its shape
+// slices, so it stays valid after the network is re-inferred or rebatched
+// to another batch size.
 type Prepared struct {
 	name       string
 	family     string
@@ -209,7 +199,8 @@ type Prepared struct {
 	// layerIdx maps each launch to its producing layer, layers holds
 	// per-layer templates with nil Kernels, and layerKernels counts each
 	// layer's dispatches so trace assembly can presize exactly. Only detail
-	// traces read them, so an end-to-end-only Prepared leaves all three nil.
+	// traces read them, so an end-to-end-only Prepared leaves all three nil,
+	// and a nil layers is what marks it end-to-end-only.
 	layerIdx     []int
 	layers       []LayerRecord
 	layerKernels []int
@@ -223,8 +214,8 @@ func (pr *Prepared) Kernels() int { return len(pr.uniqIdx) }
 // Network.Rebatch); it does not infer, so a caller walking several batch
 // sizes infers once and rebatches in between. The returned Prepared
 // snapshots the result. detail selects whether it carries the layer
-// templates ProfilePrepared needs; an end-to-end-only Prepared skips
-// building them and serves only ProfileE2EPrepared.
+// templates a detail trace needs; an end-to-end-only Prepared skips
+// building them, and ProfilePrepared returns its trace with nil Layers.
 func (p *Profiler) Prepare(n *dnn.Network, detail bool) (*Prepared, error) {
 	batch := n.Batch()
 	if batch == 0 {
@@ -316,27 +307,12 @@ func (p *Profiler) Profile(n *dnn.Network, batch int) (*Trace, error) {
 
 // ProfilePrepared executes a prepared (network, batch size) on the
 // profiler's current device and returns its trace. Runs whose memory
-// footprint exceeds the device return ErrOutOfMemory. The Prepared must
-// carry layer templates (Prepare with detail set).
+// footprint exceeds the device return ErrOutOfMemory. A Prepared with layer
+// templates yields a detail trace; an end-to-end-only one runs the
+// identical simulation (same RNG stream, same E2ETime) and returns a trace
+// with nil Layers and no KernelSum, skipping the kernel event assembly
+// that dominates allocation.
 func (p *Profiler) ProfilePrepared(prep *Prepared) (*Trace, error) {
-	if prep.layers == nil {
-		return nil, fmt.Errorf("profiler: %s at batch %d was prepared without layer templates; a detail trace needs them",
-			prep.name, prep.batch)
-	}
-	return p.run(prep, true)
-}
-
-// ProfileE2EPrepared is ProfilePrepared without the per-kernel trace: it
-// executes the same simulation (identical RNG stream, identical E2ETime) but
-// returns a trace with nil Layers and no KernelSum, skipping the kernel
-// event assembly that dominates allocation. Collection uses it for the batch
-// sizes where only the end-to-end record is kept.
-func (p *Profiler) ProfileE2EPrepared(prep *Prepared) (*Trace, error) {
-	return p.run(prep, false)
-}
-
-// run is the shared execution path; detail selects full trace assembly.
-func (p *Profiler) run(prep *Prepared, detail bool) (*Trace, error) {
 	tm := obs.StartTimer(metricProfileSeconds)
 	defer tm.Stop()
 	if !p.Device.FitsFootprint(prep.footprint) {
@@ -345,22 +321,14 @@ func (p *Profiler) run(prep *Prepared, detail bool) (*Trace, error) {
 			ErrOutOfMemory, prep.name, prep.batch, p.Device.GPU.Name)
 	}
 
+	detail := prep.layers != nil
 	launches := len(prep.uniqIdx)
 	base := growScratch(&p.base, launches)
-	if p.baseTimes == nil {
-		p.baseTimes = make(map[baseTimeKey]float64, 4*len(prep.uniq))
-	}
-	// Resolve base times per distinct invocation (one struct hash each), then
-	// fan out to launch order with plain index loads.
+	// Resolve base times per distinct invocation, then fan out to launch
+	// order with plain index loads.
 	uniqBase := growScratch(&p.uniqBase, len(prep.uniq))
-	for i, k := range prep.uniq {
-		key := baseTimeKey{p.Device, k}
-		t, ok := p.baseTimes[key]
-		if !ok {
-			t = p.Device.BaseKernelTime(k)
-			p.baseTimes[key] = t
-		}
-		uniqBase[i] = t
+	for i := range prep.uniq {
+		uniqBase[i] = p.Device.BaseKernelTime(prep.uniq[i])
 	}
 	for i, u := range prep.uniqIdx {
 		base[i] = uniqBase[u]

@@ -125,19 +125,6 @@ func r2(x, y []float64, slope, intercept float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// RelativeErrors returns |pred-actual|/actual for each pair, skipping pairs
-// with non-positive actuals.
-func RelativeErrors(pred, actual []float64) []float64 {
-	out := make([]float64, 0, len(pred))
-	for i := range pred {
-		if i >= len(actual) || actual[i] <= 0 {
-			continue
-		}
-		out = append(out, math.Abs(pred[i]-actual[i])/actual[i])
-	}
-	return out
-}
-
 // Mean returns the arithmetic mean, or 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

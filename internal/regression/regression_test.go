@@ -107,16 +107,6 @@ func TestFitLogLog(t *testing.T) {
 	}
 }
 
-func TestRelativeErrors(t *testing.T) {
-	got := RelativeErrors([]float64{11, 9, 5}, []float64{10, 10, 0})
-	if len(got) != 2 {
-		t.Fatalf("len = %d (non-positive actuals must be skipped)", len(got))
-	}
-	if math.Abs(got[0]-0.1) > 1e-12 || math.Abs(got[1]-0.1) > 1e-12 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestSummaryStatistics(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	if got := Mean(xs); got != 2.5 {

@@ -47,9 +47,6 @@ type FLOPs int64
 // Float64 returns the count as a regression-ready float64.
 func (f FLOPs) Float64() float64 { return float64(f) }
 
-// Giga returns the count in GFLOPs.
-func (f FLOPs) Giga() float64 { return float64(f) / 1e9 }
-
 // String implements fmt.Stringer.
 func (f FLOPs) String() string { return fmt.Sprintf("%dflop", int64(f)) }
 
@@ -58,9 +55,6 @@ type Bytes int64
 
 // Float64 returns the volume as a regression-ready float64.
 func (b Bytes) Float64() float64 { return float64(b) }
-
-// Mega returns the volume in MB (10^6 bytes).
-func (b Bytes) Mega() float64 { return float64(b) / 1e6 }
 
 // String implements fmt.Stringer.
 func (b Bytes) String() string { return fmt.Sprintf("%dB", int64(b)) }

@@ -34,12 +34,6 @@ func TestConversions(t *testing.T) {
 	if got := Seconds(2e-6).Micros(); got != 2 {
 		t.Fatalf("Micros = %v", got)
 	}
-	if got := FLOPs(3e9).Giga(); got != 3 {
-		t.Fatalf("Giga = %v", got)
-	}
-	if got := Bytes(5e6).Mega(); got != 5 {
-		t.Fatalf("Mega = %v", got)
-	}
 	if Seconds(1).String() != "1s" || FLOPs(2).String() != "2flop" || Bytes(3).String() != "3B" {
 		t.Fatal("String formatting changed")
 	}

@@ -98,15 +98,6 @@ func ByName(name string) (*dnn.Network, error) {
 	return nil, fmt.Errorf("zoo: unknown standard network %q", name)
 }
 
-// MustByName is ByName that panics; for experiment tables with fixed names.
-func MustByName(name string) *dnn.Network {
-	n, err := ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // basic-tuple space for generated ResNet variants.
 var (
 	resnetB1 = []int{2, 3}

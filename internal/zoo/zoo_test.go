@@ -76,7 +76,10 @@ func TestKnownFLOPs(t *testing.T) {
 		{"googlenet", 1.51, 0.15},
 	}
 	for _, tt := range tests {
-		n := MustByName(tt.name)
+		n, err := ByName(tt.name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		flops, err := n.FLOPsAt(1)
 		if err != nil {
 			t.Fatalf("%s: %v", tt.name, err)

@@ -2,32 +2,34 @@
 # ci.sh — the pre-merge gate, invoked by `make verify` and CI.
 #
 # Commands, in dependency order:
-#   1. go vet           — toolchain-level static checks
-#   2. dnnlint          — the repo's own invariants (internal/analysis):
+#   1. gofmt            — every tracked Go file (git ls-files) is
+#                         gofmt-formatted; build outputs are never checked
+#   2. go vet           — toolchain-level static checks
+#   3. dnnlint          — the repo's own invariants (internal/analysis):
 #                         detrange, unitsafe, floateq, locksafe, staleplan,
 #                         allocfree, goroleak, httpcontract
-#   3. go test -race    — the full suite under the race detector
-#   4. fuzz             — each fuzz target (FuzzLoad, FuzzFamilyOf,
+#   4. go test -race    — the full suite under the race detector
+#   5. fuzz             — each fuzz target (FuzzLoad, FuzzFamilyOf,
 #                         FuzzReadNetworksCSV, FuzzParseTraceparent,
 #                         FuzzPredictBatchBody, FuzzBatchRequestDecode,
 #                         FuzzQueryValue, FuzzForwardRequest) runs 5s of
 #                         generated inputs past its seed corpus
-#   5. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
+#   6. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
 #                         then `train -model F` + `serve -model F` must
 #                         answer /predict as the self-fitted server; then a
 #                         2-replica fleet: one model on every replica
 #                         (/modelz version 1), routing, 429 backpressure,
 #                         whole-fleet graceful drain
-#   6. loadtest smoke   — `dnnperf loadtest` drives a 2-replica fleet for
+#   7. loadtest smoke   — `dnnperf loadtest` drives a 2-replica fleet for
 #                         ~2s; non-zero throughput, zero 5xx required
-#   7. fleetsim smoke   — `dnnperf fleetsim` replays a 10k-request trace
+#   8. fleetsim smoke   — `dnnperf fleetsim` replays a 10k-request trace
 #                         against the simulated fleet; every request served
 #                         with monotone percentiles, plus a capacity sweep
 #                         and a 2k-request replay on the quick-lab IGKW
 #                         cluster fleet (`-quick -cluster`)
-#   8. bench smoke      — every benchmark in the module runs once
+#   9. bench smoke      — every benchmark in the module runs once
 #                         (-benchtime 1x), so none rots unnoticed
-#   9. bench compare    — cached-predict benchmarks vs BENCH_baseline.json
+#  10. bench compare    — cached-predict benchmarks vs BENCH_baseline.json
 #                         (>25% ns/op regression fails) plus the fleet
 #                         throughput/p99 gate (BENCH_FLEET_THRESHOLD) and
 #                         the fleetsim replay gate (0 allocs/op, ≥1M
@@ -42,6 +44,14 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "== gofmt"
+unformatted="$(git ls-files -z '*.go' | xargs -0 gofmt -l)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files are not gofmt-formatted (run gofmt -w on them):" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== go vet"
 go vet ./...
