@@ -176,9 +176,9 @@ func (l *Lab) Dataset(gpus ...gpu.Spec) (*dataset.Dataset, error) {
 }
 
 // buildGPUs runs one combined collection pass for the claimed GPUs and
-// resolves their flights. Per-GPU results are split out of the combined
-// dataset, so they are byte-identical to what a standalone per-GPU Build
-// would have produced (profiling is deterministic per (network, GPU, batch)).
+// resolves their flights. Each GPU's records are written into its own part,
+// byte-identical to what a standalone per-GPU Build would have produced
+// (profiling is deterministic per (network, GPU, batch)).
 func (l *Lab) buildGPUs(gpus []gpu.Spec, flights []*labBuild) {
 	tm := obs.StartTimer(metricDatasetBuild)
 	defer tm.Stop()

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -189,6 +190,32 @@ func TestFigure18RenderInvariance(t *testing.T) {
 	}
 }
 
+// labDatasetAllocCeilingMiB bounds the bytes one quick-lab A100 collection
+// allocates, in MiB. Collection writes each record once, into its GPU's
+// exactly sized slices, and resolves each kernel name's device factors
+// once; a build that copies its records again, or allocates per kernel
+// invocation, exceeds it. On go1.24/amd64 the build allocates 17.0 MiB,
+// and one that also copies every record twice more (into per-network
+// datasets, then into each GPU's part) allocates 26.8.
+const labDatasetAllocCeilingMiB = 21
+
+// TestLabDatasetAllocCeiling measures one quick-lab A100 Lab.Dataset, the
+// lab built beforehand, by its runtime.MemStats.TotalAlloc delta.
+func TestLabDatasetAllocCeiling(t *testing.T) {
+	l := NewQuickLab()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := l.Dataset(gpu.A100); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("quick-lab A100 collection allocated %.1f MiB", mib)
+	if mib > labDatasetAllocCeilingMiB {
+		t.Fatalf("quick-lab A100 collection allocated %.1f MiB, above the %d MiB ceiling", mib, labDatasetAllocCeilingMiB)
+	}
+}
+
 // quickLabCollectionDigest pins the bytes collection produces, recorded by
 // running TestQuickLabCollectionDigest's body before collection was reworked
 // to touch each record once. Unlike the run-against-run golden tests, it
@@ -200,48 +227,55 @@ const quickLabCollectionDigest = "0e2f537b709c662043ff7627989e9aaa5a447dcc24a194
 // its canonical split, the saved KW model fitted on the train side, the
 // two-GPU (A100 + V100) dataset, and a training-mode Build of the first 20
 // lab networks on A100 and V100 with its report. Floats are hashed in hex
-// ('x') so every bit counts.
+// ('x') so every bit counts. It runs at GOMAXPROCS 1 and 4, so the
+// collection workers, the device they share per GPU and the parallel
+// record writes are held to the serial result.
 func TestQuickLabCollectionDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick-lab collection")
 	}
-	l := NewQuickLab()
-	h := sha256.New()
+	for _, procs := range []int{1, 4} {
+		t.Run("GOMAXPROCS="+strconv.Itoa(procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			l := NewQuickLab()
+			h := sha256.New()
 
-	ds, err := l.Dataset(gpu.A100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashRecords(h, "A100", ds)
-	train, test := l.Split(ds)
-	fmt.Fprintf(h, "train %q\ntest %q\n", train.NetworkNames(), test.NetworkNames())
-	m, err := core.FitKW(train, gpu.A100.Name, TrainBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := core.Save(h, m); err != nil {
-		t.Fatal(err)
-	}
+			ds, err := l.Dataset(gpu.A100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hashRecords(h, "A100", ds)
+			train, test := l.Split(ds)
+			fmt.Fprintf(h, "train %q\ntest %q\n", train.NetworkNames(), test.NetworkNames())
+			m, err := core.FitKW(train, gpu.A100.Name, TrainBatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.Save(h, m); err != nil {
+				t.Fatal(err)
+			}
 
-	two, err := l.Dataset(gpu.A100, gpu.V100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashRecords(h, "A100+V100", two)
+			two, err := l.Dataset(gpu.A100, gpu.V100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hashRecords(h, "A100+V100", two)
 
-	opt := dataset.DefaultBuildOptions()
-	opt.Batches = l.batches
-	opt.Warmup = l.warmup
-	opt.Training = true
-	tds, rep, err := dataset.Build(l.Networks()[:20], []gpu.Spec{gpu.A100, gpu.V100}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hashRecords(h, "training", tds)
-	fmt.Fprintf(h, "profiled %d oom %q\n", rep.Profiled, rep.OutOfMemory)
+			opt := dataset.DefaultBuildOptions()
+			opt.Batches = l.batches
+			opt.Warmup = l.warmup
+			opt.Training = true
+			tds, rep, err := dataset.Build(l.Networks()[:20], []gpu.Spec{gpu.A100, gpu.V100}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hashRecords(h, "training", tds)
+			fmt.Fprintf(h, "profiled %d oom %q\n", rep.Profiled, rep.OutOfMemory)
 
-	if got := hex.EncodeToString(h.Sum(nil)); got != quickLabCollectionDigest {
-		t.Fatalf("quick-lab collection digest = %s, want %s", got, quickLabCollectionDigest)
+			if got := hex.EncodeToString(h.Sum(nil)); got != quickLabCollectionDigest {
+				t.Fatalf("quick-lab collection digest = %s, want %s", got, quickLabCollectionDigest)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -56,20 +57,46 @@ type Classification struct {
 // (e.g. observed only at a single problem size) are classified with a
 // zero-slope line through their mean duration.
 func ClassifyKernels(recs []dataset.KernelRecord) map[string]Classification {
-	return classifyIndexed(recs, recordIndex(recs, kernelName))
+	return classifyIndexed(recs, recordIndex(recs, every(len(recs))))
 }
 
-// kernelName is the identity key: records grouped by their own kernel name.
-func kernelName(name string) string { return name }
+// every selects all n records: the indices 0..n-1.
+func every(n int) []int {
+	sel := make([]int, n)
+	for i := range sel {
+		sel[i] = i
+	}
+	return sel
+}
 
-// recordIndex groups record indices by key(kernel name), each list in record
-// order. The per-kernel fits read records through these indices instead of
-// copying every record (five string headers each) into per-key slices.
-func recordIndex(recs []dataset.KernelRecord, key func(string) string) map[string][]int {
+// recordIndex groups the selected record indices (ascending) by kernel
+// name, each list in record order. The per-kernel fits read records through
+// these indices instead of copying every record (five string headers each)
+// into per-kernel slices.
+func recordIndex(recs []dataset.KernelRecord, sel []int) map[string][]int {
 	out := map[string][]int{}
-	for i := range recs {
-		k := key(recs[i].Kernel)
-		out[k] = append(out[k], i)
+	for _, i := range sel {
+		out[recs[i].Kernel] = append(out[recs[i].Kernel], i)
+	}
+	return out
+}
+
+// familyIndex derives the per-family record index lists from the
+// per-kernel ones: each family's list is its kernels' lists merged back
+// into record order. Kernels are visited in sorted name order, so the
+// result never depends on map iteration order.
+func familyIndex(byKernel map[string][]int) map[string][]int {
+	out := map[string][]int{}
+	var families []string
+	for _, name := range sortedStringKeys(byKernel) {
+		fam := FamilyOf(name)
+		if _, ok := out[fam]; !ok {
+			families = append(families, fam)
+		}
+		out[fam] = append(out[fam], byKernel[name]...)
+	}
+	for _, fam := range families {
+		slices.Sort(out[fam])
 	}
 	return out
 }
@@ -85,8 +112,8 @@ func classifyIndexed(recs []dataset.KernelRecord, byKey map[string][]int) map[st
 			ys[i] = float64(recs[ri].Seconds)
 		}
 		best := -1.0
+		xs := make([]float64, len(idx)) // refilled per driver; Fit keeps none of it
 		for _, d := range Drivers() {
-			xs := make([]float64, len(idx))
 			for i, ri := range idx {
 				xs[i] = driverX(recs[ri], d)
 			}
@@ -160,12 +187,6 @@ func FamilyOf(name string) string {
 	return name[:end]
 }
 
-// ClassifyFamilies runs the same R²-based classification at kernel-family
-// granularity, pooling all size variants of each family.
-func ClassifyFamilies(recs []dataset.KernelRecord) map[string]Classification {
-	return classifyIndexed(recs, recordIndex(recs, FamilyOf))
-}
-
 // Group is a cluster of kernels sharing one regression model (§5.4:
 // "we combine kernels that demonstrate similar linear relationships and only
 // build one model for these kernels" — 182 kernels reduce to 83 models on
@@ -186,12 +207,10 @@ type Group struct {
 // share a group model.
 const slopeMergeRatio = 1.35
 
-// GroupKernels clusters classified kernels by (driver, slope proximity) and
-// refits one pooled regression per group. Records are needed to refit the
-// pooled lines. The group order and membership are deterministic.
-func GroupKernels(classif map[string]Classification, recs []dataset.KernelRecord) ([]Group, map[string]int) {
-	byKernel := recordIndex(recs, kernelName)
-
+// groupKernels clusters classified kernels by (driver, slope proximity) and
+// refits one pooled regression per group from the records, read through the
+// per-kernel index. The group order and membership are deterministic.
+func groupKernels(classif map[string]Classification, recs []dataset.KernelRecord, byKernel map[string][]int) ([]Group, map[string]int) {
 	var groups []Group
 	groupOf := make(map[string]int, len(classif))
 

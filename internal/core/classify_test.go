@@ -121,8 +121,8 @@ func TestGroupKernelsMergesSimilarSlopes(t *testing.T) {
 	recs = append(recs, plantRecords("c", DriverInput, 1.25e-9, 1e-6, 100, 7)...)
 	recs = append(recs, plantRecords("far", DriverInput, 50e-9, 1e-6, 100, 8)...)
 
-	classif := ClassifyKernels(recs)
-	groups, groupOf := GroupKernels(classif, recs)
+	f := fitGPU(recs, every(len(recs)))
+	groups, groupOf := groupKernels(f.kernels.classif, recs, f.kernels.index)
 	if groupOf["a"] != groupOf["b"] || groupOf["b"] != groupOf["c"] {
 		t.Fatalf("similar slopes should share a group: a=%d b=%d c=%d",
 			groupOf["a"], groupOf["b"], groupOf["c"])
@@ -154,8 +154,8 @@ func TestGroupKernelsReducesModelCount(t *testing.T) {
 		recs = append(recs, plantRecords(name, DriverOperation, slope, 1e-6, 50, int64(100+i))...)
 		names++
 	}
-	classif := ClassifyKernels(recs)
-	groups, _ := GroupKernels(classif, recs)
+	f := fitGPU(recs, every(len(recs)))
+	groups, _ := groupKernels(f.kernels.classif, recs, f.kernels.index)
 	if len(groups) >= names {
 		t.Fatalf("grouping did not reduce model count: %d groups for %d kernels", len(groups), names)
 	}
@@ -165,8 +165,8 @@ func TestGroupSparseKernelsExcluded(t *testing.T) {
 	recs := plantRecords("dense", DriverInput, 1e-9, 1e-6, 100, 9)
 	recs = append(recs, plantRecords("sparse", DriverInput, 1e-9, 1e-6, MinKernelObservations-1, 10)...)
 	recs = append(recs, plantRecords("threshold", DriverInput, 1e-9, 1e-6, MinKernelObservations, 11)...)
-	classif := ClassifyKernels(recs)
-	_, groupOf := GroupKernels(classif, recs)
+	f := fitGPU(recs, every(len(recs)))
+	_, groupOf := groupKernels(f.kernels.classif, recs, f.kernels.index)
 	if _, ok := groupOf["sparse"]; ok {
 		t.Fatal("sparse kernel should not get its own group model")
 	}
@@ -201,7 +201,7 @@ func TestClassifyFamiliesPools(t *testing.T) {
 	var recs []dataset.KernelRecord
 	recs = append(recs, plantRecords("gemm_32x32", DriverOperation, 2e-9, 1e-6, 20, 11)...)
 	recs = append(recs, plantRecords("gemm_64x64", DriverOperation, 2e-9, 1e-6, 20, 12)...)
-	fams := ClassifyFamilies(recs)
+	fams := fitGPU(recs, every(len(recs))).families.classif
 	c, ok := fams["gemm"]
 	if !ok {
 		t.Fatalf("families = %v", SortedKernels(fams))

@@ -67,42 +67,6 @@ func (e *rateEvidence) add(bw float64, line regression.Line) {
 	e.intercepts = append(e.intercepts, line.Intercept)
 }
 
-// gpuFit is one training GPU's share of a base fit: its records at the
-// train batch, their kernel- and family-level classifications, its mapping
-// table and its per-driver pooled lines (the KW class fallbacks). FitIGKWBase
-// drops it once the base's evidence is extracted.
-type gpuFit struct {
-	recs     []dataset.KernelRecord
-	kernels  classified
-	families classified
-	mapping  map[string][]string
-	pooled   map[Driver]regression.Line
-}
-
-// classified is one granularity's classification together with the record
-// indices behind each name, so a refit reads the name's records directly.
-type classified struct {
-	classif map[string]Classification
-	index   map[string][]int
-}
-
-// fitGPU classifies one training GPU's records at the train batch.
-func fitGPU(recs []dataset.KernelRecord, g gpu.Spec) (gpuFit, error) {
-	if len(recs) == 0 {
-		return gpuFit{}, errNoRecords("IGKW", g.Name)
-	}
-	kernels := recordIndex(recs, kernelName)
-	families := recordIndex(recs, FamilyOf)
-	f := gpuFit{
-		recs:     recs,
-		kernels:  classified{classifyIndexed(recs, kernels), kernels},
-		families: classified{classifyIndexed(recs, families), families},
-		mapping:  buildMapping(recs),
-	}
-	f.pooled = classFallbacks(f.kernels.classif, recs)
-	return f, nil
-}
-
 // FitIGKWBase performs the training work shared by every target: it fits
 // each training GPU on its own goroutine, then extracts the
 // target-independent evidence of every kernel, family and driver class.
@@ -116,23 +80,22 @@ func FitIGKWBase(ds *dataset.Dataset, trainGPUs []gpu.Spec, trainBatch int) (*IG
 	for i, g := range trainGPUs {
 		names[i] = g.Name
 	}
-	recs := trainRecords(ds, names, trainBatch)
-	fits := make([]gpuFit, len(trainGPUs))
-	errs := make([]error, len(trainGPUs))
-	var wg sync.WaitGroup
+	sels := trainIndices(ds, names, trainBatch)
 	for i, g := range trainGPUs {
+		if len(sels[i]) == 0 {
+			return nil, errNoRecords("IGKW", g.Name)
+		}
+	}
+	fits := make([]gpuFit, len(trainGPUs))
+	var wg sync.WaitGroup
+	for i := range trainGPUs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fits[i], errs[i] = fitGPU(recs[i], g)
+			fits[i] = fitGPU(ds.Kernels, sels[i])
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 
 	b := &IGKWBase{trainGPUs: make([]string, len(trainGPUs)), trainBatch: trainBatch,
 		mapping: fits[0].mapping}

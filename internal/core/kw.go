@@ -23,7 +23,7 @@ import (
 //  2. a per-kernel classification into input-/operation-/output-driven
 //     (ClassifyKernels, observation O5); and
 //  3. grouped linear regressions — kernels with similar linear behaviour
-//     share one model (GroupKernels).
+//     share one model (groupKernels).
 //
 // Prediction sums the per-kernel regression outputs over the network's
 // kernel list. Only network structure is consumed.
@@ -104,46 +104,75 @@ func FitKW(ds *dataset.Dataset, gpuName string, trainBatch int) (*KWModel, error
 	return FitKWOptions(ds, gpuName, trainBatch, KWOptions{})
 }
 
-// FitKWOptions is FitKW with explicit design-choice options. It fits the
-// classification, groups, fallbacks and mapping table from the GPU's
-// records at the train batch.
+// FitKWOptions is FitKW with explicit design-choice options: the GPU's
+// shared per-GPU fit (fitGPU), then grouping and the options.
 func FitKWOptions(ds *dataset.Dataset, gpuName string, trainBatch int, opt KWOptions) (*KWModel, error) {
-	recs := trainRecords(ds, []string{gpuName}, trainBatch)[0]
-	if len(recs) == 0 {
+	sel := trainIndices(ds, []string{gpuName}, trainBatch)[0]
+	if len(sel) == 0 {
 		return nil, errNoRecords("KW", gpuName)
 	}
-
-	classif := ClassifyKernels(recs)
-	if opt.ForceDriver != "" {
-		classif = forceDriver(classif, recs, kernelName, opt.ForceDriver)
-	}
-	var groups []Group
-	var groupOf map[string]int
-	if opt.DisableGrouping {
-		groups, groupOf = singletonGroups(classif)
-	} else {
-		groups, groupOf = GroupKernels(classif, recs)
-	}
-
+	recs := ds.Kernels
+	f := fitGPU(recs, sel)
 	m := &KWModel{
 		GPU:           gpuName,
 		TrainBatch:    trainBatch,
-		Classif:       classif,
-		Groups:        groups,
-		GroupOf:       groupOf,
-		Mapping:       buildMapping(recs),
-		Families:      ClassifyFamilies(recs),
-		ClassFallback: classFallbacks(classif, recs),
+		Classif:       f.kernels.classif,
+		Mapping:       f.mapping,
+		Families:      f.families.classif,
+		ClassFallback: f.pooled,
+		Training:      opt.Training,
 	}
 	if opt.ForceDriver != "" {
-		m.Families = forceDriver(m.Families, recs, FamilyOf, opt.ForceDriver)
+		m.Classif = forceDriver(m.Classif, recs, f.kernels.index, opt.ForceDriver)
+		m.Families = forceDriver(m.Families, recs, f.families.index, opt.ForceDriver)
+		m.ClassFallback = classFallbacks(m.Classif, recs, sel, f.kernels.index)
+	}
+	if opt.DisableGrouping {
+		m.Groups, m.GroupOf = singletonGroups(m.Classif)
+	} else {
+		m.Groups, m.GroupOf = groupKernels(m.Classif, recs, f.kernels.index)
 	}
 	if opt.DisableFamilyFallback {
 		m.Families = map[string]Classification{}
 	}
-	m.Training = opt.Training
 	m.initCaches()
 	return m, nil
+}
+
+// gpuFit is one GPU's fit at the train batch, shared by FitKWOptions and
+// FitIGKWBase: the GPU's records, indexed once by kernel and by family,
+// their kernel- and family-level classifications, the mapping table and the
+// per-driver pooled lines (the KW class fallbacks). recs is the dataset's
+// whole kernel record slice, which the indices read in place.
+type gpuFit struct {
+	recs     []dataset.KernelRecord
+	kernels  classified
+	families classified
+	mapping  map[string][]string
+	pooled   map[Driver]regression.Line
+}
+
+// classified is one granularity's classification together with the record
+// indices behind each name, so a refit reads the name's records directly.
+type classified struct {
+	classif map[string]Classification
+	index   map[string][]int
+}
+
+// fitGPU fits the records sel selects (indices into recs, ascending): the
+// GPU's records at the train batch. Every fit reads them through the one
+// kernel index and the family index derived from it, in record order.
+func fitGPU(recs []dataset.KernelRecord, sel []int) gpuFit {
+	kernels := recordIndex(recs, sel)
+	families := familyIndex(kernels)
+	f := gpuFit{
+		recs:     recs,
+		kernels:  classified{classifyIndexed(recs, kernels), kernels},
+		families: classified{classifyIndexed(recs, families), families},
+		mapping:  buildMapping(recs, sel),
+	}
+	f.pooled = classFallbacks(f.kernels.classif, recs, sel, kernels)
+	return f
 }
 
 // initCaches sizes the model's derived caches. FitKWOptions,
@@ -161,12 +190,13 @@ func (m *KWModel) RegisterMetrics() {
 	m.layerMemo.RegisterMetrics("core_kw_layer_memo")
 }
 
-// trainRecords copies the dataset's kernel records at the train batch of
+// trainIndices selects the dataset's kernel records at the train batch of
 // every named GPU in one counting pass and one filling pass over
-// ds.Kernels, so each GPU's slice is allocated once; result i holds
-// gpuNames[i]'s records in dataset order. Training sets are a handful of
-// GPUs, so a linear scan of the names finds each record's slot.
-func trainRecords(ds *dataset.Dataset, gpuNames []string, trainBatch int) [][]dataset.KernelRecord {
+// ds.Kernels: result i lists the indices of gpuNames[i]'s records, in
+// dataset order, in a slice allocated once. The fits read the records in
+// place through these indices. Training sets are a handful of GPUs, so a
+// linear scan of the names finds each record's slot.
+func trainIndices(ds *dataset.Dataset, gpuNames []string, trainBatch int) [][]int {
 	slot := func(r *dataset.KernelRecord) int {
 		if r.BatchSize != trainBatch {
 			return -1
@@ -179,13 +209,13 @@ func trainRecords(ds *dataset.Dataset, gpuNames []string, trainBatch int) [][]da
 			counts[s]++
 		}
 	}
-	sel := make([][]dataset.KernelRecord, len(gpuNames))
+	sel := make([][]int, len(gpuNames))
 	for s, n := range counts {
-		sel[s] = make([]dataset.KernelRecord, 0, n)
+		sel[s] = make([]int, 0, n)
 	}
 	for i := range ds.Kernels {
 		if s := slot(&ds.Kernels[i]); s >= 0 {
-			sel[s] = append(sel[s], ds.Kernels[i])
+			sel[s] = append(sel[s], i)
 		}
 	}
 	// A name listed twice shares its first listing's records.
@@ -207,10 +237,10 @@ func indexedXY(recs []dataset.KernelRecord, idx []int, d Driver) (xs, ys []float
 	return xs, ys
 }
 
-// forceDriver refits every line of a classification keyed by key(kernel
-// name) — kernels or families — on a single imposed driver.
-func forceDriver(classif map[string]Classification, recs []dataset.KernelRecord, key func(string) string, d Driver) map[string]Classification {
-	byKey := recordIndex(recs, key)
+// forceDriver refits every line of a classification — kernels or
+// families, with the record index it was fitted from — on a single imposed
+// driver.
+func forceDriver(classif map[string]Classification, recs []dataset.KernelRecord, byKey map[string][]int, d Driver) map[string]Classification {
 	out := make(map[string]Classification, len(classif))
 	for name, c := range classif {
 		idx := byKey[name]
@@ -226,24 +256,39 @@ func forceDriver(classif map[string]Classification, recs []dataset.KernelRecord,
 	return out
 }
 
-// classFallbacks pools all records of each driver class into one regression.
-func classFallbacks(classif map[string]Classification, recs []dataset.KernelRecord) map[Driver]regression.Line {
-	xs := map[Driver][]float64{}
-	ys := map[Driver][]float64{}
-	for _, r := range recs {
-		c, ok := classif[r.Kernel]
-		if !ok {
-			continue
+// classFallbacks pools the selected records of each driver class into one
+// regression, in record order. Each record's class is its kernel's, written
+// through the kernel index rather than looked up per record.
+func classFallbacks(classif map[string]Classification, recs []dataset.KernelRecord, sel []int, byKernel map[string][]int) map[Driver]regression.Line {
+	drivers := Drivers()
+	class := make([]int8, len(recs))
+	counts := make([]int, len(drivers))
+	for name, idx := range byKernel {
+		d := int8(slices.Index(drivers, classif[name].Driver))
+		for _, ri := range idx {
+			class[ri] = d
 		}
-		xs[c.Driver] = append(xs[c.Driver], driverX(r, c.Driver))
-		ys[c.Driver] = append(ys[c.Driver], float64(r.Seconds))
+		if d >= 0 {
+			counts[d] += len(idx)
+		}
 	}
-	out := map[Driver]regression.Line{}
-	for _, d := range Drivers() {
+	xs, ys := make([][]float64, len(drivers)), make([][]float64, len(drivers))
+	for d := range drivers {
+		xs[d] = make([]float64, 0, counts[d])
+		ys[d] = make([]float64, 0, counts[d])
+	}
+	for _, ri := range sel {
+		if d := class[ri]; d >= 0 {
+			xs[d] = append(xs[d], driverX(recs[ri], drivers[d]))
+			ys[d] = append(ys[d], float64(recs[ri].Seconds))
+		}
+	}
+	out := make(map[Driver]regression.Line, len(drivers))
+	for d, driver := range drivers {
 		if line, err := regression.Fit(xs[d], ys[d]); err == nil {
-			out[d] = line
+			out[driver] = line
 		} else {
-			out[d] = regression.Line{Intercept: regression.Mean(ys[d])}
+			out[driver] = regression.Line{Intercept: regression.Mean(ys[d])}
 		}
 	}
 	return out
@@ -264,33 +309,34 @@ func singletonGroups(classif map[string]Classification) ([]Group, map[string]int
 	return groups, groupOf
 }
 
-// buildMapping constructs the layer-signature→kernel-list table from
-// training records in one pass. AddTrace emits each layer instance's kernels
-// contiguously in launch order, so a change of network, GPU, batch size or
-// layer index between neighbouring records closes an instance; its kernel
-// names are committed under the instance's signature, first seen wins
-// (duplicate signatures across networks dispatch identical kernels by
-// construction). An instance never reaches past its own run of records, so
-// a dataset holding the same collection twice maps like a single copy.
-func buildMapping(recs []dataset.KernelRecord) map[string][]string {
+// buildMapping constructs the layer-signature→kernel-list table from the
+// selected training records in one pass. Collection writes each layer
+// instance's kernels contiguously in launch order, so a change of network,
+// GPU, batch size or layer index between neighbouring records closes an
+// instance; its kernel names are committed under the instance's signature,
+// first seen wins (duplicate signatures across networks dispatch identical
+// kernels by construction). An instance never reaches past its own run of
+// records, so a dataset holding the same collection twice maps like a
+// single copy.
+func buildMapping(recs []dataset.KernelRecord, sel []int) map[string][]string {
 	mapping := map[string][]string{}
 	start := 0
-	for i := range recs {
-		r := &recs[i]
-		if i+1 < len(recs) {
-			if next := &recs[i+1]; next.Network == r.Network && next.GPU == r.GPU &&
+	for p, ri := range sel {
+		r := &recs[ri]
+		if p+1 < len(sel) {
+			if next := &recs[sel[p+1]]; next.Network == r.Network && next.GPU == r.GPU &&
 				next.BatchSize == r.BatchSize && next.LayerIndex == r.LayerIndex {
 				continue
 			}
 		}
 		if _, ok := mapping[r.LayerSignature]; !ok {
-			names := make([]string, i+1-start)
+			names := make([]string, p+1-start)
 			for j := range names {
-				names[j] = recs[start+j].Kernel
+				names[j] = recs[sel[start+j]].Kernel
 			}
 			mapping[r.LayerSignature] = names
 		}
-		start = i + 1
+		start = p + 1
 	}
 	return mapping
 }

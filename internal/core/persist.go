@@ -23,11 +23,13 @@ import (
 // persistVersion is the current serialization format version.
 const persistVersion = 1
 
-// envelope wraps any serialized model.
-type envelope struct {
-	Kind    string          `json:"kind"`
-	Version int             `json:"version"`
-	Model   json.RawMessage `json:"model"`
+// envelope wraps any serialized model: Save writes it with M the model
+// itself, Load reads it with M a json.RawMessage decoded once the kind is
+// known.
+type envelope[M any] struct {
+	Kind    string `json:"kind"`
+	Version int    `json:"version"`
+	Model   M      `json:"model"`
 }
 
 // Model kinds in envelopes. An IGKW model is a KWModel (see igkw.go) and
@@ -53,13 +55,12 @@ func Save(w io.Writer, model Predictor) error {
 	default:
 		return fmt.Errorf("core: cannot serialize model type %T", model)
 	}
-	raw, err := json.Marshal(model)
-	if err != nil {
-		return fmt.Errorf("core: serialize %s model: %w", kind, err)
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(envelope{Kind: kind, Version: persistVersion, Model: raw})
+	if err := enc.Encode(envelope[Predictor]{Kind: kind, Version: persistVersion, Model: model}); err != nil {
+		return fmt.Errorf("core: serialize %s model: %w", kind, err)
+	}
+	return nil
 }
 
 // Load deserializes a model previously written by Save. The concrete type is
@@ -68,7 +69,7 @@ func Save(w io.Writer, model Predictor) error {
 // is an error here rather than an index panic or an infinite prediction
 // later.
 func Load(r io.Reader) (Predictor, error) {
-	var env envelope
+	var env envelope[json.RawMessage]
 	if err := json.NewDecoder(r).Decode(&env); err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}

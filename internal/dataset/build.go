@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profiler"
 	"repro/internal/sim"
+	"repro/internal/units"
 )
 
 var (
@@ -74,40 +75,40 @@ type BuildReport struct {
 // (per-run RNG seeds depend only on network, GPU and batch size) and
 // ordered by (network index, GPU index).
 func Build(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) (*Dataset, *BuildReport, error) {
-	results, report, err := collect(nets, gpus, opt)
+	ds := &Dataset{}
+	report, err := build(nets, gpus, opt, []*Dataset{ds}, func(int) int { return 0 })
 	if err != nil {
 		return nil, nil, err
 	}
-	ds := mergeResults(results, -1)
-	metricBuildRecords.Add(int64(len(ds.Networks) + len(ds.Layers) + len(ds.Kernels)))
 	return ds, report, nil
 }
 
 // BuildPerGPU is Build split by device: result i holds exactly the records
 // of gpus[i], byte-identical to Build(...).FilterGPU(gpus[i].Name) but
-// assembled without materializing (and then rescanning) the combined
-// dataset. The experiment lab caches datasets per GPU, so this is its
-// collection entry point.
+// written straight into per-device slices instead of a combined dataset.
+// The experiment lab caches datasets per GPU, so this is its collection
+// entry point.
 func BuildPerGPU(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) ([]*Dataset, *BuildReport, error) {
-	results, report, err := collect(nets, gpus, opt)
+	parts := make([]*Dataset, len(gpus))
+	for i := range parts {
+		parts[i] = &Dataset{}
+	}
+	report, err := build(nets, gpus, opt, parts, func(device int) int { return device })
 	if err != nil {
 		return nil, nil, err
 	}
-	parts := make([]*Dataset, len(gpus))
-	total := 0
-	for di := range gpus {
-		parts[di] = mergeResults(results, di)
-		total += len(parts[di].Networks) + len(parts[di].Layers) + len(parts[di].Kernels)
-	}
-	metricBuildRecords.Add(int64(total))
 	return parts, report, nil
 }
 
-// collect runs the parallel collection pass and returns the per-network
-// results (each holding one Dataset per device) plus the aggregate report.
-func collect(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) ([]collectResult, *BuildReport, error) {
+// build runs the collection pass, then writes every record once: it
+// counts each network's records, allocates each destination's slices at
+// their exact size, and has the workers write each network's records into
+// its own region. dest[destOf(d)] receives device d's records; every
+// destination is filled network-outer, device-inner, and within one
+// (network, device) region the network records are in batch order.
+func build(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions, dest []*Dataset, destOf func(device int) int) (*BuildReport, error) {
 	if len(nets) == 0 || len(gpus) == 0 {
-		return nil, nil, errors.New("dataset: Build needs at least one network and one GPU")
+		return nil, errors.New("dataset: Build needs at least one network and one GPU")
 	}
 	if opt.Batches <= 0 {
 		opt.Batches = 30
@@ -133,13 +134,74 @@ func collect(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) ([]collectR
 	for i, g := range gpus {
 		devices[i] = sim.New(g, opt.SimConfig)
 	}
+	results := make([]collected, len(nets))
+	forEach(len(nets), workers, func() func(int) {
+		// One profiler per worker, so its per-kernel scratch persists
+		// across every network this worker collects.
+		p := &profiler.Profiler{Warmup: opt.Warmup, Batches: opt.Batches, Training: opt.Training}
+		return func(i int) {
+			results[i] = collectNetwork(p, nets[i], devices, batches, opt.DetailBatchSize)
+		}
+	})
 
+	report := &BuildReport{}
+	for i := range results {
+		if results[i].err != nil {
+			return nil, fmt.Errorf("dataset: network %q: %w", nets[i].Name, results[i].err)
+		}
+		report.OutOfMemory = append(report.OutOfMemory, results[i].oom...)
+		report.Profiled += len(results[i].runs)
+	}
+	sort.Strings(report.OutOfMemory)
+
+	// Count each (network, device) region's records, then turn the counts
+	// into start offsets, network-outer and device-inner, and size each
+	// destination exactly.
+	at := make([]regionStart, len(nets)*len(gpus))
+	for i := range results {
+		for _, r := range results[i].runs {
+			c := &at[i*len(gpus)+r.device]
+			c.network++
+			if r.durations != nil {
+				c.layer += results[i].detailLayers
+				c.kernel += len(r.durations)
+			}
+		}
+	}
+	next := make([]regionStart, len(dest))
+	for j, c := range at {
+		n := &next[destOf(j%len(gpus))]
+		at[j] = *n
+		n.network += c.network
+		n.layer += c.layer
+		n.kernel += c.kernel
+	}
+	total := 0
+	for i, d := range dest {
+		n := next[i]
+		d.Networks = exactly[NetworkRecord](n.network)
+		d.Layers = exactly[LayerRecord](n.layer)
+		d.Kernels = exactly[KernelRecord](n.kernel)
+		total += n.network + n.layer + n.kernel
+	}
+	forEach(len(nets), workers, func() func(int) {
+		return func(i int) {
+			results[i].write(nets[i], gpus, dest, destOf, at[i*len(gpus):(i+1)*len(gpus)])
+		}
+	})
+	metricBuildRecords.Add(int64(total))
+	metricBuilds.Inc()
+	return report, nil
+}
+
+// forEach runs work(i) for every i in [0, n) on the given number of
+// workers and waits for them. newWorker runs once per worker and returns
+// that worker's work function, so each worker can own its scratch.
+func forEach(n, workers int, newWorker func() func(i int)) {
 	// The channel is buffered to the full job count and filled before any
-	// worker starts, so no code path (panic included) can leave a worker
-	// blocked on a send that never comes.
-	results := make([]collectResult, len(nets))
-	jobs := make(chan int, len(nets))
-	for i := range nets {
+	// worker starts, so no worker can block on a send that never comes.
+	jobs := make(chan int, n)
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
@@ -148,92 +210,70 @@ func collect(nets []*dnn.Network, gpus []gpu.Spec, opt BuildOptions) ([]collectR
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One profiler per worker, so its per-kernel scratch persists
-			// across every network this worker collects.
-			p := &profiler.Profiler{Warmup: opt.Warmup, Batches: opt.Batches, Training: opt.Training}
+			work := newWorker()
 			for i := range jobs {
-				results[i] = collectNetwork(p, nets[i], devices, batches, opt.DetailBatchSize)
+				work(i)
 			}
 		}()
 	}
 	wg.Wait()
-
-	report := &BuildReport{}
-	for i := range results {
-		if results[i].err != nil {
-			return nil, nil, fmt.Errorf("dataset: network %q: %w", nets[i].Name, results[i].err)
-		}
-		report.OutOfMemory = append(report.OutOfMemory, results[i].oom...)
-		report.Profiled += results[i].profiled
-	}
-	sort.Strings(report.OutOfMemory)
-	metricBuilds.Inc()
-	return results, report, nil
 }
 
-// mergeResults concatenates the per-network collection outputs, presized
-// exactly. device selects one device's records; -1 merges all devices in the
-// legacy (network-outer, device-inner) Build order.
-func mergeResults(results []collectResult, device int) *Dataset {
-	nNet, nLay, nKer := 0, 0, 0
-	for i := range results {
-		for di := range results[i].ds {
-			if device >= 0 && di != device {
-				continue
-			}
-			d := &results[i].ds[di]
-			nNet += len(d.Networks)
-			nLay += len(d.Layers)
-			nKer += len(d.Kernels)
-		}
+// exactly returns a slice of n records, nil for n == 0 (as an empty
+// Dataset has).
+func exactly[R any](n int) []R {
+	if n == 0 {
+		return nil
 	}
-	out := &Dataset{}
-	out.Grow(nNet, nLay, nKer)
-	for i := range results {
-		for di := range results[i].ds {
-			if device >= 0 && di != device {
-				continue
-			}
-			out.Merge(&results[i].ds[di])
-		}
-	}
-	return out
+	return make([]R, n)
 }
 
-// collectResult is one network's collection output: one Dataset per device,
-// so per-GPU assembly never rescans a combined dataset.
-type collectResult struct {
-	ds []Dataset
-	// profiled counts the successful (network, GPU, batch) executions — the
-	// quantity BuildReport.Profiled aggregates.
-	profiled int
-	oom      []string
-	err      error
+// regionStart is the index of the first network, layer and kernel record
+// of one (network, device) region in its destination.
+type regionStart struct{ network, layer, kernel int }
+
+// collected is one network's collection output, awaiting its records.
+type collected struct {
+	// runs are the successful (batch, device) executions, batch-outer and
+	// device-inner, so each device's runs are in batch order.
+	runs []run
+	// detail is the detail batch size's Prepared, and detailLayers the
+	// number of its layers that dispatched kernels (one layer record each).
+	detail       *profiler.Prepared
+	detailLayers int
+	oom          []string
+	err          error
 }
 
-// collectNetwork profiles one network on every device at each batch size
-// and appends every trace to its device's Dataset as soon as it is
-// measured. It works on a private clone so parallel workers never share
-// mutable shape state. The clone is shape-inferred once, at the first batch
-// size, and moved to each later one in place (Network.Rebatch), which fails
+// run is one successful (network, batch size, device) execution.
+type run struct {
+	device     int
+	batch      int
+	totalFLOPs units.FLOPs
+	e2e        float64
+	// durations are the per-launch batch-averaged kernel durations, in
+	// launch order; only detail runs have them.
+	durations []float64
+}
+
+// collectNetwork profiles one network on every device at each batch size.
+// It works on a private clone so parallel workers never share mutable
+// shape state. The clone is shape-inferred once, at the first batch size,
+// and moved to each later one in place (Network.Rebatch), which fails
 // exactly where a fresh inference would. The loop is batch-outer and
 // device-inner: kernel enumeration runs once per batch size
 // (Profiler.Prepare) and the prepared plan replays on each device, where
-// the per-device work is just the timing simulation. Each device's records
-// therefore arrive in batch order. Only the detail batch size is prepared
-// with layer templates; every other size yields an end-to-end-only trace,
-// from which AddTrace keeps the network record alone.
-func collectNetwork(p *profiler.Profiler, src *dnn.Network, devices []*sim.Device, batches []int, detailBatch int) (res collectResult) {
+// the per-device work is just the timing simulation. Only the detail batch
+// size is prepared with layer templates, and only its runs keep their
+// per-launch durations; the records are written later, by write.
+func collectNetwork(p *profiler.Profiler, src *dnn.Network, devices []*sim.Device, batches []int, detailBatch int) (res collected) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.err = fmt.Errorf("dataset: collecting %s: panic: %v", src.Name, r)
 		}
 	}()
 	net := src.Clone()
-	res.ds = make([]Dataset, len(devices))
-	for di := range res.ds {
-		res.ds[di].Networks = make([]NetworkRecord, 0, len(batches))
-	}
+	res.runs = make([]run, 0, len(batches)*len(devices))
 	for bi, bs := range batches {
 		reshape := net.Rebatch
 		if bi == 0 {
@@ -248,9 +288,18 @@ func collectNetwork(p *profiler.Profiler, src *dnn.Network, devices []*sim.Devic
 			res.err = err
 			return res
 		}
+		if bs == detailBatch {
+			res.detail = prep
+			for li := range prep.Layers() {
+				if len(prep.LayerLaunches(li)) > 0 {
+					res.detailLayers++
+				}
+			}
+		}
+		totalFLOPs := units.FLOPs(prep.Header().TotalFLOPs)
 		for di, dev := range devices {
 			p.Device = dev
-			tr, err := p.ProfilePrepared(prep)
+			e2e, durations, err := p.Measure(prep)
 			if errors.Is(err, profiler.ErrOutOfMemory) {
 				res.oom = append(res.oom, fmt.Sprintf("%s@%d on %s", net.Name, bs, dev.GPU.Name))
 				continue
@@ -259,9 +308,72 @@ func collectNetwork(p *profiler.Profiler, src *dnn.Network, devices []*sim.Devic
 				res.err = err
 				return res
 			}
-			res.profiled++
-			res.ds[di].AddTrace(tr)
+			res.runs = append(res.runs, run{device: di, batch: bs, totalFLOPs: totalFLOPs,
+				e2e: e2e, durations: slices.Clone(durations)})
 		}
 	}
 	return res
+}
+
+// write writes the network's records into its regions: device d's go to
+// dest[destOf(d)] from at[d] on. Each run adds its network record; a detail
+// run adds one layer record per layer that dispatched kernels, in layer
+// order, and one kernel record per launch, grouped by layer and in launch
+// order within a layer. A layer's time is the sum of its kernels'
+// durations, added in launch order.
+func (res *collected) write(net *dnn.Network, gpus []gpu.Spec, dest []*Dataset, destOf func(device int) int, at []regionStart) {
+	for _, r := range res.runs {
+		d, pos, gpuName := dest[destOf(r.device)], &at[r.device], gpus[r.device].Name
+		d.Networks[pos.network] = NetworkRecord{
+			Network:    net.Name,
+			Family:     net.Family,
+			Task:       string(net.Task),
+			GPU:        gpuName,
+			BatchSize:  r.batch,
+			TotalFLOPs: r.totalFLOPs,
+			E2ESeconds: units.Seconds(r.e2e),
+		}
+		pos.network++
+		if r.durations == nil {
+			continue
+		}
+		for li, l := range res.detail.Layers() {
+			launches := res.detail.LayerLaunches(li)
+			if len(launches) == 0 {
+				continue
+			}
+			var seconds float64
+			for _, i := range launches {
+				k := res.detail.Launch(i)
+				d.Kernels[pos.kernel] = KernelRecord{
+					Network:          net.Name,
+					GPU:              gpuName,
+					BatchSize:        r.batch,
+					LayerIndex:       l.Index,
+					LayerKind:        string(l.Kind),
+					LayerSignature:   l.Signature,
+					Kernel:           k.Name,
+					LayerFLOPs:       units.FLOPs(k.LayerFLOPs),
+					LayerInputElems:  k.LayerInputElems,
+					LayerOutputElems: k.LayerOutputElems,
+					Seconds:          units.Seconds(r.durations[i]),
+				}
+				pos.kernel++
+				seconds += r.durations[i]
+			}
+			d.Layers[pos.layer] = LayerRecord{
+				Network:     net.Name,
+				GPU:         gpuName,
+				BatchSize:   r.batch,
+				LayerIndex:  l.Index,
+				Kind:        string(l.Kind),
+				Signature:   l.Signature,
+				FLOPs:       units.FLOPs(l.FLOPs),
+				InputElems:  l.InputElems,
+				OutputElems: l.OutputElems,
+				Seconds:     units.Seconds(seconds),
+			}
+			pos.layer++
+		}
+	}
 }

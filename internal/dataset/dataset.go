@@ -2,7 +2,9 @@
 // on (§3 "Data management"): network-, layer- and kernel-level records with
 // the structural information (shapes, FLOPs, layer↔kernel mapping) and the
 // measured execution times, plus CSV persistence, cleaning, and train/test
-// splitting.
+// splitting. Collection (Build, BuildPerGPU) measures every run first and
+// then writes each record once, straight into its GPU's exactly sized
+// slices.
 package dataset
 
 import (
@@ -11,7 +13,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/profiler"
 	"repro/internal/units"
 )
 
@@ -74,64 +75,6 @@ type Dataset struct {
 	Kernels  []KernelRecord
 }
 
-// AddTrace ingests a profiler trace: one network record, one layer record per
-// layer that dispatched kernels, and one kernel record per kernel event. An
-// end-to-end-only trace (nil Layers) adds its network record alone. The
-// layer and kernel slices grow once per trace, by exactly what it adds.
-func (d *Dataset) AddTrace(t *profiler.Trace) {
-	layers, kernels := 0, 0
-	for i := range t.Layers {
-		if k := len(t.Layers[i].Kernels); k > 0 {
-			layers++
-			kernels += k
-		}
-	}
-	d.Layers = slices.Grow(d.Layers, layers)
-	d.Kernels = slices.Grow(d.Kernels, kernels)
-	d.Networks = append(d.Networks, NetworkRecord{
-		Network:   t.Network,
-		Family:    t.Family,
-		Task:      string(t.Task),
-		GPU:       t.GPU,
-		BatchSize: t.BatchSize,
-
-		TotalFLOPs: units.FLOPs(t.TotalFLOPs),
-		E2ESeconds: units.Seconds(t.E2ETime),
-	})
-	for _, l := range t.Layers {
-		if len(l.Kernels) == 0 {
-			continue
-		}
-		d.Layers = append(d.Layers, LayerRecord{
-			Network:     t.Network,
-			GPU:         t.GPU,
-			BatchSize:   t.BatchSize,
-			LayerIndex:  l.Index,
-			Kind:        string(l.Kind),
-			Signature:   l.Signature,
-			FLOPs:       units.FLOPs(l.FLOPs),
-			InputElems:  l.InputElems,
-			OutputElems: l.OutputElems,
-			Seconds:     units.Seconds(l.Duration),
-		})
-		for _, ev := range l.Kernels {
-			d.Kernels = append(d.Kernels, KernelRecord{
-				Network:          t.Network,
-				GPU:              t.GPU,
-				BatchSize:        t.BatchSize,
-				LayerIndex:       l.Index,
-				LayerKind:        string(l.Kind),
-				LayerSignature:   l.Signature,
-				Kernel:           ev.Name,
-				LayerFLOPs:       units.FLOPs(ev.Kernel.LayerFLOPs),
-				LayerInputElems:  ev.Kernel.LayerInputElems,
-				LayerOutputElems: ev.Kernel.LayerOutputElems,
-				Seconds:          units.Seconds(ev.Duration),
-			})
-		}
-	}
-}
-
 // Merge appends all records of o into d.
 func (d *Dataset) Merge(o *Dataset) {
 	d.Networks = append(d.Networks, o.Networks...)
@@ -140,8 +83,8 @@ func (d *Dataset) Merge(o *Dataset) {
 }
 
 // Grow reserves capacity for at least the given number of additional
-// network, layer and kernel records, so bulk AddTrace/Merge sequences with
-// known totals avoid repeated append reallocation.
+// network, layer and kernel records, so bulk Merge sequences with known
+// totals avoid repeated append reallocation.
 func (d *Dataset) Grow(networks, layers, kernels int) {
 	d.Networks = slices.Grow(d.Networks, networks)
 	d.Layers = slices.Grow(d.Layers, layers)

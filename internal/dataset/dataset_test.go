@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/profiler"
 	"repro/internal/sim"
+	"repro/internal/units"
 	"repro/internal/zoo"
 )
 
@@ -46,31 +48,72 @@ func mustTransformer(t *testing.T, name string) *dnn.Network {
 	return n
 }
 
-func TestAddTraceCounts(t *testing.T) {
+// TestRecordWriterMatchesTrace: collection writes its records straight
+// from the measured durations, and they must be the records a profiler
+// trace of the same run converts to — one network record, one layer record
+// per layer that dispatched kernels, in layer order, and the layer's kernel
+// records in launch order. A training step launches its layers out of
+// order (the backward pass walks them in reverse), so the writer's grouping
+// by layer is not launch order.
+func TestRecordWriterMatchesTrace(t *testing.T) {
+	const batch = 8
+	opt := BuildOptions{E2EBatchSizes: []int{batch}, DetailBatchSize: batch, Batches: 2, Warmup: 2, Training: true}
 	net := zoo.MustResNet(18)
-	tr, err := (&profiler.Profiler{Device: sim.NewDefault(gpu.A100), Warmup: 2, Batches: 2}).Profile(net, 8)
+	ds, _, err := Build([]*dnn.Network{net}, []gpu.Spec{gpu.A100}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ds Dataset
-	ds.AddTrace(tr)
-	if len(ds.Networks) != 1 {
-		t.Fatalf("network records = %d", len(ds.Networks))
+	p := &profiler.Profiler{Device: sim.NewDefault(gpu.A100), Warmup: opt.Warmup, Batches: opt.Batches, Training: true}
+	tr, err := p.Profile(net.Clone(), batch)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Only layers that dispatched kernels get layer records.
-	withKernels := 0
-	var kernelEvents int
+
+	// The trace's launch order revisits earlier layers.
+	var events []profiler.KernelEvent
 	for _, l := range tr.Layers {
-		if len(l.Kernels) > 0 {
-			withKernels++
-			kernelEvents += len(l.Kernels)
+		events = append(events, l.Kernels...)
+	}
+	sort.Slice(events, func(i, j int) bool { return events[i].Start < events[j].Start })
+	monotone := true
+	for i := 1; i < len(events); i++ {
+		if events[i].LayerIndex < events[i-1].LayerIndex {
+			monotone = false
 		}
 	}
-	if len(ds.Layers) != withKernels {
-		t.Fatalf("layer records = %d, want %d", len(ds.Layers), withKernels)
+	if monotone {
+		t.Fatal("the training trace launches its layers in order; the test needs one that does not")
 	}
-	if len(ds.Kernels) != kernelEvents {
-		t.Fatalf("kernel records = %d, want %d", len(ds.Kernels), kernelEvents)
+
+	want := Dataset{Networks: []NetworkRecord{{
+		Network: tr.Network, Family: tr.Family, Task: string(tr.Task), GPU: tr.GPU, BatchSize: tr.BatchSize,
+		TotalFLOPs: units.FLOPs(tr.TotalFLOPs), E2ESeconds: units.Seconds(tr.E2ETime),
+	}}}
+	for _, l := range tr.Layers {
+		if len(l.Kernels) == 0 {
+			continue
+		}
+		want.Layers = append(want.Layers, LayerRecord{
+			Network: tr.Network, GPU: tr.GPU, BatchSize: tr.BatchSize, LayerIndex: l.Index,
+			Kind: string(l.Kind), Signature: l.Signature, FLOPs: units.FLOPs(l.FLOPs),
+			InputElems: l.InputElems, OutputElems: l.OutputElems, Seconds: units.Seconds(l.Duration),
+		})
+		for _, ev := range l.Kernels {
+			want.Kernels = append(want.Kernels, KernelRecord{
+				Network: tr.Network, GPU: tr.GPU, BatchSize: tr.BatchSize, LayerIndex: l.Index,
+				LayerKind: string(l.Kind), LayerSignature: l.Signature, Kernel: ev.Name,
+				LayerFLOPs: units.FLOPs(ev.Kernel.LayerFLOPs), LayerInputElems: ev.Kernel.LayerInputElems,
+				LayerOutputElems: ev.Kernel.LayerOutputElems, Seconds: units.Seconds(ev.Duration),
+			})
+		}
+	}
+	if len(want.Layers) == 0 || len(want.Layers) == len(tr.Layers) {
+		t.Fatalf("%d of %d layers dispatched kernels; the test needs some that do and some that do not",
+			len(want.Layers), len(tr.Layers))
+	}
+	if !reflect.DeepEqual(*ds, want) {
+		t.Fatalf("collection wrote %d/%d/%d records differing from the trace's %d/%d/%d",
+			len(ds.Networks), len(ds.Layers), len(ds.Kernels), len(want.Networks), len(want.Layers), len(want.Kernels))
 	}
 }
 

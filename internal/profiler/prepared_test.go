@@ -74,8 +74,8 @@ func TestE2EOnlyPreparedMatchesDetail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e2eOnly.Kernels() != full.Kernels() {
-			t.Fatalf("training %v: launch count %d, want %d", training, e2eOnly.Kernels(), full.Kernels())
+		if len(e2eOnly.uniqIdx) != len(full.uniqIdx) {
+			t.Fatalf("training %v: launch count %d, want %d", training, len(e2eOnly.uniqIdx), len(full.uniqIdx))
 		}
 		detail, err := p.ProfilePrepared(full)
 		if err != nil {

@@ -12,8 +12,12 @@
 // Profiling one (network, batch size) on several devices shares work: the
 // device-independent half (kernel enumeration, footprint, layer templates)
 // is computed once by Prepare from the network's inferred shapes and
-// re-executed per device by ProfilePrepared, which resolves each distinct
-// kernel's noiseless base time once per run.
+// re-executed per device. A run has two pieces: Measure simulates it,
+// resolving each distinct kernel's noiseless base time once, and returns
+// the end-to-end time plus every launch's batch-averaged duration in the
+// profiler's scratch; ProfilePrepared then assembles those into a Trace.
+// Dataset collection calls Measure alone and writes its records straight
+// from the Prepared and the durations, so no Trace is built for it.
 package profiler
 
 import (
@@ -119,9 +123,9 @@ type Profiler struct {
 	Training bool
 
 	// base, noisy and sumDur are per-kernel scratch buffers reused across
-	// Profile calls — the dominant allocations of a collection sweep. Their
-	// presence makes a Profiler single-goroutine; the dataset builder already
-	// creates one per worker.
+	// Measure calls — the dominant allocations of a collection sweep; sumDur
+	// holds the durations Measure returns. Their presence makes a Profiler
+	// single-goroutine; the dataset builder already creates one per worker.
 	base, noisy, sumDur, uniqBase []float64
 
 	// rnd is the reusable noise RNG, re-seeded per run (seeding writes the
@@ -174,12 +178,12 @@ func seedFor(net, gpuName string, batch int, training bool) int64 {
 // Prepared is the device-independent half of profiling one (network, batch
 // size) pair: FLOP counting, kernel enumeration, memory footprint and, for
 // detail traces, layer templates. One Prepared can be executed on any
-// number of devices via ProfilePrepared — the dataset builder prepares each
-// batch size once and replays it across GPUs. Whether it profiles to a
-// detail or an end-to-end-only trace is fixed when it is prepared. It
-// copies everything it needs out of the network and keeps none of its shape
-// slices, so it stays valid after the network is re-inferred or rebatched
-// to another batch size.
+// number of devices via Measure or ProfilePrepared — the dataset builder
+// prepares each batch size once and replays it across GPUs. Whether it
+// profiles to a detail or an end-to-end-only run is fixed when it is
+// prepared. It copies everything it needs out of the network and keeps
+// none of its shape slices, so it stays valid after the network is
+// re-inferred or rebatched to another batch size.
 type Prepared struct {
 	name       string
 	family     string
@@ -196,18 +200,46 @@ type Prepared struct {
 	// instead of once per launch, and the launch list itself is never kept.
 	uniq    []kernels.Kernel
 	uniqIdx []int32
-	// layerIdx maps each launch to its producing layer, layers holds
-	// per-layer templates with nil Kernels, and layerKernels counts each
-	// layer's dispatches so trace assembly can presize exactly. Only detail
-	// traces read them, so an end-to-end-only Prepared leaves all three nil,
-	// and a nil layers is what marks it end-to-end-only.
-	layerIdx     []int
-	layers       []LayerRecord
-	layerKernels []int
+	// layers holds per-layer templates with nil Kernels. byLayer lists the
+	// launch indices grouped by producing layer, in layer order and in
+	// launch order within a layer: layer i's launches are
+	// byLayer[layerOff[i]:layerOff[i+1]]. A training step visits layers out
+	// of order (backward after forward), so this is not launch order. Only
+	// detail runs read them, so an end-to-end-only Prepared leaves all three
+	// nil, and a nil layers is what marks it end-to-end-only.
+	layers   []LayerRecord
+	byLayer  []int32
+	layerOff []int32
 }
 
-// Kernels reports how many kernel launches one execution dispatches.
-func (pr *Prepared) Kernels() int { return len(pr.uniqIdx) }
+// Header returns the run's network-level trace fields (network, family,
+// task, batch size, mode and total FLOPs), with no GPU, layers or times.
+func (pr *Prepared) Header() Trace {
+	return Trace{
+		Network:    pr.name,
+		Family:     pr.family,
+		Task:       pr.task,
+		BatchSize:  pr.batch,
+		Training:   pr.training,
+		TotalFLOPs: pr.totalFLOPs,
+	}
+}
+
+// Layers returns a detail Prepared's layer templates, one per network
+// layer, with nil Kernels and zero Duration; an end-to-end-only Prepared
+// returns nil. The slice is shared: callers must not modify it.
+func (pr *Prepared) Layers() []LayerRecord { return pr.layers }
+
+// LayerLaunches returns the indices, in launch order, of the launches that
+// layer i of a detail Prepared dispatched. The slice is shared: callers
+// must not modify it.
+func (pr *Prepared) LayerLaunches(i int) []int32 {
+	return pr.byLayer[pr.layerOff[i]:pr.layerOff[i+1]]
+}
+
+// Launch returns the kernel invocation of launch i. The kernel is shared:
+// callers must not modify it.
+func (pr *Prepared) Launch(i int32) *kernels.Kernel { return &pr.uniq[pr.uniqIdx[i]] }
 
 // Prepare computes the device-independent work of profiling the network at
 // the batch size its shapes were last inferred at (Network.Infer or
@@ -215,7 +247,8 @@ func (pr *Prepared) Kernels() int { return len(pr.uniqIdx) }
 // sizes infers once and rebatches in between. The returned Prepared
 // snapshots the result. detail selects whether it carries the layer
 // templates a detail trace needs; an end-to-end-only Prepared skips
-// building them, and ProfilePrepared returns its trace with nil Layers.
+// building them, Measure returns no per-launch durations for it, and
+// ProfilePrepared returns its trace with nil Layers.
 func (p *Profiler) Prepare(n *dnn.Network, detail bool) (*Prepared, error) {
 	batch := n.Batch()
 	if batch == 0 {
@@ -266,10 +299,20 @@ func (p *Profiler) Prepare(n *dnn.Network, detail bool) (*Prepared, error) {
 		return prep, nil
 	}
 
-	prep.layerIdx = slices.Clone(p.layerIdx)
-	prep.layerKernels = make([]int, len(n.Layers))
-	for _, li := range prep.layerIdx {
-		prep.layerKernels[li]++
+	// Group the launches by layer: count, prefix-sum, then place each launch
+	// at its layer's cursor in launch order.
+	prep.layerOff = make([]int32, len(n.Layers)+1)
+	for _, li := range p.layerIdx {
+		prep.layerOff[li+1]++
+	}
+	for i := range n.Layers {
+		prep.layerOff[i+1] += prep.layerOff[i]
+	}
+	prep.byLayer = make([]int32, len(p.layerIdx))
+	cursor := slices.Clone(prep.layerOff[:len(n.Layers)])
+	for i, li := range p.layerIdx {
+		prep.byLayer[cursor[li]] = int32(i)
+		cursor[li]++
 	}
 	prep.layers = make([]LayerRecord, len(n.Layers))
 	for i, l := range n.Layers {
@@ -306,18 +349,64 @@ func (p *Profiler) Profile(n *dnn.Network, batch int) (*Trace, error) {
 }
 
 // ProfilePrepared executes a prepared (network, batch size) on the
-// profiler's current device and returns its trace. Runs whose memory
-// footprint exceeds the device return ErrOutOfMemory. A Prepared with layer
-// templates yields a detail trace; an end-to-end-only one runs the
-// identical simulation (same RNG stream, same E2ETime) and returns a trace
-// with nil Layers and no KernelSum, skipping the kernel event assembly
-// that dominates allocation.
+// profiler's current device and returns its trace: Measure, then trace
+// assembly. Runs whose memory footprint exceeds the device return
+// ErrOutOfMemory. A Prepared with layer templates yields a detail trace; an
+// end-to-end-only one yields a trace with nil Layers and no KernelSum.
 func (p *Profiler) ProfilePrepared(prep *Prepared) (*Trace, error) {
+	e2e, durations, err := p.Measure(prep)
+	if err != nil {
+		return nil, err
+	}
+	tr := prep.Header()
+	tr.GPU = p.Device.GPU.Name
+	tr.E2ETime = e2e
+	if prep.layers == nil {
+		return &tr, nil
+	}
+
+	// Start offsets and KernelSum accumulate in launch order.
+	starts := make([]float64, len(durations))
+	for i, d := range durations {
+		starts[i] = tr.KernelSum
+		tr.KernelSum += d
+	}
+	tr.Layers = slices.Clone(prep.layers)
+	// One backing array holds every kernel event, each layer's events a
+	// capacity-clipped window of it in launch order.
+	backing := make([]KernelEvent, len(durations))
+	for li := range tr.Layers {
+		lr := &tr.Layers[li]
+		lo, hi := prep.layerOff[li], prep.layerOff[li+1]
+		lr.Kernels = backing[lo:hi:hi]
+		for j, i := range prep.byLayer[lo:hi] {
+			k := prep.Launch(i)
+			lr.Kernels[j] = KernelEvent{
+				Name:       k.Name,
+				LayerIndex: li,
+				Start:      starts[i],
+				Duration:   durations[i],
+				Kernel:     *k,
+			}
+			lr.Duration += durations[i]
+		}
+	}
+	return &tr, nil
+}
+
+// Measure executes a prepared (network, batch size) on the profiler's
+// current device and returns its batch-averaged end-to-end time. For a
+// detail Prepared it also returns every launch's batch-averaged duration,
+// in launch order, in profiler scratch that the next Measure overwrites; an
+// end-to-end-only Prepared runs the identical simulation (same RNG stream,
+// same end-to-end time) and returns nil durations. Runs whose memory
+// footprint exceeds the device return ErrOutOfMemory.
+func (p *Profiler) Measure(prep *Prepared) (e2e float64, durations []float64, err error) {
 	tm := obs.StartTimer(metricProfileSeconds)
 	defer tm.Stop()
 	if !p.Device.FitsFootprint(prep.footprint) {
 		metricProfileOOMs.Inc()
-		return nil, fmt.Errorf("%w: %s at batch %d on %s",
+		return 0, nil, fmt.Errorf("%w: %s at batch %d on %s",
 			ErrOutOfMemory, prep.name, prep.batch, p.Device.GPU.Name)
 	}
 
@@ -366,11 +455,10 @@ func (p *Profiler) ProfilePrepared(prep *Prepared) (*Trace, error) {
 		batches = 1
 	}
 	noisy := growScratch(&p.noisy, launches)
-	var sumDur []float64
 	if detail {
-		sumDur = growScratch(&p.sumDur, launches)
-		for i := range sumDur {
-			sumDur[i] = 0
+		durations = growScratch(&p.sumDur, launches)
+		for i := range durations {
+			durations[i] = 0
 		}
 	}
 	var wallSum float64
@@ -379,7 +467,7 @@ func (p *Profiler) ProfilePrepared(prep *Prepared) (*Trace, error) {
 		case sigma > 0 && detail:
 			for i := range noisy {
 				noisy[i] = base[i] * math.Exp(rnd.NormFloat64()*sigma)
-				sumDur[i] += noisy[i]
+				durations[i] += noisy[i]
 			}
 		case sigma > 0:
 			for i := range noisy {
@@ -390,62 +478,18 @@ func (p *Profiler) ProfilePrepared(prep *Prepared) (*Trace, error) {
 			// averages below divide the same accumulated sums either way.
 			for i := range noisy {
 				noisy[i] = base[i]
-				sumDur[i] += base[i]
+				durations[i] += base[i]
 			}
 		default:
 			copy(noisy, base)
 		}
 		wallSum += p.Device.WallTime(noisy)
 	}
-
-	tr := &Trace{
-		Network:    prep.name,
-		Family:     prep.family,
-		Task:       prep.task,
-		GPU:        p.Device.GPU.Name,
-		BatchSize:  prep.batch,
-		Training:   prep.training,
-		TotalFLOPs: prep.totalFLOPs,
-		E2ETime:    wallSum / float64(batches),
-	}
-	if !detail {
-		metricProfiles.Inc()
-		return tr, nil
-	}
-
-	tr.Layers = make([]LayerRecord, len(prep.layers))
-	copy(tr.Layers, prep.layers)
-	// One backing array holds every kernel event of the trace; each layer
-	// gets a zero-length slice over its disjoint region, so the launch-order
-	// append loop below never reallocates even though training-pass layer
-	// indices are not monotone.
-	backing := make([]KernelEvent, launches)
-	off := 0
-	for i, c := range prep.layerKernels {
-		tr.Layers[i].Kernels = backing[off : off : off+c]
-		off += c
-	}
-
-	var cursor float64
-	for i, u := range prep.uniqIdx {
-		avg := sumDur[i] / float64(batches)
-		k := &prep.uniq[u]
-		li := prep.layerIdx[i]
-		ev := KernelEvent{
-			Name:       k.Name,
-			LayerIndex: li,
-			Start:      cursor,
-			Duration:   avg,
-			Kernel:     *k,
-		}
-		cursor += avg
-		lr := &tr.Layers[li]
-		lr.Kernels = append(lr.Kernels, ev)
-		lr.Duration += avg
-		tr.KernelSum += avg
+	for i := range durations {
+		durations[i] /= float64(batches)
 	}
 	metricProfiles.Inc()
-	return tr, nil
+	return wallSum / float64(batches), durations, nil
 }
 
 // growScratch resizes a reusable buffer to n elements, reallocating only when

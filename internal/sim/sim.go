@@ -18,6 +18,7 @@ package sim
 import (
 	"math"
 	"strconv"
+	"sync"
 
 	"repro/internal/dnn"
 	"repro/internal/gpu"
@@ -75,13 +76,31 @@ const (
 	memKneeBytes float64 = 32 << 10
 )
 
-// Device is a timing model of one GPU.
+// Device is a timing model of one GPU. It is safe for concurrent use:
+// collection workers share one Device per GPU.
 type Device struct {
 	GPU gpu.Spec
 	cfg Config
 	// seedBytes is the little-endian encoding of cfg.Seed, precomputed so
 	// the per-kernel efficiency hashes never re-serialize it.
 	seedBytes [8]byte
+	// names memoizes each kernel name's nameFactors (string →
+	// *nameFactors). A collection run evaluates tens of thousands of
+	// distinct invocations but only a few dozen names, and every entry is
+	// written once and then only read, the case sync.Map is built for.
+	names sync.Map
+}
+
+// nameFactors are the parts of BaseKernelTime that depend on nothing but
+// the kernel name (and the device): its efficiencies, its curvature
+// exponent, and the fnv-1a states of the shape and geometry hashes after
+// their name prefixes, into which BaseKernelTime folds the size buckets.
+// Each is the same arithmetic, in the same order, as computing the factor
+// on every call, so a memoized result is bit-identical to a fresh one.
+type nameFactors struct {
+	computeEff, bwEff float64
+	curveEps          float64
+	shape, geom       uint64
 }
 
 // New builds a device model for the given GPU with the given configuration.
@@ -225,6 +244,27 @@ func archSensitivity(arch string) float64 {
 // observation O6 (stable bandwidth efficiency across GPUs) and the premise of
 // the inter-GPU model.
 func (d *Device) Efficiencies(kernelName string) (computeEff, bwEff float64) {
+	f := d.factors(kernelName)
+	return f.computeEff, f.bwEff
+}
+
+// factors returns the kernel name's memoized nameFactors, computing them on
+// the name's first use. Concurrent first uses may both compute; the values
+// are equal, and LoadOrStore keeps one.
+func (d *Device) factors(kernelName string) *nameFactors {
+	if f, ok := d.names.Load(kernelName); ok {
+		return f.(*nameFactors)
+	}
+	f := &nameFactors{curveEps: 0.16 * (d.hash01Parts("curve:", kernelName) - 0.5)} // ε ∈ ±0.08
+	f.computeEff, f.bwEff = d.efficiencies(kernelName)
+	f.shape = hashAddString(hashAddString(hashAddString(d.hashState(), "shape:"), kernelName), ":")
+	f.geom = hashAddString(hashAddString(hashAddString(d.hashState(), "geom:"), kernelName), ":")
+	stored, _ := d.names.LoadOrStore(kernelName, f)
+	return stored.(*nameFactors)
+}
+
+// efficiencies computes Efficiencies without the memo.
+func (d *Device) efficiencies(kernelName string) (computeEff, bwEff float64) {
 	fam := d.hash01Parts("fam:", kernelName)
 	famBW := d.hash01Parts("fambw:", kernelName)
 	jitC := d.hash01Parts("jitc:", kernelName, "|", d.GPU.Name)
@@ -303,7 +343,7 @@ func algoBWFactor(kernelName string) float64 {
 // deterministic function of the kernel family and a coarse size bucket, so
 // it is *systematic* — a per-kernel linear model cannot average it away —
 // and is one source of the kernel-wise model's residual error.
-func (d *Device) shapeFactor(k kernels.Kernel) float64 {
+func shapeFactor(k kernels.Kernel, f *nameFactors) float64 {
 	b := k.Bytes()
 	if b <= 0 {
 		b = 1
@@ -313,10 +353,7 @@ func (d *Device) shapeFactor(k kernels.Kernel) float64 {
 		b >>= 1
 		bucket++
 	}
-	h := hashAddString(d.hashState(), "shape:")
-	h = hashAddString(h, k.Name)
-	h = hashAddString(h, ":")
-	u := hashTo01(hashAddInt(h, int64(bucket)))
+	u := hashTo01(hashAddInt(f.shape, int64(bucket)))
 	return 1 + 0.20*(u-0.5) // ±10 %
 }
 
@@ -327,7 +364,7 @@ func (d *Device) shapeFactor(k kernels.Kernel) float64 {
 // ratio, both independent of N), so it shifts whole layer configurations
 // coherently — the per-network systematic residual behind the kernel-wise
 // model's ~7 % error — without distorting batch-size extrapolation.
-func (d *Device) geomFactor(k kernels.Kernel) float64 {
+func geomFactor(k kernels.Kernel, f *nameFactors) float64 {
 	workPerOut := 0
 	if k.LayerOutputElems > 0 && k.LayerFLOPs > 0 {
 		w := k.LayerFLOPs / k.LayerOutputElems
@@ -342,10 +379,7 @@ func (d *Device) geomFactor(k kernels.Kernel) float64 {
 		r := float64(k.LayerInputElems) / float64(k.LayerOutputElems)
 		ratio = int(4 * math.Log2(r))
 	}
-	h := hashAddString(d.hashState(), "geom:")
-	h = hashAddString(h, k.Name)
-	h = hashAddString(h, ":")
-	h = hashAddInt(h, int64(workPerOut))
+	h := hashAddInt(f.geom, int64(workPerOut))
 	h = hashAddString(h, ":")
 	u := hashTo01(hashAddInt(h, int64(ratio)))
 	return 1 + 0.40*(u-0.5) // ±20 %
@@ -362,19 +396,19 @@ const curveRefBytes = 1 << 27 // 128 MiB
 // at the extremes. Unlike bucket jitter, this bias does not cancel when
 // summing a network's kernels — it is the dominant, non-averaging component
 // of the kernel-wise model's error.
-func (d *Device) curvatureFactor(k kernels.Kernel) float64 {
+func curvatureFactor(k kernels.Kernel, f *nameFactors) float64 {
 	b := float64(k.Bytes())
 	if b <= 0 {
 		return 1
 	}
-	eps := 0.16 * (d.hash01Parts("curve:", k.Name) - 0.5) // ε ∈ ±0.08
-	return math.Pow(b/curveRefBytes, eps)
+	return math.Pow(b/curveRefBytes, f.curveEps)
 }
 
 // BaseKernelTime returns the noiseless duration of a kernel invocation on
 // this device, in seconds.
 func (d *Device) BaseKernelTime(k kernels.Kernel) float64 {
-	compEff, bwEff := d.Efficiencies(k.Name)
+	f := d.factors(k.Name)
+	compEff, bwEff := f.computeEff, f.bwEff
 
 	// Compute leg: small kernels cannot fill the SMs.
 	tc := float64(k.FLOPs) / (compEff * d.GPU.PeakFLOPS())
@@ -398,7 +432,7 @@ func (d *Device) BaseKernelTime(k kernels.Kernel) float64 {
 	if tm > t {
 		t = tm
 	}
-	t *= d.shapeFactor(k) * d.geomFactor(k) * d.curvatureFactor(k)
+	t *= shapeFactor(k, f) * geomFactor(k, f) * curvatureFactor(k, f)
 	return t + kernelOverheadUS*1e-6
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -302,4 +303,94 @@ func BenchmarkBaseKernelTime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkTime = d.BaseKernelTime(k)
 	}
+}
+
+// quickLabInvocations returns every distinct kernel invocation the quick
+// experiment lab's networks (every sixth zoo network) launch, in inference
+// and training mode, at batch sizes 4, 64 and 512.
+func quickLabInvocations(t *testing.T) []kernels.Kernel {
+	t.Helper()
+	seen := map[kernels.Kernel]bool{}
+	var out []kernels.Kernel
+	var ks []kernels.Kernel
+	var layerIdx []int
+	builders := zoo.FullBuilders()
+	for i := 0; i < len(builders); i += 6 {
+		n := builders[i]()
+		for _, batch := range []int{4, 64, 512} {
+			if err := n.Infer(batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, training := range []bool{false, true} {
+				ks, layerIdx = kernels.AppendNetwork(ks[:0], layerIdx[:0], n, training)
+				for _, k := range ks {
+					if !seen[k] {
+						seen[k] = true
+						out = append(out, k)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestNameMemoMatchesFreshDevice: a device answers from its per-name memo
+// once it has seen a kernel name, and that answer must be bit-identical to
+// a fresh device's, for every kernel invocation of the quick lab, on an
+// architecture with and one without the per-family memory penalty.
+func TestNameMemoMatchesFreshDevice(t *testing.T) {
+	invocations := quickLabInvocations(t)
+	for _, g := range []gpu.Spec{gpu.A100, gpu.TitanRTX} {
+		warm := NewDefault(g)
+		for _, k := range invocations {
+			warm.BaseKernelTime(k)
+		}
+		for _, k := range invocations {
+			fresh := NewDefault(g)
+			if got, want := warm.BaseKernelTime(k), fresh.BaseKernelTime(k); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s %+v: warm BaseKernelTime %v, fresh %v", g.Name, k, got, want)
+			}
+			wc, wb := warm.Efficiencies(k.Name)
+			fc, fb := NewDefault(g).Efficiencies(k.Name)
+			if math.Float64bits(wc) != math.Float64bits(fc) || math.Float64bits(wb) != math.Float64bits(fb) {
+				t.Fatalf("%s %s: warm Efficiencies (%v, %v), fresh (%v, %v)", g.Name, k.Name, wc, wb, fc, fb)
+			}
+		}
+	}
+}
+
+// TestDeviceConcurrentUse: collection workers share one Device per GPU, so
+// goroutines filling its name memo at once must each get the answers a
+// device used by one goroutine gives.
+func TestDeviceConcurrentUse(t *testing.T) {
+	net := zoo.MustResNet(50)
+	if err := net.Infer(64); err != nil {
+		t.Fatal(err)
+	}
+	ks, _ := kernels.AppendNetwork(nil, nil, net, true)
+	ref := NewDefault(gpu.V100)
+	want := make([]float64, len(ks))
+	for i, k := range ks {
+		want[i] = ref.BaseKernelTime(k)
+	}
+	shared := NewDefault(gpu.V100)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each goroutine starts at its own offset, so first uses of a
+			// name race with each other.
+			for j := range ks {
+				i := (j + g*len(ks)/8) % len(ks)
+				if got := shared.BaseKernelTime(ks[i]); math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Errorf("goroutine %d, %s: BaseKernelTime %v, want %v", g, ks[i].Name, got, want[i])
+					return
+				}
+				shared.Efficiencies(ks[i].Name)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -14,70 +14,60 @@ const FullZooSize = 646
 // Standard returns the named, canonical models used throughout the paper's
 // figures and case studies.
 func Standard() []*dnn.Network {
-	bs := standardBuilders()
-	nets := make([]*dnn.Network, len(bs))
-	for i, b := range bs {
-		nets[i] = b()
+	nets := make([]*dnn.Network, len(standard))
+	for i, s := range standard {
+		nets[i] = s.build()
 	}
 	return nets
 }
 
-// standardBuilders returns one constructor per standard model, in the
-// canonical order Standard() materializes.
-func standardBuilders() []func() *dnn.Network {
-	bs := []func() *dnn.Network{
-		func() *dnn.Network { return MustResNet(18) },
-		func() *dnn.Network { return MustResNet(34) },
-		func() *dnn.Network { return MustResNet(50) },
-		func() *dnn.Network { return MustResNet(101) },
-		func() *dnn.Network { return MustResNet(152) },
-		func() *dnn.Network { return MustResNet(26) },
-		func() *dnn.Network { return MustResNet(44) },
-		func() *dnn.Network { return MustResNet(62) },
-		func() *dnn.Network { return MustResNet(77) },
-		func() *dnn.Network { return MustResNet(89) },
-		func() *dnn.Network { return MustVGG(11, false) },
-		func() *dnn.Network { return MustVGG(13, false) },
-		func() *dnn.Network { return MustVGG(16, false) },
-		func() *dnn.Network { return MustVGG(19, false) },
-		func() *dnn.Network { return MustVGG(11, true) },
-		func() *dnn.Network { return MustVGG(13, true) },
-		func() *dnn.Network { return MustVGG(16, true) },
-		func() *dnn.Network { return MustVGG(19, true) },
-		func() *dnn.Network { return MustDenseNet(121) },
-		func() *dnn.Network { return MustDenseNet(161) },
-		func() *dnn.Network { return MustDenseNet(169) },
-		func() *dnn.Network { return MustDenseNet(201) },
-		func() *dnn.Network { return mustNet(ResNeXt("50_32x4d")) },
-		func() *dnn.Network { return mustNet(ResNeXt("101_32x8d")) },
-		func() *dnn.Network { return mustNet(WideResNet(50)) },
-		func() *dnn.Network { return mustNet(WideResNet(101)) },
-		func() *dnn.Network { return StandardMobileNetV2() },
-		func() *dnn.Network { return StandardShuffleNetV1() },
-		func() *dnn.Network { return AlexNet(224) },
-		func() *dnn.Network { return SqueezeNet("1.0", 224) },
-		func() *dnn.Network { return SqueezeNet("1.1", 224) },
-		func() *dnn.Network { return GoogLeNet(224) },
-	}
-	for _, name := range []string{"bert-tiny", "bert-mini", "bert-small", "bert-medium", "bert-base"} {
-		bs = append(bs, func() *dnn.Network {
-			t, err := StandardTransformer(name)
-			if err != nil {
-				panic(err)
-			}
-			return t
-		})
-	}
-	for _, name := range []string{"vit-tiny", "vit-small", "vit-base"} {
-		bs = append(bs, func() *dnn.Network {
-			v, err := StandardViT(name)
-			if err != nil {
-				panic(err)
-			}
-			return v
-		})
-	}
-	return bs
+// standard is the standard models' (name, builder) table, in the canonical
+// order Standard() materializes. Each name is the name its builder's
+// network carries.
+var standard = []struct {
+	name  string
+	build func() *dnn.Network
+}{
+	{"resnet18", func() *dnn.Network { return MustResNet(18) }},
+	{"resnet34", func() *dnn.Network { return MustResNet(34) }},
+	{"resnet50", func() *dnn.Network { return MustResNet(50) }},
+	{"resnet101", func() *dnn.Network { return MustResNet(101) }},
+	{"resnet152", func() *dnn.Network { return MustResNet(152) }},
+	{"resnet26", func() *dnn.Network { return MustResNet(26) }},
+	{"resnet44", func() *dnn.Network { return MustResNet(44) }},
+	{"resnet62", func() *dnn.Network { return MustResNet(62) }},
+	{"resnet77", func() *dnn.Network { return MustResNet(77) }},
+	{"resnet89", func() *dnn.Network { return MustResNet(89) }},
+	{"vgg11", func() *dnn.Network { return MustVGG(11, false) }},
+	{"vgg13", func() *dnn.Network { return MustVGG(13, false) }},
+	{"vgg16", func() *dnn.Network { return MustVGG(16, false) }},
+	{"vgg19", func() *dnn.Network { return MustVGG(19, false) }},
+	{"vgg11_bn", func() *dnn.Network { return MustVGG(11, true) }},
+	{"vgg13_bn", func() *dnn.Network { return MustVGG(13, true) }},
+	{"vgg16_bn", func() *dnn.Network { return MustVGG(16, true) }},
+	{"vgg19_bn", func() *dnn.Network { return MustVGG(19, true) }},
+	{"densenet121", func() *dnn.Network { return MustDenseNet(121) }},
+	{"densenet161", func() *dnn.Network { return MustDenseNet(161) }},
+	{"densenet169", func() *dnn.Network { return MustDenseNet(169) }},
+	{"densenet201", func() *dnn.Network { return MustDenseNet(201) }},
+	{"resnext50_32x4d", func() *dnn.Network { return mustNet(ResNeXt("50_32x4d")) }},
+	{"resnext101_32x8d", func() *dnn.Network { return mustNet(ResNeXt("101_32x8d")) }},
+	{"wide_resnet50_2", func() *dnn.Network { return mustNet(WideResNet(50)) }},
+	{"wide_resnet101_2", func() *dnn.Network { return mustNet(WideResNet(101)) }},
+	{"mobilenet_v2", func() *dnn.Network { return StandardMobileNetV2() }},
+	{"shufflenet_v1", func() *dnn.Network { return StandardShuffleNetV1() }},
+	{"alexnet", func() *dnn.Network { return AlexNet(224) }},
+	{"squeezenet1.0", func() *dnn.Network { return SqueezeNet("1.0", 224) }},
+	{"squeezenet1.1", func() *dnn.Network { return SqueezeNet("1.1", 224) }},
+	{"googlenet", func() *dnn.Network { return GoogLeNet(224) }},
+	{"bert-tiny", func() *dnn.Network { return mustNet(StandardTransformer("bert-tiny")) }},
+	{"bert-mini", func() *dnn.Network { return mustNet(StandardTransformer("bert-mini")) }},
+	{"bert-small", func() *dnn.Network { return mustNet(StandardTransformer("bert-small")) }},
+	{"bert-medium", func() *dnn.Network { return mustNet(StandardTransformer("bert-medium")) }},
+	{"bert-base", func() *dnn.Network { return mustNet(StandardTransformer("bert-base")) }},
+	{"vit-tiny", func() *dnn.Network { return mustNet(StandardViT("vit-tiny")) }},
+	{"vit-small", func() *dnn.Network { return mustNet(StandardViT("vit-small")) }},
+	{"vit-base", func() *dnn.Network { return mustNet(StandardViT("vit-base")) }},
 }
 
 // mustNet unwraps builder errors for compile-time-constant variants.
@@ -88,11 +78,12 @@ func mustNet(n *dnn.Network, err error) *dnn.Network {
 	return n
 }
 
-// ByName builds one of the standard networks by its dataset name.
+// ByName builds the standard network with the given dataset name, and no
+// other.
 func ByName(name string) (*dnn.Network, error) {
-	for _, n := range Standard() {
-		if n.Name == name {
-			return n, nil
+	for _, s := range standard {
+		if s.name == name {
+			return s.build(), nil
 		}
 	}
 	return nil, fmt.Errorf("zoo: unknown standard network %q", name)
@@ -199,9 +190,12 @@ func Full() []*dnn.Network {
 // only the networks they keep — the quick experiment lab, for example,
 // benchmarks a 1-in-6 subset without materializing all 646 models.
 func FullBuilders() []func() *dnn.Network {
-	nets := standardBuilders()
+	var nets []func() *dnn.Network
 	add := func(f func() *dnn.Network) {
 		nets = append(nets, f)
+	}
+	for _, s := range standard {
+		add(s.build)
 	}
 
 	basics := basicResNetTuples()

@@ -214,13 +214,21 @@ func TestTransformerStructure(t *testing.T) {
 	}
 }
 
+// TestByName: every standard network resolves by its name to a network
+// identical to Standard()'s, and an unknown name is an error naming it.
 func TestByName(t *testing.T) {
-	n, err := ByName("resnet50")
-	if err != nil || n.Name != "resnet50" {
-		t.Fatalf("ByName = %v, %v", n, err)
+	for _, want := range Standard() {
+		n, err := ByName(want.Name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", want.Name, err)
+		}
+		if !reflect.DeepEqual(n, want) {
+			t.Fatalf("ByName(%q) differs from Standard()'s network", want.Name)
+		}
 	}
-	if _, err := ByName("nonexistent"); err == nil {
-		t.Fatal("unknown name should error")
+	_, err := ByName("nonexistent")
+	if want := `zoo: unknown standard network "nonexistent"`; err == nil || err.Error() != want {
+		t.Fatalf("unknown name: err = %v, want %q", err, want)
 	}
 }
 
