@@ -15,8 +15,8 @@ var (
 	lab     *Lab
 )
 
-func quickLab(t *testing.T) *Lab {
-	t.Helper()
+func quickLab(tb testing.TB) *Lab {
+	tb.Helper()
 	labOnce.Do(func() { lab = NewQuickLab() })
 	return lab
 }

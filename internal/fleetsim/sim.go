@@ -2,7 +2,6 @@ package fleetsim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/loadgen"
 	"repro/internal/rng"
@@ -436,14 +435,7 @@ func (s *Sim) summarize() Result {
 	}
 	scratch := s.scratch[:len(s.lat)]
 	copy(scratch, s.lat)
-	slices.Sort(scratch)
-	res.P50S = loadgen.Quantile(scratch, 0.50)
-	res.P90S = loadgen.Quantile(scratch, 0.90)
-	res.P99S = loadgen.Quantile(scratch, 0.99)
-	res.P999S = loadgen.Quantile(scratch, 0.999)
-	if n := len(scratch); n > 0 {
-		res.MaxS = scratch[n-1]
-	}
+	res.P50S, res.P90S, res.P99S, res.P999S, res.MaxS = loadgen.Percentiles(scratch)
 	return res
 }
 

@@ -15,12 +15,12 @@
 //   - Closed: closedWorkers workers issue requests back to back;
 //     throughput reports the service capacity at that concurrency.
 //
-// Latencies are recorded twice: exact per-request samples (sorted once at
-// the end for precise p50/p99/p999) and an internal/obs latency histogram
-// whose buckets feed the summary's distribution view. Requests arriving
-// during the warm-up window are sent and counted but excluded from latency
-// and throughput, so cold plan caches and connection establishment do not
-// pollute the steady-state numbers.
+// Latencies are recorded twice: exact per-request samples (whose precise
+// p50/p99/p999 are selected at the end) and an internal/obs latency
+// histogram whose buckets feed the summary's distribution view. Requests
+// arriving during the warm-up window are sent and counted but excluded from
+// latency and throughput, so cold plan caches and connection establishment
+// do not pollute the steady-state numbers.
 package loadgen
 
 import (
@@ -32,6 +32,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -118,8 +119,8 @@ type Result struct {
 	// Measured / MeasuredSeconds.
 	Measured      int64
 	ThroughputRPS float64
-	// Latency quantiles over the post-warm-up samples (exact, from the
-	// sorted sample set, not bucket interpolation).
+	// Latency quantiles over the post-warm-up samples (exact order
+	// statistics of the sample set, not bucket interpolation).
 	P50, P90, P99, P999, Max time.Duration
 	// Hist is the obs bucket histogram of the same samples.
 	Hist *obs.Histogram
@@ -145,20 +146,87 @@ const traceIDHeader = "X-Trace-Id"
 // share of the samples at or below it, clamped to the first and last
 // sample. An even-length median is the lower middle sample, and p99.9 of
 // fewer than 1,000 samples is the maximum. Empty input yields the zero
-// value. Run's latency summary and fleetsim's both report through it.
+// value. Run's latency summary and fleetsim's both report by this rule,
+// through Percentiles.
 func Quantile[T cmp.Ordered](sorted []T, q float64) T {
 	if len(sorted) == 0 {
 		var zero T
 		return zero
 	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
+	return sorted[quantileIndex(len(sorted), q)]
+}
+
+// quantileIndex is the ceil-rank rule's index among n ≥ 1 samples.
+func quantileIndex(n int, q float64) int {
+	idx := int(math.Ceil(q*float64(n))) - 1
+	return min(max(idx, 0), n-1)
+}
+
+// Percentiles returns the p50, p90, p99, p99.9 and maximum of xs, each
+// equal to Quantile of the sorted samples, without sorting them: it selects
+// the five order statistics in place, in ascending order, each within the
+// part of xs left above the previous one. xs is reordered and must hold no
+// NaN. Empty input yields zero values.
+func Percentiles[T cmp.Ordered](xs []T) (p50, p90, p99, p999, pmax T) {
+	if len(xs) == 0 {
+		return
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+	var out [5]T
+	lo := 0
+	for k, q := range [5]float64{0.50, 0.90, 0.99, 0.999, 1} {
+		idx := quantileIndex(len(xs), q)
+		if idx >= lo {
+			selectNth(xs[lo:], idx-lo)
+			lo = idx + 1
+		}
+		out[k] = xs[idx]
 	}
-	return sorted[idx]
+	return out[0], out[1], out[2], out[3], out[4]
+}
+
+// selectDepth bounds selectNth's partition rounds. Median-of-three pivots
+// halve sorted and nearly sorted input each round; past the bound the
+// remaining range is sorted, so an adversarial order stays O(n log n).
+const selectDepth = 32
+
+// selectNth reorders xs so that xs[k] holds the value a sort would put
+// there, with nothing larger before it and nothing smaller after it. The
+// three-way partition settles a run of equal values in one round, which is
+// most of a lightly loaded replay: a handful of distinct latencies.
+func selectNth[T cmp.Ordered](xs []T, k int) {
+	lo, hi := 0, len(xs)
+	for depth := 0; hi-lo > 1; depth++ {
+		if depth == selectDepth {
+			slices.Sort(xs[lo:hi])
+			return
+		}
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		pivot := max(min(a, b), min(max(a, b), c))
+		// Partition [lo, hi) into < pivot [lo, lt), == pivot [lt, gt) and
+		// > pivot [gt, hi).
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := xs[i]; {
+			case v < pivot:
+				xs[lt], xs[i] = v, xs[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				xs[gt], xs[i] = v, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
 }
 
 // Run drives one load-generation run and blocks until every issued request
@@ -237,14 +305,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res.Slowest = r.slowest
 	r.mu.Unlock()
 	sort.Slice(res.Slowest, func(i, j int) bool { return res.Slowest[i].Latency > res.Slowest[j].Latency })
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	res.P50 = Quantile(samples, 0.50)
-	res.P90 = Quantile(samples, 0.90)
-	res.P99 = Quantile(samples, 0.99)
-	res.P999 = Quantile(samples, 0.999)
-	if n := len(samples); n > 0 {
-		res.Max = samples[n-1]
-	}
+	res.P50, res.P90, res.P99, res.P999, res.Max = Percentiles(samples)
 	return res, ctx.Err()
 }
 

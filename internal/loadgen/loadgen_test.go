@@ -5,10 +5,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // testTarget is an httptest server with a controllable handler.
@@ -129,6 +132,53 @@ func TestQuantile(t *testing.T) {
 		if got, want := Quantile(durs, c.q), time.Duration(c.want)*time.Millisecond; got != want {
 			t.Errorf("%s: Duration Quantile(q=%v) = %v, want %v", c.name, c.q, got, want)
 		}
+	}
+}
+
+// TestPercentilesMatchSortedQuantile: selection returns what sorting then
+// Quantile returns, for both sample types, on orders that stress the
+// partition: random, all equal, a few distinct values, sorted, reversed
+// and organ-pipe.
+func TestPercentilesMatchSortedQuantile(t *testing.T) {
+	draw := rng.New(3)
+	shapes := []struct {
+		name string
+		at   func(i, n int) float64
+	}{
+		{"random", func(int, int) float64 { return draw.Float64() }},
+		{"all equal", func(int, int) float64 { return 7 }},
+		{"nine distinct", func(int, int) float64 { return float64(draw.Intn(9)) }},
+		{"sorted", func(i, _ int) float64 { return float64(i) }},
+		{"reversed", func(i, n int) float64 { return float64(n - i) }},
+		{"organ pipe", func(i, n int) float64 { return float64(min(i, n-1-i)) }},
+	}
+	for _, sh := range shapes {
+		for _, n := range []int{0, 1, 2, 3, 999, 1000, 2000, 4097} {
+			xs := make([]float64, n)
+			durs := make([]time.Duration, n)
+			for i := range xs {
+				xs[i] = sh.at(i, n)
+				durs[i] = time.Duration(xs[i] * 1e9)
+			}
+			checkPercentiles(t, sh.name, xs)
+			checkPercentiles(t, sh.name, durs)
+		}
+	}
+}
+
+// checkPercentiles compares Percentiles of a copy of xs with Quantile of a
+// sorted copy.
+func checkPercentiles[T float64 | time.Duration](t *testing.T, name string, xs []T) {
+	t.Helper()
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	want := []T{
+		Quantile(sorted, 0.50), Quantile(sorted, 0.90), Quantile(sorted, 0.99),
+		Quantile(sorted, 0.999), Quantile(sorted, 1),
+	}
+	p50, p90, p99, p999, pmax := Percentiles(slices.Clone(xs))
+	if got := []T{p50, p90, p99, p999, pmax}; !slices.Equal(got, want) {
+		t.Errorf("%s, n=%d: Percentiles = %v, sorted quantiles %v", name, len(xs), got, want)
 	}
 }
 

@@ -18,10 +18,14 @@ import (
 //     window as the construction heuristic (ListSchedule is its one-task
 //     window, plain LPT);
 //   - searchState: task-move and task-swap neighborhoods evaluated as O(1)
-//     incremental load deltas against an indexed max-heap of GPU loads —
-//     never a full finishDense rescan;
+//     incremental load deltas against an indexed max-heap of GPU loads and
+//     the ids of its three largest, so a proposal reads the makespan of the
+//     GPUs it leaves alone without a scan — never a full finishDense
+//     rescan. A commit changes one load and re-sifts it before changing
+//     the other, so the heap stays a heap;
 //   - anneal/descend: simulated annealing with a seeded deterministic RNG,
-//     followed by strict-improvement descent;
+//     whose acceptance test rejects most worse proposals by a Taylor bound
+//     before calling math.Exp, followed by strict-improvement descent;
 //   - Schedule: goroutine-per-restart multi-start with a deterministic
 //     best-of reduction (ties break toward the lowest restart index).
 //
@@ -265,6 +269,9 @@ type searchState struct {
 	// position pos, heapPos[g] its position. The root is the makespan GPU.
 	heapGPU []int32
 	heapPos []int32
+	// top holds the GPUs with the three largest loads, largest first (-1
+	// past g), refreshed from heap positions 0..6 whenever a load changes.
+	top [3]int32
 
 	// Per-GPU task lists with O(1) membership moves: byGPU[g] lists the
 	// tasks on g, slot[i] is task i's index within its list.
@@ -316,6 +323,7 @@ func newSearchState(dt *DenseTimes, initial []int32, seed uint64) *searchState {
 	for pos := g/2 - 1; pos >= 0; pos-- {
 		s.siftDown(pos)
 	}
+	s.refreshTop()
 	s.span = s.load[s.heapGPU[0]]
 	s.bestSpan = s.span
 	copy(s.bestGPUOf, s.gpuOf)
@@ -384,36 +392,53 @@ func (s *searchState) heapFix(g int32) {
 	s.siftDown(int(s.heapPos[g]))
 }
 
-// maxExcluding returns the maximum load over GPUs other than a and b, in
-// O(1): the answer is one of the three largest loads, and in a binary
-// max-heap every root-to-node path reaches depth 3 through positions 0..6,
-// so any deeper GPU c with excluded-max load has an ancestor d ∉ {a, b} in
-// positions 0..6 with load[d] ≥ load[c] — scanning those seven positions
-// therefore always finds the excluded maximum.
+// refreshTop recomputes top from heap positions 0..6. In a binary max-heap
+// every root-to-node path reaches depth 3 through those positions, so any
+// deeper GPU has three ancestors there with loads at least its own: the
+// three largest loads always sit in the top three levels.
+//
+//dnnperf:allocfree
+func (s *searchState) refreshTop() {
+	t0, t1, t2 := int32(-1), int32(-1), int32(-1)
+	l0, l1, l2 := -math.MaxFloat64, -math.MaxFloat64, -math.MaxFloat64
+	for pos := 0; pos < s.g && pos < 7; pos++ {
+		gp := s.heapGPU[pos]
+		switch l := s.load[gp]; {
+		case l > l0:
+			t0, t1, t2 = gp, t0, t1
+			l0, l1, l2 = l, l0, l1
+		case l > l1:
+			t1, t2 = gp, t1
+			l1, l2 = l, l1
+		case l > l2:
+			t2, l2 = gp, l
+		}
+	}
+	s.top = [3]int32{t0, t1, t2}
+}
+
+// maxExcluding returns the maximum load over GPUs other than a and b,
+// floored at 0, in O(1): with at most two GPUs excluded, the answer is the
+// load of the first top GPU that is neither.
 //
 //dnnperf:allocfree
 func (s *searchState) maxExcluding(a, b int32) float64 {
-	limit := s.g
-	if limit > 7 {
-		limit = 7
-	}
-	best := 0.0
-	for pos := 0; pos < limit; pos++ {
-		g := s.heapGPU[pos]
-		if g == a || g == b {
-			continue
-		}
-		if s.load[g] > best {
-			best = s.load[g]
+	gp := s.top[0]
+	if gp == a || gp == b {
+		if gp = s.top[1]; gp == a || gp == b {
+			gp = s.top[2]
 		}
 	}
-	return best
+	if gp < 0 {
+		return 0
+	}
+	return max(s.load[gp], 0)
 }
 
 // ---------------------------------------------------------------- moves
 
 // evalMove returns the exact makespan after moving task i to GPU `to`, as
-// an O(1) incremental load delta: two load updates plus the heap-top scan.
+// an O(1) incremental load delta: two load updates plus the top-three lookup.
 //
 //dnnperf:allocfree
 func (s *searchState) evalMove(i int, to int32) float64 {
@@ -451,7 +476,9 @@ func (s *searchState) evalSwap(i, j int) float64 {
 }
 
 // applyMove commits a task move, updating loads, lists, heap and span with
-// the same increments evalMove predicted.
+// the same increments evalMove predicted. Each load is re-sifted before the
+// other changes: a sift compares against its neighbours' current loads, and
+// siftDown never looks back up.
 func (s *searchState) applyMove(i int, to int32) {
 	from := s.gpuOf[i]
 	lst := s.byGPU[from]
@@ -466,14 +493,16 @@ func (s *searchState) applyMove(i int, to int32) {
 	s.gpuOf[i] = to
 	n := s.n
 	s.load[from] -= s.t[int(from)*n+i]
-	s.load[to] += s.t[int(to)*n+i]
 	s.heapFix(from)
+	s.load[to] += s.t[int(to)*n+i]
 	s.heapFix(to)
+	s.refreshTop()
 	s.span = s.load[s.heapGPU[0]]
 }
 
 // applySwap commits a task exchange; the per-GPU lists swap entries in
-// place, so unlike applyMove it never appends.
+// place, so unlike applyMove it never appends. Two tasks with equal times
+// on both GPUs leave every load, and so the heap, as it was.
 //
 //dnnperf:allocfree
 func (s *searchState) applySwap(i, j int) {
@@ -483,10 +512,16 @@ func (s *searchState) applySwap(i, j int) {
 	s.slot[i], s.slot[j] = s.slot[j], s.slot[i]
 	s.gpuOf[i], s.gpuOf[j] = b, a
 	n := s.n
-	s.load[a] += s.t[int(a)*n+j] - s.t[int(a)*n+i]
-	s.load[b] += s.t[int(b)*n+i] - s.t[int(b)*n+j]
+	da := s.t[int(a)*n+j] - s.t[int(a)*n+i]
+	db := s.t[int(b)*n+i] - s.t[int(b)*n+j]
+	if da == 0 && db == 0 {
+		return
+	}
+	s.load[a] += da
 	s.heapFix(a)
+	s.load[b] += db
 	s.heapFix(b)
+	s.refreshTop()
 	s.span = s.load[s.heapGPU[0]]
 }
 
@@ -552,7 +587,19 @@ func (s *searchState) accept(newSpan, temp float64) bool {
 	if x > 30 { // exp(-30) ≈ 1e-13: below any rng.Float64 resolution worth paying math.Exp for
 		return false
 	}
-	return s.rng.Float64() < math.Exp(-x)
+	return acceptDraw(s.rng.Float64(), x)
+}
+
+// acceptDraw reports whether u < exp(-x) for x ≥ 0. Most worse proposals
+// are rejected by the cubic Taylor bound alone: e^x ≥ 1 + x + x²/2 + x³/6,
+// so u·(that) ≥ 1 + 1e-9 means u ≥ e^-x with a margin far wider than the
+// rounding of either side, and math.Exp is called only when the bound
+// cannot decide.
+func acceptDraw(u, x float64) bool {
+	if u*(1+x*(1+x*(0.5+x/6))) >= 1+1e-9 {
+		return false
+	}
+	return u < math.Exp(-x)
 }
 
 // descend runs strict-improvement sweeps until a local optimum or the pass

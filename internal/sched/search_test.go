@@ -12,8 +12,11 @@ import (
 // dyadicInstance builds a random table whose entries are dyadic rationals
 // (multiples of 2⁻²⁰ in (0, 1]): sums and differences of a few thousand of
 // them are exact in float64, so incremental bookkeeping can be compared to
-// a from-scratch recompute with == rather than a tolerance.
-func dyadicInstance(nTasks, nGPUs int, seed uint64) *DenseTimes {
+// a from-scratch recompute with == rather than a tolerance. With levels > 0
+// each GPU's row draws its entries from levels quarter-multiples of its
+// own, so tasks tie on a GPU, swaps of two tied tasks change no load, and
+// loads tie across GPUs.
+func dyadicInstance(nTasks, nGPUs, levels int, seed uint64) *DenseTimes {
 	names := make([]string, nGPUs)
 	for g := range names {
 		names[g] = string(rune('a' + g))
@@ -23,10 +26,20 @@ func dyadicInstance(nTasks, nGPUs int, seed uint64) *DenseTimes {
 		panic(err)
 	}
 	draw := rng.New(seed)
+	vals := make([]float64, levels)
 	for g := 0; g < nGPUs; g++ {
 		row := dt.Row(g)
+		if levels == 0 {
+			for i := range row {
+				row[i] = float64(1+draw.Intn(1<<20)) / (1 << 20)
+			}
+			continue
+		}
+		for k := range vals {
+			vals[k] = float64(1+draw.Intn(4)) / 4
+		}
 		for i := range row {
-			row[i] = float64(1+draw.Intn(1<<20)) / (1 << 20)
+			row[i] = vals[draw.Intn(levels)]
 		}
 	}
 	return dt
@@ -42,9 +55,9 @@ func randomState(dt *DenseTimes, draw *rng.Stream) *searchState {
 	return newSearchState(dt, initial, draw.Uint64())
 }
 
-// checkStateExact compares the state's incremental loads, heap top, and
-// span against a from-scratch recompute. With dyadic times everything must
-// match exactly.
+// checkStateExact compares the state's incremental loads, heap, span and
+// maxExcluding against a from-scratch recompute. With dyadic times
+// everything must match exactly.
 func checkStateExact(t *testing.T, s *searchState, dt *DenseTimes, step string) {
 	t.Helper()
 	load := make([]float64, s.g)
@@ -54,11 +67,34 @@ func checkStateExact(t *testing.T, s *searchState, dt *DenseTimes, step string) 
 			t.Fatalf("%s: GPU %d incremental load %v != recomputed %v", step, g, s.load[g], load[g])
 		}
 	}
+	for pos, g := range s.heapGPU {
+		if int(s.heapPos[g]) != pos {
+			t.Fatalf("%s: GPU %d at heap position %d, indexed at %d", step, g, pos, s.heapPos[g])
+		}
+		if parent := (pos - 1) / 2; pos > 0 && s.load[g] > s.load[s.heapGPU[parent]] {
+			t.Fatalf("%s: heap position %d (GPU %d, load %v) above its parent %d (load %v)",
+				step, pos, g, s.load[g], parent, s.load[s.heapGPU[parent]])
+		}
+	}
 	if s.span != want {
 		t.Fatalf("%s: incremental span %v != recomputed %v", step, s.span, want)
 	}
 	if got := s.load[s.heapGPU[0]]; got != want {
 		t.Fatalf("%s: heap top load %v != recomputed max %v", step, got, want)
+	}
+	// Every exclusion maxExcluding answers: none (-1), one GPU, or two.
+	for a := int32(-1); a < int32(s.g); a++ {
+		for b := a; b < int32(s.g); b++ {
+			brute := 0.0
+			for g, l := range load {
+				if int32(g) != a && int32(g) != b && l > brute {
+					brute = l
+				}
+			}
+			if got := s.maxExcluding(a, b); got != brute {
+				t.Fatalf("%s: maxExcluding(%d, %d) = %v, brute force %v", step, a, b, got, brute)
+			}
+		}
 	}
 }
 
@@ -67,11 +103,12 @@ func checkStateExact(t *testing.T, s *searchState, dt *DenseTimes, step string) 
 // incremental deltas (evalMove/evalSwap predictions AND the applied state)
 // must exactly match a from-scratch finishDense-style recompute.
 func TestIncrementalMatchesRecomputeExact(t *testing.T) {
-	for _, tc := range []struct{ n, g int }{
-		{5, 2}, {17, 3}, {64, 5}, {200, 8}, {333, 13},
+	for _, tc := range []struct{ n, g, levels int }{
+		{5, 2, 0}, {17, 3, 0}, {64, 5, 0}, {200, 8, 0}, {333, 13, 0}, {150, 7, 0}, {400, 16, 0},
+		{40, 2, 3}, {60, 3, 3}, {150, 7, 3}, {200, 8, 3}, {400, 16, 3},
 	} {
 		for seed := uint64(0); seed < 4; seed++ {
-			dt := dyadicInstance(tc.n, tc.g, 1000*seed+uint64(tc.n))
+			dt := dyadicInstance(tc.n, tc.g, tc.levels, 1000*seed+uint64(tc.n))
 			draw := rng.New(seed * 77)
 			s := randomState(dt, &draw)
 			checkStateExact(t, s, dt, "init")
@@ -101,6 +138,66 @@ func TestIncrementalMatchesRecomputeExact(t *testing.T) {
 				checkStateExact(t, s, dt, "step")
 			}
 		}
+	}
+}
+
+// TestSwapKeepsHeapWhenRootAndChildDrop: one swap lowers both the root GPU
+// and its child below a grandchild. Fixing the child while the root's load
+// is already lowered would lift the third GPU to the root and leave the
+// larger grandchild under it, so the state's span would not be the
+// makespan.
+func TestSwapKeepsHeapWhenRootAndChildDrop(t *testing.T) {
+	dt, err := NewDenseTimes([]string{"a", "b", "c", "d"}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, row := range [4][4]float64{
+		{10, 6, 1, 1},
+		{6.5, 9, 1, 1},
+		{1, 1, 7, 1},
+		{1, 1, 1, 8},
+	} {
+		copy(dt.Row(g), row[:])
+	}
+	// Task g starts on GPU g: a (10) heads the heap over b (9) and c (7),
+	// with d (8) under b.
+	s := newSearchState(dt, []int32{0, 1, 2, 3}, 1)
+	checkStateExact(t, s, dt, "init")
+	if !slices.Equal(s.heapGPU, []int32{0, 1, 2, 3}) {
+		t.Fatalf("initial heap %v, want [0 1 2 3]", s.heapGPU)
+	}
+	// Swapping task 1 (on b) with task 0 (on a) lowers b to 6.5 and a to 6.
+	predicted := s.evalSwap(1, 0)
+	s.applySwap(1, 0)
+	if predicted != 8 || s.span != predicted {
+		t.Fatalf("evalSwap predicted %v, applied span %v; the makespan is 8", predicted, s.span)
+	}
+	checkStateExact(t, s, dt, "swap")
+}
+
+// TestAcceptDrawMatchesExp: the Taylor-bound rejection decides exactly as
+// u < math.Exp(-x) over the x range accept reaches, on seeded draws, at
+// u = math.Exp(-x) and at the bound's own threshold, each with its two
+// float neighbours.
+func TestAcceptDrawMatchesExp(t *testing.T) {
+	draw := rng.New(29)
+	check := func(u, x float64) {
+		if got, want := acceptDraw(u, x), u < math.Exp(-x); got != want {
+			t.Fatalf("acceptDraw(%v, %v) = %v, want %v", u, x, got, want)
+		}
+	}
+	near := func(u, x float64) {
+		check(math.Nextafter(u, 0), x)
+		check(u, x)
+		check(math.Nextafter(u, 1), x)
+	}
+	for k := 0; k < 1_000_000; k++ {
+		// Cubing concentrates x near 0, where the cubic and e^x nearly agree.
+		v := draw.Float64()
+		x := 30 * v * v * v
+		check(draw.Float64(), x)
+		near(math.Exp(-x), x)
+		near((1+1e-9)/(1+x*(1+x*(0.5+x/6))), x)
 	}
 }
 
