@@ -295,33 +295,7 @@ func runFleet(quick bool, g gpu.Spec, addr string, ff fleetFlags) error {
 	}
 	fmt.Printf("dnnperf: fleet proxy on http://%s fronting %d replicas (endpoints: /healthz /readyz /fleetz + replica surface)\n",
 		ln.Addr(), len(kids))
-	srv := &http.Server{
-		Handler:           proxy,
-		ReadHeaderTimeout: serveReadHeaderTimeout,
-		ReadTimeout:       serveReadTimeout,
-		WriteTimeout:      serveWriteTimeout,
-		IdleTimeout:       serveIdleTimeout,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	for ctx.Err() == nil {
-		select {
-		case err := <-errc:
-			return err
-		case err := <-delivered:
-			if err != nil {
-				return err
-			}
-			delivered = nil
-		case <-ctx.Done():
-		}
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), shutdownDrain)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		return err
-	}
-	if err := <-errc; err != nil && err != http.ErrServerClosed {
+	if err := serveHTTP(ctx, ln, proxy, delivered); err != nil {
 		return err
 	}
 	// Replicas are still alive here (stopFleet runs in the defer), so their
@@ -452,7 +426,7 @@ func runLoadtest(quick bool, g gpu.Spec, network string, ff fleetFlags) error {
 			// a trace ID and the merged timeline stays dense. The serving
 			// defaults are untouched — this is the diagnostic path.
 			if reqN.Add(1)%2 == 1 {
-				req.Header.Set("traceparent", obs.NewSpanContext().Traceparent())
+				req.Header.Set(obs.TraceparentHeader, obs.NewSpanContext().Traceparent())
 			}
 			return req, nil
 		},

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/fleet"
 )
 
 // FuzzPredictBatchBody posts arbitrary bodies to /predict/batch on the
@@ -73,10 +75,11 @@ func FuzzPredictBatchBody(f *testing.F) {
 	})
 }
 
-// FuzzQueryValue holds the allocation-free query scanner the GET handlers
-// read parameters with to url.ParseQuery. It must never panic, and whenever
-// ParseQuery accepts the query and no raw key is escaped (so raw and decoded
-// keys agree), queryValue must return the first value ParseQuery decoded for
+// FuzzQueryValue holds fleet.QueryValue, the allocation-free query scanner
+// the GET handlers read parameters with and the proxy reads its shard key
+// with, to url.ParseQuery. It must never panic, and whenever ParseQuery
+// accepts the query and no raw key is escaped (so raw and decoded keys
+// agree), QueryValue must return the first value ParseQuery decoded for
 // every key it found, and report absent every handler key it did not find.
 func FuzzQueryValue(f *testing.F) {
 	for _, raw := range []string{
@@ -95,7 +98,7 @@ func FuzzQueryValue(f *testing.F) {
 	handlerKeys := []string{"network", "batch", "batches"}
 	f.Fuzz(func(t *testing.T, raw string) {
 		for _, k := range handlerKeys {
-			queryValue(raw, k)
+			fleet.QueryValue(raw, k)
 		}
 		vals, err := url.ParseQuery(raw)
 		if err != nil {
@@ -107,14 +110,14 @@ func FuzzQueryValue(f *testing.F) {
 			}
 		}
 		for k, vs := range vals {
-			if got, ok := queryValue(raw, k); !ok || got != vs[0] {
-				t.Fatalf("queryValue(%q, %q) = %q, %v; ParseQuery decoded %q", raw, k, got, ok, vs[0])
+			if got, ok := fleet.QueryValue(raw, k); !ok || got != vs[0] {
+				t.Fatalf("QueryValue(%q, %q) = %q, %v; ParseQuery decoded %q", raw, k, got, ok, vs[0])
 			}
 		}
 		for _, k := range handlerKeys {
 			if _, found := vals[k]; !found {
-				if got, ok := queryValue(raw, k); ok || got != "" {
-					t.Fatalf("queryValue(%q, %q) = %q, %v; ParseQuery found no such key", raw, k, got, ok)
+				if got, ok := fleet.QueryValue(raw, k); ok || got != "" {
+					t.Fatalf("QueryValue(%q, %q) = %q, %v; ParseQuery found no such key", raw, k, got, ok)
 				}
 			}
 		}

@@ -11,7 +11,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -26,6 +25,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dnn"
+	"repro/internal/fleet"
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -45,7 +45,7 @@ import (
 //	GET  /predict/batch  sweep prediction: ?network=resnet50&batches=1,2,4
 //	POST /predict/batch  sweep prediction; JSON body names a zoo network or
 //	                     carries an inline layer-by-layer network spec
-//	GET  /debug/vars     expvar (includes the obs snapshot under "obs")
+//	GET  /debug/vars     expvar: the runtime's memstats and the command line
 //	GET  /debug/pprof/   runtime profiling endpoints
 //
 // The KW model is fitted in the background at startup — or, with -model,
@@ -85,8 +85,6 @@ var (
 		"HTTP request handling latency.", nil)
 	metricServePredictions = obs.Default().Counter("serve_predictions_total",
 		"Successful predictions served (one per batch size on /predict/batch).")
-	metricServeBatchRequests = obs.Default().Counter("serve_batch_requests_total",
-		"Requests to /predict/batch.")
 	metricServe5xx = obs.Default().Counter("serve_request_5xx_total",
 		"HTTP requests answered with a 5xx status (the SLO availability bad-event count).")
 )
@@ -259,17 +257,8 @@ func (s *server) publishEnvelope(body io.Reader, source string) (*registry.Snaps
 	return snap, http.StatusOK, nil
 }
 
-// publishObsOnce guards the process-global expvar registration so tests can
-// build several servers without a duplicate-name panic.
-var publishObsOnce sync.Once
-
 // handler assembles the route table.
 func (s *server) handler() http.Handler {
-	// The obs snapshot doubles as an expvar so the standard /debug/vars
-	// surface carries it alongside memstats and cmdline.
-	publishObsOnce.Do(func() {
-		expvar.Publish("obs", expvar.Func(func() any { return obs.Default().SnapshotJSON() }))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
 	mux.HandleFunc("/readyz", s.instrument("readyz", s.handleReadyz))
@@ -290,9 +279,8 @@ func (s *server) handler() http.Handler {
 }
 
 // serveUntil listens on addr and serves until ctx is cancelled, then shuts
-// down gracefully, draining in-flight requests for up to shutdownDrain. The
-// bound address is sent on ready (if non-nil) once the listener is up, which
-// lets tests use ":0".
+// down gracefully (serveHTTP). The bound address is sent on ready (if
+// non-nil) once the listener is up, which lets tests use ":0".
 func (s *server) serveUntil(ctx context.Context, addr string, ready chan<- string) error {
 	s.startWarmup()
 	ln, err := net.Listen("tcp", addr)
@@ -302,8 +290,20 @@ func (s *server) serveUntil(ctx context.Context, addr string, ready chan<- strin
 	s.procName = "replica " + ln.Addr().String()
 	go s.slo.Run(ctx, 2*time.Second)
 	fmt.Printf("dnnperf: serving on http://%s (endpoints: /healthz /readyz /modelz /metrics /metrics.json /predict /predict/batch /sloz /tracez.json /debug/vars /debug/pprof/)\n", ln.Addr())
+	if ready != nil {
+		ready <- ln.Addr().String()
+	}
+	return serveHTTP(ctx, ln, s.handler(), nil)
+}
+
+// serveHTTP serves h on ln under the uniform server deadlines until ctx is
+// cancelled, then drains in-flight requests for up to shutdownDrain. It
+// returns early with the error the server fails with, or with the first
+// non-nil error received from fail; a nil from fail is noted and serving
+// goes on. A nil fail never fires.
+func serveHTTP(ctx context.Context, ln net.Listener, h http.Handler, fail <-chan error) error {
 	srv := &http.Server{
-		Handler:           s.handler(),
+		Handler:           h,
 		ReadHeaderTimeout: serveReadHeaderTimeout,
 		ReadTimeout:       serveReadTimeout,
 		WriteTimeout:      serveWriteTimeout,
@@ -311,13 +311,17 @@ func (s *server) serveUntil(ctx context.Context, addr string, ready chan<- strin
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
+	for ctx.Err() == nil {
+		select {
+		case err := <-errc:
+			return err
+		case err := <-fail:
+			if err != nil {
+				return err
+			}
+			fail = nil
+		case <-ctx.Done():
+		}
 	}
 	sctx, cancel := context.WithTimeout(context.Background(), shutdownDrain)
 	defer cancel()
@@ -336,7 +340,7 @@ func (s *server) serveUntil(ctx context.Context, addr string, ready chan<- strin
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
-	trace  *requestTrace
+	trace  *obs.RequestTrace
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -381,12 +385,14 @@ func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		rec := recorderPool.Get().(*statusRecorder)
 		rec.ResponseWriter, rec.status = w, http.StatusOK
 		rec.trace = s.sampleRequest(req)
-		rec.trace.echoTraceID(w.Header())
+		if rec.trace != nil {
+			w.Header().Set(obs.TraceIDHeader, rec.trace.Context().TraceID())
+		}
 		if req.ContentLength != 0 && req.Body != nil && req.Body != http.NoBody {
 			req.Body = http.MaxBytesReader(rec, req.Body, maxModelBody)
 		}
 		h(rec, req)
-		rec.trace.finish(route, rec.status)
+		rec.trace.Finish(route, rec.status)
 		if rec.status >= 400 {
 			metricServeErrors.Inc()
 			rs.errors.Inc()
@@ -551,6 +557,9 @@ func (s *server) network(name string) (*dnn.Network, error) {
 // nothing: the always-on stage histograms go through the value-typed
 // stageClock, and the per-stage spans (rt) fire only when the request
 // arrived with a sampled traceparent — every rt method is a no-op on nil.
+// Compilation and prediction are split so a sampled timeline attributes
+// plan-cache misses; a plan error or a batch beyond the plan's domain takes
+// PredictNetwork, whose uncached fallback returns the error the client sees.
 func (s *server) handlePredict(w http.ResponseWriter, req *http.Request) {
 	rt := traceOf(w)
 	sc := startStages()
@@ -558,13 +567,13 @@ func (s *server) handlePredict(w http.ResponseWriter, req *http.Request) {
 	if m == nil {
 		return
 	}
-	name, _ := queryValue(req.URL.RawQuery, "network")
+	name, _ := fleet.QueryValue(req.URL.RawQuery, "network")
 	if name == "" {
 		writeJSONError(w, http.StatusBadRequest, "missing ?network=")
 		return
 	}
 	batch := 512
-	if b, ok := queryValue(req.URL.RawQuery, "batch"); ok {
+	if b, ok := fleet.QueryValue(req.URL.RawQuery, "batch"); ok {
 		v, err := strconv.Atoi(b)
 		if err != nil || v <= 0 {
 			writeJSONError(w, http.StatusBadRequest, "batch must be a positive integer")
@@ -577,31 +586,22 @@ func (s *server) handlePredict(w http.ResponseWriter, req *http.Request) {
 		batch = v
 	}
 	sc = sc.mark(metricStageParse)
-	rt.stage("parse")
+	rt.Stage("parse")
 	net, err := s.network(name)
 	if err != nil {
 		writeJSONError(w, http.StatusNotFound, err.Error())
 		return
 	}
 	sc = sc.mark(metricStageCache)
-	rt.stage("cache_lookup")
+	rt.Stage("cache_lookup")
 	var pred units.Seconds
-	if rt != nil {
-		// Traced: split compilation from prediction so the timeline
-		// attributes plan-cache misses. Predictions are bit-identical to
-		// the untraced PredictNetwork path; a plan error or a batch beyond
-		// the plan's domain falls back to it for the identical error shape.
-		if p, perr := m.CompiledPlan(net); perr == nil && batch <= p.MaxBatch() {
-			rt.stage("compile")
-			pred = p.Predict(batch)
-			rt.stage("predict")
-		} else {
-			pred, err = m.PredictNetwork(net, batch)
-			rt.stage("predict")
-		}
+	if p, perr := m.CompiledPlan(net); perr == nil && batch <= p.MaxBatch() {
+		rt.Stage("compile")
+		pred = p.Predict(batch)
 	} else {
 		pred, err = m.PredictNetwork(net, batch)
 	}
+	rt.Stage("predict")
 	if err != nil {
 		writeJSONError(w, http.StatusUnprocessableEntity, err.Error())
 		return
@@ -615,7 +615,7 @@ func (s *server) handlePredict(w http.ResponseWriter, req *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 	bufPool.Put(buf)
 	sc.mark(metricStageRender)
-	rt.stage("render")
+	rt.Stage("render")
 }
 
 // renderPredict encodes the /predict response body into buf (resetting it
@@ -744,7 +744,6 @@ func networkFromSpec(spec *batchSpec) (*dnn.Network, error) {
 // requests share one plan compile through the plan cache's singleflight;
 // the sweep itself is cheaper than coordinating them.
 func (s *server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
-	metricServeBatchRequests.Inc()
 	sc := startStages()
 	m := s.loadModel(w)
 	if m == nil {
@@ -753,12 +752,12 @@ func (s *server) handlePredictBatch(w http.ResponseWriter, req *http.Request) {
 	var breq batchRequest
 	switch req.Method {
 	case http.MethodGet:
-		breq.Network, _ = queryValue(req.URL.RawQuery, "network")
+		breq.Network, _ = fleet.QueryValue(req.URL.RawQuery, "network")
 		if breq.Network == "" {
 			writeJSONError(w, http.StatusBadRequest, "missing ?network=")
 			return
 		}
-		csv, ok := queryValue(req.URL.RawQuery, "batches")
+		csv, ok := fleet.QueryValue(req.URL.RawQuery, "batches")
 		if !ok || csv == "" {
 			writeJSONError(w, http.StatusBadRequest, "missing ?batches= (comma-separated positive integers)")
 			return
@@ -915,44 +914,6 @@ func parseBatchesCSV(csv string) ([]int, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// queryValue extracts one query parameter straight from the raw query
-// string, avoiding the url.Values map a req.URL.Query() call would allocate.
-// Escaped values take a rare slow path through url.QueryUnescape.
-//
-//dnnperf:allocfree
-func queryValue(rawQuery, key string) (string, bool) {
-	for len(rawQuery) > 0 {
-		var pair string
-		if i := strings.IndexByte(rawQuery, '&'); i >= 0 {
-			pair, rawQuery = rawQuery[:i], rawQuery[i+1:]
-		} else {
-			pair, rawQuery = rawQuery, ""
-		}
-		if pair == "" {
-			continue // like url.ParseQuery: "&&" is no key, not the empty key
-		}
-		eq := strings.IndexByte(pair, '=')
-		if eq < 0 {
-			if pair == key {
-				return "", true
-			}
-			continue
-		}
-		if pair[:eq] != key {
-			continue
-		}
-		v := pair[eq+1:]
-		if strings.IndexByte(v, '%') >= 0 || strings.IndexByte(v, '+') >= 0 {
-			//lint:ignore allocfree escaped query values take the rare decode slow path
-			if u, err := url.QueryUnescape(v); err == nil {
-				return u, true
-			}
-		}
-		return v, true
-	}
-	return "", false
 }
 
 // bufPool recycles response-encoding buffers across requests.

@@ -2,10 +2,8 @@ package main
 
 import (
 	"net/http"
-	"strconv"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/units"
 )
@@ -17,17 +15,13 @@ import (
 // with a valid sampled `traceparent` header. The decision is a header map
 // read plus a fixed-shape parse — no allocation on the unsampled path, which
 // keeps /predict at 0 allocs/op with tracing enabled (the benchmark gate).
-// Sampled requests allocate one requestTrace and record per-stage spans
+// Sampled requests allocate one obs.RequestTrace and record per-stage spans
 // (parse, cache, compile, predict, render) onto the server's single reserved
 // track, so a merged fleet timeline shows one row per replica.
 //
 // Stage latency *histograms* are separate from spans and always on: every
 // request feeds serve_stage_*_seconds through a value-typed stageClock, so
 // the attribution a /metricsz scrape aggregates does not depend on sampling.
-
-// traceparentHeader is the canonical form of the propagation header, usable
-// as a direct header-map key.
-const traceparentHeader = "Traceparent"
 
 // Stage-latency histograms: always-on per-stage attribution for /predict.
 var (
@@ -53,93 +47,30 @@ var (
 		"/predict/batch: time spent rendering and writing the response body.", nil)
 )
 
-// traceparentOf reads the propagation header by its canonical map key — the
-// header fast path: no MIME canonicalization, no allocation.
-//
-//dnnperf:allocfree
-func traceparentOf(h http.Header) string {
-	if vs := h[traceparentHeader]; len(vs) > 0 {
-		return vs[0]
-	}
-	return ""
-}
-
-// requestTrace follows one sampled request through the replica's handler.
-type requestTrace struct {
-	s     *server
-	sc    obs.SpanContext
-	start time.Duration
-	last  time.Duration
-}
-
 // sampleRequest is the replica's sampling branch: a request is traced iff it
-// carries a valid sampled traceparent. The unsampled path allocates nothing.
+// carries a valid sampled traceparent, read by its canonical header-map key
+// (no MIME canonicalization). The unsampled path allocates nothing.
 //
 //dnnperf:allocfree
-func (s *server) sampleRequest(req *http.Request) *requestTrace {
-	sc, ok := obs.ParseTraceparent(traceparentOf(req.Header))
+func (s *server) sampleRequest(req *http.Request) *obs.RequestTrace {
+	vs := req.Header[obs.TraceparentHeader]
+	if len(vs) == 0 {
+		return nil
+	}
+	sc, ok := obs.ParseTraceparent(vs[0])
 	if !ok || sc.Flags&obs.FlagSampled == 0 {
 		return nil
 	}
-	//lint:ignore allocfree span bookkeeping allocates only for sampled requests
-	return newRequestTrace(s, sc)
-}
-
-func newRequestTrace(s *server, sc obs.SpanContext) *requestTrace {
-	now := s.tracer.Now()
 	// Child: the replica's spans get their own span ID within the trace.
-	return &requestTrace{s: s, sc: sc.Child(), start: now, last: now}
-}
-
-// echoTraceID exposes the trace ID to the client before any write.
-func (t *requestTrace) echoTraceID(h http.Header) {
-	if t == nil {
-		return
-	}
-	h.Set(fleet.TraceIDHeader, t.sc.TraceID())
-}
-
-// stage completes a span covering everything since the previous boundary.
-func (t *requestTrace) stage(name string) {
-	if t == nil {
-		return
-	}
-	now := t.s.tracer.Now()
-	t.s.tracer.Complete(obs.TraceEvent{
-		Name:  name,
-		Cat:   obs.StageCat,
-		Track: t.s.reqTrack,
-		Start: t.last,
-		Dur:   now - t.last,
-		Args:  []obs.Arg{{Key: "trace_id", Val: t.sc.TraceID()}},
-	})
-	t.last = now
-}
-
-// finish completes the whole-request span.
-func (t *requestTrace) finish(route string, status int) {
-	if t == nil {
-		return
-	}
-	now := t.s.tracer.Now()
-	t.s.tracer.Complete(obs.TraceEvent{
-		Name:  route,
-		Cat:   obs.RequestCat,
-		Track: t.s.reqTrack,
-		Start: t.start,
-		Dur:   now - t.start,
-		Args: []obs.Arg{
-			{Key: "trace_id", Val: t.sc.TraceID()},
-			{Key: "status", Val: strconv.Itoa(status)},
-		},
-	})
+	//lint:ignore allocfree span bookkeeping allocates only for sampled requests
+	return s.tracer.TraceRequest(s.reqTrack, sc.Child())
 }
 
 // traceOf recovers the request's trace from the instrumented writer; nil for
 // unsampled requests (and for writers that aren't instrument's recorder).
 //
 //dnnperf:allocfree
-func traceOf(w http.ResponseWriter) *requestTrace {
+func traceOf(w http.ResponseWriter) *obs.RequestTrace {
 	if rec, ok := w.(*statusRecorder); ok {
 		return rec.trace
 	}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
@@ -54,8 +53,8 @@ func TestServeTracePropagation(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("traced /predict status %d (body %s)", w.Code, w.Body)
 	}
-	if got := w.Header().Get(fleet.TraceIDHeader); got != sc.TraceID() {
-		t.Fatalf("%s = %q, want %q", fleet.TraceIDHeader, got, sc.TraceID())
+	if got := w.Header().Get(obs.TraceIDHeader); got != sc.TraceID() {
+		t.Fatalf("%s = %q, want %q", obs.TraceIDHeader, got, sc.TraceID())
 	}
 
 	evs := eventsForTrace(t, h, sc.TraceID())
@@ -123,8 +122,8 @@ func TestServeTraceIgnoresUnsampled(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("%s: status %d", name, w.Code)
 		}
-		if got := w.Header().Get(fleet.TraceIDHeader); got != "" {
-			t.Errorf("%s: unexpected %s header %q", name, fleet.TraceIDHeader, got)
+		if got := w.Header().Get(obs.TraceIDHeader); got != "" {
+			t.Errorf("%s: unexpected %s header %q", name, obs.TraceIDHeader, got)
 		}
 	}
 }

@@ -281,8 +281,9 @@ var hotPathAnnotations = map[string][]string{
 	"internal/core/model.go":    {"clampTime"},
 	"internal/core/kw.go":       {"PredictNetwork", "planFor"},
 	"internal/cache/cache.go":   {"Get", "moveToFront", "pushFront", "unlink"},
-	"cmd/dnnperf/serve.go":      {"renderPredict", "queryValue", "setHeader", "writeJSONString"},
-	"cmd/dnnperf/servetrace.go": {"traceparentOf", "sampleRequest", "traceOf", "startStages", "mark"},
+	"cmd/dnnperf/serve.go":      {"renderPredict", "setHeader", "writeJSONString"},
+	"cmd/dnnperf/servetrace.go": {"sampleRequest", "traceOf", "startStages", "mark"},
+	"internal/fleet/fleet.go":   {"QueryValue"},
 	"internal/sched/localsearch.go": {
 		"heapSwap", "siftUp", "siftDown", "heapFix", "maxExcluding",
 		"evalMove", "evalSwap", "applySwap",

@@ -333,24 +333,11 @@ func Figure14(l *Lab) (*Figure14Result, error) {
 		return nil, err
 	}
 
-	var evals []core.Eval
-	for _, r := range ds.Networks {
-		if r.GPU != target.Name || r.BatchSize != TrainBatch ||
-			r.Task != string(dnn.TaskImageClassification) {
-			continue
-		}
-		net, err := l.Network(r.Network)
-		if err != nil {
-			return nil, err
-		}
-		p, err := m.PredictNetwork(net, TrainBatch)
-		if err != nil {
-			return nil, err
-		}
-		evals = append(evals, core.Eval{Network: r.Network, Predicted: p, Measured: r.E2ESeconds})
-	}
-	if len(evals) == 0 {
-		return nil, fmt.Errorf("bench: figure 14: no evaluation records on %s", target.Name)
+	// The model is resolved for the target, so evaluation reads only the
+	// target's records.
+	evals, err := l.evalOnTest(m, ds, dnn.TaskImageClassification)
+	if err != nil {
+		return nil, err
 	}
 	res := &Figure14Result{
 		Curve:    newSCurve("IGKW", target.Name, evals),

@@ -88,23 +88,9 @@ func TrainingExtension(l *Lab, g gpu.Spec) (*TrainingExtensionResult, error) {
 	}
 	res.KernelCount, res.ModelCount = kw.KernelCount(), kw.ModelCount()
 
-	var evals []core.Eval
-	for _, r := range test.Networks {
-		if r.BatchSize != TrainingBatch || r.Task != string(dnn.TaskImageClassification) {
-			continue
-		}
-		net, err := l.Network(r.Network)
-		if err != nil {
-			return nil, err
-		}
-		p, err := kw.PredictNetwork(net, TrainingBatch)
-		if err != nil {
-			return nil, err
-		}
-		evals = append(evals, core.Eval{Network: r.Network, Predicted: p, Measured: r.E2ESeconds})
-	}
-	if len(evals) == 0 {
-		return nil, fmt.Errorf("bench: training extension: empty test set")
+	evals, err := l.evalAt(kw, test, dnn.TaskImageClassification, TrainingBatch)
+	if err != nil {
+		return nil, err
 	}
 	res.Curve = newSCurve("KW-training", g.Name, evals)
 

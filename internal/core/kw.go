@@ -494,9 +494,9 @@ func (m *KWModel) planFor(n *dnn.Network) (*Plan, error) {
 
 // CompiledPlan returns the model's cached compiled plan for the network,
 // compiling it on first use — the exact plan PredictNetwork executes.
-// Exposed so callers that attribute latency per stage (the serve tracing
-// path) can time compile and predict separately while producing
-// bit-identical predictions.
+// Exposed so callers that attribute latency per stage (serve's /predict) can
+// time compile and predict separately while producing bit-identical
+// predictions.
 func (m *KWModel) CompiledPlan(n *dnn.Network) (*Plan, error) { return m.planFor(n) }
 
 // CompilePlan compiles a standalone prediction plan for the network without

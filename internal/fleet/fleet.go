@@ -40,6 +40,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -208,33 +209,31 @@ func New(addrs []string, maxInflight int) (*Proxy, error) {
 	return p, nil
 }
 
-// Start launches the readiness prober; it stops when ctx is cancelled. Wait
-// returns once the prober goroutine has exited.
+// Start launches the readiness prober and the SLO burn-rate sampler; both
+// stop when ctx is cancelled. Wait returns once both goroutines have exited.
 func (p *Proxy) Start(ctx context.Context) {
 	p.probeAll()
-	p.wg.Add(1)
+	p.wg.Add(2)
 	go func() {
 		defer p.wg.Done()
 		t := time.NewTicker(healthInterval)
 		defer t.Stop()
-		// SLO burn-rate windows need periodic counter samples; piggyback on
-		// the prober goroutine rather than spawning another.
-		slo := time.NewTicker(2 * time.Second)
-		defer slo.Stop()
 		for {
 			select {
 			case <-ctx.Done():
 				return
 			case <-t.C:
 				p.probeAll()
-			case <-slo.C:
-				p.slo.Sample()
 			}
 		}
 	}()
+	go func() {
+		defer p.wg.Done()
+		p.slo.Run(ctx, 2*time.Second)
+	}()
 }
 
-// Wait blocks until the prober has stopped.
+// Wait blocks until the prober and the SLO sampler have stopped.
 func (p *Proxy) Wait() { p.wg.Wait() }
 
 // probeAll refreshes every replica's readiness from its /readyz endpoint.
@@ -314,7 +313,7 @@ func fnv64(s string) uint64 {
 // network_spec IS the network identity). Requests with no network identity
 // (metrics, health) hash their path so they spread deterministically.
 func shardKey(r *http.Request, body []byte) uint64 {
-	if net := queryNetwork(r.URL.RawQuery); net != "" {
+	if net, _ := QueryValue(r.URL.RawQuery, "network"); net != "" {
 		return fnv64(net)
 	}
 	if len(body) > 0 {
@@ -331,8 +330,15 @@ func shardKey(r *http.Request, body []byte) uint64 {
 	return fnv64(r.URL.Path)
 }
 
-// queryNetwork pulls the network parameter straight off the raw query.
-func queryNetwork(rawQuery string) string {
+// QueryValue returns the value of the first pair in the raw query whose key
+// is key, and whether there is one. A bare key reads as ""; a value is
+// unescaped, or kept raw when it does not unescape, on a rare slow path
+// through url.QueryUnescape. Reading the raw string avoids the url.Values map
+// a URL.Query() call would allocate. The proxy's shard key and the replica's
+// GET handlers read their parameters with it.
+//
+//dnnperf:allocfree
+func QueryValue(rawQuery, key string) (string, bool) {
 	for len(rawQuery) > 0 {
 		var pair string
 		if i := strings.IndexByte(rawQuery, '&'); i >= 0 {
@@ -340,14 +346,29 @@ func queryNetwork(rawQuery string) string {
 		} else {
 			pair, rawQuery = rawQuery, ""
 		}
-		if v, ok := strings.CutPrefix(pair, "network="); ok {
-			if u, err := url.QueryUnescape(v); err == nil {
-				return u
-			}
-			return v
+		if pair == "" {
+			continue // like url.ParseQuery: "&&" is no key, not the empty key
 		}
+		eq := strings.IndexByte(pair, '=')
+		if eq < 0 {
+			if pair == key {
+				return "", true
+			}
+			continue
+		}
+		if pair[:eq] != key {
+			continue
+		}
+		v := pair[eq+1:]
+		if strings.IndexByte(v, '%') >= 0 || strings.IndexByte(v, '+') >= 0 {
+			//lint:ignore allocfree escaped query values take the rare decode slow path
+			if u, err := url.QueryUnescape(v); err == nil {
+				return u, true
+			}
+		}
+		return v, true
 	}
-	return ""
+	return "", false
 }
 
 // jsonStringField scans raw JSON for a top-level-ish `"name": "value"` pair
@@ -423,14 +444,14 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	rt := p.sampleRequest(req)
 	unsampledStart := p.tracer.Now()
 	if rt != nil {
-		w.Header().Set(TraceIDHeader, rt.sc.TraceID())
+		w.Header().Set(obs.TraceIDHeader, rt.Context().TraceID())
 	}
 	// A relay that breaks off mid-body unwinds with http.ErrAbortHandler;
 	// the request is still traced, as a 502.
 	status := http.StatusBadGateway
 	defer func() {
 		if rt != nil {
-			rt.finish(req.Method, req.URL.Path, status)
+			rt.Finish(req.Method+" "+req.URL.Path, status)
 		} else {
 			p.recordBadUnsampled(req.Method, req.URL.Path, status, unsampledStart, p.tracer.Now())
 		}
@@ -443,7 +464,7 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // route buffers the body, walks the ring, and forwards; it returns the
 // status committed to the client. rt is nil for unsampled requests.
-func (p *Proxy) route(w http.ResponseWriter, req *http.Request, rt *proxyTrace) int {
+func (p *Proxy) route(w http.ResponseWriter, req *http.Request, rt *obs.RequestTrace) int {
 	// Buffer the body once so retries can replay it.
 	var body []byte
 	if req.Body != nil && req.Body != http.NoBody {
@@ -468,7 +489,7 @@ func (p *Proxy) route(w http.ResponseWriter, req *http.Request, rt *proxyTrace) 
 	}
 
 	owners := p.owners(shardKey(req, body))
-	rt.stage("shard_pick")
+	rt.Stage("shard_pick")
 
 	// Admission + readiness walk: the first ready owner under its in-flight
 	// cap gets the request; saturated owners are spilled past. If a ready
@@ -497,10 +518,14 @@ func (p *Proxy) route(w http.ResponseWriter, req *http.Request, rt *proxyTrace) 
 			sawSpill = false
 		}
 		attempts++
-		rt.stage("admission")
+		rt.Stage("admission")
 		hopStart := p.tracer.Now()
 		status, retryable := p.forward(w, req, r, body, rt)
-		rt.hop(attempts, r.addr, hopStart)
+		hop := "upstream_wait"
+		if attempts > 1 {
+			hop = "retry_hop"
+		}
+		rt.Span(hop, hopStart, obs.Arg{Key: "replica", Val: r.addr}, obs.Arg{Key: "attempt", Val: strconv.Itoa(attempts)})
 		if !retryable {
 			return status
 		}
@@ -513,7 +538,7 @@ func (p *Proxy) route(w http.ResponseWriter, req *http.Request, rt *proxyTrace) 
 		writeError(w, http.StatusBadGateway, "every forward attempt failed")
 		return http.StatusBadGateway
 	}
-	rt.stage("admission")
+	rt.Stage("admission")
 	if sawReady {
 		metricRejected.Inc()
 		w.Header().Set("Retry-After", retryAfter)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -173,6 +174,28 @@ func TestShardKeyFromPOSTBody(t *testing.T) {
 	req, _ = http.NewRequest(http.MethodPost, "http://x/predict/batch", nil)
 	if shardKey(req, raw) != shardKey(req, raw) {
 		t.Fatal("body hash not deterministic")
+	}
+}
+
+// TestShardKeyBareNetworkFirst: the shard key reads ?network= as the
+// replica's handlers do, so a bare network pair ahead of a valued one names
+// no network (url.ParseQuery's first value is ""), and the request routes by
+// its body or path like any request without one.
+func TestShardKeyBareNetworkFirst(t *testing.T) {
+	body := []byte(`{"network": "bert-large"}`)
+	for _, c := range []struct {
+		query string
+		body  []byte
+		want  uint64
+	}{
+		{"network&network=resnet50", nil, fnv64("/predict")},
+		{"network&network=resnet50", body, fnv64("bert-large")},
+		{"batch=8&network&network=resnet50", nil, fnv64("/predict")},
+	} {
+		req := &http.Request{Method: http.MethodGet, URL: &url.URL{Path: "/predict", RawQuery: c.query}}
+		if got := shardKey(req, c.body); got != c.want {
+			t.Errorf("shardKey(%q, %q) = %d, want %d", c.query, c.body, got, c.want)
+		}
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strconv"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // The forward path. Each proxied request runs its whole exchange on the
@@ -74,7 +76,7 @@ func (r *replica) dial(ctx context.Context, deadline time.Time) (*backendConn, e
 // reports retryable=true only for connection-level failures where no
 // response bytes reached the client. A sampled request propagates its trace
 // context downstream, with a fresh span ID per attempt.
-func (p *Proxy) forward(w http.ResponseWriter, req *http.Request, r *replica, body []byte, rt *proxyTrace) (int, bool) {
+func (p *Proxy) forward(w http.ResponseWriter, req *http.Request, r *replica, body []byte, rt *obs.RequestTrace) (int, bool) {
 	r.inflight.Add(1)
 	metricInflight.Add(1)
 	defer func() {
@@ -84,7 +86,7 @@ func (p *Proxy) forward(w http.ResponseWriter, req *http.Request, r *replica, bo
 
 	var traceparent string
 	if rt != nil {
-		traceparent = rt.sc.Child().Traceparent()
+		traceparent = rt.Context().Child().Traceparent()
 	}
 	metricForwarded.Inc()
 	ctx := req.Context()
@@ -201,7 +203,7 @@ func writeRequest(bw *bufio.Writer, req *http.Request, host string, body []byte,
 	for k := range req.Header {
 		switch {
 		case hopByHop(k), k == "Host", k == "Content-Length", k == "X-Forwarded-For",
-			k == traceparentHeader && traceparent != "":
+			k == obs.TraceparentHeader && traceparent != "":
 		default:
 			keys = append(keys, k)
 		}
@@ -214,7 +216,7 @@ func writeRequest(bw *bufio.Writer, req *http.Request, host string, body []byte,
 	}
 	writeField(bw, "X-Forwarded-For", req.RemoteAddr)
 	if traceparent != "" {
-		writeField(bw, traceparentHeader, traceparent)
+		writeField(bw, obs.TraceparentHeader, traceparent)
 	}
 	if len(body) > 0 || req.Method == http.MethodPost || req.Method == http.MethodPut || req.Method == http.MethodPatch {
 		bw.WriteString("Content-Length: ")

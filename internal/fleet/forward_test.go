@@ -13,6 +13,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // novelBody is a serve-novel-shaped /predict/batch body: an inline spec of
@@ -249,7 +251,7 @@ func FuzzForwardRequest(f *testing.F) {
 		if rest, _ := br.Peek(1); len(rest) != 0 {
 			t.Fatalf("bytes after the forwarded request\n%q", emitted)
 		}
-		set := map[string]bool{"Host": true, "Content-Length": true, "X-Forwarded-For": true, traceparentHeader: sampled}
+		set := map[string]bool{"Host": true, "Content-Length": true, "X-Forwarded-For": true, obs.TraceparentHeader: sampled}
 		for k, vs := range in.Header {
 			if hopByHop(k) || set[k] {
 				continue
@@ -262,15 +264,15 @@ func FuzzForwardRequest(f *testing.F) {
 			if hopByHop(k) {
 				t.Fatalf("hop-by-hop header %s forwarded\n%q", k, emitted)
 			}
-			if _, ok := in.Header[k]; !ok && k != "X-Forwarded-For" && k != "Content-Length" && !(sampled && k == traceparentHeader) {
+			if _, ok := in.Header[k]; !ok && k != "X-Forwarded-For" && k != "Content-Length" && !(sampled && k == obs.TraceparentHeader) {
 				t.Fatalf("header %s appeared in forwarding\n%q", k, emitted)
 			}
 		}
 		if xff := out.Header["X-Forwarded-For"]; !slices.Equal(xff, []string{in.RemoteAddr}) {
 			t.Fatalf("X-Forwarded-For = %q, want [%s]", xff, in.RemoteAddr)
 		}
-		if sampled && !slices.Equal(out.Header[traceparentHeader], []string{tp}) {
-			t.Fatalf("Traceparent = %q, want [%s]", out.Header[traceparentHeader], tp)
+		if sampled && !slices.Equal(out.Header[obs.TraceparentHeader], []string{tp}) {
+			t.Fatalf("Traceparent = %q, want [%s]", out.Header[obs.TraceparentHeader], tp)
 		}
 	})
 }

@@ -15,8 +15,8 @@ import (
 // existing trace. Sampled requests carry their context to the replica in a
 // `traceparent` header and echo the trace ID to the client in `X-Trace-Id`;
 // the proxy's own stages (shard pick, admission, upstream wait, retry hops)
-// are recorded as Complete events on one reserved track, so the whole
-// process renders as a single timeline row in Perfetto.
+// are an obs.RequestTrace on one reserved track, so the whole process
+// renders as a single timeline row in Perfetto.
 //
 // Unsampled requests cost one counter increment and two clock reads; if one
 // turns out bad — 5xx, or slower than slowSample — a single summary
@@ -24,107 +24,20 @@ import (
 // means the response headers are already gone; deliberate trade: the header
 // echo only exists for head-sampled requests.)
 
-// TraceIDHeader is the response header echoing the request's trace ID.
-const TraceIDHeader = "X-Trace-Id"
-
-// traceparentHeader is the W3C propagation header, canonical form.
-const traceparentHeader = "Traceparent"
-
-// proxyTrace follows one sampled request through the proxy.
-type proxyTrace struct {
-	p     *Proxy
-	sc    obs.SpanContext
-	start time.Duration
-	last  time.Duration
-}
-
 // sampleRequest decides whether this forwarded request is traced. Returns
-// nil for unsampled requests — every method on a nil *proxyTrace is a no-op.
-func (p *Proxy) sampleRequest(req *http.Request) *proxyTrace {
-	if sc, ok := obs.ParseTraceparent(traceparentOf(req.Header)); ok && sc.Flags&obs.FlagSampled != 0 {
-		return p.newProxyTrace(sc.Child())
+// nil for unsampled requests — every method on a nil *obs.RequestTrace is a
+// no-op.
+func (p *Proxy) sampleRequest(req *http.Request) *obs.RequestTrace {
+	if vs := req.Header[obs.TraceparentHeader]; len(vs) > 0 {
+		if sc, ok := obs.ParseTraceparent(vs[0]); ok && sc.Flags&obs.FlagSampled != 0 {
+			return p.tracer.TraceRequest(p.reqTrack, sc.Child())
+		}
 	}
 	n := p.sampleN.Add(1)
 	if (n-1)%sampleEvery != 0 {
 		return nil
 	}
-	return p.newProxyTrace(obs.NewSpanContext())
-}
-
-// traceparentOf reads the propagation header by canonical key.
-func traceparentOf(h http.Header) string {
-	if vs := h[traceparentHeader]; len(vs) > 0 {
-		return vs[0]
-	}
-	return ""
-}
-
-func (p *Proxy) newProxyTrace(sc obs.SpanContext) *proxyTrace {
-	now := p.tracer.Now()
-	return &proxyTrace{p: p, sc: sc, start: now, last: now}
-}
-
-// stage completes a span covering everything since the previous stage
-// boundary (or the request start).
-func (t *proxyTrace) stage(name string) {
-	if t == nil {
-		return
-	}
-	now := t.p.tracer.Now()
-	t.p.tracer.Complete(obs.TraceEvent{
-		Name:  name,
-		Cat:   obs.StageCat,
-		Track: t.p.reqTrack,
-		Start: t.last,
-		Dur:   now - t.last,
-		Args:  []obs.Arg{{Key: "trace_id", Val: t.sc.TraceID()}},
-	})
-	t.last = now
-}
-
-// hop completes one forward attempt's span: "upstream_wait" for the first
-// attempt, "retry_hop" for each retry, annotated with the replica address.
-func (t *proxyTrace) hop(attempt int, addr string, from time.Duration) {
-	if t == nil {
-		return
-	}
-	name := "upstream_wait"
-	if attempt > 1 {
-		name = "retry_hop"
-	}
-	now := t.p.tracer.Now()
-	t.p.tracer.Complete(obs.TraceEvent{
-		Name:  name,
-		Cat:   obs.StageCat,
-		Track: t.p.reqTrack,
-		Start: from,
-		Dur:   now - from,
-		Args: []obs.Arg{
-			{Key: "trace_id", Val: t.sc.TraceID()},
-			{Key: "replica", Val: addr},
-			{Key: "attempt", Val: strconv.Itoa(attempt)},
-		},
-	})
-	t.last = now
-}
-
-// finish completes the whole-request span.
-func (t *proxyTrace) finish(method, path string, status int) {
-	if t == nil {
-		return
-	}
-	now := t.p.tracer.Now()
-	t.p.tracer.Complete(obs.TraceEvent{
-		Name:  method + " " + path,
-		Cat:   obs.RequestCat,
-		Track: t.p.reqTrack,
-		Start: t.start,
-		Dur:   now - t.start,
-		Args: []obs.Arg{
-			{Key: "trace_id", Val: t.sc.TraceID()},
-			{Key: "status", Val: strconv.Itoa(status)},
-		},
-	})
+	return p.tracer.TraceRequest(p.reqTrack, obs.NewSpanContext())
 }
 
 // recordBadUnsampled records the post-hoc summary span for an unsampled

@@ -72,7 +72,7 @@ func TestTraceIDEchoAndPropagation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	traceID := resp.Header.Get(TraceIDHeader)
+	traceID := resp.Header.Get(obs.TraceIDHeader)
 	if len(traceID) != 32 {
 		t.Fatalf("X-Trace-Id = %q, want 32 hex digits", traceID)
 	}
@@ -127,7 +127,7 @@ func TestSamplingPeriod(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.Header.Get(TraceIDHeader) != "" {
+		if resp.Header.Get(obs.TraceIDHeader) != "" {
 			sampled = append(sampled, i)
 		}
 	}
@@ -157,7 +157,7 @@ func TestIncomingTraceparentContinuation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(TraceIDHeader); got != upstream.TraceID() {
+	if got := resp.Header.Get(obs.TraceIDHeader); got != upstream.TraceID() {
 		t.Fatalf("continued trace echoed %q, want upstream %q", got, upstream.TraceID())
 	}
 
@@ -169,7 +169,7 @@ func TestIncomingTraceparentContinuation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(TraceIDHeader); got != "" {
+	if got := resp.Header.Get(obs.TraceIDHeader); got != "" {
 		t.Fatalf("malformed traceparent produced a trace %q", got)
 	}
 
@@ -183,7 +183,7 @@ func TestIncomingTraceparentContinuation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(TraceIDHeader); got != "" {
+	if got := resp.Header.Get(obs.TraceIDHeader); got != "" {
 		t.Fatalf("unsampled traceparent produced a trace %q", got)
 	}
 }
@@ -213,7 +213,7 @@ func TestTracePropagationAcrossRetry(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 after retry", resp.StatusCode)
 	}
-	traceID := resp.Header.Get(TraceIDHeader)
+	traceID := resp.Header.Get(obs.TraceIDHeader)
 	if traceID == "" {
 		t.Fatal("no trace ID on retried request")
 	}
@@ -271,7 +271,7 @@ func TestTracePropagationAcrossSpill(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200 after spill", resp.StatusCode)
 	}
-	traceID := resp.Header.Get(TraceIDHeader)
+	traceID := resp.Header.Get(obs.TraceIDHeader)
 	parents := spilledTo.seenParents()
 	if len(parents) != 1 {
 		t.Fatalf("spill target saw %d requests, want 1", len(parents))

@@ -15,12 +15,11 @@
 //   - Closed: closedWorkers workers issue requests back to back;
 //     throughput reports the service capacity at that concurrency.
 //
-// Latencies are recorded twice: exact per-request samples (whose precise
-// p50/p99/p999 are selected at the end) and an internal/obs latency
-// histogram whose buckets feed the summary's distribution view. Requests
-// arriving during the warm-up window are sent and counted but excluded from
-// latency and throughput, so cold plan caches and connection establishment
-// do not pollute the steady-state numbers.
+// Latencies are recorded once per request, as exact samples whose p50, p90,
+// p99 and p99.9 are selected at the end. Requests arriving during the
+// warm-up window are sent and counted but excluded from latency and
+// throughput, so cold plan caches and connection establishment do not
+// pollute the steady-state numbers.
 package loadgen
 
 import (
@@ -122,8 +121,6 @@ type Result struct {
 	// Latency quantiles over the post-warm-up samples (exact order
 	// statistics of the sample set, not bucket interpolation).
 	P50, P90, P99, P999, Max time.Duration
-	// Hist is the obs bucket histogram of the same samples.
-	Hist *obs.Histogram
 	// Slowest lists the slowest post-warm-up requests, worst first, with the
 	// trace ID each response echoed (empty when the request was unsampled),
 	// so a bad tail can be looked up directly in the merged fleet timeline.
@@ -136,10 +133,6 @@ type SlowRequest struct {
 	Latency time.Duration `json:"latency"`
 	Status  int           `json:"status"`
 }
-
-// traceIDHeader is the response header the serving tier echoes for sampled
-// requests (fleet.TraceIDHeader; spelled out to keep loadgen target-agnostic).
-const traceIDHeader = "X-Trace-Id"
 
 // Quantile returns the exact q-quantile of ascending samples by the
 // ceil-rank rule: sorted[⌈q·n⌉−1], the smallest sample with at least a q
@@ -265,7 +258,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			},
 		},
 		warmupEnd: time.Now().Add(cfg.Warmup),
-		hist:      obs.NewHistogram(nil),
 	}
 	res := &Result{Arrival: arrival, OfferedRPS: cfg.Rate}
 	if arrival == Closed {
@@ -298,7 +290,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if res.MeasuredSeconds > 0 {
 		res.ThroughputRPS = float64(res.Measured) / res.MeasuredSeconds.Float64()
 	}
-	res.Hist = r.hist
 
 	r.mu.Lock()
 	samples := r.samples
@@ -324,7 +315,6 @@ type run struct {
 	mu                              sync.Mutex
 	samples                         []time.Duration
 	slowest                         []SlowRequest // unordered top-k by latency
-	hist                            *obs.Histogram
 }
 
 // recordSlow keeps the top-k slowest requests; r.mu must be held.
@@ -453,9 +443,8 @@ func (r *run) do(req *http.Request) {
 	if resp.StatusCode < 400 {
 		r.measured.Add(1)
 	}
-	r.hist.Observe(units.Seconds(elapsed.Seconds()))
 	r.mu.Lock()
 	r.samples = append(r.samples, elapsed)
-	r.recordSlow(elapsed, resp.StatusCode, resp.Header.Get(traceIDHeader))
+	r.recordSlow(elapsed, resp.StatusCode, resp.Header.Get(obs.TraceIDHeader))
 	r.mu.Unlock()
 }

@@ -62,9 +62,6 @@ func TestRunPoissonBasics(t *testing.T) {
 	if res.Measured >= res.Completed {
 		t.Fatalf("measured=%d not smaller than completed=%d despite warm-up", res.Measured, res.Completed)
 	}
-	if int64(res.Hist.Count()) != res.Measured {
-		t.Fatalf("histogram count %d != measured %d", res.Hist.Count(), res.Measured)
-	}
 	if res.P50 <= 0 || res.P99 < res.P50 || res.P999 < res.P99 || res.Max < res.P999 {
 		t.Fatalf("quantiles not monotone: p50=%v p99=%v p999=%v max=%v", res.P50, res.P99, res.P999, res.Max)
 	}

@@ -69,19 +69,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// SnapshotJSON returns the registry snapshot in the same shape WriteJSON
-// encodes, as a value safe to pass to json.Marshal (the raw Snapshot carries
-// +Inf bucket bounds, which encoding/json rejects). It exists for callers
-// that embed the snapshot in a larger document, e.g. an expvar.Func.
-func (r *Registry) SnapshotJSON() any {
-	snap := r.Snapshot()
-	out := make([]MetricJSON, len(snap))
-	for i, m := range snap {
-		out[i] = toJSONMetric(m)
-	}
-	return out
-}
-
 // MetricJSON flattens a MetricSnapshot for JSON: histograms carry finite
 // bucket edges as numbers and the +Inf bucket as the total count.
 type MetricJSON struct {

@@ -213,8 +213,9 @@ func runRestart(dt *DenseTimes, initial []int32, seed int64, moves, r int, t0, c
 	// seen a better incumbent; recompute both exactly and keep the winner
 	// (ties prefer the incumbent, which was reached first).
 	load := make([]float64, st.g)
+	best := st.incumbent()
 	endSpan := exactMakespan(dt, st.gpuOf, load)
-	bestSpan := exactMakespan(dt, st.bestGPUOf, load)
+	bestSpan := exactMakespan(dt, best, load)
 	out := restartOut{
 		movesTried: st.movesTried, movesAccepted: st.movesAccepted,
 		swapsTried: st.swapsTried, swapsAccepted: st.swapsAccepted,
@@ -222,7 +223,7 @@ func runRestart(dt *DenseTimes, initial []int32, seed int64, moves, r int, t0, c
 	if endSpan < bestSpan {
 		out.gpuOf, out.makespan = st.gpuOf, endSpan
 	} else {
-		out.gpuOf, out.makespan = st.bestGPUOf, bestSpan
+		out.gpuOf, out.makespan = best, bestSpan
 	}
 	return out
 }
@@ -280,9 +281,13 @@ type searchState struct {
 
 	rng rng.Stream
 
-	// Incumbent: best makespan seen and the assignment that achieved it.
+	// Incumbent: the best makespan seen and the assignment that achieved
+	// it. While atBest the incumbent is the current assignment itself, so a
+	// run of improving commits copies nothing; bestGPUOf holds it once a
+	// commit has left it (see noteCommit).
 	bestSpan  float64
 	bestGPUOf []int32
+	atBest    bool
 
 	movesTried, movesAccepted int64
 	swapsTried, swapsAccepted int64
@@ -325,17 +330,34 @@ func newSearchState(dt *DenseTimes, initial []int32, seed uint64) *searchState {
 	}
 	s.refreshTop()
 	s.span = s.load[s.heapGPU[0]]
-	s.bestSpan = s.span
-	copy(s.bestGPUOf, s.gpuOf)
+	s.bestSpan, s.atBest = s.span, true
 	return s
 }
 
-// noteBest records the current assignment if it beats the incumbent.
-func (s *searchState) noteBest() {
+// noteCommit updates the incumbent after a committed move or swap that took
+// task i off GPU gi and task j off GPU gj (j = i for a move). A strict
+// improvement makes the current assignment the incumbent and copies
+// nothing. The first other commit after it copies the incumbent out: the
+// current assignment with the two tasks put back, which is exact whatever
+// the commit did to the loads.
+func (s *searchState) noteCommit(i int, gi int32, j int, gj int32) {
 	if s.span < s.bestSpan {
-		s.bestSpan = s.span
-		copy(s.bestGPUOf, s.gpuOf)
+		s.bestSpan, s.atBest = s.span, true
+		return
 	}
+	if s.atBest {
+		copy(s.bestGPUOf, s.gpuOf)
+		s.bestGPUOf[i], s.bestGPUOf[j] = gi, gj
+		s.atBest = false
+	}
+}
+
+// incumbent returns the best assignment seen, which the state owns.
+func (s *searchState) incumbent() []int32 {
+	if s.atBest {
+		return s.gpuOf
+	}
+	return s.bestGPUOf
 }
 
 // ---------------------------------------------------------------- heap
@@ -556,7 +578,7 @@ func (s *searchState) anneal(moves int, t0, cool float64) {
 			if s.accept(s.evalMove(i, to), temp) {
 				s.applyMove(i, to)
 				s.movesAccepted++
-				s.noteBest()
+				s.noteCommit(i, src, i, src)
 			}
 		} else {
 			dst := s.byGPU[to]
@@ -568,7 +590,7 @@ func (s *searchState) anneal(moves int, t0, cool float64) {
 			if s.accept(s.evalSwap(i, j), temp) {
 				s.applySwap(i, j)
 				s.swapsAccepted++
-				s.noteBest()
+				s.noteCommit(i, src, j, to)
 			}
 		}
 	}
@@ -632,13 +654,14 @@ func (s *searchState) descend() {
 				s.applyMove(i, bestTo)
 				s.movesAccepted++
 				improved = true
-				s.noteBest()
+				s.noteCommit(i, from, i, from)
 			}
 		}
 		if swapSweep {
 			for i := 0; i < s.n; i++ {
 				for j := i + 1; j < s.n; j++ {
-					if s.gpuOf[i] == s.gpuOf[j] {
+					gi, gj := s.gpuOf[i], s.gpuOf[j]
+					if gi == gj {
 						continue
 					}
 					s.swapsTried++
@@ -646,7 +669,7 @@ func (s *searchState) descend() {
 						s.applySwap(i, j)
 						s.swapsAccepted++
 						improved = true
-						s.noteBest()
+						s.noteCommit(i, gi, j, gj)
 					}
 				}
 			}

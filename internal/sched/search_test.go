@@ -141,6 +141,83 @@ func TestIncrementalMatchesRecomputeExact(t *testing.T) {
 	}
 }
 
+// TestIncumbentMatchesEagerCopy replays the random move/swap walks of
+// TestIncrementalMatchesRecomputeExact through noteCommit and checks the
+// incumbent after every commit against a copy taken at every strict
+// improvement, which is what the search kept before it copied only when
+// leaving the incumbent. It runs on dyadic times and on Synthetic's
+// non-dyadic ones, where evalSwap's prediction and applySwap's loads round
+// differently for about one swap in twelve.
+func TestIncumbentMatchesEagerCopy(t *testing.T) {
+	for _, tc := range []struct{ n, g, levels int }{
+		{5, 2, 0}, {64, 5, 0}, {200, 8, 0}, {40, 2, 3}, {150, 7, 3},
+	} {
+		for seed := uint64(0); seed < 4; seed++ {
+			dyadic := dyadicInstance(tc.n, tc.g, tc.levels, 1000*seed+uint64(tc.n))
+			for _, dt := range []*DenseTimes{dyadic, Synthetic(tc.n, tc.g, int64(seed))} {
+				draw := rng.New(seed * 77)
+				s := randomState(dt, &draw)
+				wantSpan, want := s.span, slices.Clone(s.gpuOf)
+				for step := 0; step < 500; step++ {
+					i := draw.Intn(tc.n)
+					gi := s.gpuOf[i]
+					j, gj := i, gi
+					if draw.Uint64()&1 == 0 {
+						to := int32(draw.Intn(tc.g - 1))
+						if to >= gi {
+							to++
+						}
+						s.applyMove(i, to)
+					} else {
+						j = draw.Intn(tc.n)
+						if gj = s.gpuOf[j]; gi == gj {
+							continue
+						}
+						s.applySwap(i, j)
+					}
+					s.noteCommit(i, gi, j, gj)
+					if s.span < wantSpan {
+						wantSpan, want = s.span, slices.Clone(s.gpuOf)
+					}
+					if s.bestSpan != wantSpan || !slices.Equal(s.incumbent(), want) {
+						t.Fatalf("n=%d g=%d seed %d step %d: incumbent span %v differs from the eager copy's %v, or its assignment does",
+							tc.n, tc.g, seed, step, s.bestSpan, wantSpan)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchIncumbentIsBestSpan runs whole restarts, annealing then
+// descent, on dyadic times, where incremental loads are exact, and checks
+// after each phase that the incumbent's recomputed makespan is the best
+// span the search recorded. A commit site that moves tasks without noting
+// the commit leaves the incumbent without copying it out, and fails here.
+func TestSearchIncumbentIsBestSpan(t *testing.T) {
+	for _, tc := range []struct{ n, g, levels, moves int }{
+		{12, 3, 0, 4000}, {40, 4, 3, 8000}, {300, 6, 0, 20000}, {600, 8, 3, 20000},
+	} {
+		for seed := uint64(0); seed < 6; seed++ {
+			dt := dyadicInstance(tc.n, tc.g, tc.levels, 31*seed+uint64(tc.n))
+			draw := rng.New(seed)
+			s := randomState(dt, &draw)
+			t0, cool := annealSchedule(taskMins(dt), dt.n, tc.moves)
+			load := make([]float64, tc.g)
+			s.anneal(tc.moves, t0, cool)
+			if got := exactMakespan(dt, s.incumbent(), load); got != s.bestSpan || s.bestSpan > s.span {
+				t.Fatalf("n=%d seed %d after annealing: incumbent makespan %v, best span %v, current span %v",
+					tc.n, seed, got, s.bestSpan, s.span)
+			}
+			s.descend()
+			if got := exactMakespan(dt, s.incumbent(), load); got != s.bestSpan || s.bestSpan > s.span {
+				t.Fatalf("n=%d seed %d after descent: incumbent makespan %v, best span %v, current span %v",
+					tc.n, seed, got, s.bestSpan, s.span)
+			}
+		}
+	}
+}
+
 // TestSwapKeepsHeapWhenRootAndChildDrop: one swap lowers both the root GPU
 // and its child below a grandchild. Fixing the child while the root's load
 // is already lowered would lift the third GPU to the root and leave the
