@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-sarif verify bench bench-smoke bench-baseline bench-compare serve-smoke loadtest-smoke fleetsim-smoke
+.PHONY: build test lint lint-sarif verify experiments bench bench-smoke bench-baseline bench-compare serve-smoke loadtest-smoke fleetsim-smoke
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,8 @@ lint-sarif:
 # verify is the pre-merge gate: a gofmt check of every tracked Go file, vet,
 # dnnlint, the full test suite under the race detector (the concurrency
 # tests in internal/bench, internal/cache and internal/core only bite with
-# -race on), a 5s run of every fuzz target (the model envelope,
+# -race on), full-fidelity `dnnperf all` diffed against its golden
+# (`make experiments`), a 5s run of every fuzz target (the model envelope,
 # kernel-family names, network CSV, traceparent, the /predict/batch body,
 # its one-pass decoder against encoding/json, and the GET query scanner
 # against url.ParseQuery) past its seed corpus, the
@@ -38,6 +39,14 @@ lint-sarif:
 # scripts/ci.sh runs all of them.
 verify:
 	./scripts/ci.sh
+
+# experiments regenerates the stdout goldens of `dnnperf -quick all` and
+# full-fidelity `dnnperf all` under cmd/dnnperf/testdata/. A change that
+# moves a paper artifact regenerates them in the same diff; the test suite
+# diffs the quick one, `make verify` the full one.
+experiments:
+	$(GO) run ./cmd/dnnperf -quick all > cmd/dnnperf/testdata/all-quick.golden
+	$(GO) run ./cmd/dnnperf all > cmd/dnnperf/testdata/all.golden
 
 # bench profiles the collection fast path: the lab collection benchmark with
 # a CPU profile (inspect with `go tool pprof`), then one quick collection

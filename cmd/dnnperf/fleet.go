@@ -30,9 +30,9 @@ import (
 // this binary N times as `dnnperf serve` replicas on ephemeral ports, fronts
 // them with the internal/fleet consistent-hash proxy, and serves the proxy
 // on -addr. The model is fitted once per fleet, as the paper distributes a
-// model trained once: while the replicas boot, the parent runs the same
-// lab → dataset → split → FitKW pipeline a self-fitting replica would, and
-// writes the model's core.Save envelope to every replica's stdin (each runs
+// model trained once: while the replicas boot, the parent fits the same
+// Lab.KW model a self-fitting replica would warm up with, and writes the
+// model's core.Save envelope to every replica's stdin (each runs
 // `serve -model -`), so every replica serves the same model bytes as
 // version 1. A failed fit stops the replicas and fails the command. Each
 // replica owns a disjoint slice of the plan-cache key space (requests shard
@@ -170,7 +170,7 @@ func fitEnvelope(quick bool, g gpu.Spec) ([]byte, error) {
 	if quick {
 		newLab = bench.NewQuickLab
 	}
-	kw, err := fitServeModel(newLab(), g)
+	kw, err := newLab().KW(g)
 	if err != nil {
 		return nil, err
 	}

@@ -51,7 +51,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -176,7 +178,9 @@ func main() {
 			fatal(err)
 		}
 	case "all":
-		runAll(lab())
+		if err := runAll(os.Stdout, lab()); err != nil {
+			fatal(err)
+		}
 	case "plots":
 		runPlots(lab())
 	case "export":
@@ -188,19 +192,19 @@ func main() {
 		}
 		fmt.Printf("figure data written to %s/\n", *out)
 	default:
-		if fn, ok := experiments()[cmd]; ok {
-			sp := obs.StartPhase(cmd)
-			text, err := fn(lab())
-			sp.End()
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(text)
-		} else {
+		i := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == cmd })
+		if i < 0 {
 			fmt.Fprintf(os.Stderr, "dnnperf: unknown command %q\n\n", cmd)
 			usage()
 			os.Exit(2)
 		}
+		sp := obs.StartPhase(cmd)
+		text, err := experiments[i].run(lab())
+		sp.End()
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Print(text)
 	}
 
 	if *timing {
@@ -256,70 +260,83 @@ func writeChromeTrace(path string) error {
 	return f.Close()
 }
 
-// experiment is a runnable table/figure generator.
-type experiment func(*bench.Lab) (string, error)
-
-// experiments maps command names to generators, all on the canonical GPUs.
-func experiments() map[string]experiment {
-	render := func(r interface{ Render() string }, err error) (string, error) {
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	}
-	return map[string]experiment{
-		"table1":      func(*bench.Lab) (string, error) { return bench.Table1().Render(), nil },
-		"fig3":        func(l *bench.Lab) (string, error) { return render(bench.Figure3(l, gpu.A100)) },
-		"fig4":        func(l *bench.Lab) (string, error) { return render(bench.Figure4(l, gpu.A100)) },
-		"fig5":        func(l *bench.Lab) (string, error) { return render(bench.Figure5(l, gpu.A100)) },
-		"fig6":        func(l *bench.Lab) (string, error) { return render(bench.Figure6(l, gpu.A100)) },
-		"fig7":        func(l *bench.Lab) (string, error) { return render(bench.Figure7(l, gpu.A100)) },
-		"fig8":        func(l *bench.Lab) (string, error) { return render(bench.Figure8(l, gpu.A100)) },
-		"fig9":        func(l *bench.Lab) (string, error) { return render(bench.Figure9(l)) },
-		"fig11":       func(l *bench.Lab) (string, error) { return render(bench.Figure11(l, gpu.A100)) },
-		"fig12":       func(l *bench.Lab) (string, error) { return render(bench.Figure12(l, gpu.A100)) },
-		"fig13":       func(l *bench.Lab) (string, error) { return render(bench.Figure13(l, gpu.A100)) },
-		"table2":      func(l *bench.Lab) (string, error) { return render(bench.Table2(l)) },
-		"fig14":       func(l *bench.Lab) (string, error) { return render(bench.Figure14(l)) },
-		"fig15":       func(l *bench.Lab) (string, error) { return render(bench.Figure15(l)) },
-		"fig16":       func(l *bench.Lab) (string, error) { return render(bench.Figure16(l)) },
-		"fig17":       func(l *bench.Lab) (string, error) { return render(bench.Figure17(l)) },
-		"fig18":       func(l *bench.Lab) (string, error) { return render(bench.Figure18(l)) },
-		"fig19":       func(l *bench.Lab) (string, error) { return render(bench.Figure19(l)) },
-		"ablation":    func(l *bench.Lab) (string, error) { return render(bench.Ablation(l, gpu.A100)) },
-		"training":    func(l *bench.Lab) (string, error) { return render(bench.TrainingExtension(l, gpu.A100)) },
-		"mig":         func(l *bench.Lab) (string, error) { return render(bench.MIGExtension(l)) },
-		"smallbatch":  func(l *bench.Lab) (string, error) { return render(bench.SmallBatch(l, gpu.A100)) },
-		"uncertainty": func(l *bench.Lab) (string, error) { return render(bench.Uncertainty(l, gpu.A100)) },
-		"robustness": func(l *bench.Lab) (string, error) {
-			return render(bench.Robustness(l, gpu.A100, []int64{0, 1, 2, 3, 4}))
-		},
-		"online": func(l *bench.Lab) (string, error) { return render(bench.OnlineLearning(l, gpu.A100)) },
-	}
+// experiment is one table or figure of the paper: its command name and
+// its generator, which returns the rendered text.
+type experiment struct {
+	name string
+	run  func(*bench.Lab) (string, error)
 }
 
-// experimentOrder lists the "all" run in paper order.
-var experimentOrder = []string{
-	"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-	"fig11", "fig12", "fig13", "table2", "fig14",
-	"fig15", "fig16", "fig17", "fig18", "fig19", "ablation", "training", "mig", "smallbatch", "uncertainty", "robustness", "online",
+// experiments lists every table and figure, on the canonical GPUs, in paper
+// order: `dnnperf <name>` runs one, `all` runs them in order, and usage
+// lists their names.
+var experiments = []experiment{
+	{"table1", func(*bench.Lab) (string, error) { return bench.Table1().Render(), nil }},
+	{"fig3", func(l *bench.Lab) (string, error) { return render(bench.Figure3(l, gpu.A100)) }},
+	{"fig4", func(l *bench.Lab) (string, error) { return render(bench.Figure4(l, gpu.A100)) }},
+	{"fig5", func(l *bench.Lab) (string, error) { return render(bench.Figure5(l, gpu.A100)) }},
+	{"fig6", func(l *bench.Lab) (string, error) { return render(bench.Figure6(l, gpu.A100)) }},
+	{"fig7", func(l *bench.Lab) (string, error) { return render(bench.Figure7(l, gpu.A100)) }},
+	{"fig8", func(l *bench.Lab) (string, error) { return render(bench.Figure8(l, gpu.A100)) }},
+	{"fig9", func(l *bench.Lab) (string, error) { return render(bench.Figure9(l)) }},
+	{"fig11", func(l *bench.Lab) (string, error) { return render(bench.Figure11(l, gpu.A100)) }},
+	{"fig12", func(l *bench.Lab) (string, error) { return render(bench.Figure12(l, gpu.A100)) }},
+	{"fig13", func(l *bench.Lab) (string, error) { return render(bench.Figure13(l, gpu.A100)) }},
+	{"table2", func(l *bench.Lab) (string, error) { return render(table2(l)) }},
+	{"fig14", func(l *bench.Lab) (string, error) { return render(bench.Figure14(l)) }},
+	{"fig15", func(l *bench.Lab) (string, error) { return render(bench.Figure15(l)) }},
+	{"fig16", func(l *bench.Lab) (string, error) { return render(bench.Figure16(l)) }},
+	{"fig17", func(l *bench.Lab) (string, error) { return render(bench.Figure17(l)) }},
+	{"fig18", func(l *bench.Lab) (string, error) { return render(bench.Figure18(l)) }},
+	{"fig19", func(l *bench.Lab) (string, error) { return render(bench.Figure19(l)) }},
+	{"ablation", func(l *bench.Lab) (string, error) { return render(bench.Ablation(l, gpu.A100)) }},
+	{"training", func(l *bench.Lab) (string, error) { return render(bench.TrainingExtension(l, gpu.A100)) }},
+	{"mig", func(l *bench.Lab) (string, error) { return render(bench.MIGExtension(l)) }},
+	{"smallbatch", func(l *bench.Lab) (string, error) { return render(bench.SmallBatch(l, gpu.A100)) }},
+	{"uncertainty", func(l *bench.Lab) (string, error) { return render(bench.Uncertainty(l, gpu.A100)) }},
+	{"robustness", func(l *bench.Lab) (string, error) {
+		return render(bench.Robustness(l, gpu.A100, []int64{0, 1, 2, 3, 4}))
+	}},
+	{"online", func(l *bench.Lab) (string, error) { return render(bench.OnlineLearning(l, gpu.A100)) }},
 }
 
-func runAll(l *bench.Lab) {
-	exps := experiments()
+// render is an experiment's text: the result's rendering, or the error.
+func render(r interface{ Render() string }, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Render(), nil
+}
+
+// table2 is bench.Table2 with its wall-clock fit+predict times, which
+// differ from run to run, reported on stderr instead of in the table.
+func table2(l *bench.Lab) (*bench.Table2Result, error) {
+	r, err := bench.Table2(l)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range r.Rows {
+		fmt.Fprintf(os.Stderr, "table2: KW fit + predict at batch %d took %.2f s\n", row.BatchSize, row.KWSeconds)
+	}
+	return r, nil
+}
+
+// runAll writes every experiment to w in paper order, each followed by a
+// blank line, then a closing count.
+func runAll(w io.Writer, l *bench.Lab) error {
 	all := obs.StartPhase("all")
-	for _, name := range experimentOrder {
-		sp := obs.StartPhase(name)
-		text, err := exps[name](l)
+	defer all.End()
+	for _, e := range experiments {
+		sp := obs.StartPhase(e.name)
+		text, err := e.run(l)
 		sp.End()
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Print(text)
-		fmt.Println()
+		fmt.Fprintln(w, text)
 	}
-	all.End()
-	fmt.Printf("all %d experiments regenerated\n", len(experimentOrder))
+	fmt.Fprintf(w, "all %d experiments regenerated\n", len(experiments))
+	return nil
 }
 
 // runPlots renders the data-rich figures as terminal charts.
@@ -458,7 +475,7 @@ func runTrain(l *bench.Lab, g gpu.Spec, modelPath string) {
 	fmt.Printf("LW model: %d layer-type regressions\n", len(lw.Lines))
 
 	sp = obs.StartPhase("fit KW")
-	kw, err := core.FitKW(train, g.Name, bench.TrainBatch)
+	kw, err := l.KW(g)
 	sp.End()
 	if err != nil {
 		fatal(err)
@@ -468,20 +485,9 @@ func runTrain(l *bench.Lab, g gpu.Spec, modelPath string) {
 
 	sp = obs.StartPhase("evaluate held-out")
 	for _, m := range []core.Predictor{e2e, lw, kw} {
-		var evals []core.Eval
-		for _, r := range test.Networks {
-			if r.GPU != g.Name || r.BatchSize != bench.TrainBatch {
-				continue
-			}
-			net, err := l.Network(r.Network)
-			if err != nil {
-				fatal(err)
-			}
-			pred, err := m.PredictNetwork(net, bench.TrainBatch)
-			if err != nil {
-				fatal(err)
-			}
-			evals = append(evals, core.Eval{Network: r.Network, Predicted: pred, Measured: r.E2ESeconds})
+		evals, err := l.Evaluate(m, test, "", bench.TrainBatch)
+		if err != nil {
+			fatal(err)
 		}
 		fmt.Printf("%-4s test error: %.3f over %d held-out networks\n",
 			m.Name(), core.MeanRelError(evals), len(evals))
@@ -509,14 +515,13 @@ func runPredict(l *bench.Lab, g gpu.Spec, network string, batch int, modelPath s
 		model = m
 	} else {
 		sp := obs.StartPhase("dataset " + g.Name)
-		ds, err := l.Dataset(g)
+		_, err := l.Dataset(g)
 		sp.End()
 		if err != nil {
 			fatal(err)
 		}
-		train, _ := l.Split(ds)
 		sp = obs.StartPhase("fit KW")
-		kw, err := core.FitKW(train, g.Name, bench.TrainBatch)
+		kw, err := l.KW(g)
 		sp.End()
 		if err != nil {
 			fatal(err)
@@ -544,11 +549,16 @@ usage: dnnperf [flags] <command>
 
 commands:
   zoo | trace | collect | train | predict | serve | fleet | loadtest | sched | fleetsim | all | export | plots
-  table1 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-  fig11 fig12 fig13 table2 fig14 fig15 fig16 fig17 fig18 fig19 ablation training mig smallbatch uncertainty robustness online
-
-flags:
 `)
+	line := " "
+	for _, e := range experiments {
+		if len(line)+1+len(e.name) > 80 {
+			fmt.Fprintln(os.Stderr, line)
+			line = " "
+		}
+		line += " " + e.name
+	}
+	fmt.Fprintf(os.Stderr, "%s\n\nflags:\n", line)
 	flag.PrintDefaults()
 }
 

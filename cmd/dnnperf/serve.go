@@ -29,6 +29,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/registry"
+	"repro/internal/rng"
 	"repro/internal/units"
 )
 
@@ -117,14 +118,7 @@ const maxSweepPoints = 4096
 type netKey string
 
 // Hash implements cache.Hasher (FNV-1a).
-func (k netKey) Hash() uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(k); i++ {
-		h ^= uint64(k[i])
-		h *= 1099511628211
-	}
-	return h
-}
+func (k netKey) Hash() uint64 { return uint64(rng.NewFNV().Str(string(k))) }
 
 // server holds the serving state: the lab (for networks), the device, and
 // the versioned model registry the warm-up fit publishes into.
@@ -191,18 +185,6 @@ func runServe(l *bench.Lab, g gpu.Spec, addr, modelPath string) error {
 	return s.serveUntil(ctx, addr, nil)
 }
 
-// fitServeModel is the pipeline a self-fitting server warms up with: the
-// lab's dataset on g, its training split, and the KW fit at the training
-// batch size. The fleet parent runs it once for all of its replicas.
-func fitServeModel(l *bench.Lab, g gpu.Spec) (*core.KWModel, error) {
-	ds, err := l.Dataset(g)
-	if err != nil {
-		return nil, err
-	}
-	train, _ := l.Split(ds)
-	return core.FitKW(train, g.Name, bench.TrainBatch)
-}
-
 // startWarmup kicks off the background warm-up: it publishes the envelope
 // when the server has one and fits the model otherwise, as version 1. A
 // failure (a fit error, or an envelope that does not decode, EOF included)
@@ -222,7 +204,7 @@ func (s *server) startWarmup() {
 			s.envelope.Close()
 		} else {
 			var kw *core.KWModel
-			if kw, err = fitServeModel(s.lab, s.gpu); err == nil {
+			if kw, err = s.lab.KW(s.gpu); err == nil {
 				_, err = s.reg.Publish(kw, "warmup")
 			}
 		}

@@ -18,7 +18,7 @@ import (
 // quickLabEnvelope is the core.Save envelope of the quick-lab A100 model the
 // fleet parent fits, built once for the tests below.
 var quickLabEnvelope = sync.OnceValues(func() ([]byte, error) {
-	kw, err := fitServeModel(bench.NewQuickLab(), gpu.A100)
+	kw, err := bench.NewQuickLab().KW(gpu.A100)
 	if err != nil {
 		return nil, err
 	}

@@ -126,6 +126,9 @@ func DefaultAllocWhitelist() []string {
 		"repro/internal/obs.Histogram.Observe",
 		"repro/internal/cache.Sharded.Get",
 		"repro/internal/registry.Registry.Current",
+		"repro/internal/rng.NewFNV",
+		"repro/internal/rng.FNV.Str",
+		"repro/internal/rng.FNV.Word",
 	}
 }
 

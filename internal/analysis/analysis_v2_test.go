@@ -277,7 +277,7 @@ func TestLoadPackages(t *testing.T) {
 // carry the //dnnperf:allocfree contract because their steady state is
 // benchmarked at 0 allocs/op.
 var hotPathAnnotations = map[string][]string{
-	"internal/core/plan.go":     {"Predict", "PredictSweepInto", "networkFingerprint", "str", "u64", "num", "flag"},
+	"internal/core/plan.go":     {"Predict", "PredictSweepInto", "networkFingerprint", "flagWord"},
 	"internal/core/model.go":    {"clampTime"},
 	"internal/core/kw.go":       {"PredictNetwork", "planFor"},
 	"internal/cache/cache.go":   {"Get", "moveToFront", "pushFront", "unlink"},
@@ -293,7 +293,7 @@ var hotPathAnnotations = map[string][]string{
 	},
 	"internal/fleetsim/steptable.go": {"At"},
 	"internal/fleetsim/sim.go":       {"route", "startBatch"},
-	"internal/rng/rng.go":            {"New", "Uint64", "Float64", "Intn", "Mix"},
+	"internal/rng/rng.go":            {"New", "Uint64", "Float64", "Intn", "Mix", "NewFNV", "Str", "Bytes", "Int", "Word"},
 }
 
 // TestHotPathAnnotationCoverage parses the production hot-path files and

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/disagg"
@@ -44,11 +43,7 @@ type BandwidthDSEResult struct {
 
 // bandwidthDSE runs the sweep for one network.
 func bandwidthDSE(l *Lab, figure, network string, batch int) (*BandwidthDSEResult, error) {
-	ds, err := l.Dataset(dseTrainGPUs()...)
-	if err != nil {
-		return nil, err
-	}
-	base, err := core.FitIGKWBase(ds, dseTrainGPUs(), TrainBatch)
+	base, err := l.IGKWBase(dseTrainGPUs()...)
 	if err != nil {
 		return nil, err
 	}
@@ -172,12 +167,7 @@ type Figure17Result struct {
 // bandwidth.
 func Figure17(l *Lab) (*Figure17Result, error) {
 	g := gpu.TitanRTX
-	ds, err := l.Dataset(g)
-	if err != nil {
-		return nil, err
-	}
-	train, _ := l.Split(ds)
-	kw, err := core.FitKW(train, g.Name, TrainBatch)
+	kw, err := l.KW(g)
 	if err != nil {
 		return nil, err
 	}
@@ -237,49 +227,25 @@ var figure18Nets = []string{"resnet50", "resnet77", "densenet161", "densenet169"
 // schedGPUs are the two cloud devices of case study 3.
 func schedGPUs() []gpu.Spec { return []gpu.Spec{gpu.A40, gpu.TitanRTX} }
 
-// fitSchedModels trains one KW model per scheduling GPU, fitting the GPUs in
-// parallel (dataset collection for distinct GPUs shares nothing, and the
-// lab's per-GPU flights dedupe concurrent collection anyway).
-func fitSchedModels(l *Lab) (map[string]*core.KWModel, error) {
-	gpus := schedGPUs()
-	models := make([]*core.KWModel, len(gpus))
-	errs := make([]error, len(gpus))
-	var wg sync.WaitGroup
-	for i, g := range gpus {
-		wg.Add(1)
-		go func(i int, g gpu.Spec) {
-			defer wg.Done()
-			ds, err := l.Dataset(g)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			train, _ := l.Split(ds)
-			models[i], errs[i] = core.FitKW(train, g.Name, TrainBatch)
-		}(i, g)
-	}
-	wg.Wait()
-
-	kws := map[string]*core.KWModel{}
-	for i, g := range gpus {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		kws[g.Name] = models[i]
-	}
-	return kws, nil
-}
-
 // predictSchedTimes issues every (network, GPU) prediction of the scheduling
 // case studies through core.PredictGrid — the query pattern a scheduler
 // serving many placement decisions generates, evaluated one plan sweep per
-// (model, network) cell — and returns seconds indexed by network then GPU,
-// so assembly stays deterministic.
-func predictSchedTimes(l *Lab, kws map[string]*core.KWModel, names []string) ([][]units.Seconds, error) {
+// (model, network) cell — on the lab's KW model of each scheduling GPU, and
+// returns seconds indexed by network then GPU, so assembly stays
+// deterministic.
+func predictSchedTimes(l *Lab, names []string) ([][]units.Seconds, error) {
 	gpus := schedGPUs()
+	// One collection pass warms both GPUs' datasets for their fits.
+	if _, err := l.Dataset(gpus...); err != nil {
+		return nil, err
+	}
 	models := make([]core.SweepPredictor, len(gpus))
 	for j, g := range gpus {
-		models[j] = kws[g.Name]
+		kw, err := l.KW(g)
+		if err != nil {
+			return nil, err
+		}
+		models[j] = kw
 	}
 	nets := make([]*dnn.Network, len(names))
 	for i, name := range names {
@@ -318,19 +284,15 @@ type Figure18Result struct {
 }
 
 // Figure18 compares measured and KW-predicted times on A40 and TITAN RTX and
-// checks the per-network GPU choice. Model fitting and the (network, GPU)
-// prediction queries both run concurrently; row assembly is serial, so the
-// result is identical to the sequential computation.
+// checks the per-network GPU choice. The (network, GPU) prediction queries
+// run concurrently; row assembly is serial, so the result is identical to
+// the sequential computation.
 func Figure18(l *Lab) (*Figure18Result, error) {
-	kws, err := fitSchedModels(l)
-	if err != nil {
-		return nil, err
-	}
 	meas, err := l.Sweep(figure18Nets, schedGPUs(), []int{TrainBatch})
 	if err != nil {
 		return nil, err
 	}
-	preds, err := predictSchedTimes(l, kws, figure18Nets)
+	preds, err := predictSchedTimes(l, figure18Nets)
 	if err != nil {
 		return nil, err
 	}
@@ -422,17 +384,13 @@ type Figure19Result struct {
 
 // Figure19 brute-force schedules the queue on A40 + TITAN RTX using
 // predicted times and compares with the measured-time oracle. As in Figure18,
-// model fitting and the per-(network, GPU) queries run concurrently.
+// the per-(network, GPU) queries run concurrently.
 func Figure19(l *Lab) (*Figure19Result, error) {
-	kws, err := fitSchedModels(l)
-	if err != nil {
-		return nil, err
-	}
 	meas, err := l.Sweep(figure19Nets, schedGPUs(), []int{TrainBatch})
 	if err != nil {
 		return nil, err
 	}
-	preds, err := predictSchedTimes(l, kws, figure19Nets)
+	preds, err := predictSchedTimes(l, figure19Nets)
 	if err != nil {
 		return nil, err
 	}

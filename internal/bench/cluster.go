@@ -49,11 +49,7 @@ var clusterBatches = []int{1, 4, 16, 64, 256}
 // mix. The caller compiles them into a step table (fleetsim.BuildStepTable)
 // over whatever batch range its simulation needs.
 func FleetOracle(l *Lab) ([]core.SweepPredictor, []*dnn.Network, error) {
-	ds, err := l.Dataset(dseTrainGPUs()...)
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err := core.FitIGKWBase(ds, dseTrainGPUs(), TrainBatch)
+	base, err := l.IGKWBase(dseTrainGPUs()...)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,9 +3,10 @@
 // Each generator returns a typed result with the same rows/series the paper
 // reports and a Render method producing a human-readable text table.
 //
-// A Lab owns the shared expensive state — the network zoo and the collected
-// datasets — so several experiments reuse one collection pass. All results
-// are deterministic for a given Lab configuration.
+// A Lab owns the shared expensive state — the network zoo, the collected
+// datasets and the canonical fits on them — so several experiments reuse
+// one collection pass and one fit. All results are deterministic for a
+// given Lab configuration.
 package bench
 
 import (
@@ -16,6 +17,7 @@ import (
 	"sync/atomic"
 	"text/tabwriter"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dnn"
 	"repro/internal/gpu"
@@ -46,7 +48,8 @@ func MainGPUs() []gpu.Spec {
 	return []gpu.Spec{gpu.A100, gpu.A40, gpu.GTX1080Ti, gpu.TitanRTX, gpu.V100}
 }
 
-// Lab bundles the zoo and cached datasets for the experiment generators.
+// Lab bundles the zoo, the cached datasets and the canonical fits for the
+// experiment generators.
 type Lab struct {
 	nets   []*dnn.Network
 	byName map[string]*dnn.Network
@@ -55,7 +58,9 @@ type Lab struct {
 	warmup  int
 
 	mu    sync.Mutex
-	cache map[string]*labBuild // per-GPU collection flights
+	cache map[string]*labBuild                      // per-GPU collection flights
+	kws   map[string]func() (*core.KWModel, error)  // per-GPU KW fits (KW)
+	bases map[string]func() (*core.IGKWBase, error) // per-GPU-list base fits (IGKWBase)
 
 	builds atomic.Int64 // completed collection passes, for tests/telemetry
 }
@@ -96,6 +101,8 @@ func newLab(nets []*dnn.Network, batches, warmup int) *Lab {
 		batches: batches,
 		warmup:  warmup,
 		cache:   map[string]*labBuild{},
+		kws:     map[string]func() (*core.KWModel, error){},
+		bases:   map[string]func() (*core.IGKWBase, error){},
 	}
 	for _, n := range nets {
 		l.byName[n.Name] = n
@@ -243,6 +250,54 @@ func (l *Lab) Sweep(names []string, gpus []gpu.Spec, batchSizes []int) (*dataset
 // Split returns the lab's canonical train/test partition of a dataset.
 func (l *Lab) Split(ds *dataset.Dataset) (train, test *dataset.Dataset) {
 	return ds.SplitByNetwork(TestFraction, SplitSeed)
+}
+
+// KW returns the canonical Kernel-Wise model of g: core.FitKW at TrainBatch
+// on the training half (Split) of g's dataset. It is fitted at most once
+// per Lab, and every caller, concurrent or later, shares that model; a
+// KWModel never changes after its fit.
+func (l *Lab) KW(g gpu.Spec) (*core.KWModel, error) {
+	return fitOnce(l, l.kws, g.Name, func() (*core.KWModel, error) {
+		ds, err := l.Dataset(g)
+		if err != nil {
+			return nil, err
+		}
+		train, _ := l.Split(ds)
+		return core.FitKW(train, g.Name, TrainBatch)
+	})()
+}
+
+// IGKWBase returns the inter-GPU base fitted at TrainBatch on the dataset
+// of gpus, at most once per Lab for each GPU list, shared like KW's model.
+// The list is keyed in argument order: the base's mapping union keeps the
+// first GPU's entry, so a reordered list is a different base.
+func (l *Lab) IGKWBase(gpus ...gpu.Spec) (*core.IGKWBase, error) {
+	names := make([]string, len(gpus))
+	for i, g := range gpus {
+		names[i] = g.Name
+	}
+	return fitOnce(l, l.bases, strings.Join(names, "+"), func() (*core.IGKWBase, error) {
+		ds, err := l.Dataset(gpus...)
+		if err != nil {
+			return nil, err
+		}
+		return core.FitIGKWBase(ds, gpus, TrainBatch)
+	})()
+}
+
+// fitOnce returns key's fit from fits, installing fit behind a
+// sync.OnceValues under l.mu on first use. The caller runs it outside the
+// lock, so one key's fit never waits on another's, and a failed fit keeps
+// its error, as a failed collection does.
+func fitOnce[T any](l *Lab, fits map[string]func() (T, error), key string, fit func() (T, error)) func() (T, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	f, ok := fits[key]
+	if !ok {
+		f = sync.OnceValues(fit)
+		fits[key] = f
+	}
+	return f
 }
 
 // renderTable lays out rows with tabwriter; the first row is the header.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -144,6 +145,96 @@ func TestDatasetSharesCachedBuild(t *testing.T) {
 	}
 }
 
+// TestLabFitsOncePerKey calls KW on two GPUs and IGKWBase on both orders of
+// their list from eight goroutines at once, each in its own rotation, on a
+// fresh lab (run under -race in CI): every call of one key returns the same
+// pointer, the two orders are two bases, the lab collects each GPU once,
+// and each shared fit saves to the bytes of a direct core.FitKW or
+// core.FitIGKWBase fit on the same data.
+func TestLabFitsOncePerKey(t *testing.T) {
+	l := NewQuickLab()
+	a, b := gpu.A40, gpu.TitanRTX
+	const goroutines = 8
+	kws := make([][2]*core.KWModel, goroutines)
+	bases := make([][2]*core.IGKWBase, goroutines)
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		calls := []func() error{
+			func() (err error) { kws[i][0], err = l.KW(a); return },
+			func() (err error) { kws[i][1], err = l.KW(b); return },
+			func() (err error) { bases[i][0], err = l.IGKWBase(a, b); return },
+			func() (err error) { bases[i][1], err = l.IGKWBase(b, a); return },
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range calls {
+				if err := calls[(i+k)%len(calls)](); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i := 1; i < goroutines; i++ {
+		if kws[i] != kws[0] || bases[i] != bases[0] {
+			t.Fatalf("goroutine %d got other fits than goroutine 0", i)
+		}
+	}
+	if bases[0][0] == bases[0][1] {
+		t.Fatal("IGKWBase(a, b) and IGKWBase(b, a) share one base")
+	}
+	if n := l.BuildCount(); n != 2 {
+		t.Fatalf("%d collection passes for 2 GPUs", n)
+	}
+
+	saved := func(m core.Predictor) string {
+		var b strings.Builder
+		if err := core.Save(&b, m); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for k, g := range []gpu.Spec{a, b} {
+		ds, err := l.Dataset(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train, _ := l.Split(ds)
+		want, err := core.FitKW(train, g.Name, TrainBatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if saved(kws[0][k]) != saved(want) {
+			t.Errorf("Lab.KW(%s) saves other bytes than a direct FitKW", g.Name)
+		}
+	}
+	for k, gpus := range [][]gpu.Spec{{a, b}, {b, a}} {
+		ds, err := l.Dataset(gpus...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.FitIGKWBase(ds, gpus, TrainBatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := bases[0][k].Resolve(gpu.A100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := want.Resolve(gpu.A100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if saved(got) != saved(ref) {
+			t.Errorf("Lab.IGKWBase(%s, %s) resolves to other bytes than a direct FitIGKWBase", gpus[0].Name, gpus[1].Name)
+		}
+	}
+}
+
 // TestFigure18RenderInvariance: rendering the scheduling case study twice —
 // the second pass served entirely from cached datasets, fitted models with
 // warm plan caches and the concurrent query path — must produce byte-equal
@@ -164,11 +255,7 @@ func TestFigure18RenderInvariance(t *testing.T) {
 
 	// Cross-check the concurrent plan-served predictions against the
 	// reference path, network by network.
-	kws, err := fitSchedModels(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds, err := predictSchedTimes(l, kws, figure18Nets)
+	preds, err := predictSchedTimes(l, figure18Nets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +265,11 @@ func TestFigure18RenderInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j, g := range schedGPUs() {
-			want, err := kws[g.Name].PredictNetworkUncached(net.Clone(), TrainBatch)
+			kw, err := l.KW(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := kw.PredictNetworkUncached(net.Clone(), TrainBatch)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 )
@@ -49,11 +48,7 @@ var migNets = []string{"resnet50", "mobilenet_v2", "bert-base"}
 // resolves it for every A100 MIG slice.
 func MIGExtension(l *Lab) (*MIGResult, error) {
 	trainGPUs := []gpu.Spec{gpu.A40, gpu.GTX1080Ti, gpu.TitanRTX, gpu.V100}
-	ds, err := l.Dataset(trainGPUs...)
-	if err != nil {
-		return nil, err
-	}
-	base, err := core.FitIGKWBase(ds, trainGPUs, TrainBatch)
+	base, err := l.IGKWBase(trainGPUs...)
 	if err != nil {
 		return nil, err
 	}

@@ -51,17 +51,18 @@ func renderSCurve(title string, s SCurve) string {
 	return renderTable(title, rows)
 }
 
-// evalOnTest predicts every network of the test split with the given task
-// at the training batch size and pairs it with the measured time.
+// evalOnTest is Evaluate at the training batch size.
 func (l *Lab) evalOnTest(m core.Predictor, test *dataset.Dataset, task dnn.Task) ([]core.Eval, error) {
-	return l.evalAt(m, test, task, TrainBatch)
+	return l.Evaluate(m, test, task, TrainBatch)
 }
 
-// evalAt is evalOnTest at an explicit batch size.
-func (l *Lab) evalAt(m core.Predictor, test *dataset.Dataset, task dnn.Task, batch int) ([]core.Eval, error) {
+// Evaluate predicts every network the test set measured on the model's GPU
+// at the batch size with the given task, or with any task when task is
+// empty, and pairs each prediction with the measured time, in record order.
+func (l *Lab) Evaluate(m core.Predictor, test *dataset.Dataset, task dnn.Task, batch int) ([]core.Eval, error) {
 	var evals []core.Eval
 	for _, r := range test.Networks {
-		if r.GPU != m.GPUName() || r.BatchSize != batch || r.Task != string(task) {
+		if r.GPU != m.GPUName() || r.BatchSize != batch || (task != "" && r.Task != string(task)) {
 			continue
 		}
 		net, err := l.Network(r.Network)
@@ -154,8 +155,8 @@ func Figure13(l *Lab, primary gpu.Spec) (*Figure13Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		train, test := l.Split(ds)
-		m, err := core.FitKW(train, g.Name, TrainBatch)
+		_, test := l.Split(ds)
+		m, err := l.KW(g)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +203,7 @@ type Table2Row struct {
 	// KWErrorPct is our measured KW error for ResNet-50 on V100.
 	KWErrorPct float64
 	// KWSeconds is the wall-clock time to train the KW model and produce
-	// the prediction.
+	// the prediction. It differs from run to run, so Render leaves it out.
 	KWSeconds float64
 	// Published baselines from the PKA paper, as reproduced in Table 2.
 	PKSErrorPct, PKAErrorPct float64
@@ -286,14 +287,13 @@ func Table2(l *Lab) (*Table2Result, error) {
 
 // Render implements the result-rendering convention.
 func (r *Table2Result) Render() string {
-	rows := [][]string{{"Batch Size", "KW err %", "PKS err %", "PKA err %", "KW time (s)", "PKS time (h)", "PKA time (h)"}}
+	rows := [][]string{{"Batch Size", "KW err %", "PKS err %", "PKA err %", "PKS time (h)", "PKA time (h)"}}
 	for _, row := range r.Rows {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", row.BatchSize),
 			fmt.Sprintf("%.1f", row.KWErrorPct),
 			fmt.Sprintf("%.1f", row.PKSErrorPct),
 			fmt.Sprintf("%.1f", row.PKAErrorPct),
-			fmt.Sprintf("%.2f", row.KWSeconds),
 			fmt.Sprintf("%.1f", row.PKSHours),
 			fmt.Sprintf("%.1f", row.PKAHours),
 		})
@@ -319,16 +319,17 @@ func Figure14(l *Lab) (*Figure14Result, error) {
 	trainGPUs := []gpu.Spec{gpu.A100, gpu.A40, gpu.GTX1080Ti}
 	target := gpu.TitanRTX
 
+	// One collection pass covers the training GPUs and the target, whose
+	// records are used for evaluation only.
 	ds, err := l.Dataset(append(trainGPUs, target)...)
 	if err != nil {
 		return nil, err
 	}
-	// The target GPU's records are used for evaluation only.
-	trainDS := &dataset.Dataset{}
-	for _, g := range trainGPUs {
-		trainDS.Merge(ds.FilterGPU(g.Name))
+	base, err := l.IGKWBase(trainGPUs...)
+	if err != nil {
+		return nil, err
 	}
-	m, err := core.FitIGKW(trainDS, trainGPUs, target, TrainBatch)
+	m, err := base.Resolve(target)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func SmallBatch(l *Lab, g gpu.Spec) (*SmallBatchResult, error) {
 		return nil, err
 	}
 	train, test := l.Split(ds)
-	kw, err := core.FitKW(train, g.Name, TrainBatch)
+	kw, err := l.KW(g)
 	if err != nil {
 		return nil, err
 	}
@@ -60,11 +60,11 @@ func SmallBatch(l *Lab, g gpu.Spec) (*SmallBatchResult, error) {
 
 	res := &SmallBatchResult{GPU: g.Name}
 	for _, bs := range sizes {
-		raw, err := l.evalAt(kw, test, dnn.TaskImageClassification, bs)
+		raw, err := l.Evaluate(kw, test, dnn.TaskImageClassification, bs)
 		if err != nil {
 			return nil, err
 		}
-		corrected, err := l.evalAt(sb, test, dnn.TaskImageClassification, bs)
+		corrected, err := l.Evaluate(sb, test, dnn.TaskImageClassification, bs)
 		if err != nil {
 			return nil, err
 		}

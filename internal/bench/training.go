@@ -88,7 +88,7 @@ func TrainingExtension(l *Lab, g gpu.Spec) (*TrainingExtensionResult, error) {
 	}
 	res.KernelCount, res.ModelCount = kw.KernelCount(), kw.ModelCount()
 
-	evals, err := l.evalAt(kw, test, dnn.TaskImageClassification, TrainingBatch)
+	evals, err := l.Evaluate(kw, test, dnn.TaskImageClassification, TrainingBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func TrainingExtension(l *Lab, g gpu.Spec) (*TrainingExtensionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	iEvals, err := l.evalAt(ikw, iTest, dnn.TaskImageClassification, TrainingBatch)
+	iEvals, err := l.Evaluate(ikw, iTest, dnn.TaskImageClassification, TrainingBatch)
 	if err != nil {
 		return nil, err
 	}

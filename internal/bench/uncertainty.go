@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dnn"
 	"repro/internal/gpu"
@@ -35,8 +34,8 @@ func Uncertainty(l *Lab, g gpu.Spec) (*UncertaintyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	train, test := l.Split(ds)
-	kw, err := core.FitKW(train, g.Name, TrainBatch)
+	_, test := l.Split(ds)
+	kw, err := l.KW(g)
 	if err != nil {
 		return nil, err
 	}

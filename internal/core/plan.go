@@ -13,6 +13,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/regression"
+	"repro/internal/rng"
 	"repro/internal/units"
 )
 
@@ -230,9 +231,7 @@ func (k layerShapeKey) Hash() uint64 { return k.h }
 
 // newLayerShapeKey builds the memo key of one batch-1 shape key.
 func newLayerShapeKey(key string) layerShapeKey {
-	h := fnv64(fnvOffset64)
-	h.str(key)
-	return layerShapeKey{key: key, h: uint64(h)}
+	return layerShapeKey{key: key, h: uint64(rng.NewFNV().Str(key))}
 }
 
 // compilePlan builds a Plan for the network. It works on a private clone, so
@@ -601,43 +600,14 @@ type planKey struct {
 // Hash implements cache.Hasher.
 func (k planKey) Hash() uint64 { return k.fp }
 
-// FNV-1a, hand-rolled so fingerprinting allocates nothing.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-type fnv64 uint64
-
+// flagWord is a flag as the 64-bit word fingerprints fold it as.
+//
 //dnnperf:allocfree
-func (h *fnv64) str(s string) {
-	x := uint64(*h)
-	for i := 0; i < len(s); i++ {
-		x = (x ^ uint64(s[i])) * fnvPrime64
-	}
-	*h = fnv64(x)
-}
-
-//dnnperf:allocfree
-func (h *fnv64) u64(v uint64) {
-	x := uint64(*h)
-	for i := 0; i < 8; i++ {
-		x = (x ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	*h = fnv64(x)
-}
-
-//dnnperf:allocfree
-func (h *fnv64) num(v int) { h.u64(uint64(int64(v))) }
-
-//dnnperf:allocfree
-func (h *fnv64) flag(b bool) {
+func flagWord(b bool) uint64 {
 	if b {
-		h.u64(1)
-	} else {
-		h.u64(0)
+		return 1
 	}
+	return 0
 }
 
 // networkFingerprint hashes everything about a network's structure that a
@@ -648,35 +618,22 @@ func (h *fnv64) flag(b bool) {
 //
 //dnnperf:allocfree
 func networkFingerprint(n *dnn.Network, training bool) uint64 {
-	h := fnv64(fnvOffset64)
-	h.str(n.Name)
-	h.str(n.Family)
-	h.str(string(n.Task))
-	h.flag(training)
-	h.num(len(n.InputShape))
+	h := rng.NewFNV().Str(n.Name).Str(n.Family).Str(string(n.Task)).
+		Word(flagWord(training)).Word(uint64(len(n.InputShape)))
 	for _, d := range n.InputShape {
-		h.num(d)
+		h = h.Word(uint64(d))
 	}
-	h.num(len(n.Layers))
+	h = h.Word(uint64(len(n.Layers)))
 	for _, l := range n.Layers {
-		h.str(string(l.Kind))
-		h.num(len(l.Inputs))
+		h = h.Str(string(l.Kind)).Word(uint64(len(l.Inputs)))
 		for _, in := range l.Inputs {
-			h.num(in)
+			h = h.Word(uint64(in))
 		}
-		h.num(l.Cin)
-		h.num(l.Cout)
-		h.num(l.KH)
-		h.num(l.KW)
-		h.num(l.Stride)
-		h.num(l.Pad)
-		h.num(l.Groups)
-		h.num(l.InFeatures)
-		h.num(l.OutFeatures)
-		h.num(l.VocabSize)
-		h.num(l.EmbedDim)
-		h.num(l.Heads)
-		h.flag(l.TransposeB)
+		h = h.Word(uint64(l.Cin)).Word(uint64(l.Cout)).Word(uint64(l.KH)).Word(uint64(l.KW)).
+			Word(uint64(l.Stride)).Word(uint64(l.Pad)).Word(uint64(l.Groups)).
+			Word(uint64(l.InFeatures)).Word(uint64(l.OutFeatures)).
+			Word(uint64(l.VocabSize)).Word(uint64(l.EmbedDim)).Word(uint64(l.Heads)).
+			Word(flagWord(l.TransposeB))
 	}
 	return uint64(h)
 }

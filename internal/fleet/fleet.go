@@ -297,15 +297,9 @@ func (p *Proxy) WaitReady(ctx context.Context, want int) error {
 	}
 }
 
-// fnv64 is FNV-1a, matching the hashing the replicas' caches build on.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
+// fnv64 is the FNV-1a digest of s, the hashing the replicas' caches build
+// on.
+func fnv64(s string) uint64 { return uint64(rng.NewFNV().Str(s)) }
 
 // shardKey extracts the routing key for a request: the network identity.
 // GET requests carry it as ?network=; buffered POST bodies are scanned for
@@ -320,12 +314,7 @@ func shardKey(r *http.Request, body []byte) uint64 {
 		if net := jsonStringField(body, "network"); net != "" {
 			return fnv64(net)
 		}
-		h := uint64(14695981039346656037)
-		for _, b := range body {
-			h ^= uint64(b)
-			h *= 1099511628211
-		}
-		return h
+		return uint64(rng.NewFNV().Bytes(body))
 	}
 	return fnv64(r.URL.Path)
 }

@@ -31,6 +31,7 @@ import (
 	"repro/internal/dnn"
 	"repro/internal/kernels"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -149,30 +150,11 @@ func New(dev *sim.Device) *Profiler {
 }
 
 // seedFor derives a deterministic RNG seed per (network, GPU, batch, mode)
-// so the whole dataset is reproducible. The digest is fnv-1a over the exact
-// byte stream "%s|%s|%d|%t" formatting produced, folded without the
-// fmt/hash.Hash64 allocations.
+// so the whole dataset is reproducible: the FNV-1a digest of the bytes
+// "%s|%s|%d|%t" formats the four to.
 func seedFor(net, gpuName string, batch int, training bool) int64 {
-	const offset64, prime64 = uint64(14695981039346656037), uint64(1099511628211)
-	h := offset64
-	fold := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= prime64
-		}
-	}
-	fold(net)
-	fold("|")
-	fold(gpuName)
-	fold("|")
-	var buf [20]byte
-	for _, b := range strconv.AppendInt(buf[:0], int64(batch), 10) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	fold("|")
-	fold(strconv.FormatBool(training))
-	return int64(h)
+	return int64(rng.NewFNV().Str(net).Str("|").Str(gpuName).Str("|").
+		Int(batch).Str("|").Str(strconv.FormatBool(training)))
 }
 
 // Prepared is the device-independent half of profiling one (network, batch

@@ -1,6 +1,12 @@
 package rng
 
-import "testing"
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"strconv"
+	"testing"
+)
 
 // TestKnownAnswers pins the stream to splitmix64's published outputs: a
 // change to the increment, the finalizer or the state update moves them.
@@ -46,4 +52,45 @@ func TestDerivedDraws(t *testing.T) {
 	if got, want := r.Uint64(), Mix(42+Gamma); got != want {
 		t.Fatalf("Uint64 = %#x, want Mix(seed+Gamma) = %#x", got, want)
 	}
+}
+
+// TestFNVMatchesHashFNV folds strings, byte slices, ints and words and
+// checks each chain against hash/fnv's New64a over the same bytes: the
+// strconv spelling of an int, the little-endian bytes of a word.
+func TestFNVMatchesHashFNV(t *testing.T) {
+	ref := fnv.New64a()
+	h := NewFNV()
+	if uint64(h) != ref.Sum64() {
+		t.Fatalf("NewFNV = %#x, want the offset basis %#x", uint64(h), ref.Sum64())
+	}
+	for _, s := range []string{"", "resnet50", "shape:", "TITAN RTX", "|\x00\xff"} {
+		h = h.Str(s)
+		ref.Write([]byte(s))
+		h = h.Bytes([]byte(s))
+		ref.Write([]byte(s))
+	}
+	for _, v := range []int{0, 7, -7, 512, math.MaxInt64, math.MinInt64} {
+		h = h.Int(v)
+		ref.Write([]byte(strconv.Itoa(v)))
+	}
+	for _, v := range []uint64{0, 1, 0xfedcba9876543210, math.MaxUint64} {
+		h = h.Word(v)
+		ref.Write(binary.LittleEndian.AppendUint64(nil, v))
+	}
+	if uint64(h) != ref.Sum64() {
+		t.Fatalf("FNV chain = %#x, hash/fnv = %#x", uint64(h), ref.Sum64())
+	}
+}
+
+// TestFNVAllocFree: folding allocates nothing, the decimal spelling of an
+// int included.
+func TestFNVAllocFree(t *testing.T) {
+	b := []byte("body")
+	var sink FNV
+	if n := testing.AllocsPerRun(100, func() {
+		sink = NewFNV().Str("net").Bytes(b).Int(-12345).Word(99)
+	}); n != 0 {
+		t.Fatalf("FNV fold allocates %v times per run", n)
+	}
+	_ = sink
 }

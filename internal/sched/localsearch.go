@@ -479,14 +479,16 @@ func (s *searchState) evalMove(i int, to int32) float64 {
 }
 
 // evalSwap returns the exact makespan after exchanging tasks i and j
-// (which must sit on different GPUs), again as an O(1) incremental delta.
+// (which must sit on different GPUs), again as an O(1) incremental delta:
+// each load plus its time difference, the sum applySwap commits, so the
+// span it evaluates is the span a commit leaves, bit for bit.
 //
 //dnnperf:allocfree
 func (s *searchState) evalSwap(i, j int) float64 {
 	a, b := s.gpuOf[i], s.gpuOf[j]
 	n := s.n
-	newA := s.load[a] - s.t[int(a)*n+i] + s.t[int(a)*n+j]
-	newB := s.load[b] - s.t[int(b)*n+j] + s.t[int(b)*n+i]
+	newA := s.load[a] + (s.t[int(a)*n+j] - s.t[int(a)*n+i])
+	newB := s.load[b] + (s.t[int(b)*n+i] - s.t[int(b)*n+j])
 	span := s.maxExcluding(a, b)
 	if newA > span {
 		span = newA

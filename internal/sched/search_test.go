@@ -146,8 +146,8 @@ func TestIncrementalMatchesRecomputeExact(t *testing.T) {
 // incumbent after every commit against a copy taken at every strict
 // improvement, which is what the search kept before it copied only when
 // leaving the incumbent. It runs on dyadic times and on Synthetic's
-// non-dyadic ones, where evalSwap's prediction and applySwap's loads round
-// differently for about one swap in twelve.
+// non-dyadic ones, where incremental loads drift from a recompute by
+// rounding.
 func TestIncumbentMatchesEagerCopy(t *testing.T) {
 	for _, tc := range []struct{ n, g, levels int }{
 		{5, 2, 0}, {64, 5, 0}, {200, 8, 0}, {40, 2, 3}, {150, 7, 3},
@@ -186,6 +186,35 @@ func TestIncumbentMatchesEagerCopy(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSwapEvalMatchesCommit: on Synthetic's non-dyadic times, where the
+// order of a float sum changes its rounding, every random swap's evaluated
+// span equals the span its commit leaves, bit for bit, so annealing and
+// descent accept or reject a swap on the span they then hold.
+func TestSwapEvalMatchesCommit(t *testing.T) {
+	swaps := 0
+	for seed := int64(0); seed < 20; seed++ {
+		dt := Synthetic(300, 6, seed)
+		draw := rng.New(uint64(seed))
+		s := randomState(dt, &draw)
+		for step := 0; step < 8000; step++ {
+			i, j := draw.Intn(dt.n), draw.Intn(dt.n)
+			if s.gpuOf[i] == s.gpuOf[j] {
+				continue
+			}
+			evaluated := s.evalSwap(i, j)
+			s.applySwap(i, j)
+			swaps++
+			if math.Float64bits(s.span) != math.Float64bits(evaluated) {
+				t.Fatalf("seed %d step %d: swap (%d, %d) evaluated span %v, committed %v",
+					seed, step, i, j, evaluated, s.span)
+			}
+		}
+	}
+	if swaps < 100000 {
+		t.Fatalf("only %d swaps checked", swaps)
 	}
 }
 

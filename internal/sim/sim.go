@@ -17,12 +17,12 @@ package sim
 
 import (
 	"math"
-	"strconv"
 	"sync"
 
 	"repro/internal/dnn"
 	"repro/internal/gpu"
 	"repro/internal/kernels"
+	"repro/internal/rng"
 )
 
 // Config holds the device model's settable values. Zero fields take
@@ -81,9 +81,9 @@ const (
 type Device struct {
 	GPU gpu.Spec
 	cfg Config
-	// seedBytes is the little-endian encoding of cfg.Seed, precomputed so
-	// the per-kernel efficiency hashes never re-serialize it.
-	seedBytes [8]byte
+	// seedHash is the FNV-1a state after cfg.Seed's eight little-endian
+	// bytes, which every efficiency hash starts from.
+	seedHash rng.FNV
 	// names memoizes each kernel name's nameFactors (string →
 	// *nameFactors). A collection run evaluates tens of thousands of
 	// distinct invocations but only a few dozen names, and every entry is
@@ -100,7 +100,7 @@ type Device struct {
 type nameFactors struct {
 	computeEff, bwEff float64
 	curveEps          float64
-	shape, geom       uint64
+	shape, geom       rng.FNV
 }
 
 // New builds a device model for the given GPU with the given configuration.
@@ -108,11 +108,7 @@ func New(g gpu.Spec, cfg Config) *Device {
 	if cfg.NoiseSigma == 0 {
 		cfg.NoiseSigma = defaultNoiseSigma
 	}
-	d := &Device{GPU: g, cfg: cfg}
-	for i := 0; i < 8; i++ {
-		d.seedBytes[i] = byte(d.cfg.Seed >> (8 * i))
-	}
-	return d
+	return &Device{GPU: g, cfg: cfg, seedHash: rng.NewFNV().Word(uint64(cfg.Seed))}
 }
 
 // NewDefault builds a device model with canonical constants.
@@ -121,61 +117,20 @@ func NewDefault(g gpu.Spec) *Device { return New(g, Config{}) }
 // Config returns the device's resolved configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// fnv64a constants (hash/fnv), inlined so the hot hashing path runs without
-// allocations or interface calls. The digest of hashAdd/hashFinish over a
-// byte sequence is bit-identical to hash/fnv's New64a().Write(...).Sum64().
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// hashAddString folds s into an fnv-1a state.
-func hashAddString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// hashAddInt folds the decimal representation of v into an fnv-1a state —
-// the same bytes fmt's %d verb would produce — without allocating.
-func hashAddInt(h uint64, v int64) uint64 {
-	var buf [20]byte
-	for _, b := range strconv.AppendInt(buf[:0], v, 10) {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// hashState seeds an fnv-1a state with the device's universe seed. The byte
-// stream (seed bytes, then the caller's parts) matches the previous
-// fmt/hash.Hash64 implementation, so every derived efficiency is
-// bit-identical.
-func (d *Device) hashState() uint64 {
-	h := uint64(fnvOffset64)
-	for _, b := range d.seedBytes {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // hashTo01 converts a finished fnv-1a state to a uniform value in [0, 1).
-func hashTo01(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
+func hashTo01(h rng.FNV) float64 { return float64(uint64(h)>>11) / float64(1<<53) }
 
 // hash01 maps a string (plus the universe seed) to a uniform value in [0, 1).
 func (d *Device) hash01(s string) float64 {
-	return hashTo01(hashAddString(d.hashState(), s))
+	return hashTo01(d.seedHash.Str(s))
 }
 
 // hash01Parts is hash01 over the concatenation of parts, computed without
 // building the intermediate string.
 func (d *Device) hash01Parts(parts ...string) float64 {
-	h := d.hashState()
+	h := d.seedHash
 	for _, p := range parts {
-		h = hashAddString(h, p)
+		h = h.Str(p)
 	}
 	return hashTo01(h)
 }
@@ -257,8 +212,8 @@ func (d *Device) factors(kernelName string) *nameFactors {
 	}
 	f := &nameFactors{curveEps: 0.16 * (d.hash01Parts("curve:", kernelName) - 0.5)} // ε ∈ ±0.08
 	f.computeEff, f.bwEff = d.efficiencies(kernelName)
-	f.shape = hashAddString(hashAddString(hashAddString(d.hashState(), "shape:"), kernelName), ":")
-	f.geom = hashAddString(hashAddString(hashAddString(d.hashState(), "geom:"), kernelName), ":")
+	f.shape = d.seedHash.Str("shape:").Str(kernelName).Str(":")
+	f.geom = d.seedHash.Str("geom:").Str(kernelName).Str(":")
 	stored, _ := d.names.LoadOrStore(kernelName, f)
 	return stored.(*nameFactors)
 }
@@ -353,7 +308,7 @@ func shapeFactor(k kernels.Kernel, f *nameFactors) float64 {
 		b >>= 1
 		bucket++
 	}
-	u := hashTo01(hashAddInt(f.shape, int64(bucket)))
+	u := hashTo01(f.shape.Int(bucket))
 	return 1 + 0.20*(u-0.5) // ±10 %
 }
 
@@ -379,9 +334,7 @@ func geomFactor(k kernels.Kernel, f *nameFactors) float64 {
 		r := float64(k.LayerInputElems) / float64(k.LayerOutputElems)
 		ratio = int(4 * math.Log2(r))
 	}
-	h := hashAddInt(f.geom, int64(workPerOut))
-	h = hashAddString(h, ":")
-	u := hashTo01(hashAddInt(h, int64(ratio)))
+	u := hashTo01(f.geom.Int(workPerOut).Str(":").Int(ratio))
 	return 1 + 0.40*(u-0.5) // ±20 %
 }
 

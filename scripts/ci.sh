@@ -9,27 +9,31 @@
 #                         detrange, unitsafe, floateq, locksafe, staleplan,
 #                         allocfree, goroleak, httpcontract
 #   4. go test -race    — the full suite under the race detector
-#   5. fuzz             — each fuzz target (FuzzLoad, FuzzFamilyOf,
+#   5. experiments      — full-fidelity `dnnperf all` stdout is byte for
+#                         byte cmd/dnnperf/testdata/all.golden (`make
+#                         experiments` regenerates it; the test suite
+#                         diffs the quick golden)
+#   6. fuzz             — each fuzz target (FuzzLoad, FuzzFamilyOf,
 #                         FuzzReadNetworksCSV, FuzzParseTraceparent,
 #                         FuzzPredictBatchBody, FuzzBatchRequestDecode,
 #                         FuzzQueryValue, FuzzForwardRequest) runs 5s of
 #                         generated inputs past its seed corpus
-#   6. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
+#   7. serve smoke test — boot `dnnperf serve`, hit /healthz and /metrics;
 #                         then `train -model F` + `serve -model F` must
 #                         answer /predict as the self-fitted server; then a
 #                         2-replica fleet: one model on every replica
 #                         (/modelz version 1), routing, 429 backpressure,
 #                         whole-fleet graceful drain
-#   7. loadtest smoke   — `dnnperf loadtest` drives a 2-replica fleet for
+#   8. loadtest smoke   — `dnnperf loadtest` drives a 2-replica fleet for
 #                         ~2s; non-zero throughput, zero 5xx required
-#   8. fleetsim smoke   — `dnnperf fleetsim` replays a 10k-request trace
+#   9. fleetsim smoke   — `dnnperf fleetsim` replays a 10k-request trace
 #                         against the simulated fleet; every request served
 #                         with monotone percentiles, plus a capacity sweep
 #                         and a 2k-request replay on the quick-lab IGKW
 #                         cluster fleet (`-quick -cluster`)
-#   9. bench smoke      — every benchmark in the module runs once
+#  10. bench smoke      — every benchmark in the module runs once
 #                         (-benchtime 1x), so none rots unnoticed
-#  10. bench compare    — cached-predict benchmarks vs BENCH_baseline.json
+#  11. bench compare    — cached-predict benchmarks vs BENCH_baseline.json
 #                         (>25% ns/op regression fails) plus the fleet
 #                         throughput/p99 gate (BENCH_FLEET_THRESHOLD) and
 #                         the fleetsim replay gate (0 allocs/op, ≥1M
@@ -61,6 +65,12 @@ go run ./cmd/dnnlint ./...
 
 echo "== go test -race"
 go test -race ./...
+
+echo "== experiments"
+bin="$(mktemp -d)/dnnperf"
+go build -o "$bin" ./cmd/dnnperf
+"$bin" all | diff -u cmd/dnnperf/testdata/all.golden -
+rm -rf "$(dirname "$bin")"
 
 echo "== fuzz"
 fuzz() { go test -run '^$' -fuzz "^$1\$" -fuzztime 5s "$2"; }
